@@ -47,7 +47,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario", default="scenarios/table1.cfg")
     ap.add_argument("--outdir", default="results/cir")
-    ap.add_argument("--trials", type=int, default=100_000)
+    ap.add_argument("--trials", type=int, default=30_000)
     ap.add_argument("--epsilon", type=float, default=1e-3,
                     help="phase-test threshold for the optimization (rad)")
     ap.add_argument("--seed", type=int, default=1)

@@ -31,7 +31,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario", default="scenarios/table1.cfg")
     ap.add_argument("--outdir", default="results/pathloss")
-    ap.add_argument("--trials", type=int, default=200_000)
+    ap.add_argument("--trials", type=int, default=50_000)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     out = Path(args.outdir)

@@ -6,66 +6,4 @@ cross-validates them, and phase-shift optimizers that drive missed detection
 to zero.
 """
 
-from .auth import (
-    CirFingerprint,
-    Decision,
-    Fingerprint,
-    PathlossFingerprint,
-    Verdict,
-    decide,
-    pfa_cir_magnitude,
-    pfa_pathloss,
-    pmd_pathloss,
-    rayleigh_sigma,
-    threshold_for_pfa,
-    ts_cir_magnitude,
-    ts_cir_phase,
-    ts_pathloss,
-)
-from .channel import (
-    ChannelRealization,
-    EvanescentError,
-    GeometryError,
-    PerElement,
-    PhaseProfile,
-    ScalarGradient,
-    Scenario,
-    ScenarioFormatError,
-    add_noise,
-    cascaded_gain,
-    fspl,
-    incidence_angle,
-    load_scenario,
-    reflection_angle,
-    ris_pathloss,
-    sample_cir,
-)
-from .mc import (
-    ErrorEstimate,
-    Feature,
-    Hypothesis,
-    RocCurve,
-    TrialPlan,
-    empirical_distribution,
-    roc_sweep,
-    run_trials,
-)
-from .optim import (
-    InfeasibleGridError,
-    OptResult,
-    SearchBudgetError,
-    Strategy,
-    default_gradient_grid,
-    optimize_gradient,
-    optimize_phase_matrix,
-)
-from .specfun import (
-    FoldedNormalParams,
-    folded_normal_cdf,
-    folded_normal_moments,
-    q_func,
-    q_inv,
-    rayleigh_ccdf,
-)
-
 __version__ = "0.1.0"

@@ -1,29 +1,26 @@
-"""Test statistics, decision rule, and closed-form error probabilities.
+"""Test statistics, the decision rule, and closed-form error probabilities.
 
-Every probability here is a pure function of linear-unit quantities; dB
-conversion belongs to the CLI layer. The phase-feature and magnitude-feature
-missed detections have no closed form and live in the Monte-Carlo engine.
+`statistic` is the one implementation of the three features' test
+statistics; it works elementwise on arrays, so the Monte-Carlo engine calls
+it on whole chunks of trials. `accepts` is the decision rule. Every
+probability here is a pure function of linear-unit quantities; dB conversion
+belongs to the CLI layer. The phase-feature and magnitude-feature missed
+detections have no closed form and live in the Monte-Carlo engine.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .specfun import FoldedNormalParams, folded_normal_cdf, q_func, q_inv, rayleigh_ccdf
 
 __all__ = [
-    "Verdict",
-    "Decision",
-    "PathlossFingerprint",
-    "CirFingerprint",
-    "Fingerprint",
-    "ts_pathloss",
-    "ts_cir_magnitude",
-    "ts_cir_phase",
-    "decide",
+    "Feature",
+    "statistic",
+    "accepts",
     "pfa_pathloss",
     "threshold_for_pfa",
     "pmd_pathloss",
@@ -31,71 +28,31 @@ __all__ = [
     "rayleigh_sigma",
 ]
 
-
-class Verdict(Enum):
-    ACCEPT_H0 = "accept_h0"  # claim: legitimate transmitter
-    REJECT_H0 = "reject_h0"  # claim: attacker
+TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    statistic: float
-    threshold: float
+class Feature(Enum):
+    PATHLOSS = "pathloss"
+    CIR_MAGNITUDE = "cir-magnitude"
+    CIR_PHASE = "cir-phase"
 
 
-@dataclass(frozen=True)
-class PathlossFingerprint:
-    """Enrolled pathloss of the legitimate transmitter (linear gain)."""
+def statistic(feature: Feature, observed, enrolled):
+    """Distance of each observation from the enrolled fingerprint.
 
-    pl_a: float
-
-    def __post_init__(self):
-        if self.pl_a <= 0.0:
-            raise ValueError(f"pathloss fingerprint must be positive, got {self.pl_a}")
-
-
-@dataclass(frozen=True)
-class CirFingerprint:
-    """Enrolled cascaded gain of the legitimate transmitter for the active phase profile."""
-
-    ground_truth: complex
-
-
-Fingerprint = PathlossFingerprint | CirFingerprint
-
-
-def ts_pathloss(pl_hat: float, fp: PathlossFingerprint) -> float:
-    """Distance |estimated pathloss - enrolled pathloss|."""
-    return abs(pl_hat - fp.pl_a)
-
-
-def ts_cir_magnitude(zeta: complex, fp: CirFingerprint) -> float:
-    """Modulus of the complex CIR deviation from the enrolled gain."""
-    return abs(zeta - fp.ground_truth)
-
-
-def ts_cir_phase(zeta: complex, fp: CirFingerprint, wrap: bool = True) -> float:
-    """Distance between the CIR phase and the enrolled phase.
-
-    With wrap=True (default) the difference of principal arguments is folded
-    into [0, pi] so the statistic is continuous across the branch cut; the
-    literal unwrapped |difference| is kept behind wrap=False for comparison.
+    |observed - enrolled| for the pathloss and magnitude features; for the
+    phase feature, the difference of principal arguments folded into
+    [0, pi] so the statistic is continuous across the branch cut.
     """
-    if zeta == 0 or fp.ground_truth == 0:
-        raise ValueError("phase statistic undefined for zero-magnitude input")
-    diff = abs(cmath.phase(zeta) - cmath.phase(fp.ground_truth))
-    if wrap and diff > math.pi:
-        diff = 2.0 * math.pi - diff
-    return diff
+    if feature is Feature.CIR_PHASE:
+        diff = np.abs(np.angle(observed) - np.angle(enrolled))
+        return np.where(diff > math.pi, TWO_PI - diff, diff)
+    return np.abs(observed - enrolled)
 
 
-def decide(ts: float, epsilon: float) -> Decision:
-    """Threshold test; ties reject (classify as attacker)."""
-    if ts < 0.0 or epsilon < 0.0:
-        raise ValueError("statistic and threshold must be nonnegative")
-    verdict = Verdict.ACCEPT_H0 if ts < epsilon else Verdict.REJECT_H0
-    return Decision(verdict=verdict, statistic=ts, threshold=epsilon)
+def accepts(ts, epsilon):
+    """Threshold test: True claims the legitimate transmitter; ties reject."""
+    return ts < epsilon
 
 
 def pfa_pathloss(epsilon: float, sigma: float) -> float:

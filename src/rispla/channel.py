@@ -1,14 +1,15 @@
-"""Physical model: reflection geometry, pathloss, and cascaded channel generation.
+"""Physical model: scenario files, reflection geometry and pathloss.
 
 Coordinates are metres, angles radians, gains and powers linear. The panel
 reflects transmitter signals toward the receiver; the direct transmitter to
-receiver path is assumed blocked whenever the panel is in use.
+receiver path is assumed blocked whenever the panel is in use. The fading
+draws of the CIR features are decoded by the Monte-Carlo engine (`mc`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +23,12 @@ __all__ = [
     "ScalarGradient",
     "PerElement",
     "PhaseProfile",
-    "ChannelRealization",
     "load_scenario",
     "incidence_angle",
     "reflection_angle",
     "ris_pathloss",
     "fspl",
-    "sample_cir",
-    "cascaded_gain",
-    "add_noise",
+    "pathloss_pair",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -134,18 +132,6 @@ class PerElement:
 PhaseProfile = ScalarGradient | PerElement
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Complex gains for one transmission: transmitter->panel h and panel->receiver g."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        if self.h.shape != self.g.shape or self.h.ndim != 1:
-            raise ValueError("h and g must be 1-D vectors of equal length")
-
-
 _SCENARIO_VECTOR_KEYS = ("alice_pos", "eve_pos", "bob_pos", "ris_pos", "ris_normal")
 _SCENARIO_SCALAR_KEYS = ("element_a", "element_b", "n_elements", "frequency_hz",
                          "tx_gain", "rx_gain", "tx_power_w", "refractive_index",
@@ -247,35 +233,10 @@ def fspl(tx_pos, rx_pos, scenario: Scenario) -> float:
     return scenario.tx_gain * scenario.rx_gain * (scenario.wavelength / (4.0 * math.pi * d)) ** 2
 
 
-def sample_cir(scenario: Scenario, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one fading realization: h ~ CN(0,1) per element, g ~ CN(0, sigma_g_sq)."""
-    n = scenario.n_elements
-    h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    g_scale = math.sqrt(scenario.sigma_g_sq / 2.0)
-    g = g_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ChannelRealization(h=h, g=g)
-
-
-def cascaded_gain(real: ChannelRealization, profile: PerElement) -> complex:
-    """Scalar baseband gain sum_n conj(h_n) * exp(j psi_n) * g_n through the panel."""
-    if not isinstance(profile, PerElement):
-        raise ValueError("cascaded_gain requires a per-element phase profile")
-    if profile.phases.shape != real.h.shape:
-        raise ValueError(
-            f"profile has {profile.phases.size} phases but realization has {real.h.size} elements"
-        )
-    return complex(np.sum(np.conj(real.h) * np.exp(1j * profile.phases) * real.g))
-
-
-def add_noise(value, sigma: float, rng: np.random.Generator):
-    """Additive Gaussian noise: N(0, sigma^2) for reals, CN(0, sigma^2) for complex."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    arr = np.asarray(value)
-    if np.iscomplexobj(arr):
-        scale = sigma / math.sqrt(2.0)  # sigma^2 split evenly between parts
-        noise = scale * (rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape))
-    else:
-        noise = sigma * rng.standard_normal(arr.shape)
-    out = arr + noise
-    return out if arr.shape else out.item()
+def pathloss_pair(scenario: Scenario, gradient: float, ris: bool = True) -> tuple[float, float]:
+    """(Alice, Eve) linear pathloss to Bob: reflected at `gradient`, or Friis when ris=False."""
+    if ris:
+        return (ris_pathloss(scenario, scenario.alice_pos, gradient),
+                ris_pathloss(scenario, scenario.eve_pos, gradient))
+    return (fspl(scenario.alice_pos, scenario.bob_pos, scenario),
+            fspl(scenario.eve_pos, scenario.bob_pos, scenario))

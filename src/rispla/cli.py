@@ -19,18 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import auth, mc, optim
+from .auth import Feature
 from .channel import (
-    GeometryError,
     PerElement,
     ScalarGradient,
     Scenario,
     ScenarioFormatError,
-    fspl,
     load_scenario,
-    ris_pathloss,
+    pathloss_pair,
 )
-from .mc import ErrorEstimate, Feature, Hypothesis, TrialPlan
-from .specfun import FoldedNormalParams, folded_normal_cdf, folded_normal_moments
+from .checks import CHECKS
+from .mc import Hypothesis, TrialPlan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,29 +88,32 @@ def _parse_epsilons(text: str) -> np.ndarray:
     try:
         if text.startswith("log:"):
             _, lo, hi, n = text.split(":")
-            return np.geomspace(float(lo), float(hi), int(n))
-        return np.asarray([float(p) for p in text.split(",")], dtype=float)
+            eps = np.geomspace(float(lo), float(hi), int(n))
+        else:
+            eps = np.asarray([float(p) for p in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"bad epsilon spec {text!r}: {exc}") from None
-
-
-def _feature(name: str) -> Feature:
-    return Feature(name)
+    if eps.size == 0 or np.any(np.diff(eps) <= 0):
+        raise UsageError(f"epsilons must be a nonempty, strictly increasing grid: {text!r}")
+    return eps
 
 
 def _profile_for(args, scenario: Scenario, feature: Feature):
     if feature is Feature.PATHLOSS:
         return ScalarGradient(args.gradient)
-    if args.phases:
+    if not args.phases:
+        return PerElement(np.zeros(scenario.n_elements))
+    try:
         phases = np.asarray([float(p) for p in args.phases.split(",")], dtype=float)
-    else:
-        phases = np.zeros(scenario.n_elements)
+    except ValueError as exc:
+        raise UsageError(f"bad --phases {args.phases!r}: {exc}") from None
+    if phases.size != scenario.n_elements:
+        raise UsageError(f"--phases has {phases.size} values, "
+                         f"scenario has {scenario.n_elements} elements")
     return PerElement(phases)
 
 
 def _threshold_for_target(feature: Feature, target_pfa: float, noise_sigma: float) -> float:
-    if not (0.0 < target_pfa <= 1.0):
-        raise UsageError(f"target_pfa must be in (0, 1], got {target_pfa}")
     if feature is Feature.PATHLOSS:
         return auth.threshold_for_pfa(target_pfa, noise_sigma)
     if feature is Feature.CIR_MAGNITUDE:
@@ -132,12 +134,7 @@ def _analytical_value(command: str, feature: Feature, epsilon: float,
             return auth.pfa_cir_magnitude(epsilon, auth.rayleigh_sigma(sigma_n))
         return None
     if feature is Feature.PATHLOSS:
-        if use_ris:
-            pl_a = ris_pathloss(scenario, scenario.alice_pos, gradient)
-            pl_e = ris_pathloss(scenario, scenario.eve_pos, gradient)
-        else:
-            pl_a = fspl(scenario.alice_pos, scenario.bob_pos, scenario)
-            pl_e = fspl(scenario.eve_pos, scenario.bob_pos, scenario)
+        pl_a, pl_e = pathloss_pair(scenario, gradient, use_ris)
         return auth.pmd_pathloss(epsilon, sigma_n, pl_a, pl_e)
     return None
 
@@ -160,7 +157,7 @@ def _baseline_outputs(output: str, baseline: str) -> list[tuple[str, bool]]:
 
 def _cmd_sweep(args, command: str) -> int:
     scenario = load_scenario(args.scenario)
-    feature = _feature(args.feature)
+    feature = Feature(args.feature)
     lq_grid = _parse_grid(args.lq_grid)
     if not lq_grid:
         raise ValueError("lq grid must be nonempty")
@@ -209,7 +206,7 @@ def _cmd_roc(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.lq_db is not None:
         scenario = replace(scenario, lq_db=args.lq_db)
-    feature = _feature(args.feature)
+    feature = Feature(args.feature)
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
         plan = TrialPlan(
             n_trials=args.trials, master_seed=args.seed, feature=feature,
@@ -276,150 +273,14 @@ def _cmd_optimize_phases(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# validate: analytical closed forms vs the Monte-Carlo engine
-# ---------------------------------------------------------------------------
-
-
-def _check_np_round_trip():
-    grid = np.geomspace(1e-6, 1.0, 13)
-    worst = max(abs(auth.pfa_pathloss(auth.threshold_for_pfa(p, s), s) - p)
-                for p in grid for s in (0.3, 1.0, 4.0))
-    return worst <= 1e-9, f"max |pfa(threshold(p)) - p| = {worst:.3g}"
-
-
-def _check_pathloss_pfa(scenario: Scenario, trials: int):
-    worst = 0.0
-    combos = [(lq, t) for lq in (10.0, 20.0, 40.0, 60.0)
-              for t in (0.5, 0.2, 0.05, 0.01, 1e-3)]
-    for i, (lq, target) in enumerate(combos):
-        sc = replace(scenario, lq_db=lq)
-        eps = auth.threshold_for_pfa(target, sc.noise_sigma)
-        plan = TrialPlan(n_trials=trials, master_seed=1000 + i, feature=Feature.PATHLOSS,
-                         epsilon=eps, scenario=sc, profile=ScalarGradient(0.0))
-        pfa, _ = mc.run_trials(plan)
-        se = math.sqrt(target * (1.0 - target) / pfa.n_conditioning)
-        worst = max(worst, abs(pfa.value - target) / se)
-    return worst <= 3.0, f"max |empirical - 2Q(eps/sigma)| = {worst:.2f} std errors over {len(combos)} combos"
-
-
-def _check_pathloss_pmd(scenario: Scenario, trials: int):
-    """Noise level set from the pathloss contrast so every combo is informative."""
-    worst = 0.0
-    n_checked = 0
-    combos = [(g, ratio, t) for g in (0.0, 6.0, 9.0, 11.0)
-              for ratio, t in ((0.5, 0.05), (1.5, 0.2), (2.5, 0.05), (3.5, 0.2), (5.0, 0.05))]
-    for i, (gradient, ratio, target) in enumerate(combos):
-        pl_a = ris_pathloss(scenario, scenario.alice_pos, gradient)
-        pl_e = ris_pathloss(scenario, scenario.eve_pos, gradient)
-        sigma = abs(pl_e - pl_a) / ratio
-        sc = replace(scenario, lq_db=-linear_to_db(sigma**2 / scenario.tx_power_w))
-        eps = auth.threshold_for_pfa(target, sc.noise_sigma)
-        expected = auth.pmd_pathloss(eps, sc.noise_sigma, pl_a, pl_e)
-        if not (1e-3 <= expected <= 0.999):
-            continue
-        plan = TrialPlan(n_trials=trials, master_seed=2000 + i, feature=Feature.PATHLOSS,
-                         epsilon=eps, scenario=sc, profile=ScalarGradient(gradient))
-        _, pmd = mc.run_trials(plan)
-        se = math.sqrt(expected * (1.0 - expected) / pmd.n_conditioning)
-        worst = max(worst, abs(pmd.value - expected) / se)
-        n_checked += 1
-    return (worst <= 3.0 and n_checked >= 20,
-            f"max deviation {worst:.2f} std errors over {n_checked} combos")
-
-
-def _check_rayleigh(scenario: Scenario, samples: int):
-    sc = replace(scenario, lq_db=20.0, n_elements=8)
-    plan = TrialPlan(n_trials=1, master_seed=77, feature=Feature.CIR_MAGNITUDE,
-                     epsilon=0.0, scenario=sc, profile=PerElement(np.zeros(8)),
-                     refade_alice=False)
-    ts = mc.empirical_distribution(plan, Hypothesis.H0, samples)
-    sigma_r = auth.rayleigh_sigma(sc.noise_sigma)
-    worst = 0.0
-    for q in np.linspace(0.05, 0.95, 10):
-        eps = sigma_r * math.sqrt(-2.0 * math.log(1.0 - q))  # Rayleigh quantile
-        expected = auth.pfa_cir_magnitude(eps, sigma_r)
-        emp = 1.0 - np.searchsorted(ts, eps, side="left") / samples
-        se = math.sqrt(expected * (1.0 - expected) / samples)
-        worst = max(worst, abs(emp - expected) / se)
-    grid = 1.0 - np.exp(-(ts**2) / (2.0 * sigma_r**2))  # CDF at each sorted sample
-    ks = float(np.max(np.abs(grid - (np.arange(1, samples + 1) - 0.5) / samples)))
-    return (worst <= 3.0 and ks < 0.005,
-            f"max tail deviation {worst:.2f} std errors, KS distance {ks:.4f}")
-
-
-def _check_phase_invariance(scenario: Scenario, trials: int):
-    """False alarm must not move with the panel configuration.
-
-    The magnitude feature runs with the enrollment channel pinned, which is
-    the regime of the closed-form Rayleigh false alarm; re-fading makes the
-    false alarm condition on the enrolled |fingerprint|, which is not a
-    function the closed forms describe.
-    """
-    sc_base = replace(scenario, n_elements=8)
-    rng = np.random.default_rng(7)
-    profiles = [PerElement(rng.uniform(0.0, 2.0 * math.pi, 8)) for _ in range(2)]
-    gradients = (0.0, 9.0)
-    worst = 0.0
-    for lq in np.linspace(5.0, 50.0, 10):
-        sc = replace(sc_base, lq_db=float(lq))
-        # Rayleigh median of |n|, so both estimates sit mid-scale
-        eps_m = auth.rayleigh_sigma(sc.noise_sigma) * math.sqrt(2.0 * math.log(2.0))
-        eps_p = auth.threshold_for_pfa(0.1, sc.noise_sigma)
-        pairs = [
-            [TrialPlan(n_trials=trials, master_seed=3000 + k, feature=Feature.CIR_MAGNITUDE,
-                       epsilon=eps_m, scenario=sc, profile=prof, refade_alice=False)
-             for k, prof in enumerate(profiles)],
-            [TrialPlan(n_trials=trials, master_seed=3100 + k, feature=Feature.PATHLOSS,
-                       epsilon=eps_p, scenario=sc, profile=ScalarGradient(g))
-             for k, g in enumerate(gradients)],
-        ]
-        for plan_a, plan_b in pairs:
-            est_a, _ = mc.run_trials(plan_a)
-            est_b, _ = mc.run_trials(plan_b)
-            se = math.hypot(est_a.half_width_95, est_b.half_width_95) / 1.96
-            gap = abs(est_a.value - est_b.value)
-            worst = max(worst, gap / se if se > 0 else (0.0 if gap == 0 else math.inf))
-    return worst <= 3.0, f"max profile-to-profile gap {worst:.2f} combined std errors"
-
-
-def _check_folded_moments():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for delta, sigma in ((0.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
-        draws = np.abs(delta + sigma * rng.standard_normal(10**6))
-        mean, var = folded_normal_moments(FoldedNormalParams(delta, sigma))
-        worst = max(worst, abs(draws.mean() - mean) / mean, abs(draws.var() - var) / var)
-    return worst <= 0.01, f"max relative moment error {worst:.3g}"
-
-
-def _check_uniform_split(scenario: Scenario, trials: int):
-    plan = TrialPlan(n_trials=trials, master_seed=5, feature=Feature.PATHLOSS,
-                     epsilon=1.0, scenario=scenario, profile=ScalarGradient(0.0))
-    pfa, pmd = mc.run_trials(plan)
-    n0 = pfa.n_conditioning
-    dev = abs(n0 - trials / 2.0) / math.sqrt(trials * 0.25)
-    return dev <= 5.0, f"legitimate-transmitter count deviates {dev:.2f} std devs from n/2"
-
-
 def _cmd_validate(args) -> int:
+    """Acceptance criteria C01-C05 (rispla.checks) at --trials."""
     scenario = load_scenario(args.scenario)
-    trials = args.trials
-    checks = [
-        ("neyman-pearson-round-trip", lambda: _check_np_round_trip()),
-        ("pathloss-pfa-closed-form", lambda: _check_pathloss_pfa(scenario, trials)),
-        ("pathloss-pmd-closed-form", lambda: _check_pathloss_pmd(scenario, trials)),
-        ("folded-normal-moments", lambda: _check_folded_moments()),
-        ("rayleigh-magnitude-false-alarm", lambda: _check_rayleigh(scenario, trials)),
-        ("false-alarm-phase-invariance", lambda: _check_phase_invariance(scenario, max(trials // 10, 10_000))),
-        ("uniform-transmitter-split", lambda: _check_uniform_split(scenario, trials)),
-    ]
     failures = 0
-    for name, fn in checks:
-        ok, detail = fn()
+    for name, check in CHECKS:
+        ok, detail = check(scenario, args.trials)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures += 1
+        failures += not ok
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
@@ -433,17 +294,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, ok, expected: str):
+    """argparse type: convert the text and refuse values outside the domain (exit 2)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
+_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+_LEVELS = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_THRESHOLD = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                      "a finite nonnegative number")
+_PROBABILITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a probability in (0, 1]")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+
+
 def _add_common(p, *, trials_default=10**6):
     p.add_argument("--scenario", required=True, help="scenario config file")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p.add_argument("--trials", type=int, default=trials_default,
+    p.add_argument("--seed", type=_SEED, default=1, help="master seed (default 1)")
+    p.add_argument("--trials", type=_COUNT, default=trials_default,
                    help=f"Monte-Carlo trials (default {trials_default})")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=_COUNT, default=1, help="parallel workers (default 1)")
 
 
 def _add_feature_opts(p):
     p.add_argument("--feature", choices=[f.value for f in Feature], default="pathloss")
-    p.add_argument("--gradient", type=float, default=0.0,
+    p.add_argument("--gradient", type=_FINITE, default=0.0,
                    help="phase gradient rad/m for the pathloss feature (default 0)")
     p.add_argument("--phases", default=None,
                    help="comma-separated element phases for CIR features (default all zero)")
@@ -464,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lq-grid", default="0:2:40",
                        help="dB grid, start:step:stop or comma list (default 0:2:40)")
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--epsilon", type=float, default=None)
-        group.add_argument("--target-pfa", type=float, default=None)
+        group.add_argument("--epsilon", type=_THRESHOLD, default=None)
+        group.add_argument("--target-pfa", type=_PROBABILITY, default=None)
         p.add_argument("--output", required=True)
 
     p = sub.add_parser("roc", help="operating characteristic over thresholds")
     _add_common(p)
     _add_feature_opts(p)
-    p.add_argument("--lq-db", type=float, default=None, help="override scenario link quality")
+    p.add_argument("--lq-db", type=_FINITE, default=None, help="override scenario link quality")
     p.add_argument("--epsilons", default=None,
                    help="comma list or log:lo:hi:n (default: auto from the statistic range)")
     p.add_argument("--output", required=True)
@@ -479,24 +362,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-gradient", help="grid search of the phase gradient")
     p.add_argument("--scenario", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--epsilon", type=float, default=None)
-    group.add_argument("--target-pfa", type=float, default=None)
+    group.add_argument("--epsilon", type=_THRESHOLD, default=None)
+    group.add_argument("--target-pfa", type=_PROBABILITY, default=None)
     p.add_argument("--grid", default=None, help="start:stop:npoints (default: lobe span, 1e4 points)")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("optimize-phases", help="discrete per-element phase search")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--levels", type=int, default=16)
+    p.add_argument("--epsilon", type=_THRESHOLD, required=True)
+    p.add_argument("--levels", type=_LEVELS, default=16)
     p.add_argument("--strategy", choices=["exhaustive", "coordinate"], default="coordinate")
-    p.add_argument("--budget", type=int, default=10**7, help="total trial budget")
-    p.add_argument("--eval-trials", type=int, default=10**4, help="trials per candidate")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--budget", type=_COUNT, default=10**7, help="total trial budget")
+    p.add_argument("--eval-trials", type=_COUNT, default=10**4, help="trials per candidate")
+    p.add_argument("--seed", type=_SEED, default=1)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("validate", help="closed forms vs Monte-Carlo cross-check")
+    p = sub.add_parser("validate", help="acceptance criteria C01-C05: closed forms vs Monte Carlo")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=int, default=10**6)
+    p.add_argument("--trials", type=_COUNT, default=10**6)
 
     return parser
 

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, fspl, ris_pathloss
+from .auth import Feature, accepts, statistic
+from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
 
 __all__ = [
-    "Feature",
     "Hypothesis",
     "TrialPlan",
     "ErrorEstimate",
@@ -34,12 +34,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 LOW_CONFIDENCE_TRIALS = 100
-
-
-class Feature(Enum):
-    PATHLOSS = "pathloss"
-    CIR_MAGNITUDE = "cir-magnitude"
-    CIR_PHASE = "cir-phase"
 
 
 class Hypothesis(Enum):
@@ -165,12 +159,9 @@ def _cir_vectors(block: np.ndarray, n: int, sigma_g_sq: float):
     return h, g, noise_unit
 
 
-def _pathloss_pair(plan: TrialPlan) -> tuple[float, float]:
-    sc = plan.scenario
-    if plan.ris:
-        grad = plan.profile.gradient
-        return (ris_pathloss(sc, sc.alice_pos, grad), ris_pathloss(sc, sc.eve_pos, grad))
-    return (fspl(sc.alice_pos, sc.bob_pos, sc), fspl(sc.eve_pos, sc.bob_pos, sc))
+def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per-trial cascaded gain sum_n conj(h_n) exp(j psi_n) g_n over rows of h and g."""
+    return np.einsum("ij,j,ij->i", np.conj(h), np.exp(1j * phases), g)
 
 
 def _cir_fingerprint(plan: TrialPlan) -> complex:
@@ -180,6 +171,8 @@ def _cir_fingerprint(plan: TrialPlan) -> complex:
     block = _uniform_blocks(plan.master_seed, _stride(plan), 0, 1)
     h, g, _ = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
     if plan.ris:
+        # np.sum, not _cascade: einsum sums in another order, which changes the
+        # last bits of the fingerprint and with them the committed outputs
         phase = np.exp(1j * plan.profile.phases)
         return complex(np.sum(np.conj(h[0]) * phase * g[0]))
     return complex(h[0, 0])  # direct link: single CN(0,1) gain
@@ -198,29 +191,21 @@ def _trial_stats(plan: TrialPlan, lo: int, hi: int, force: Hypothesis | None = N
 
     if plan.feature is Feature.PATHLOSS:
         noise, _ = _box_muller(block[:, 1], block[:, 2])
-        pl_a, pl_e = _pathloss_pair(plan)
+        pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
         pl_true = np.where(is_alice, pl_a, pl_e)
-        ts = np.abs(pl_true + sigma_n * noise - pl_a)
-        return ts, is_alice
+        return statistic(plan.feature, pl_true + sigma_n * noise, pl_a), is_alice
 
     sc = plan.scenario
     n = sc.n_elements if plan.ris else 1
     h, g, noise_unit = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
     if plan.ris:
-        phase = np.exp(1j * plan.profile.phases)
-        cascade = np.einsum("ij,j,ij->i", np.conj(h), phase, g)
+        cascade = _cascade(h, g, plan.profile.phases)
     else:
         cascade = h[:, 0]
     gt = _cir_fingerprint(plan)
     if not plan.refade_alice:
         cascade = np.where(is_alice, gt, cascade)
-    zeta = cascade + sigma_n * noise_unit
-    if plan.feature is Feature.CIR_MAGNITUDE:
-        ts = np.abs(zeta - gt)
-    else:
-        diff = np.abs(np.angle(zeta) - np.angle(gt))
-        ts = np.where(diff > math.pi, TWO_PI - diff, diff)
-    return ts, is_alice
+    return statistic(plan.feature, cascade + sigma_n * noise_unit, gt), is_alice
 
 
 def _default_chunk(plan: TrialPlan) -> int:
@@ -234,7 +219,7 @@ def _ranges(n: int, chunk: int) -> list[tuple[int, int]]:
 def _count_chunk(args) -> tuple[int, int, int, int]:
     plan, lo, hi = args
     ts, is_alice = _trial_stats(plan, lo, hi)
-    accept = ts < plan.epsilon  # ties reject
+    accept = accepts(ts, plan.epsilon)
     n0 = int(np.count_nonzero(is_alice))
     rejects_alice = int(np.count_nonzero(is_alice & ~accept))
     accepts_eve = int(np.count_nonzero(~is_alice & accept))
@@ -246,7 +231,7 @@ def _roc_chunk(args):
     ts, is_alice = _trial_stats(plan, lo, hi)
     ts_a = np.sort(ts[is_alice])
     ts_e = np.sort(ts[~is_alice])
-    # accepts = #(ts < eps), strict: ties reject
+    # accepts = #(ts < eps), the rule of auth.accepts: ties reject
     acc_a = np.searchsorted(ts_a, epsilons, side="left")
     acc_e = np.searchsorted(ts_e, epsilons, side="left")
     return ts_a.size, ts_e.size, acc_a, acc_e

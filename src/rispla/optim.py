@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .auth import pmd_pathloss
-from .channel import EvanescentError, PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss
-from .mc import Feature, Hypothesis, TrialPlan, empirical_distribution
+from .auth import Feature, pmd_pathloss
+from .channel import EvanescentError, PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
+from .mc import Hypothesis, TrialPlan, empirical_distribution
 
 __all__ = [
     "Strategy",
@@ -96,8 +96,7 @@ def optimize_gradient(scenario: Scenario, epsilon: float, grid) -> OptResult:
     best_pmd = math.inf
     for g in grid.tolist():
         try:
-            pl_a = ris_pathloss(scenario, scenario.alice_pos, g)
-            pl_e = ris_pathloss(scenario, scenario.eve_pos, g)
+            pl_a, pl_e = pathloss_pair(scenario, g)
         except EvanescentError:
             skipped.append(g)
             continue

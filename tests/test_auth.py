@@ -1,4 +1,4 @@
-"""Test statistics, decision rule, and closed-form error probabilities."""
+"""Test statistic kernel, decision rule, and closed-form error probabilities."""
 
 import cmath
 import math
@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from rispla.auth import (
-    CirFingerprint,
-    PathlossFingerprint,
-    Verdict,
-    decide,
+    Feature,
+    accepts,
     pfa_cir_magnitude,
     pfa_pathloss,
     pmd_pathloss,
     rayleigh_sigma,
+    statistic,
     threshold_for_pfa,
-    ts_cir_magnitude,
-    ts_cir_phase,
-    ts_pathloss,
 )
 
 
@@ -31,79 +27,60 @@ def gaussian_tail_oracle(x: float) -> float:
     return val
 
 
-class TestStatistics:
-    def test_pathloss_distance(self):
-        fp = PathlossFingerprint(pl_a=5.0)
-        assert ts_pathloss(5.0, fp) == 0.0
-        assert ts_pathloss(8.0, fp) == 3.0
-        assert ts_pathloss(2.0, fp) == 3.0
+def magnitude(zeta, gt):
+    return float(statistic(Feature.CIR_MAGNITUDE, zeta, gt))
 
-    def test_pathloss_fingerprint_positive(self):
-        with pytest.raises(ValueError):
-            PathlossFingerprint(pl_a=0.0)
+
+def phase(zeta, gt):
+    return float(statistic(Feature.CIR_PHASE, zeta, gt))
+
+
+class TestStatistics:
+    """The kernel the Monte-Carlo engine applies to every trial."""
+
+    def test_pathloss_distance(self):
+        ts = statistic(Feature.PATHLOSS, np.array([5.0, 8.0, 2.0]), 5.0)
+        np.testing.assert_array_equal(ts, [0.0, 3.0, 3.0])
 
     def test_magnitude_three_four_five(self):
-        fp = CirFingerprint(ground_truth=1 - 2j)
-        assert ts_cir_magnitude(1 - 2j, fp) == 0.0
-        assert ts_cir_magnitude(1 - 2j + (3 + 4j), fp) == pytest.approx(5.0, abs=1e-12)
+        assert magnitude(1 - 2j, 1 - 2j) == 0.0
+        assert magnitude(1 - 2j + (3 + 4j), 1 - 2j) == pytest.approx(5.0, abs=1e-12)
 
     def test_magnitude_chord_length(self):
-        fp = CirFingerprint(ground_truth=1.0 + 0j)
-        for phi in (0.3, 1.0, 2.5):
-            zeta = cmath.exp(1j * phi)
-            assert ts_cir_magnitude(zeta, fp) == pytest.approx(
-                2 * abs(math.sin(phi / 2)), abs=1e-12)
+        phis = np.array([0.3, 1.0, 2.5])
+        ts = statistic(Feature.CIR_MAGNITUDE, np.exp(1j * phis), 1.0 + 0j)
+        np.testing.assert_allclose(ts, 2 * np.abs(np.sin(phis / 2)), rtol=0, atol=1e-12)
 
     def test_phase_positive_scaling(self):
-        fp = CirFingerprint(ground_truth=0.3 + 0.7j)
-        assert ts_cir_phase(2.0 * (0.3 + 0.7j), fp) == pytest.approx(0.0, abs=1e-12)
+        assert phase(2.0 * (0.3 + 0.7j), 0.3 + 0.7j) == pytest.approx(0.0, abs=1e-12)
 
     def test_phase_antipodal(self):
-        fp = CirFingerprint(ground_truth=0.3 + 0.7j)
-        assert ts_cir_phase(-(0.3 + 0.7j), fp) == pytest.approx(math.pi, abs=1e-12)
+        assert phase(-(0.3 + 0.7j), 0.3 + 0.7j) == pytest.approx(math.pi, abs=1e-12)
 
     def test_phase_wraps_branch_cut(self):
-        fp = CirFingerprint(ground_truth=cmath.exp(-0.1j))  # principal arg -0.1
-        assert ts_cir_phase(cmath.exp(0.1j), fp) == pytest.approx(0.2, abs=1e-12)
-        # a case where wrapping matters: args +3 and -3
-        fp = CirFingerprint(ground_truth=cmath.exp(-3j))
-        wrapped = ts_cir_phase(cmath.exp(3j), fp)
-        literal = ts_cir_phase(cmath.exp(3j), fp, wrap=False)
-        assert wrapped == pytest.approx(2 * math.pi - 6.0, abs=1e-12)
-        assert literal == pytest.approx(6.0, abs=1e-12)
-
-    def test_phase_zero_magnitude_rejected(self):
-        fp = CirFingerprint(ground_truth=1.0 + 0j)
-        with pytest.raises(ValueError):
-            ts_cir_phase(0j, fp)
-        with pytest.raises(ValueError):
-            ts_cir_phase(1.0 + 0j, CirFingerprint(ground_truth=0j))
+        # principal args +0.1 and -0.1, then +3 and -3 where the literal difference is 6
+        assert phase(cmath.exp(0.1j), cmath.exp(-0.1j)) == pytest.approx(0.2, abs=1e-12)
+        assert phase(cmath.exp(3j), cmath.exp(-3j)) == pytest.approx(2 * math.pi - 6.0,
+                                                                      abs=1e-12)
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False,
                               allow_infinity=False))
     def test_phase_magnitude_invariance(self, c, zeta):
-        fp = CirFingerprint(ground_truth=0.5 - 1.2j)
-        assert ts_cir_phase(c * zeta, fp) == pytest.approx(ts_cir_phase(zeta, fp), abs=1e-9)
+        gt = 0.5 - 1.2j
+        assert phase(c * zeta, gt) == pytest.approx(phase(zeta, gt), abs=1e-9)
 
 
 class TestDecide:
     def test_accept(self):
-        assert decide(0.5, 1.0).verdict is Verdict.ACCEPT_H0
+        assert accepts(0.5, 1.0)
 
     def test_reject(self):
-        assert decide(1.5, 1.0).verdict is Verdict.REJECT_H0
+        assert not accepts(1.5, 1.0)
 
     def test_tie_rejects(self):
-        assert decide(1.0, 1.0).verdict is Verdict.REJECT_H0
-
-    def test_records_inputs(self):
-        d = decide(0.2, 0.9)
-        assert (d.statistic, d.threshold) == (0.2, 0.9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            decide(-0.1, 1.0)
+        np.testing.assert_array_equal(accepts(np.array([0.5, 1.0, 1.5]), 1.0),
+                                      [True, False, False])
 
 
 class TestPfaPathloss:

@@ -8,22 +8,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rispla.auth import Feature
 from rispla.channel import (
-    ChannelRealization,
     EvanescentError,
     GeometryError,
     PerElement,
     ScalarGradient,
     Scenario,
     ScenarioFormatError,
-    add_noise,
-    cascaded_gain,
     fspl,
     incidence_angle,
     load_scenario,
+    pathloss_pair,
     reflection_angle,
     ris_pathloss,
-    sample_cir,
+)
+from rispla.mc import (
+    Hypothesis,
+    TrialPlan,
+    _box_muller,
+    _cascade,
+    _cir_vectors,
+    _uniform_blocks,
+    empirical_distribution,
 )
 
 # hand evaluation of the reflection pathloss, zero gradient, shipped geometry:
@@ -214,6 +221,13 @@ class TestRisPathloss:
             )
             assert ris_pathloss(sc, sc.alice_pos, 5.0) == pytest.approx(base, rel=1e-9)
 
+    def test_pathloss_pair(self, scenario):
+        assert pathloss_pair(scenario, 0.0) == pytest.approx((GOLDEN_PL_ALICE, GOLDEN_PL_EVE),
+                                                             rel=1e-12)
+        assert pathloss_pair(scenario, 0.0, ris=False) == (
+            fspl(scenario.alice_pos, scenario.bob_pos, scenario),
+            fspl(scenario.eve_pos, scenario.bob_pos, scenario))
+
     def test_evanescent_propagates(self, scenario):
         huge = 2.0 * 2 * math.pi / scenario.wavelength
         with pytest.raises(EvanescentError):
@@ -241,57 +255,58 @@ class TestFspl:
             fspl((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), scenario)
 
 
+def cir_draws(n: int, trials: int, seed: int, sigma_g_sq: float = 1.0, first: int = 1):
+    """(h, g, unit noise) of engine trials [first - 1, first - 1 + trials) on n elements."""
+    return _cir_vectors(_uniform_blocks(seed, 4 * n + 4, first, trials), n, sigma_g_sq)
+
+
+def cascade(h, g, phases) -> complex:
+    """The engine's trial cascade for a single realization."""
+    return complex(_cascade(np.atleast_2d(h), np.atleast_2d(g), np.asarray(phases, float))[0])
+
+
 class TestSampleCir:
+    """Fading draws as the engine decodes them from its uniform blocks."""
+
     def test_moments(self, scenario_small):
-        rng = np.random.default_rng(8)
-        n_draws = 10**5 // scenario_small.n_elements
-        hs = np.concatenate([sample_cir(scenario_small, rng).h for _ in range(n_draws)])
-        assert abs(hs.mean()) < 3.0 / math.sqrt(hs.size)
-        assert np.mean(np.abs(hs) ** 2) == pytest.approx(1.0, rel=0.03)
+        n = scenario_small.n_elements
+        h, _, _ = cir_draws(n, 10**5 // n, seed=8)
+        assert abs(h.mean()) < 3.0 / math.sqrt(h.size)
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.03)
 
-    def test_g_variance_scales(self, scenario_small):
-        sc = replace(scenario_small, sigma_g_sq=4.0)
-        rng = np.random.default_rng(9)
-        gs = np.concatenate([sample_cir(sc, rng).g for _ in range(2000)])
-        assert np.mean(np.abs(gs) ** 2) == pytest.approx(4.0, rel=0.03)
+    def test_g_variance_scales(self):
+        _, g, _ = cir_draws(8, 2000, seed=9, sigma_g_sq=4.0)
+        assert np.mean(np.abs(g) ** 2) == pytest.approx(4.0, rel=0.03)
 
-    def test_stream_contract(self, scenario_small):
-        r1 = sample_cir(scenario_small, np.random.default_rng(5))
-        r2 = sample_cir(scenario_small, np.random.default_rng(5))
-        np.testing.assert_array_equal(r1.h, r2.h)
-        np.testing.assert_array_equal(r1.g, r2.g)
-        rng = np.random.default_rng(5)
-        a = sample_cir(scenario_small, rng)
-        b = sample_cir(scenario_small, rng)
-        assert not np.array_equal(a.h, b.h)
+    def test_stream_contract(self):
+        # a trial's draws depend only on (seed, trial), alone or inside a batch
+        h3, g3, _ = cir_draws(8, 3, seed=5)
+        h1, g1, _ = cir_draws(8, 1, seed=5, first=2)
+        np.testing.assert_array_equal(h1[0], h3[1])
+        np.testing.assert_array_equal(g1[0], g3[1])
+        assert not np.array_equal(h3[0], h3[1])
 
 
 class TestCascadedGain:
     def test_identity(self):
-        real = ChannelRealization(h=np.array([1.0 + 0j]), g=np.array([1.0 + 0j]))
-        assert cascaded_gain(real, PerElement(np.array([0.0]))) == pytest.approx(1.0 + 0j)
+        assert cascade([1.0 + 0j], [1.0 + 0j], [0.0]) == pytest.approx(1.0 + 0j)
 
     def test_pure_rotation(self):
-        real = ChannelRealization(h=np.array([1.0 + 0j]), g=np.array([1.0 + 0j]))
-        out = cascaded_gain(real, PerElement(np.array([math.pi / 2])))
-        assert out == pytest.approx(1j, abs=1e-12)
+        assert cascade([1.0 + 0j], [1.0 + 0j], [math.pi / 2]) == pytest.approx(1j, abs=1e-12)
 
     def test_coherent_alignment(self):
         rng = np.random.default_rng(12)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        real = ChannelRealization(h=h, g=g)
         psi = -(np.angle(g) - np.angle(h))
-        out = cascaded_gain(real, PerElement(psi))
-        assert abs(out) == pytest.approx(np.sum(np.abs(h) * np.abs(g)), rel=1e-12)
+        assert abs(cascade(h, g, psi)) == pytest.approx(np.sum(np.abs(h) * np.abs(g)), rel=1e-12)
 
     def test_zero_phases_match_inner_product(self):
         rng = np.random.default_rng(13)
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        real = ChannelRealization(h=h, g=g)
-        out = cascaded_gain(real, PerElement(np.zeros(6)))
-        assert out == pytest.approx(complex(np.sum(np.conj(h) * g)), rel=1e-12)
+        assert cascade(h, g, np.zeros(6)) == pytest.approx(complex(np.sum(np.conj(h) * g)),
+                                                           rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
     def test_triangle_inequality(self, n, seed):
@@ -299,33 +314,31 @@ class TestCascadedGain:
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi = rng.uniform(0, 2 * math.pi, n)
-        out = cascaded_gain(ChannelRealization(h=h, g=g), PerElement(psi))
-        assert abs(out) <= np.sum(np.abs(h) * np.abs(g)) + 1e-9
-
-    def test_length_mismatch(self):
-        real = ChannelRealization(h=np.ones(3, complex), g=np.ones(3, complex))
-        with pytest.raises(ValueError, match="phases"):
-            cascaded_gain(real, PerElement(np.zeros(4)))
+        assert abs(cascade(h, g, psi)) <= np.sum(np.abs(h) * np.abs(g)) + 1e-9
 
 
 class TestAddNoise:
-    def test_zero_sigma_identity(self):
-        rng = np.random.default_rng(0)
-        assert add_noise(3.25, 0.0, rng) == 3.25
-        assert add_noise(1 + 2j, 0.0, rng) == 1 + 2j
+    """Receiver noise as the engine adds it."""
+
+    def test_zero_sigma_identity(self, scenario_small):
+        silent = replace(scenario_small, lq_db=4000.0)  # 10^-400 underflows to 0
+        assert silent.noise_sigma == 0.0
+        plans = [
+            TrialPlan(n_trials=1, master_seed=3, feature=Feature.PATHLOSS, epsilon=0.0,
+                      scenario=silent, profile=ScalarGradient(0.0)),
+            TrialPlan(n_trials=1, master_seed=3, feature=Feature.CIR_MAGNITUDE, epsilon=0.0,
+                      scenario=silent, profile=PerElement(np.zeros(8)), refade_alice=False),
+        ]
+        for plan in plans:
+            assert np.all(empirical_distribution(plan, Hypothesis.H0, 500) == 0.0)
 
     def test_real_variance(self):
-        rng = np.random.default_rng(21)
-        draws = add_noise(np.zeros(10**6), 1.0, rng)
-        assert draws.var() == pytest.approx(1.0, rel=0.01)
+        block = _uniform_blocks(21, 4, 1, 10**6)
+        noise, _ = _box_muller(block[:, 1], block[:, 2])  # the pathloss noise draw
+        assert noise.var() == pytest.approx(1.0, rel=0.01)
 
     def test_complex_variance_convention(self):
-        rng = np.random.default_rng(22)
-        draws = add_noise(np.zeros(10**6, dtype=complex), 2.0, rng)
-        assert np.mean(np.abs(draws) ** 2) == pytest.approx(4.0, rel=0.01)
+        _, _, noise = cir_draws(1, 2 * 10**5, seed=22)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, rel=0.01)
         # each part carries half the power
-        assert draws.real.var() == pytest.approx(2.0, rel=0.02)
-
-    def test_negative_sigma(self):
-        with pytest.raises(ValueError):
-            add_noise(0.0, -1.0, np.random.default_rng(0))
+        assert noise.real.var() == pytest.approx(0.5, rel=0.02)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rispla.checks import CHECKS
 from rispla.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -200,7 +201,41 @@ class TestExitCodes:
         code = run_cli("validate", "--scenario", SCENARIO, "--trials", 30000)
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert out.count("PASS") == len(CHECKS) and "FAIL" not in out
+
+    def test_validate_fails_cleanly_on_too_few_trials(self, capsys):
+        # one trial leaves a hypothesis without trials: a failed criterion, not a crash
+        code = run_cli("validate", "--scenario", SCENARIO, "--trials", 1)
+        out = capsys.readouterr().out
+        assert code == EXIT_VALIDATION
+        assert out.count("PASS") + out.count("FAIL") == len(CHECKS)
+
+    @pytest.mark.parametrize("args", [
+        ["sweep-pfa", "--epsilon", 1.0, "--seed", -1],
+        ["sweep-pfa", "--epsilon", 1.0, "--trials", 0],
+        ["sweep-pfa", "--epsilon", "nan"],
+        ["sweep-pmd", "--target-pfa", 0.05, "--gradient", "nan"],
+        ["roc", "--lq-db", "inf"],
+        ["sweep-pfa", "--epsilon", 1.0, "--workers", 0],
+        ["sweep-pfa", "--epsilon", 1.0, "--workers", -3],
+        ["sweep-pmd", "--feature", "cir-magnitude", "--epsilon", 0.5, "--phases", "0,1"],
+        ["roc", "--epsilons", "1,0.5"],
+        ["optimize-gradient", "--target-pfa", 2],
+        ["optimize-phases", "--epsilon", 0.1, "--levels", 1],
+    ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
+            "zero-workers", "negative-workers",
+            "phase-count", "decreasing-epsilons", "target-pfa-above-one", "one-level"])
+    def test_input_errors_exit_usage(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]
+        if args[0].startswith("sweep"):
+            argv += ["--lq-grid", "0"]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses the value while parsing
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDbConversions:

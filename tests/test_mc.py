@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rispla.auth import decide, pfa_pathloss, rayleigh_sigma, threshold_for_pfa, Verdict
+from rispla.auth import Feature, accepts, rayleigh_sigma, threshold_for_pfa
 from rispla.channel import PerElement, ScalarGradient
 from rispla.mc import (
     ErrorEstimate,
-    Feature,
     Hypothesis,
     TrialPlan,
     empirical_distribution,
@@ -108,11 +107,12 @@ class TestRunTrials:
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=1.0, n=4000)
         assert run_trials(plan, workers=2) == run_trials(plan, workers=1)
 
-    def test_engine_matches_decide_rule(self, scenario_small):
+    def test_engine_matches_accepts_rule(self, scenario_small):
+        # roc_sweep counts acceptances with searchsorted; run_trials calls accepts
         plan = pathloss_plan(scenario_small, eps=1.2e-5, n=4000, seed=9)
         ts = empirical_distribution(plan, Hypothesis.H1, 4000)
-        accepts = sum(decide(t, plan.epsilon).verdict is Verdict.ACCEPT_H0 for t in ts)
-        assert accepts == int(np.searchsorted(ts, plan.epsilon, side="left"))
+        n_accepts = int(np.count_nonzero(accepts(ts, plan.epsilon)))
+        assert n_accepts == int(np.searchsorted(ts, plan.epsilon, side="left"))
 
 
 class TestRocSweep:

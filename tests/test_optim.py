@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rispla.auth import pmd_pathloss, threshold_for_pfa
-from rispla.channel import PerElement, ScalarGradient
-from rispla.mc import Feature, Hypothesis, TrialPlan, empirical_distribution
+from rispla.auth import Feature, pmd_pathloss, threshold_for_pfa
+from rispla.mc import Hypothesis, TrialPlan, empirical_distribution
 from rispla.optim import (
     EXHAUSTIVE_CANDIDATE_LIMIT,
     InfeasibleGridError,

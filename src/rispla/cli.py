@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,29 +59,56 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_text(path, text: str) -> None:
+    """Replace path in one step: write a temp file beside it, then os.replace it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
+
+
 def _write_csv(path, header: str, rows, comments: list[str] | None = None) -> None:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     if comments:
         lines.extend(comments)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list."""
+    """Either 'start:step:stop' (inclusive) or a comma-separated list, all finite."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise UsageError(f"grid spec must be start:step:stop, got {text!r}")
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise UsageError(f"grid spec must be start:step:stop, got {text!r}")
-            start, step, stop = (float(p) for p in parts)
-            if step <= 0:
-                raise UsageError("grid step must be positive")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(max(n, 1))]
-        return [float(p) for p in text.split(",")]
+        values = [float(p) for p in (parts if len(parts) == 3 else text.split(","))]
     except ValueError as exc:
         raise UsageError(f"bad grid spec {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"grid values must be finite, got {text!r}")
+    if len(parts) == 1:
+        return values
+    start, step, stop = values
+    if step <= 0:
+        raise UsageError(f"grid step must be positive, got {text!r}")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(max(n, 1))]
+
+
+def _parse_gradient_grid(text: str) -> np.ndarray:
+    """'start:stop:npoints' for np.linspace: finite ends and at least one point."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise UsageError(f"bad --grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)) or count < 1:
+        raise UsageError(f"--grid needs a finite start and stop and at least one point, "
+                         f"got {text!r}")
+    return np.linspace(start, stop, count)
 
 
 def _parse_epsilons(text: str) -> np.ndarray:
@@ -93,6 +121,8 @@ def _parse_epsilons(text: str) -> np.ndarray:
             eps = np.asarray([float(p) for p in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"bad epsilon spec {text!r}: {exc}") from None
+    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
+        raise UsageError(f"epsilons must be finite and nonnegative: {text!r}")
     if eps.size == 0 or np.any(np.diff(eps) <= 0):
         raise UsageError(f"epsilons must be a nonempty, strictly increasing grid: {text!r}")
     return eps
@@ -159,8 +189,7 @@ def _cmd_sweep(args, command: str) -> int:
     scenario = load_scenario(args.scenario)
     feature = Feature(args.feature)
     lq_grid = _parse_grid(args.lq_grid)
-    if not lq_grid:
-        raise ValueError("lq grid must be nonempty")
+    tables = []  # every baseline is computed before any file is written
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
         rows = []
         flagged = []
@@ -183,6 +212,8 @@ def _cmd_sweep(args, command: str) -> int:
             if est.low_confidence:
                 flagged.append(len(rows))
         comments = [f"# low_confidence_rows: {','.join(str(i) for i in flagged)}"] if flagged else None
+        tables.append((path, rows, comments))
+    for path, rows, comments in tables:
         _write_csv(path, "lq_db,threshold,analytical,empirical,half_width_95,n_trials",
                    rows, comments)
     return EXIT_OK
@@ -207,6 +238,8 @@ def _cmd_roc(args) -> int:
     if args.lq_db is not None:
         scenario = replace(scenario, lq_db=args.lq_db)
     feature = Feature(args.feature)
+    given = _parse_epsilons(args.epsilons) if args.epsilons else None
+    curves = []  # every baseline is computed before any file is written
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
         plan = TrialPlan(
             n_trials=args.trials, master_seed=args.seed, feature=feature,
@@ -214,9 +247,9 @@ def _cmd_roc(args) -> int:
             profile=_profile_for(args, scenario, feature),
             refade_alice=not args.freeze_alice, ris=use_ris,
         )
-        epsilons = (_parse_epsilons(args.epsilons) if args.epsilons
-                    else _auto_epsilons(plan))
-        curve = mc.roc_sweep(plan, epsilons, workers=args.workers)
+        epsilons = given if given is not None else _auto_epsilons(plan)
+        curves.append((path, mc.roc_sweep(plan, epsilons, workers=args.workers)))
+    for path, curve in curves:
         _write_csv(path, "epsilon,pfa,pd", curve.points)
     return EXIT_OK
 
@@ -234,7 +267,7 @@ def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
         profile_text = ";".join(repr(p) for p in result.best_profile.phases.tolist())
     lines = ["best_pmd,evaluations,best_profile",
              f"{_fmt(result.best_pmd)},{result.evaluations},{profile_text}"]
-    Path(_summary_path(output)).write_text("\n".join(lines) + "\n")
+    _write_text(_summary_path(output), "\n".join(lines) + "\n")
 
 
 def _cmd_optimize_gradient(args) -> int:
@@ -242,10 +275,7 @@ def _cmd_optimize_gradient(args) -> int:
     epsilon = (args.epsilon if args.epsilon is not None
                else auth.threshold_for_pfa(args.target_pfa, scenario.noise_sigma))
     if args.grid:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ValueError("--grid must be start:stop:npoints")
-        grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        grid = _parse_gradient_grid(args.grid)
     else:
         grid = optim.default_gradient_grid(scenario)
     result = optim.optimize_gradient(scenario, epsilon, grid)

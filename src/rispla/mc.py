@@ -24,11 +24,15 @@ from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, pathlos
 __all__ = [
     "Hypothesis",
     "TrialPlan",
+    "Draws",
     "ErrorEstimate",
     "RocCurve",
     "run_trials",
     "roc_sweep",
     "empirical_distribution",
+    "decode",
+    "score",
+    "attacker_draws",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -164,12 +168,46 @@ def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j,ij->i", np.conj(h), np.exp(1j * phases), g)
 
 
-def _cir_fingerprint(plan: TrialPlan) -> complex:
-    """Enrollment cascade from the reserved block 0."""
+@dataclass(frozen=True)
+class Draws:
+    """Decoded draws of a run of trial blocks, for any phase profile.
+
+    noise has unit variance: real for the pathloss feature, CN(0, 1) for the
+    CIR features, which also carry the fading h and g (blocks x decoded
+    elements). Nothing here depends on the profile, so one decode serves
+    every candidate of a search under common random numbers.
+    """
+
+    is_alice: np.ndarray
+    noise: np.ndarray
+    h: np.ndarray | None = None
+    g: np.ndarray | None = None
+
+
+def decode(plan: TrialPlan, first_block: int, n_blocks: int,
+           force: Hypothesis | None = None) -> Draws:
+    """Decode uniform blocks [first_block, first_block + n_blocks).
+
+    Trial i reads block i + 1; block 0 is the enrollment. force fixes the
+    transmitter instead of reading it from each block's first uniform.
+    """
+    block = _uniform_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
+    if force is None:
+        is_alice = block[:, 0] < 0.5
+    else:
+        is_alice = np.full(n_blocks, force is Hypothesis.H0)
+    if plan.feature is Feature.PATHLOSS:
+        noise, _ = _box_muller(block[:, 1], block[:, 2])
+        return Draws(is_alice, noise)
     sc = plan.scenario
     n = sc.n_elements if plan.ris else 1
-    block = _uniform_blocks(plan.master_seed, _stride(plan), 0, 1)
-    h, g, _ = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
+    h, g, noise_unit = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
+    return Draws(is_alice, noise_unit, h, g)
+
+
+def _fingerprint(plan: TrialPlan, enrollment: Draws) -> complex:
+    """Enrolled cascade of plan's profile from the decoded block 0."""
+    h, g = enrollment.h, enrollment.g
     if plan.ris:
         # np.sum, not _cascade: einsum sums in another order, which changes the
         # last bits of the fingerprint and with them the committed outputs
@@ -178,34 +216,32 @@ def _cir_fingerprint(plan: TrialPlan) -> complex:
     return complex(h[0, 0])  # direct link: single CN(0,1) gain
 
 
+def score(plan: TrialPlan, draws: Draws, enrollment: Draws | None) -> np.ndarray:
+    """Test statistic of each decoded trial under plan's profile.
+
+    enrollment is the decoded block 0 for the CIR features and None for the
+    pathloss feature, whose enrolled value is the closed-form pathloss.
+    """
+    sigma_n = plan.scenario.noise_sigma
+    if plan.feature is Feature.PATHLOSS:
+        pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
+        pl_true = np.where(draws.is_alice, pl_a, pl_e)
+        return statistic(plan.feature, pl_true + sigma_n * draws.noise, pl_a)
+    if plan.ris:
+        cascade = _cascade(draws.h, draws.g, plan.profile.phases)
+    else:
+        cascade = draws.h[:, 0]
+    gt = _fingerprint(plan, enrollment)
+    if not plan.refade_alice:
+        cascade = np.where(draws.is_alice, gt, cascade)
+    return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
+
+
 def _trial_stats(plan: TrialPlan, lo: int, hi: int, force: Hypothesis | None = None):
     """Statistics and transmitter identity for trials [lo, hi)."""
-    stride = _stride(plan)
-    block = _uniform_blocks(plan.master_seed, stride, lo + 1, hi - lo)
-    m = hi - lo
-    if force is None:
-        is_alice = block[:, 0] < 0.5
-    else:
-        is_alice = np.full(m, force is Hypothesis.H0)
-    sigma_n = plan.scenario.noise_sigma
-
-    if plan.feature is Feature.PATHLOSS:
-        noise, _ = _box_muller(block[:, 1], block[:, 2])
-        pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
-        pl_true = np.where(is_alice, pl_a, pl_e)
-        return statistic(plan.feature, pl_true + sigma_n * noise, pl_a), is_alice
-
-    sc = plan.scenario
-    n = sc.n_elements if plan.ris else 1
-    h, g, noise_unit = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
-    if plan.ris:
-        cascade = _cascade(h, g, plan.profile.phases)
-    else:
-        cascade = h[:, 0]
-    gt = _cir_fingerprint(plan)
-    if not plan.refade_alice:
-        cascade = np.where(is_alice, gt, cascade)
-    return statistic(plan.feature, cascade + sigma_n * noise_unit, gt), is_alice
+    draws = decode(plan, lo + 1, hi - lo, force)
+    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
+    return score(plan, draws, enrollment), draws.is_alice
 
 
 def _default_chunk(plan: TrialPlan) -> int:
@@ -241,6 +277,16 @@ def _sample_chunk(args) -> np.ndarray:
     plan, lo, hi, force = args
     ts, _ = _trial_stats(plan, lo, hi, force=force)
     return ts
+
+
+def attacker_draws(plan: TrialPlan) -> list[Draws]:
+    """Decoded attacker (H1) trials [0, plan.n_trials), in the engine's default chunks.
+
+    score() on each chunk gives the statistics that
+    empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
+    """
+    return [decode(plan, lo + 1, hi - lo, Hypothesis.H1)
+            for lo, hi in _ranges(plan.n_trials, _default_chunk(plan))]
 
 
 def _map_chunks(fn, tasks, workers: int):

@@ -220,21 +220,58 @@ class TestExitCodes:
         ["sweep-pfa", "--epsilon", 1.0, "--workers", -3],
         ["sweep-pmd", "--feature", "cir-magnitude", "--epsilon", 0.5, "--phases", "0,1"],
         ["roc", "--epsilons", "1,0.5"],
+        ["roc", "--epsilons", "nan,1"],
+        ["roc", "--epsilons", "-0.5,1"],
+        ["roc", "--epsilons", "1,inf"],
         ["optimize-gradient", "--target-pfa", 2],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1"],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:x"],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:0"],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:nan:5"],
         ["optimize-phases", "--epsilon", 0.1, "--levels", 1],
+        ["sweep-pfa", "--epsilon", 1, "--lq-grid", "nan"],
+        ["sweep-pfa", "--epsilon", 1, "--lq-grid", "1,nan"],
+        ["sweep-pmd", "--epsilon", 1e-5, "--lq-grid", "inf"],
+        ["sweep-pfa", "--epsilon", 1, "--lq-grid", "0:1:inf"],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
-            "phase-count", "decreasing-epsilons", "target-pfa-above-one", "one-level"])
+            "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
+            "infinite-epsilons", "target-pfa-above-one", "grid-two-fields",
+            "grid-bad-count", "grid-zero-points", "grid-nan-stop", "one-level",
+            "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]
-        if args[0].startswith("sweep"):
+        if args[0].startswith("sweep") and "--lq-grid" not in args:
             argv += ["--lq-grid", "0"]
         try:
             code = run_cli(*argv)
         except SystemExit as exc:  # argparse refuses the value while parsing
             code = exc.code
         assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command,engine,extra", [
+        ("sweep-pfa", "run_trials", ["--epsilon", 1.0, "--lq-grid", "0"]),
+        ("roc", "roc_sweep", ["--epsilons", "1e-6,1e-5"]),
+    ])
+    def test_failed_baseline_writes_nothing(self, tmp_path, monkeypatch, command, engine,
+                                            extra):
+        from rispla import mc
+
+        real = getattr(mc, engine)
+
+        def fail_without_ris(plan, *args, **kwargs):
+            if not plan.ris:
+                raise ValueError("no-RIS baseline failed")
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(mc, engine, fail_without_ris)
+        code = run_cli(command, "--scenario", SCENARIO, *extra, "--trials", 100,
+                       "--baseline", "both", "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
         assert list(tmp_path.iterdir()) == []
 
 

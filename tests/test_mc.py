@@ -205,10 +205,10 @@ class TestEmpiricalDistribution:
 
     def test_direct_baseline_magnitude_scale(self, scenario_small):
         # direct link: zeta - gt = c' - gt + n, conditioned on the enrolled gt
-        from rispla.mc import _cir_fingerprint
+        from rispla.mc import _fingerprint, decode
 
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=0.0, ris=False, seed=11)
-        gt = _cir_fingerprint(plan)
+        gt = _fingerprint(plan, decode(plan, 0, 1))
         ts = empirical_distribution(plan, Hypothesis.H0, 10**5)
         expected_power = 1.0 + abs(gt) ** 2 + scenario_small.noise_variance
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rispla import mc
 from rispla.auth import Feature, pmd_pathloss, threshold_for_pfa
+from rispla.channel import PerElement
 from rispla.mc import Hypothesis, TrialPlan, empirical_distribution
 from rispla.optim import (
     EXHAUSTIVE_CANDIDATE_LIMIT,
@@ -163,3 +165,67 @@ class TestOptimizePhaseMatrix:
     def test_levels_validation(self, scenario):
         with pytest.raises(ValueError):
             optimize_phase_matrix(scenario, epsilon=0.1, levels=1)
+
+
+def engine_pmd(sc, phases, eps: float, seed: int, n: int) -> float:
+    """Missed detection of one profile from a fresh engine run: sorted H1 draws, then a lookup."""
+    plan = TrialPlan(n_trials=n, master_seed=seed, feature=Feature.CIR_PHASE, epsilon=eps,
+                     scenario=sc, profile=PerElement(np.asarray(phases, dtype=float)))
+    samples = empirical_distribution(plan, Hypothesis.H1, n)
+    return np.searchsorted(samples, eps, side="left") / n
+
+
+def coordinate_profiles(trace, n_elements: int, levels: int):
+    """Replay a complete coordinate search: the profile behind each trace row."""
+    current = [0.0] * n_elements
+    for start in range(0, len(trace), levels):
+        sweep = trace[start:start + levels]
+        elem = sweep[0][0] - 1
+        for _, value, _ in sweep:
+            yield current[:elem] + [value] + current[elem + 1:]
+        current[elem] = min(sweep, key=lambda row: row[2])[1]  # first minimum, as argmin
+
+
+class TestDecodeOnceObjective:
+    """The search decodes its draws once and scores every candidate on them."""
+
+    def test_coordinate_trace_matches_engine(self, scenario):
+        sc = replace(scenario, n_elements=3, lq_db=20.0)
+        levels, n = 6, 2000
+        res = optimize_phase_matrix(sc, epsilon=0.05, levels=levels,
+                                    strategy=Strategy.COORDINATE, budget_trials=10**6,
+                                    rng_seed=4, eval_trials=n)
+        assert len(res.trace) % levels == 0 and len({row[2] for row in res.trace}) > 1
+        for row, phases in zip(res.trace, coordinate_profiles(res.trace, 3, levels)):
+            assert row[2] == engine_pmd(sc, phases, 0.05, 4, n), row
+
+    def test_full_panel_spanning_two_chunks_matches_engine(self, scenario):
+        from rispla.optim import _PhaseObjective
+
+        n = 5000  # two engine chunks of 4080 trials at 256 elements
+        rng = np.random.default_rng(7)
+        profiles = [np.zeros(scenario.n_elements),
+                    2.0 * math.pi * rng.integers(0, 16, scenario.n_elements) / 16]
+        objective = _PhaseObjective(scenario, 0.3, n, 11, len(profiles) * n)
+        for phases in profiles:
+            assert objective(tuple(phases)) == engine_pmd(scenario, phases, 0.3, 11, n)
+
+    def test_search_decodes_once(self, scenario, monkeypatch):
+        n = 5000
+        plan = TrialPlan(n_trials=n, master_seed=1, feature=Feature.CIR_PHASE, epsilon=0.3,
+                         scenario=scenario, profile=PerElement(np.zeros(scenario.n_elements)))
+        chunks = -(-n // mc._default_chunk(plan))
+        assert chunks == 2  # 4080 trials per chunk at 256 elements
+        calls = []
+        real = mc._uniform_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        res = optimize_phase_matrix(scenario, epsilon=0.3, levels=4,
+                                    strategy=Strategy.COORDINATE, budget_trials=3 * n,
+                                    rng_seed=1, eval_trials=n)
+        assert res.evaluations == 3
+        assert len(calls) == chunks + 1

@@ -55,9 +55,9 @@ def pfa_closed_form(scenario: Scenario, trials: int):
         for j, p in enumerate(targets):
             eps = threshold_for_pfa(p, sigma)
             plan = TrialPlan(n_trials=trials, master_seed=100 + 10 * i + j,
-                             feature=Feature.PATHLOSS, epsilon=eps, scenario=sc,
+                             feature=Feature.PATHLOSS, scenario=sc,
                              profile=ScalarGradient(0.0))
-            pfa, _ = run_trials(plan)
+            pfa, _ = run_trials(plan, eps)
             worst = max(worst, _deviation(pfa, p))
             n_pairs += 1
     return (worst <= 3.0 and n_pairs == 20,
@@ -89,9 +89,9 @@ def pmd_closed_form(scenario: Scenario, trials: int):
             eps = threshold_for_pfa(target, sc.noise_sigma)
             expected = pmd_pathloss(eps, sc.noise_sigma, pl_a, pl_e)
             plan = TrialPlan(n_trials=trials, master_seed=300 + 10 * i + j,
-                             feature=Feature.PATHLOSS, epsilon=eps, scenario=sc,
+                             feature=Feature.PATHLOSS, scenario=sc,
                              profile=ScalarGradient(gradient))
-            _, pmd = run_trials(plan)
+            _, pmd = run_trials(plan, eps)
             worst = max(worst, _deviation(pmd, expected))
             n_triples += 1
     rng = np.random.default_rng(31)
@@ -107,7 +107,7 @@ def rayleigh_magnitude_false_alarm(scenario: Scenario, trials: int):
     """C04: pinned magnitude statistic under H0 is Rayleigh, on an 8-element 20 dB panel."""
     sc = replace(scenario, n_elements=8, lq_db=20.0)
     plan = TrialPlan(n_trials=1, master_seed=77, feature=Feature.CIR_MAGNITUDE,
-                     epsilon=0.0, scenario=sc, profile=PerElement(np.zeros(8)),
+                     scenario=sc, profile=PerElement(np.zeros(8)),
                      refade_alice=False)
     ts = empirical_distribution(plan, Hypothesis.H0, trials)
     sigma_r = rayleigh_sigma(sc.noise_sigma)
@@ -145,9 +145,9 @@ def false_alarm_phase_invariance(scenario: Scenario, trials: int):
         ests = []
         for k, prof in enumerate(profiles):
             plan = TrialPlan(n_trials=n, master_seed=500 + k,
-                             feature=Feature.CIR_MAGNITUDE, epsilon=eps, scenario=sc,
+                             feature=Feature.CIR_MAGNITUDE, scenario=sc,
                              profile=prof, refade_alice=False)
-            pfa, _ = run_trials(plan)
+            pfa, _ = run_trials(plan, eps)
             ests.append(pfa)
         se = math.hypot(ests[0].half_width_95, ests[1].half_width_95) / 1.96
         worst = max(worst, abs(ests[0].value - ests[1].value) / se)

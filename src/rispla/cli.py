@@ -1,6 +1,6 @@
 """Command-line front end: scenario loading, experiment orchestration, CSV output.
 
-All dB/linear conversion happens here; the library works in linear units.
+Link qualities are given and written in dB; Scenario.noise_variance converts them.
 CSV schemas (pinned by tests):
     sweep-pfa / sweep-pmd : lq_db,threshold,analytical,empirical,half_width_95,n_trials
     roc                   : epsilon,pfa,pd
@@ -38,16 +38,11 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
+GRID_POINT_LIMIT = 10_000  # link qualities per sweep; each is a full Monte-Carlo run
+
+
 class UsageError(ValueError):
     """Malformed command-line value (exit code 2)."""
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)
 
 
 def _fmt(x) -> str:
@@ -79,7 +74,10 @@ def _write_csv(path, header: str, rows, comments: list[str] | None = None) -> No
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list, all finite."""
+    """Either 'start:step:stop' (inclusive) or a comma-separated list, all finite.
+
+    At most GRID_POINT_LIMIT points; a range's count is checked before its list is built.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise UsageError(f"grid spec must be start:step:stop, got {text!r}")
@@ -89,13 +87,17 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid spec {text!r}: {exc}") from None
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"grid values must be finite, got {text!r}")
-    if len(parts) == 1:
-        return values
-    start, step, stop = values
-    if step <= 0:
-        raise UsageError(f"grid step must be positive, got {text!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(n, 1))]
+    if len(parts) == 3:
+        start, step, stop = values
+        if step <= 0 or stop < start:
+            raise UsageError(f"grid needs a positive step and stop >= start, got {text!r}")
+        span = (stop - start) / step + 1e-9  # inf when the range overflows
+        n_points = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    else:
+        n_points = len(values)
+    if n_points > GRID_POINT_LIMIT:
+        raise UsageError(f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
+    return values if len(parts) == 1 else [start + i * step for i in range(n_points)]
 
 
 def _parse_gradient_grid(text: str) -> np.ndarray:
@@ -153,18 +155,21 @@ def _threshold_for_target(feature: Feature, target_pfa: float, noise_sigma: floa
     raise UsageError("the phase feature has no closed-form threshold; pass --epsilon")
 
 
-def _analytical_value(command: str, feature: Feature, epsilon: float,
-                      scenario: Scenario, use_ris: bool, gradient: float):
-    """Closed form for the requested error, or None where only numerics exist."""
-    sigma_n = scenario.noise_sigma
+def _analytical_value(command: str, plan: TrialPlan, epsilon: float):
+    """Closed form for the requested error, or None where only numerics exist.
+
+    The Rayleigh magnitude false alarm holds only with Alice's channel pinned
+    to its enrollment (--freeze-alice); a re-fading Alice has no closed form.
+    """
+    sigma_n = plan.scenario.noise_sigma
     if command == "sweep-pfa":
-        if feature is Feature.PATHLOSS:
+        if plan.feature is Feature.PATHLOSS:
             return auth.pfa_pathloss(epsilon, sigma_n)
-        if feature is Feature.CIR_MAGNITUDE:
+        if plan.feature is Feature.CIR_MAGNITUDE and not plan.refade_alice:
             return auth.pfa_cir_magnitude(epsilon, auth.rayleigh_sigma(sigma_n))
         return None
-    if feature is Feature.PATHLOSS:
-        pl_a, pl_e = pathloss_pair(scenario, gradient, use_ris)
+    if plan.feature is Feature.PATHLOSS:
+        pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
         return auth.pmd_pathloss(epsilon, sigma_n, pl_a, pl_e)
     return None
 
@@ -200,13 +205,12 @@ def _cmd_sweep(args, command: str) -> int:
                        else _threshold_for_target(feature, args.target_pfa, sigma_n))
             plan = TrialPlan(
                 n_trials=args.trials, master_seed=args.seed, feature=feature,
-                epsilon=epsilon, scenario=sc, profile=_profile_for(args, sc, feature),
+                scenario=sc, profile=_profile_for(args, sc, feature),
                 refade_alice=not args.freeze_alice, ris=use_ris,
             )
-            pfa, pmd = mc.run_trials(plan, workers=args.workers)
+            pfa, pmd = mc.run_trials(plan, epsilon, workers=args.workers)
             est = pfa if command == "sweep-pfa" else pmd
-            analytical = _analytical_value(command, feature, epsilon, sc, use_ris,
-                                           args.gradient)
+            analytical = _analytical_value(command, plan, epsilon)
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,
                          est.n_conditioning))
             if est.low_confidence:
@@ -243,8 +247,7 @@ def _cmd_roc(args) -> int:
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
         plan = TrialPlan(
             n_trials=args.trials, master_seed=args.seed, feature=feature,
-            epsilon=0.0, scenario=scenario,
-            profile=_profile_for(args, scenario, feature),
+            scenario=scenario, profile=_profile_for(args, scenario, feature),
             refade_alice=not args.freeze_alice, ris=use_ris,
         )
         epsilons = given if given is not None else _auto_epsilons(plan)

@@ -58,7 +58,6 @@ class TrialPlan:
     n_trials: int
     master_seed: int
     feature: Feature
-    epsilon: float
     scenario: Scenario
     profile: PhaseProfile
     refade_alice: bool = True
@@ -69,8 +68,6 @@ class TrialPlan:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in 64 bits")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.feature is Feature.PATHLOSS:
             if not isinstance(self.profile, ScalarGradient):
                 raise ValueError("pathloss feature requires a ScalarGradient profile")
@@ -111,13 +108,6 @@ class RocCurve:
     epsilons: np.ndarray
     pfa: np.ndarray
     pd: np.ndarray
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.ndim != 1 or eps.size == 0:
-            raise ValueError("epsilons must be a nonempty 1-D array")
-        if np.any(np.diff(eps) <= 0):
-            raise ValueError("epsilons must be strictly increasing")
 
     @property
     def points(self) -> list[tuple[float, float, float]]:
@@ -248,14 +238,24 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1024, (1 << 22) // _stride(plan))
 
 
-def _ranges(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+def _map_trials(fn, plan: TrialPlan, n: int, arg, workers: int) -> list:
+    """fn((plan, lo, hi, arg)) for each default chunk [lo, hi) of trials [0, n), in order.
+
+    The one place the trial range is split: serially, or on a process pool
+    of `workers`. Chunk results are returned in trial order.
+    """
+    chunk = _default_chunk(plan)
+    tasks = [(plan, lo, min(lo + chunk, n), arg) for lo in range(0, n, chunk)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _count_chunk(args) -> tuple[int, int, int, int]:
-    plan, lo, hi = args
+    plan, lo, hi, epsilon = args
     ts, is_alice = _trial_stats(plan, lo, hi)
-    accept = accepts(ts, plan.epsilon)
+    accept = accepts(ts, epsilon)
     n0 = int(np.count_nonzero(is_alice))
     rejects_alice = int(np.count_nonzero(is_alice & ~accept))
     accepts_eve = int(np.count_nonzero(~is_alice & accept))
@@ -274,9 +274,14 @@ def _roc_chunk(args):
 
 
 def _sample_chunk(args) -> np.ndarray:
-    plan, lo, hi, force = args
-    ts, _ = _trial_stats(plan, lo, hi, force=force)
+    plan, lo, hi, hypothesis = args
+    ts, _ = _trial_stats(plan, lo, hi, force=hypothesis)
     return ts
+
+
+def _decode_chunk(args) -> Draws:
+    plan, lo, hi, hypothesis = args
+    return decode(plan, lo + 1, hi - lo, hypothesis)
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -285,15 +290,7 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
     score() on each chunk gives the statistics that
     empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
     """
-    return [decode(plan, lo + 1, hi - lo, Hypothesis.H1)
-            for lo, hi in _ranges(plan.n_trials, _default_chunk(plan))]
-
-
-def _map_chunks(fn, tasks, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    return _map_trials(_decode_chunk, plan, plan.n_trials, Hypothesis.H1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,47 +298,35 @@ def _map_chunks(fn, tasks, workers: int):
 # ---------------------------------------------------------------------------
 
 
-def run_trials(plan: TrialPlan, *, workers: int = 1,
-               chunk_size: int | None = None) -> tuple[ErrorEstimate, ErrorEstimate]:
-    """Empirical (false alarm, missed detection) under a uniform transmitter draw.
+def run_trials(plan: TrialPlan, epsilon: float, *,
+               workers: int = 1) -> tuple[ErrorEstimate, ErrorEstimate]:
+    """Empirical (false alarm, missed detection) at threshold epsilon.
 
-    Deterministic for fixed (master_seed, n_trials) for any chunk_size or
-    worker count; merging is integer-count summation.
+    The transmitter is drawn uniformly per trial. Deterministic for fixed
+    (master_seed, n_trials) for any partition or worker count; merging is
+    integer-count summation.
     """
-    chunk = chunk_size or _default_chunk(plan)
-    tasks = [(plan, lo, hi) for lo, hi in _ranges(plan.n_trials, chunk)]
-    n0 = n1 = rejects_alice = accepts_eve = 0
-    for c0, c1, rej, acc in _map_chunks(_count_chunk, tasks, workers):
-        n0 += c0
-        n1 += c1
-        rejects_alice += rej
-        accepts_eve += acc
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    counts = _map_trials(_count_chunk, plan, plan.n_trials, epsilon, workers)
+    n0, n1, rejects_alice, accepts_eve = map(sum, zip(*counts))
     return (ErrorEstimate.from_counts(rejects_alice, n0),
             ErrorEstimate.from_counts(accepts_eve, n1))
 
 
-def roc_sweep(plan: TrialPlan, epsilons, *, workers: int = 1,
-              chunk_size: int | None = None) -> RocCurve:
+def roc_sweep(plan: TrialPlan, epsilons, *, workers: int = 1) -> RocCurve:
     """Operating points for many thresholds from a single sample pass.
 
     All thresholds see the same per-trial statistics, so the resulting pfa
-    and pd are each monotone along the curve. plan.epsilon is ignored.
+    and pd are each monotone along the curve.
     """
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("epsilons must be a nonempty 1-D sequence")
     if np.any(np.diff(eps) <= 0):
         raise ValueError("epsilons must be strictly increasing")
-    chunk = chunk_size or _default_chunk(plan)
-    tasks = [(plan, lo, hi, eps) for lo, hi in _ranges(plan.n_trials, chunk)]
-    n0 = n1 = 0
-    acc_a = np.zeros(eps.size, dtype=np.int64)
-    acc_e = np.zeros(eps.size, dtype=np.int64)
-    for c0, c1, a, e in _map_chunks(_roc_chunk, tasks, workers):
-        n0 += c0
-        n1 += c1
-        acc_a += a
-        acc_e += e
+    counts = _map_trials(_roc_chunk, plan, plan.n_trials, eps, workers)
+    n0, n1, acc_a, acc_e = map(sum, zip(*counts))
     with np.errstate(invalid="ignore", divide="ignore"):
         pfa = 1.0 - acc_a / n0 if n0 else np.full(eps.size, math.nan)
         pd = 1.0 - acc_e / n1 if n1 else np.full(eps.size, math.nan)
@@ -349,7 +334,7 @@ def roc_sweep(plan: TrialPlan, epsilons, *, workers: int = 1,
 
 
 def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int, *,
-                           workers: int = 1, chunk_size: int | None = None) -> np.ndarray:
+                           workers: int = 1) -> np.ndarray:
     """Sorted draws of the test statistic under one fixed hypothesis.
 
     A CDF lookup on the result at the threshold gives the missed detection
@@ -357,8 +342,5 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: i
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    force = Hypothesis.H0 if hypothesis is Hypothesis.H0 else Hypothesis.H1
-    chunk = chunk_size or _default_chunk(plan)
-    tasks = [(plan, lo, hi, force) for lo, hi in _ranges(n_samples, chunk)]
-    parts = _map_chunks(_sample_chunk, tasks, workers)
+    parts = _map_trials(_sample_chunk, plan, n_samples, hypothesis, workers)
     return np.sort(np.concatenate(parts))

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .auth import Feature, accepts, pmd_pathloss
 from .channel import EvanescentError, PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
-from .mc import Draws, TrialPlan, attacker_draws, decode, score
+from .mc import TrialPlan, attacker_draws, decode, score
 
 __all__ = [
     "Strategy",
@@ -29,9 +29,11 @@ __all__ = [
     "optimize_gradient",
     "optimize_phase_matrix",
     "EXHAUSTIVE_CANDIDATE_LIMIT",
+    "EVAL_DRAWS_LIMIT",
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 10**6
+EVAL_DRAWS_LIMIT = 2**30  # bytes of decoded attacker draws one search may hold
 
 
 class Strategy(Enum):
@@ -118,61 +120,34 @@ def optimize_gradient(scenario: Scenario, epsilon: float, grid) -> OptResult:
     )
 
 
-class _PhaseObjective:
+def _phase_objective(scenario: Scenario, epsilon: float, eval_trials: int,
+                     eval_seed: int, budget_trials: int, cache: dict[tuple, float]):
     """Empirical phase-feature missed detection under common random numbers.
 
-    The first evaluation decodes the attacker's trials [0, eval_trials) and
-    the enrollment block once (mc.attacker_draws, mc.decode); every candidate
-    is then scored on those draws (mc.score), chunk by chunk as the engine
-    would, so each value equals a fresh engine run of that candidate bit for
-    bit. The draws hold eval_trials * N * 32 bytes (complex h and g):
-    2.5 MB at 8 elements and 1e4 trials, 82 MB at 256 elements.
+    Decodes the attacker's trials [0, eval_trials) and the enrollment block
+    once, here (mc.attacker_draws, mc.decode); every candidate is then scored
+    on those draws (mc.score), chunk by chunk as the engine would, so each
+    value equals a fresh engine run of that candidate bit for bit. Values go
+    to the caller's cache, whose size is the number of evaluations; each
+    evaluation spends eval_trials of the trial budget.
     """
+    plan = TrialPlan(n_trials=eval_trials, master_seed=eval_seed, feature=Feature.CIR_PHASE,
+                     scenario=scenario, profile=PerElement(np.zeros(scenario.n_elements)))
+    enrollment = decode(plan, 0, 1)
+    draws = attacker_draws(plan)
 
-    def __init__(self, scenario: Scenario, epsilon: float, eval_trials: int,
-                 eval_seed: int, budget_trials: int):
-        self.scenario = scenario
-        self.epsilon = epsilon
-        self.eval_trials = eval_trials
-        self.eval_seed = eval_seed
-        self.budget_trials = budget_trials
-        self.spent = 0
-        self.evaluations = 0
-        self._cache: dict[tuple, float] = {}
-        self._enrollment: Draws | None = None
-        self._draws: list[Draws] = []
+    def objective(phases: tuple) -> float:
+        if phases not in cache:
+            required = (len(cache) + 1) * eval_trials
+            if required > budget_trials:
+                raise SearchBudgetError("trial budget exhausted", required=required)
+            candidate = replace(plan, profile=PerElement(np.asarray(phases)))
+            misses = sum(int(np.count_nonzero(accepts(score(candidate, d, enrollment), epsilon)))
+                         for d in draws)
+            cache[phases] = misses / eval_trials
+        return cache[phases]
 
-    def budget_left(self) -> bool:
-        return self.spent + self.eval_trials <= self.budget_trials
-
-    def __call__(self, phases: tuple) -> float:
-        cached = self._cache.get(phases)
-        if cached is not None:
-            return cached
-        if not self.budget_left():
-            raise SearchBudgetError(
-                "trial budget exhausted", required=self.spent + self.eval_trials
-            )
-        plan = TrialPlan(
-            n_trials=self.eval_trials,
-            master_seed=self.eval_seed,
-            feature=Feature.CIR_PHASE,
-            epsilon=self.epsilon,
-            scenario=self.scenario,
-            profile=PerElement(np.asarray(phases)),
-        )
-        if self._enrollment is None:
-            self._enrollment = decode(plan, 0, 1)
-            self._draws = attacker_draws(plan)
-        misses = 0
-        for draws in self._draws:
-            ts = score(plan, draws, self._enrollment)
-            misses += int(np.count_nonzero(accepts(ts, self.epsilon)))
-        pmd = misses / self.eval_trials
-        self.spent += self.eval_trials
-        self.evaluations += 1
-        self._cache[phases] = pmd
-        return pmd
+    return objective
 
 
 def optimize_phase_matrix(
@@ -192,7 +167,8 @@ def optimize_phase_matrix(
     EXHAUSTIVE_CANDIDATE_LIMIT candidates or above the trial budget);
     COORDINATE sweeps elements 1..N in order, fixing each at its best level
     given the others, and repeats passes until no element changes or the
-    budget runs out. Lowest-index candidate wins ties.
+    budget runs out. Lowest-index candidate wins ties. A search whose decoded
+    draws (eval_trials * N * 32 bytes) exceed EVAL_DRAWS_LIMIT is refused.
     """
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
@@ -202,9 +178,13 @@ def optimize_phase_matrix(
             required=eval_trials,
         )
     n = scenario.n_elements
-    phase_values = [2.0 * math.pi * k / levels for k in range(levels)]
-    objective = _PhaseObjective(scenario, epsilon, eval_trials, rng_seed, budget_trials)
-
+    draws_bytes = eval_trials * n * 32  # complex h and g per element and trial
+    if draws_bytes > EVAL_DRAWS_LIMIT:
+        raise SearchBudgetError(
+            f"{eval_trials} evaluation trials on {n} elements need {draws_bytes} bytes "
+            f"of decoded draws (limit {EVAL_DRAWS_LIMIT}); lower the evaluation trials",
+            required=draws_bytes,
+        )
     if strategy is Strategy.EXHAUSTIVE:
         n_candidates = levels**n
         if n_candidates > EXHAUSTIVE_CANDIDATE_LIMIT:
@@ -219,6 +199,11 @@ def optimize_phase_matrix(
                 f"budget is {budget_trials}",
                 required=n_candidates * eval_trials,
             )
+    phase_values = [2.0 * math.pi * k / levels for k in range(levels)]
+    cache: dict[tuple, float] = {}
+    objective = _phase_objective(scenario, epsilon, eval_trials, rng_seed, budget_trials, cache)
+
+    if strategy is Strategy.EXHAUSTIVE:
         trace = []
         best_pmd = math.inf
         best_phases = None
@@ -231,7 +216,7 @@ def optimize_phase_matrix(
         return OptResult(
             best_profile=PerElement(np.asarray(best_phases)),
             best_pmd=best_pmd,
-            evaluations=objective.evaluations,
+            evaluations=len(cache),
             trace=trace,
         )
 
@@ -264,6 +249,6 @@ def optimize_phase_matrix(
     return OptResult(
         best_profile=PerElement(np.asarray(best_phases)),
         best_pmd=best_pmd,
-        evaluations=objective.evaluations,
+        evaluations=len(cache),
         trace=trace,
     )

@@ -106,7 +106,7 @@ class TestAcceptance:
         best = optimize_gradient(sc, eps, default_gradient_grid(sc, 2000)).best_profile
         grid = np.geomspace(sigma / 10, 20 * sigma, 40)
         plan_ris = TrialPlan(n_trials=2 * 10**5, master_seed=11, feature=Feature.PATHLOSS,
-                             epsilon=0.0, scenario=sc, profile=best)
+                             scenario=sc, profile=best)
         plan_no = replace(plan_ris, ris=False)
         roc_ris = roc_sweep(plan_ris, grid)
         roc_no = roc_sweep(plan_no, grid)
@@ -167,7 +167,7 @@ class TestAcceptance:
             pl_e = ris_pathloss(sc, sc.eve_pos, 0.0)
             hi = abs(pl_e - pl_a) + 8 * sigma
             plan = TrialPlan(n_trials=400, master_seed=seed, feature=Feature.PATHLOSS,
-                             epsilon=0.0, scenario=sc, profile=ScalarGradient(0.0))
+                             scenario=sc, profile=ScalarGradient(0.0))
             curve = roc_sweep(plan, np.geomspace(hi * 1e-4, hi, 12))
             assert np.all(np.diff(curve.pfa) <= 0)
             assert np.all(np.diff(curve.pd) <= 0)

@@ -324,9 +324,9 @@ class TestAddNoise:
         silent = replace(scenario_small, lq_db=4000.0)  # 10^-400 underflows to 0
         assert silent.noise_sigma == 0.0
         plans = [
-            TrialPlan(n_trials=1, master_seed=3, feature=Feature.PATHLOSS, epsilon=0.0,
+            TrialPlan(n_trials=1, master_seed=3, feature=Feature.PATHLOSS,
                       scenario=silent, profile=ScalarGradient(0.0)),
-            TrialPlan(n_trials=1, master_seed=3, feature=Feature.CIR_MAGNITUDE, epsilon=0.0,
+            TrialPlan(n_trials=1, master_seed=3, feature=Feature.CIR_MAGNITUDE,
                       scenario=silent, profile=PerElement(np.zeros(8)), refade_alice=False),
         ]
         for plan in plans:

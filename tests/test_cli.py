@@ -1,6 +1,7 @@
 """CLI contract tests: schemas, byte-identity, exit codes, baseline handling."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from rispla.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    db_to_linear,
-    linear_to_db,
     main,
 )
 
@@ -38,14 +37,24 @@ class TestSweepSchema:
         assert float(fields[0]) == 0.0
         assert abs(float(fields[2]) - 0.05) < 1e-9  # analytical column
 
-    def test_pmd_analytical_column_empty_for_cir(self, tmp_path, scenario_small):
-        out = tmp_path / "pmd.csv"
-        code = run_cli("sweep-pmd", "--scenario", SCENARIO, "--feature", "cir-magnitude",
-                       "--epsilon", 0.5, "--lq-grid", "20", "--trials", 2000,
-                       "--output", out)
+    @pytest.mark.parametrize("args,analytical", [
+        # no closed form for the magnitude missed detection
+        (["sweep-pmd", "--epsilon", 0.5, "--lq-grid", "20"], None),
+        # the Rayleigh false alarm holds only with Alice's channel pinned
+        (["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", "0,20"], None),
+        (["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", "0,20", "--freeze-alice"], 0.05),
+    ], ids=["pmd-magnitude", "pfa-magnitude-refading", "pfa-magnitude-frozen"])
+    def test_pmd_analytical_column_empty_for_cir(self, tmp_path, args, analytical):
+        out = tmp_path / "out.csv"
+        code = run_cli(*args, "--scenario", SCENARIO, "--feature", "cir-magnitude",
+                       "--trials", 2000, "--seed", 3, "--output", out)
         assert code == EXIT_OK
-        row = out.read_text().splitlines()[1].split(",")
-        assert row[2] == ""  # no closed form for the magnitude missed detection
+        for line in out.read_text().splitlines()[1:]:
+            cell = line.split(",")[2]
+            if analytical is None:
+                assert cell == ""
+            else:
+                assert abs(float(cell) - analytical) < 1e-9
 
     def test_low_confidence_flagged(self, tmp_path):
         out = tmp_path / "pfa.csv"
@@ -191,6 +200,16 @@ class TestExitCodes:
                        "--strategy", "exhaustive", "--output", tmp_path / "x.csv")
         assert code == EXIT_RUNTIME
 
+    def test_draws_limit_is_runtime_error(self, tmp_path):
+        # 1e7 trials x 256 elements x 32 bytes of decoded draws: refused before decoding
+        t0 = time.perf_counter()
+        code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
+                       "--eval-trials", 10**7, "--budget", 10**7,
+                       "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
+        assert time.perf_counter() - t0 < 5.0
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self):
         code = run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1.0,
                        "--lq-grid", "0", "--trials", 100,
@@ -233,12 +252,15 @@ class TestExitCodes:
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "1,nan"],
         ["sweep-pmd", "--epsilon", 1e-5, "--lq-grid", "inf"],
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "0:1:inf"],
+        ["sweep-pfa", "--epsilon", 1, "--lq-grid", "10:1:0"],
+        ["sweep-pfa", "--epsilon", 1, "--lq-grid", "0:1e-300:1"],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
             "infinite-epsilons", "target-pfa-above-one", "grid-two-fields",
             "grid-bad-count", "grid-zero-points", "grid-nan-stop", "one-level",
-            "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range"])
+            "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range",
+            "reversed-lq-range", "huge-lq-range"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]
@@ -276,14 +298,9 @@ class TestAtomicOutputs:
 
 
 class TestDbConversions:
-    def test_round_trip(self):
-        for db in np.linspace(-40, 100, 29):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-
     def test_lq_column_round_trips(self, tmp_path):
         out = tmp_path / "pfa.csv"
         run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1e-5,
                 "--lq-grid", "0:7:35", "--trials", 200, "--output", out)
-        for line in out.read_text().splitlines()[1:]:
-            lq = float(line.split(",")[0])
-            assert linear_to_db(db_to_linear(lq)) == pytest.approx(lq, abs=1e-12)
+        lqs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert lqs == [0.0, 7.0, 14.0, 21.0, 28.0, 35.0]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rispla import mc
 from rispla.auth import Feature, accepts, rayleigh_sigma, threshold_for_pfa
 from rispla.channel import PerElement, ScalarGradient
 from rispla.mc import (
@@ -19,37 +20,39 @@ from rispla.mc import (
 from rispla.specfun import FoldedNormalParams, folded_normal_cdf
 
 
-def pathloss_plan(scenario, *, eps, n=10**5, seed=42, gradient=0.0, **kw):
+def pathloss_plan(scenario, *, n=10**5, seed=42, gradient=0.0, **kw):
     return TrialPlan(n_trials=n, master_seed=seed, feature=Feature.PATHLOSS,
-                     epsilon=eps, scenario=scenario, profile=ScalarGradient(gradient), **kw)
+                     scenario=scenario, profile=ScalarGradient(gradient), **kw)
 
 
-def cir_plan(scenario, feature, *, eps, n=10**4, seed=7, phases=None, **kw):
+def cir_plan(scenario, feature, *, n=10**4, seed=7, phases=None, **kw):
     phases = np.zeros(scenario.n_elements) if phases is None else phases
-    return TrialPlan(n_trials=n, master_seed=seed, feature=feature, epsilon=eps,
+    return TrialPlan(n_trials=n, master_seed=seed, feature=feature,
                      scenario=scenario, profile=PerElement(phases), **kw)
 
 
 class TestTrialPlanValidation:
     def test_feature_profile_compatibility(self, scenario_small):
         with pytest.raises(ValueError, match="ScalarGradient"):
-            TrialPlan(n_trials=10, master_seed=1, feature=Feature.PATHLOSS, epsilon=1.0,
+            TrialPlan(n_trials=10, master_seed=1, feature=Feature.PATHLOSS,
                       scenario=scenario_small, profile=PerElement(np.zeros(8)))
         with pytest.raises(ValueError, match="PerElement"):
-            TrialPlan(n_trials=10, master_seed=1, feature=Feature.CIR_PHASE, epsilon=1.0,
+            TrialPlan(n_trials=10, master_seed=1, feature=Feature.CIR_PHASE,
                       scenario=scenario_small, profile=ScalarGradient(0.0))
 
     def test_profile_length(self, scenario_small):
         with pytest.raises(ValueError, match="phases"):
-            cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=1.0, phases=np.zeros(5))
+            cir_plan(scenario_small, Feature.CIR_MAGNITUDE, phases=np.zeros(5))
 
     def test_bounds(self, scenario_small):
         with pytest.raises(ValueError):
-            pathloss_plan(scenario_small, eps=1.0, n=0)
+            pathloss_plan(scenario_small, n=0)
         with pytest.raises(ValueError):
-            pathloss_plan(scenario_small, eps=-1.0)
-        with pytest.raises(ValueError):
-            pathloss_plan(scenario_small, eps=1.0, seed=-3)
+            pathloss_plan(scenario_small, seed=-3)
+        plan = pathloss_plan(scenario_small, n=10)
+        for bad_threshold in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                run_trials(plan, bad_threshold)
 
 
 class TestErrorEstimate:
@@ -69,102 +72,106 @@ class TestErrorEstimate:
 
 class TestRunTrials:
     def test_huge_threshold_always_accepts(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, eps=1e12, n=2000))
+        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=2000), 1e12)
         assert pfa.value == 0.0
         assert pmd.value == 1.0
 
     def test_zero_threshold_always_rejects(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, eps=0.0, n=2000))
+        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=2000), 0.0)
         assert pfa.value == 1.0
         assert pmd.value == 0.0
 
     def test_pathloss_pfa_matches_closed_form(self, scenario_small):
         sigma = scenario_small.noise_sigma
         eps = threshold_for_pfa(0.05, sigma)
-        pfa, _ = run_trials(pathloss_plan(scenario_small, eps=eps, n=10**6))
+        pfa, _ = run_trials(pathloss_plan(scenario_small, n=10**6), eps)
         se = math.sqrt(0.05 * 0.95 / pfa.n_conditioning)
         assert abs(pfa.value - 0.05) < 3 * se
 
     def test_uniform_transmitter_split(self, scenario_small):
         n = 10**5
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, eps=1.0, n=n))
+        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=n), 1.0)
         assert pfa.n_conditioning + pmd.n_conditioning == n
         assert abs(pfa.n_conditioning - n / 2) < 5 * math.sqrt(n * 0.25)
 
     def test_single_trial_flags_empty_hypothesis(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, eps=1.0, n=1))
+        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=1), 1.0)
         assert (pfa.n_conditioning == 0) != (pmd.n_conditioning == 0)
         empty = pfa if pfa.n_conditioning == 0 else pmd
         assert math.isnan(empty.value)
 
-    def test_partition_independence(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=1e-5, n=5000)
-        ref = run_trials(plan)
+    def test_partition_independence(self, scenario_small, monkeypatch):
+        plan = pathloss_plan(scenario_small, n=5000)
+        ref = run_trials(plan, 1e-5)
         for chunk in (1, 7, 499, 5000):
-            assert run_trials(plan, chunk_size=chunk) == ref
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan, chunk=chunk: chunk)
+            assert run_trials(plan, 1e-5) == ref
 
     def test_worker_independence(self, scenario_small):
-        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=1.0, n=4000)
-        assert run_trials(plan, workers=2) == run_trials(plan, workers=1)
+        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=4000)
+        assert run_trials(plan, 1.0, workers=2) == run_trials(plan, 1.0, workers=1)
 
     def test_engine_matches_accepts_rule(self, scenario_small):
         # roc_sweep counts acceptances with searchsorted; run_trials calls accepts
-        plan = pathloss_plan(scenario_small, eps=1.2e-5, n=4000, seed=9)
+        eps = 1.2e-5
+        plan = pathloss_plan(scenario_small, n=4000, seed=9)
         ts = empirical_distribution(plan, Hypothesis.H1, 4000)
-        n_accepts = int(np.count_nonzero(accepts(ts, plan.epsilon)))
-        assert n_accepts == int(np.searchsorted(ts, plan.epsilon, side="left"))
+        n_accepts = int(np.count_nonzero(accepts(ts, eps)))
+        assert n_accepts == int(np.searchsorted(ts, eps, side="left"))
 
 
 class TestRocSweep:
     def test_single_point_matches_run_trials(self, scenario_small):
         eps = 1.5e-5
-        plan = pathloss_plan(scenario_small, eps=eps, n=20000)
-        pfa, pmd = run_trials(plan)
+        plan = pathloss_plan(scenario_small, n=20000)
+        pfa, pmd = run_trials(plan, eps)
         curve = roc_sweep(plan, [eps])
         assert curve.pfa[0] == pytest.approx(pfa.value, abs=1e-15)
         assert curve.pd[0] == pytest.approx(1.0 - pmd.value, abs=1e-15)
 
     def test_endpoints(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0, n=20000)
+        plan = pathloss_plan(scenario_small, n=20000)
         curve = roc_sweep(plan, [0.0, 1e12])
         assert (curve.pfa[0], curve.pd[0]) == (1.0, 1.0)
         assert (curve.pfa[-1], curve.pd[-1]) == (0.0, 0.0)
 
     def test_comonotone(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0, n=30000)
+        plan = pathloss_plan(scenario_small, n=30000)
         grid = np.geomspace(1e-7, 1e-4, 25)
         curve = roc_sweep(plan, grid)
         assert np.all(np.diff(curve.pfa) <= 0)
         assert np.all(np.diff(curve.pd) <= 0)
 
     def test_points_property(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0, n=1000)
+        plan = pathloss_plan(scenario_small, n=1000)
         curve = roc_sweep(plan, [1e-6, 1e-5])
         pts = curve.points
         assert len(pts) == 2 and pts[0][0] == 1e-6
 
     def test_grid_must_increase(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0, n=100)
+        plan = pathloss_plan(scenario_small, n=100)
         with pytest.raises(ValueError):
             roc_sweep(plan, [2.0, 1.0])
 
-    def test_partition_independence(self, scenario_small):
-        plan = cir_plan(scenario_small, Feature.CIR_PHASE, eps=0.1, n=3000)
+    def test_partition_independence(self, scenario_small, monkeypatch):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)
         grid = np.geomspace(1e-3, 3.0, 10)
-        a = roc_sweep(plan, grid, chunk_size=3000)
-        b = roc_sweep(plan, grid, chunk_size=271)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 3000)
+        a = roc_sweep(plan, grid)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)
+        b = roc_sweep(plan, grid)
         np.testing.assert_array_equal(a.pfa, b.pfa)
         np.testing.assert_array_equal(a.pd, b.pd)
 
 
 class TestEmpiricalDistribution:
     def test_sorted_output(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0)
+        plan = pathloss_plan(scenario_small)
         ts = empirical_distribution(plan, Hypothesis.H0, 5000)
         assert np.all(np.diff(ts) >= 0)
 
     def test_pathloss_h0_is_folded_normal(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0, seed=3)
+        plan = pathloss_plan(scenario_small, seed=3)
         n = 2 * 10**5
         ts = empirical_distribution(plan, Hypothesis.H0, n)
         params = FoldedNormalParams(0.0, scenario_small.noise_sigma)
@@ -173,7 +180,7 @@ class TestEmpiricalDistribution:
         assert ks < 0.005
 
     def test_cir_magnitude_h0_is_rayleigh_when_pinned(self, scenario_small):
-        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=0.0, seed=77,
+        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, seed=77,
                         refade_alice=False)
         n = 2 * 10**5
         ts = empirical_distribution(plan, Hypothesis.H0, n)
@@ -184,19 +191,19 @@ class TestEmpiricalDistribution:
 
     def test_cir_phase_noiseless_match(self, scenario_small):
         quiet = replace(scenario_small, lq_db=400.0)  # noise variance underflows to 0
-        plan = cir_plan(quiet, Feature.CIR_PHASE, eps=0.0, refade_alice=False)
+        plan = cir_plan(quiet, Feature.CIR_PHASE, refade_alice=False)
         ts = empirical_distribution(plan, Hypothesis.H0, 2000)
         assert np.all(ts == 0.0)
 
     def test_h1_differs_from_h0(self, scenario):
         # at the shipped link quality the pathloss contrast dwarfs the noise
-        plan = pathloss_plan(scenario, eps=0.0)
+        plan = pathloss_plan(scenario)
         h0 = empirical_distribution(plan, Hypothesis.H0, 2000)
         h1 = empirical_distribution(plan, Hypothesis.H1, 2000)
         assert h1.mean() > 10 * h0.mean()
 
     def test_refade_widens_h0_magnitude(self, scenario_small):
-        base = dict(eps=0.0, seed=5)
+        base = dict(seed=5)
         pinned = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, refade_alice=False, **base)
         refade = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, refade_alice=True, **base)
         ts_pin = empirical_distribution(pinned, Hypothesis.H0, 5000)
@@ -207,13 +214,13 @@ class TestEmpiricalDistribution:
         # direct link: zeta - gt = c' - gt + n, conditioned on the enrolled gt
         from rispla.mc import _fingerprint, decode
 
-        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, eps=0.0, ris=False, seed=11)
+        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, ris=False, seed=11)
         gt = _fingerprint(plan, decode(plan, 0, 1))
         ts = empirical_distribution(plan, Hypothesis.H0, 10**5)
         expected_power = 1.0 + abs(gt) ** 2 + scenario_small.noise_variance
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)
 
     def test_bad_sample_count(self, scenario_small):
-        plan = pathloss_plan(scenario_small, eps=0.0)
+        plan = pathloss_plan(scenario_small)
         with pytest.raises(ValueError):
             empirical_distribution(plan, Hypothesis.H0, 0)

@@ -147,7 +147,7 @@ class TestOptimizePhaseMatrix:
         res = optimize_phase_matrix(sc, epsilon=0.05, levels=4, strategy=Strategy.COORDINATE,
                                     budget_trials=10**6, rng_seed=2, eval_trials=5000)
         plan = TrialPlan(n_trials=5000, master_seed=2, feature=Feature.CIR_PHASE,
-                         epsilon=0.05, scenario=sc, profile=res.best_profile)
+                         scenario=sc, profile=res.best_profile)
         samples = empirical_distribution(plan, Hypothesis.H1, 5000)
         pmd = np.searchsorted(samples, 0.05, side="left") / 5000
         assert pmd == res.best_pmd
@@ -169,7 +169,7 @@ class TestOptimizePhaseMatrix:
 
 def engine_pmd(sc, phases, eps: float, seed: int, n: int) -> float:
     """Missed detection of one profile from a fresh engine run: sorted H1 draws, then a lookup."""
-    plan = TrialPlan(n_trials=n, master_seed=seed, feature=Feature.CIR_PHASE, epsilon=eps,
+    plan = TrialPlan(n_trials=n, master_seed=seed, feature=Feature.CIR_PHASE,
                      scenario=sc, profile=PerElement(np.asarray(phases, dtype=float)))
     samples = empirical_distribution(plan, Hypothesis.H1, n)
     return np.searchsorted(samples, eps, side="left") / n
@@ -200,19 +200,19 @@ class TestDecodeOnceObjective:
             assert row[2] == engine_pmd(sc, phases, 0.05, 4, n), row
 
     def test_full_panel_spanning_two_chunks_matches_engine(self, scenario):
-        from rispla.optim import _PhaseObjective
+        from rispla.optim import _phase_objective
 
         n = 5000  # two engine chunks of 4080 trials at 256 elements
         rng = np.random.default_rng(7)
         profiles = [np.zeros(scenario.n_elements),
                     2.0 * math.pi * rng.integers(0, 16, scenario.n_elements) / 16]
-        objective = _PhaseObjective(scenario, 0.3, n, 11, len(profiles) * n)
+        objective = _phase_objective(scenario, 0.3, n, 11, len(profiles) * n, {})
         for phases in profiles:
             assert objective(tuple(phases)) == engine_pmd(scenario, phases, 0.3, 11, n)
 
     def test_search_decodes_once(self, scenario, monkeypatch):
         n = 5000
-        plan = TrialPlan(n_trials=n, master_seed=1, feature=Feature.CIR_PHASE, epsilon=0.3,
+        plan = TrialPlan(n_trials=n, master_seed=1, feature=Feature.CIR_PHASE,
                          scenario=scenario, profile=PerElement(np.zeros(scenario.n_elements)))
         chunks = -(-n // mc._default_chunk(plan))
         assert chunks == 2  # 4080 trials per chunk at 256 elements

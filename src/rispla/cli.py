@@ -39,6 +39,7 @@ EXIT_RUNTIME = 3
 
 
 GRID_POINT_LIMIT = 10_000  # link qualities per sweep; each is a full Monte-Carlo run
+GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points; about 40 s of the scalar loop
 
 
 class UsageError(ValueError):
@@ -101,7 +102,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_gradient_grid(text: str) -> np.ndarray:
-    """'start:stop:npoints' for np.linspace: finite ends and at least one point."""
+    """'start:stop:npoints' for np.linspace: finite ends, 1 to GRADIENT_POINT_LIMIT points."""
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -110,6 +111,8 @@ def _parse_gradient_grid(text: str) -> np.ndarray:
     if not (math.isfinite(start) and math.isfinite(stop)) or count < 1:
         raise UsageError(f"--grid needs a finite start and stop and at least one point, "
                          f"got {text!r}")
+    if count > GRADIENT_POINT_LIMIT:
+        raise UsageError(f"--grid {text!r} has more than {GRADIENT_POINT_LIMIT} points")
     return np.linspace(start, stop, count)
 
 
@@ -196,19 +199,20 @@ def _cmd_sweep(args, command: str) -> int:
     lq_grid = _parse_grid(args.lq_grid)
     tables = []  # every baseline is computed before any file is written
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
-        rows = []
-        flagged = []
+        plans, epsilons = [], []
         for lq in lq_grid:
             sc = replace(scenario, lq_db=lq)
-            sigma_n = sc.noise_sigma
-            epsilon = (args.epsilon if args.epsilon is not None
-                       else _threshold_for_target(feature, args.target_pfa, sigma_n))
-            plan = TrialPlan(
+            epsilons.append(args.epsilon if args.epsilon is not None
+                            else _threshold_for_target(feature, args.target_pfa, sc.noise_sigma))
+            plans.append(TrialPlan(
                 n_trials=args.trials, master_seed=args.seed, feature=feature,
                 scenario=sc, profile=_profile_for(args, sc, feature),
                 refade_alice=not args.freeze_alice, ris=use_ris,
-            )
-            pfa, pmd = mc.run_trials(plan, epsilon, workers=args.workers)
+            ))
+        estimates = mc.sweep_trials(plans, epsilons, workers=args.workers)
+        rows = []
+        flagged = []
+        for lq, plan, epsilon, (pfa, pmd) in zip(lq_grid, plans, epsilons, estimates):
             est = pfa if command == "sweep-pfa" else pmd
             analytical = _analytical_value(command, plan, epsilon)
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,

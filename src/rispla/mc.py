@@ -11,6 +11,7 @@ trials bit for bit. Block 0 is reserved for fingerprint enrollment.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,7 @@ __all__ = [
     "ErrorEstimate",
     "RocCurve",
     "run_trials",
+    "sweep_trials",
     "roc_sweep",
     "empirical_distribution",
     "decode",
@@ -242,24 +244,35 @@ def _map_trials(fn, plan: TrialPlan, n: int, arg, workers: int) -> list:
     """fn((plan, lo, hi, arg)) for each default chunk [lo, hi) of trials [0, n), in order.
 
     The one place the trial range is split: serially, or on a process pool
-    of `workers`. Chunk results are returned in trial order.
+    of `workers`, at most os.cpu_count() (the pool forks every worker at
+    once). Chunk results are returned in trial order.
     """
     chunk = _default_chunk(plan)
     tasks = [(plan, lo, min(lo + chunk, n), arg) for lo in range(0, n, chunk)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
 
-def _count_chunk(args) -> tuple[int, int, int, int]:
-    plan, lo, hi, epsilon = args
-    ts, is_alice = _trial_stats(plan, lo, hi)
-    accept = accepts(ts, epsilon)
-    n0 = int(np.count_nonzero(is_alice))
-    rejects_alice = int(np.count_nonzero(is_alice & ~accept))
-    accepts_eve = int(np.count_nonzero(~is_alice & accept))
-    return n0, hi - lo - n0, rejects_alice, accepts_eve
+def _count_chunk(args) -> np.ndarray:
+    """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per point, for [lo, hi).
+
+    The chunk and its enrollment block are decoded once; every (plan,
+    epsilon) point is scored on those draws.
+    """
+    plan, lo, hi, points = args
+    draws = decode(plan, lo + 1, hi - lo)
+    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
+    is_alice = draws.is_alice
+    n0 = np.count_nonzero(is_alice)
+    counts = [(n0, hi - lo - n0)]
+    for point, epsilon in points:
+        accept = accepts(score(point, draws, enrollment), epsilon)
+        counts.append((np.count_nonzero(is_alice & ~accept),
+                       np.count_nonzero(~is_alice & accept)))
+    return np.array(counts, dtype=np.int64)
 
 
 def _roc_chunk(args):
@@ -298,6 +311,13 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
 # ---------------------------------------------------------------------------
 
 
+def _stream(plan: TrialPlan) -> tuple:
+    """Everything decode() reads from a plan: plans with equal keys decode the same draws."""
+    cir = plan.feature is not Feature.PATHLOSS
+    g_scale = plan.scenario.sigma_g_sq if cir and plan.ris else 1.0
+    return plan.master_seed, plan.n_trials, cir, _stride(plan), g_scale
+
+
 def run_trials(plan: TrialPlan, epsilon: float, *,
                workers: int = 1) -> tuple[ErrorEstimate, ErrorEstimate]:
     """Empirical (false alarm, missed detection) at threshold epsilon.
@@ -306,12 +326,36 @@ def run_trials(plan: TrialPlan, epsilon: float, *,
     (master_seed, n_trials) for any partition or worker count; merging is
     integer-count summation.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    counts = _map_trials(_count_chunk, plan, plan.n_trials, epsilon, workers)
-    n0, n1, rejects_alice, accepts_eve = map(sum, zip(*counts))
-    return (ErrorEstimate.from_counts(rejects_alice, n0),
-            ErrorEstimate.from_counts(accepts_eve, n1))
+    return sweep_trials([plan], [epsilon], workers=workers)[0]
+
+
+def sweep_trials(plans, epsilons, *,
+                 workers: int = 1) -> list[tuple[ErrorEstimate, ErrorEstimate]]:
+    """run_trials(plans[k], epsilons[k]) for every k, from one decode of the trials.
+
+    The plans must share one random stream (master_seed, n_trials, feature
+    family, stride and fading scale) and may differ in everything decode()
+    does not read: link quality, profile, statistic, refade_alice. Each
+    default chunk is decoded once and scored at every point, on one process
+    pool when workers > 1; the counts equal those of one run_trials call
+    per point.
+    """
+    if not plans or len(plans) != len(epsilons):
+        raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
+                         f"and {len(epsilons)} epsilons")
+    for epsilon in epsilons:
+        if not (math.isfinite(epsilon) and epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    plan = plans[0]
+    if any(_stream(p) != _stream(plan) for p in plans):
+        raise ValueError("plans of one sweep must share master_seed, n_trials, "
+                         "feature family, stride and fading scale")
+    points = list(zip(plans, epsilons))
+    counts = sum(_map_trials(_count_chunk, plan, plan.n_trials, points, workers))
+    (n0, n1), *per_point = counts.tolist()
+    return [(ErrorEstimate.from_counts(rejects_alice, n0),
+             ErrorEstimate.from_counts(accepts_eve, n1))
+            for rejects_alice, accepts_eve in per_point]
 
 
 def roc_sweep(plan: TrialPlan, epsilons, *, workers: int = 1) -> RocCurve:

@@ -247,6 +247,7 @@ class TestExitCodes:
         ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:x"],
         ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:0"],
         ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:nan:5"],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:1000000000000"],
         ["optimize-phases", "--epsilon", 0.1, "--levels", 1],
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "nan"],
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "1,nan"],
@@ -258,7 +259,8 @@ class TestExitCodes:
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
             "infinite-epsilons", "target-pfa-above-one", "grid-two-fields",
-            "grid-bad-count", "grid-zero-points", "grid-nan-stop", "one-level",
+            "grid-bad-count", "grid-zero-points", "grid-nan-stop", "grid-huge-count",
+            "one-level",
             "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range",
             "reversed-lq-range", "huge-lq-range"])
     def test_input_errors_exit_usage(self, tmp_path, args):
@@ -276,9 +278,9 @@ class TestExitCodes:
 
 class TestAtomicOutputs:
     @pytest.mark.parametrize("command,engine,extra", [
-        ("sweep-pfa", "run_trials", ["--epsilon", 1.0, "--lq-grid", "0"]),
+        ("sweep-pfa", "sweep_trials", ["--epsilon", 1.0, "--lq-grid", "0"]),
         ("roc", "roc_sweep", ["--epsilons", "1e-6,1e-5"]),
-    ])
+    ], ids=["sweep-pfa-run_trials-extra0", "roc-roc_sweep-extra1"])  # ids kept from before sweep_trials
     def test_failed_baseline_writes_nothing(self, tmp_path, monkeypatch, command, engine,
                                             extra):
         from rispla import mc
@@ -286,7 +288,8 @@ class TestAtomicOutputs:
         real = getattr(mc, engine)
 
         def fail_without_ris(plan, *args, **kwargs):
-            if not plan.ris:
+            plans = plan if isinstance(plan, list) else [plan]  # sweep_trials takes a list
+            if not any(p.ris for p in plans):
                 raise ValueError("no-RIS baseline failed")
             return real(plan, *args, **kwargs)
 

@@ -16,6 +16,7 @@ from rispla.mc import (
     empirical_distribution,
     roc_sweep,
     run_trials,
+    sweep_trials,
 )
 from rispla.specfun import FoldedNormalParams, folded_normal_cdf
 
@@ -111,6 +112,34 @@ class TestRunTrials:
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=4000)
         assert run_trials(plan, 1.0, workers=2) == run_trials(plan, 1.0, workers=1)
 
+    def test_workers_capped_at_cpu_count(self, scenario_small, monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        plan = pathloss_plan(scenario_small, n=2000)
+        ref = run_trials(plan, 1e-5)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        assert run_trials(plan, 1e-5, workers=100_000) == ref
+        assert started == [3]
+        for cpus in (1, None):  # one CPU, or a count the OS cannot tell: no pool
+            monkeypatch.setattr(mc.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert run_trials(plan, 1e-5, workers=100_000) == ref
+        assert started == [3]
+
     def test_engine_matches_accepts_rule(self, scenario_small):
         # roc_sweep counts acceptances with searchsorted; run_trials calls accepts
         eps = 1.2e-5
@@ -118,6 +147,66 @@ class TestRunTrials:
         ts = empirical_distribution(plan, Hypothesis.H1, 4000)
         n_accepts = int(np.count_nonzero(accepts(ts, eps)))
         assert n_accepts == int(np.searchsorted(ts, eps, side="left"))
+
+
+def pathloss_grid(scenario, lqs, **kw):
+    scenarios = [replace(scenario, lq_db=lq) for lq in lqs]
+    return ([pathloss_plan(sc, n=3000, seed=13, **kw) for sc in scenarios],
+            [threshold_for_pfa(0.05, sc.noise_sigma) for sc in scenarios])
+
+
+def cir_grid(scenario, lqs, **kw):
+    scenarios = [replace(scenario, lq_db=lq) for lq in lqs]
+    # the last point scores the phase statistic on the same draws
+    features = [Feature.CIR_MAGNITUDE] * (len(lqs) - 1) + [Feature.CIR_PHASE]
+    return ([cir_plan(sc, f, n=3000, seed=17, **kw) for sc, f in zip(scenarios, features)],
+            [3.0 * rayleigh_sigma(sc.noise_sigma) for sc in scenarios])
+
+
+class TestSweepTrials:
+    @pytest.mark.parametrize("grid,kw", [
+        (pathloss_grid, {"ris": True}),
+        (pathloss_grid, {"ris": False}),
+        (cir_grid, {"refade_alice": True}),
+        (cir_grid, {"refade_alice": False}),
+    ], ids=["pathloss-ris", "pathloss-noris", "cir-refading", "cir-pinned"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_run_trials_per_point(self, scenario_small, monkeypatch, grid, kw,
+                                         workers):
+        plans, epsilons = grid(scenario_small, [5.0, 20.0, 35.0, 50.0], **kw)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
+        swept = sweep_trials(plans, epsilons, workers=workers)
+        assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
+        assert len(set(swept)) > 1  # the points do differ
+
+    def test_refuses_points_of_different_streams(self, scenario_small):
+        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
+        other_seed = replace(plans[1], master_seed=18)
+        other_trials = replace(plans[1], n_trials=2999)
+        other_stride = replace(plans[1], ris=False)  # one decoded gain, not 8
+        for odd in (other_seed, other_trials, other_stride):
+            with pytest.raises(ValueError, match="share"):
+                sweep_trials([plans[0], odd], epsilons)
+        with pytest.raises(ValueError, match="one epsilon per plan"):
+            sweep_trials(plans, epsilons[:1])
+        with pytest.raises(ValueError, match="one epsilon per plan"):
+            sweep_trials([], [])
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep_trials(plans, [epsilons[0], math.nan])
+
+    def test_sweep_decodes_each_chunk_once(self, scenario_small, monkeypatch):
+        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0, 30.0])
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks
+        calls = []
+        real = mc._uniform_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        sweep_trials(plans, epsilons)
+        assert len(calls) == 4  # per chunk: its trials and the enrollment block
 
 
 class TestRocSweep:

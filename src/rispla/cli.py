@@ -30,7 +30,7 @@ from .channel import (
     pathloss_pair,
 )
 from .checks import CHECKS
-from .mc import Hypothesis, TrialPlan
+from .mc import TrialPlan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-GRID_POINT_LIMIT = 10_000  # link qualities per sweep; each is a full Monte-Carlo run
+GRID_POINT_LIMIT = 10_000  # --lq-grid points (each a Monte-Carlo run), --epsilons log points
 GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points; about 40 s of the scalar loop
 
 
@@ -117,10 +117,13 @@ def _parse_gradient_grid(text: str) -> np.ndarray:
 
 
 def _parse_epsilons(text: str) -> np.ndarray:
-    """'log:lo:hi:n' for a geometric grid, else a comma-separated list."""
+    """'log:lo:hi:n' for a geometric grid of at most GRID_POINT_LIMIT points, else a
+    comma-separated list."""
     try:
         if text.startswith("log:"):
             _, lo, hi, n = text.split(":")
+            if int(n) > GRID_POINT_LIMIT:  # refused before np.geomspace allocates
+                raise ValueError(f"more than {GRID_POINT_LIMIT} points")
             eps = np.geomspace(float(lo), float(hi), int(n))
         else:
             eps = np.asarray([float(p) for p in text.split(",")], dtype=float)
@@ -227,26 +230,12 @@ def _cmd_sweep(args, command: str) -> int:
     return EXIT_OK
 
 
-def _auto_epsilons(plan: TrialPlan, n_points: int = 50) -> np.ndarray:
-    """Log-spaced grid spanning the observed statistic range (pilot pass)."""
-    pilot = min(plan.n_trials, 10_000)
-    s0 = mc.empirical_distribution(plan, Hypothesis.H0, pilot)
-    s1 = mc.empirical_distribution(plan, Hypothesis.H1, pilot)
-    samples = np.concatenate([s0, s1])
-    positive = samples[samples > 0.0]
-    lo = 0.5 * float(positive.min()) if positive.size else 1e-12
-    hi = 1.05 * float(samples.max()) if samples.max() > 0 else 1.0
-    if hi <= lo:
-        hi = 10.0 * lo
-    return np.geomspace(lo, hi, n_points)
-
-
 def _cmd_roc(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.lq_db is not None:
         scenario = replace(scenario, lq_db=args.lq_db)
     feature = Feature(args.feature)
-    given = _parse_epsilons(args.epsilons) if args.epsilons else None
+    epsilons = _parse_epsilons(args.epsilons) if args.epsilons else None  # None: auto grid
     curves = []  # every baseline is computed before any file is written
     for path, use_ris in _baseline_outputs(args.output, args.baseline):
         plan = TrialPlan(
@@ -254,7 +243,6 @@ def _cmd_roc(args) -> int:
             scenario=scenario, profile=_profile_for(args, scenario, feature),
             refade_alice=not args.freeze_alice, ris=use_ris,
         )
-        epsilons = given if given is not None else _auto_epsilons(plan)
         curves.append((path, mc.roc_sweep(plan, epsilons, workers=args.workers)))
     for path, curve in curves:
         _write_csv(path, "epsilon,pfa,pd", curve.points)

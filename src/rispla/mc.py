@@ -41,6 +41,10 @@ TWO_PI = 2.0 * math.pi
 
 LOW_CONFIDENCE_TRIALS = 100
 
+# roc_sweep's auto grid: ROC_AUTO_POINTS thresholds, log-spaced from ROC_LO_SCALE x the smallest
+# positive to ROC_HI_SCALE x the largest forced-H0/H1 statistic of the first ROC_PILOT_TRIALS.
+ROC_PILOT_TRIALS, ROC_AUTO_POINTS, ROC_LO_SCALE, ROC_HI_SCALE = 10_000, 50, 0.5, 1.05
+
 
 class Hypothesis(Enum):
     H0 = "h0"  # legitimate transmitter
@@ -176,18 +180,14 @@ class Draws:
     g: np.ndarray | None = None
 
 
-def decode(plan: TrialPlan, first_block: int, n_blocks: int,
-           force: Hypothesis | None = None) -> Draws:
+def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     """Decode uniform blocks [first_block, first_block + n_blocks).
 
-    Trial i reads block i + 1; block 0 is the enrollment. force fixes the
-    transmitter instead of reading it from each block's first uniform.
+    Trial i reads block i + 1; block 0 is the enrollment. Each block's first
+    uniform draws the transmitter: Alice below 0.5.
     """
     block = _uniform_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
-    if force is None:
-        is_alice = block[:, 0] < 0.5
-    else:
-        is_alice = np.full(n_blocks, force is Hypothesis.H0)
+    is_alice = block[:, 0] < 0.5
     if plan.feature is Feature.PATHLOSS:
         noise, _ = _box_muller(block[:, 1], block[:, 2])
         return Draws(is_alice, noise)
@@ -195,6 +195,12 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int,
     n = sc.n_elements if plan.ris else 1
     h, g, noise_unit = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
     return Draws(is_alice, noise_unit, h, g)
+
+
+def _forced(draws: Draws, hypothesis: Hypothesis, k: int) -> Draws:
+    """The first k draws (views) with the transmitter fixed: all a forced hypothesis changes."""
+    h, g = (None if a is None else a[:k] for a in (draws.h, draws.g))
+    return Draws(np.full(k, hypothesis is Hypothesis.H0), draws.noise[:k], h, g)
 
 
 def _fingerprint(plan: TrialPlan, enrollment: Draws) -> complex:
@@ -229,45 +235,45 @@ def score(plan: TrialPlan, draws: Draws, enrollment: Draws | None) -> np.ndarray
     return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
 
 
-def _trial_stats(plan: TrialPlan, lo: int, hi: int, force: Hypothesis | None = None):
-    """Statistics and transmitter identity for trials [lo, hi)."""
-    draws = decode(plan, lo + 1, hi - lo, force)
-    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
-    return score(plan, draws, enrollment), draws.is_alice
-
-
 def _default_chunk(plan: TrialPlan) -> int:
     return max(1024, (1 << 22) // _stride(plan))
 
 
-def _map_trials(fn, plan: TrialPlan, n: int, arg, workers: int) -> list:
-    """fn((plan, lo, hi, arg)) for each default chunk [lo, hi) of trials [0, n), in order.
+def _chunk(args):
+    """The one chunk kernel: reduce(plan, lo, draws, enrollment, arg) on trials [lo, hi).
+
+    The chunk and its enrollment block (None for pathloss) are decoded once.
+    reduce None returns the draws forced to hypothesis arg, with no enrollment.
+    """
+    plan, lo, hi, reduce, arg = args
+    draws = decode(plan, lo + 1, hi - lo)
+    if reduce is None:
+        return _forced(draws, arg, hi - lo)
+    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
+    return reduce(plan, lo, draws, enrollment, arg)
+
+
+def _map_trials(reduce, arg, plan: TrialPlan, n: int, workers: int) -> list:
+    """_chunk((plan, lo, hi, reduce, arg)) for each default chunk [lo, hi) of trials [0, n).
 
     The one place the trial range is split: serially, or on a process pool
     of `workers`, at most os.cpu_count() (the pool forks every worker at
     once). Chunk results are returned in trial order.
     """
     chunk = _default_chunk(plan)
-    tasks = [(plan, lo, min(lo + chunk, n), arg) for lo in range(0, n, chunk)]
+    tasks = [(plan, lo, min(lo + chunk, n), reduce, arg) for lo in range(0, n, chunk)]
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(pool.map(_chunk, tasks))
+    return [_chunk(t) for t in tasks]
 
 
-def _count_chunk(args) -> np.ndarray:
-    """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per point, for [lo, hi).
-
-    The chunk and its enrollment block are decoded once; every (plan,
-    epsilon) point is scored on those draws.
-    """
-    plan, lo, hi, points = args
-    draws = decode(plan, lo + 1, hi - lo)
-    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
+def _counts(plan, lo, draws, enrollment, points) -> np.ndarray:
+    """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per (plan, epsilon) point."""
     is_alice = draws.is_alice
     n0 = np.count_nonzero(is_alice)
-    counts = [(n0, hi - lo - n0)]
+    counts = [(n0, is_alice.size - n0)]
     for point, epsilon in points:
         accept = accepts(score(point, draws, enrollment), epsilon)
         counts.append((np.count_nonzero(is_alice & ~accept),
@@ -275,26 +281,18 @@ def _count_chunk(args) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def _roc_chunk(args):
-    plan, lo, hi, epsilons = args
-    ts, is_alice = _trial_stats(plan, lo, hi)
-    ts_a = np.sort(ts[is_alice])
-    ts_e = np.sort(ts[~is_alice])
-    # accepts = #(ts < eps), the rule of auth.accepts: ties reject
-    acc_a = np.searchsorted(ts_a, epsilons, side="left")
-    acc_e = np.searchsorted(ts_e, epsilons, side="left")
-    return ts_a.size, ts_e.size, acc_a, acc_e
+def _roc_stats(plan, lo, draws, enrollment, pilot):
+    """Sorted statistics of Alice's and of Eve's trials, then those of the chunk's
+    trials below `pilot` under forced H0 and forced H1 (empty past the pilot)."""
+    ts = score(plan, draws, enrollment)
+    k = min(pilot - lo, ts.size)
+    sample = (np.concatenate([score(plan, _forced(draws, h, k), enrollment) for h in Hypothesis])
+              if k > 0 else np.empty(0))
+    return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
 
 
-def _sample_chunk(args) -> np.ndarray:
-    plan, lo, hi, hypothesis = args
-    ts, _ = _trial_stats(plan, lo, hi, force=hypothesis)
-    return ts
-
-
-def _decode_chunk(args) -> Draws:
-    plan, lo, hi, hypothesis = args
-    return decode(plan, lo + 1, hi - lo, hypothesis)
+def _forced_stats(plan, lo, draws, enrollment, hypothesis) -> np.ndarray:
+    return score(plan, _forced(draws, hypothesis, draws.is_alice.size), enrollment)
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -303,7 +301,7 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
     score() on each chunk gives the statistics that
     empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
     """
-    return _map_trials(_decode_chunk, plan, plan.n_trials, Hypothesis.H1, 1)
+    return _map_trials(None, Hypothesis.H1, plan, plan.n_trials, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +349,43 @@ def sweep_trials(plans, epsilons, *,
         raise ValueError("plans of one sweep must share master_seed, n_trials, "
                          "feature family, stride and fading scale")
     points = list(zip(plans, epsilons))
-    counts = sum(_map_trials(_count_chunk, plan, plan.n_trials, points, workers))
+    counts = sum(_map_trials(_counts, points, plan, plan.n_trials, workers))
     (n0, n1), *per_point = counts.tolist()
     return [(ErrorEstimate.from_counts(rejects_alice, n0),
              ErrorEstimate.from_counts(accepts_eve, n1))
             for rejects_alice, accepts_eve in per_point]
 
 
-def roc_sweep(plan: TrialPlan, epsilons, *, workers: int = 1) -> RocCurve:
+def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
     """Operating points for many thresholds from a single sample pass.
 
     All thresholds see the same per-trial statistics, so the resulting pfa
-    and pd are each monotone along the curve.
+    and pd are each monotone along the curve. Without epsilons the auto
+    grid is picked from the same decode, its pilot rescored with the
+    transmitter forced; the sorted statistics (8 bytes per trial) are held
+    until the grid is known.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("epsilons must be a nonempty 1-D sequence")
-    if np.any(np.diff(eps) <= 0):
-        raise ValueError("epsilons must be strictly increasing")
-    counts = _map_trials(_roc_chunk, plan, plan.n_trials, eps, workers)
-    n0, n1, acc_a, acc_e = map(sum, zip(*counts))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pfa = 1.0 - acc_a / n0 if n0 else np.full(eps.size, math.nan)
-        pd = 1.0 - acc_e / n1 if n1 else np.full(eps.size, math.nan)
-    return RocCurve(epsilons=eps, pfa=pfa, pd=pd)
+    if epsilons is not None:
+        eps = np.asarray(epsilons, dtype=float)
+        if eps.ndim != 1 or eps.size == 0 or np.any(np.diff(eps) <= 0):
+            raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
+    pilot = min(plan.n_trials, ROC_PILOT_TRIALS) if epsilons is None else 0
+    alice, eve, samples = zip(*_map_trials(_roc_stats, pilot, plan, plan.n_trials, workers))
+    if epsilons is None:
+        samples = np.concatenate(samples)
+        positive = samples[samples > 0.0]
+        lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
+        hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
+        if hi <= lo:
+            hi = 10.0 * lo
+        eps = np.geomspace(lo, hi, ROC_AUTO_POINTS)
+
+    def rejected(parts):  # 1 - #(ts < eps) / n, the rule of auth.accepts: ties reject
+        n = sum(ts.size for ts in parts)
+        accepted = sum(np.searchsorted(ts, eps, side="left") for ts in parts)
+        return 1.0 - accepted / n if n else np.full(eps.size, math.nan)
+
+    return RocCurve(epsilons=eps, pfa=rejected(alice), pd=rejected(eve))
 
 
 def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int, *,
@@ -386,5 +397,5 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: i
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    parts = _map_trials(_sample_chunk, plan, n_samples, hypothesis, workers)
+    parts = _map_trials(_forced_stats, hypothesis, plan, n_samples, workers)
     return np.sort(np.concatenate(parts))

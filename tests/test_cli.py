@@ -84,6 +84,23 @@ class TestRocSchema:
         lines = out.read_text().splitlines()
         assert len(lines) == 4
 
+    def test_auto_grid_decodes_each_chunk_once(self, tmp_path, monkeypatch):
+        from rispla import mc
+
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks
+        calls = []
+        real = mc._uniform_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        code = run_cli("roc", "--scenario", SCENARIO, "--feature", "cir-phase",
+                       "--trials", 3000, "--output", tmp_path / "roc.csv")
+        assert code == EXIT_OK
+        assert len(calls) == 4  # per chunk: its trials and the enrollment block
+
 
 class TestOptimizeOutputs:
     def test_gradient_trace_and_summary(self, tmp_path):
@@ -123,10 +140,12 @@ class TestDeterminism:
         run_cli(*args, "--output", b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("grid", [["--epsilons", "0.01,0.1,1.0"], []],
+                             ids=["given-grid", "auto-grid"])
+    def test_workers_byte_identical(self, tmp_path, grid):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["roc", "--scenario", SCENARIO, "--trials", 4000, "--seed", 9,
-                "--feature", "cir-magnitude", "--epsilons", "0.01,0.1,1.0"]
+                "--feature", "cir-magnitude", *grid]
         run_cli(*args, "--workers", 1, "--output", a)
         run_cli(*args, "--workers", 2, "--output", b)
         assert a.read_bytes() == b.read_bytes()
@@ -242,6 +261,7 @@ class TestExitCodes:
         ["roc", "--epsilons", "nan,1"],
         ["roc", "--epsilons", "-0.5,1"],
         ["roc", "--epsilons", "1,inf"],
+        ["roc", "--epsilons", "log:1e-6:1:1000000000000"],
         ["optimize-gradient", "--target-pfa", 2],
         ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1"],
         ["optimize-gradient", "--epsilon", 1e-5, "--grid", "0:1:x"],
@@ -258,7 +278,7 @@ class TestExitCodes:
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
-            "infinite-epsilons", "target-pfa-above-one", "grid-two-fields",
+            "infinite-epsilons", "huge-log-epsilons", "target-pfa-above-one", "grid-two-fields",
             "grid-bad-count", "grid-zero-points", "grid-nan-stop", "grid-huge-count",
             "one-level",
             "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range",

@@ -209,7 +209,42 @@ class TestSweepTrials:
         assert len(calls) == 4  # per chunk: its trials and the enrollment block
 
 
+def two_pilot_grid(plan):
+    """The auto grid as it was chosen before roc_sweep chose it: two separate pilots."""
+    pilot = min(plan.n_trials, 10_000)
+    samples = np.concatenate([empirical_distribution(plan, Hypothesis.H0, pilot),
+                              empirical_distribution(plan, Hypothesis.H1, pilot)])
+    positive = samples[samples > 0.0]
+    lo = 0.5 * float(positive.min()) if positive.size else 1e-12
+    hi = 1.05 * float(samples.max()) if samples.max() > 0 else 1.0
+    if hi <= lo:
+        hi = 10.0 * lo
+    return np.geomspace(lo, hi, 50)
+
+
 class TestRocSweep:
+    @pytest.mark.parametrize("make_plan", [
+        lambda sc, n: pathloss_plan(sc, n=n),
+        lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n),
+        lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n, refade_alice=False),
+        lambda sc, n: cir_plan(sc, Feature.CIR_MAGNITUDE, n=n),
+    ], ids=["pathloss", "cir-phase-refading", "cir-phase-frozen", "cir-magnitude"])
+    @pytest.mark.parametrize("n,chunk", [(3000, None), (12_000, 4000)],
+                             ids=["below-pilot-cap", "pilot-spans-3-chunks"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_auto_grid_equals_two_pilot_reference(self, scenario_small, monkeypatch,
+                                                  make_plan, n, chunk, workers):
+        plan = make_plan(scenario_small, n)
+        if chunk:
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
+        grid = two_pilot_grid(plan)
+        expected = roc_sweep(plan, grid)
+        curve = roc_sweep(plan, workers=workers)
+        for got, want in [(curve.epsilons, grid), (curve.pfa, expected.pfa),
+                          (curve.pd, expected.pd)]:
+            np.testing.assert_array_equal(got, want)
+        assert len(set(curve.pd.tolist())) > 1  # the grid spans the statistics
+
     def test_single_point_matches_run_trials(self, scenario_small):
         eps = 1.5e-5
         plan = pathloss_plan(scenario_small, n=20000)

@@ -75,8 +75,11 @@ def threshold_for_pfa(target_pfa: float, sigma: float) -> float:
     return sigma * q_inv(target_pfa / 2.0)
 
 
-def pmd_pathloss(epsilon: float, sigma: float, pl_a: float, pl_e: float) -> float:
-    """Missed-detection probability: folded-normal CDF at the threshold."""
+def pmd_pathloss(epsilon: float, sigma: float, pl_a, pl_e):
+    """Missed-detection probability: folded-normal CDF at the threshold.
+
+    pl_a and pl_e may be arrays of pathloss pairs (one per gradient of a grid).
+    """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return folded_normal_cdf(epsilon, FoldedNormalParams(delta=pl_e - pl_a, sigma=sigma))

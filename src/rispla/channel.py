@@ -25,7 +25,7 @@ __all__ = [
     "PhaseProfile",
     "load_scenario",
     "incidence_angle",
-    "reflection_angle",
+    "ris_pathloss_grid",
     "ris_pathloss",
     "fspl",
     "pathloss_pair",
@@ -189,40 +189,42 @@ def incidence_angle(tx_pos, scenario: Scenario) -> float:
     return math.acos(cos_i)
 
 
-def reflection_angle(theta_i: float, gradient: float, scenario: Scenario) -> float:
-    """Reflected-ray angle for a phase-discontinuity gradient (principal arcsine branch)."""
-    s = math.sin(theta_i) + scenario.wavelength * gradient / (TWO_PI * scenario.refractive_index)
-    if abs(s) > 1.0:
-        raise EvanescentError(
-            f"no propagating reflection: |sin(theta_i) + lambda*gradient/(2 pi n1)| = {abs(s):.6g} > 1"
-        )
-    return math.asin(s)
+def ris_pathloss_grid(scenario: Scenario, tx_pos, gradients) -> tuple[np.ndarray, np.ndarray]:
+    """(pathloss, propagating): the single-element reflection pathloss (linear power gain)
+    from tx via the panel to Bob at each phase gradient, and whether it has a reflected ray.
 
-
-def _sinc_sq(u: float) -> float:
-    # removable singularity at u = 0: (sin u / u)^2 = 1 - u^2/3 + O(u^4)
-    if abs(u) < 1e-8:
-        return 1.0 - u * u / 3.0
-    s = math.sin(u) / u
-    return s * s
-
-
-def ris_pathloss(scenario: Scenario, tx_pos, gradient: float) -> float:
-    """Single-element reflection pathloss (linear power gain) from tx via the panel to Bob."""
+    A gradient propagates unless |sin(theta_i) + lambda*gradient/(2 pi n1)| > 1 (principal
+    arcsine branch); its pathloss is NaN otherwise. The geometry is computed once. asin
+    and sin are libm's, one element at a time: numpy's SIMD arcsin can differ from libm in
+    the last bit, and the committed outputs hold libm's bits.
+    """
     tx = np.asarray(tx_pos, dtype=float)
     d_i = float(np.linalg.norm(tx - scenario.ris_pos))
     r = float(np.linalg.norm(scenario.bob_pos - scenario.ris_pos))
     theta_i = incidence_angle(tx, scenario)
-    theta_r = reflection_angle(theta_i, gradient, scenario)
     lam = scenario.wavelength
-    u = (math.pi * scenario.element_b / lam) * (math.sin(theta_i) - math.sin(theta_r))
+    s = (math.sin(theta_i)
+         + lam * np.asarray(gradients, dtype=float) / (TWO_PI * scenario.refractive_index))
+    propagating = ~(np.abs(s) > 1.0)
+    sin_r = [math.sin(math.asin(v)) for v in np.where(propagating, s, 0.0).tolist()]
+    u = (math.pi * scenario.element_b / lam) * (math.sin(theta_i) - np.array(sin_r))
+    # removable singularity at u = 0: (sin u / u)^2 = 1 - u^2/3 + O(u^4)
+    small = np.abs(u) < 1e-8
+    sinc = np.array([math.sin(v) for v in u.tolist()]) / np.where(small, 1.0, u)
     ab = scenario.element_a * scenario.element_b
-    return (
-        scenario.tx_gain * scenario.rx_gain / (4.0 * math.pi) ** 2
-        * (ab / (d_i * r)) ** 2
-        * math.cos(theta_i) ** 2
-        * _sinc_sq(u)
-    )
+    gain = (scenario.tx_gain * scenario.rx_gain / (4.0 * math.pi) ** 2
+            * (ab / (d_i * r)) ** 2
+            * math.cos(theta_i) ** 2)
+    pathloss = gain * np.where(small, 1.0 - u * u / 3.0, sinc * sinc)
+    return np.where(propagating, pathloss, math.nan), propagating
+
+
+def ris_pathloss(scenario: Scenario, tx_pos, gradient: float) -> float:
+    """Single-element reflection pathloss (linear power gain) from tx via the panel to Bob."""
+    (pathloss,), (propagating,) = ris_pathloss_grid(scenario, tx_pos, [gradient])
+    if not propagating:
+        raise EvanescentError(f"no propagating reflection at gradient {gradient!r} rad/m")
+    return float(pathloss)
 
 
 def fspl(tx_pos, rx_pos, scenario: Scenario) -> float:

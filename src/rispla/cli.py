@@ -39,7 +39,7 @@ EXIT_RUNTIME = 3
 
 
 GRID_POINT_LIMIT = 10_000  # --lq-grid points (each a Monte-Carlo run), --epsilons log points
-GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points; about 40 s of the scalar loop
+GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 5.5 s CPU, 309 MiB peak RSS
 
 
 class UsageError(ValueError):

@@ -291,6 +291,19 @@ def _roc_stats(plan, lo, draws, enrollment, pilot):
     return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
 
 
+def _roc_counts(plan, lo, draws, enrollment, eps) -> np.ndarray:
+    """_tally of the chunk's sorted statistics (no pilot): a given grid, counted per chunk."""
+    alice, eve, _ = _roc_stats(plan, lo, draws, enrollment, 0)
+    return _tally(alice, eve, eps)
+
+
+def _tally(alice, eve, eps) -> np.ndarray:
+    """Rows (Alice, Eve) from sorted statistics: trials, then #(ts < eps) per threshold,
+    the rule of auth.accepts (ties reject)."""
+    return np.array([[ts.size, *np.searchsorted(ts, eps, side="left")] for ts in (alice, eve)],
+                    dtype=np.int64)
+
+
 def _forced_stats(plan, lo, draws, enrollment, hypothesis) -> np.ndarray:
     return score(plan, _forced(draws, hypothesis, draws.is_alice.size), enrollment)
 
@@ -360,18 +373,19 @@ def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
     """Operating points for many thresholds from a single sample pass.
 
     All thresholds see the same per-trial statistics, so the resulting pfa
-    and pd are each monotone along the curve. Without epsilons the auto
-    grid is picked from the same decode, its pilot rescored with the
-    transmitter forced; the sorted statistics (8 bytes per trial) are held
-    until the grid is known.
+    and pd are each monotone along the curve. A given grid is counted per
+    chunk. Without epsilons the auto grid is picked from the same decode,
+    its pilot rescored with the transmitter forced; the sorted statistics
+    (8 bytes per trial) are held until the grid is known.
     """
     if epsilons is not None:
         eps = np.asarray(epsilons, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
-    pilot = min(plan.n_trials, ROC_PILOT_TRIALS) if epsilons is None else 0
-    alice, eve, samples = zip(*_map_trials(_roc_stats, pilot, plan, plan.n_trials, workers))
-    if epsilons is None:
+        counts = sum(_map_trials(_roc_counts, eps, plan, plan.n_trials, workers))
+    else:
+        pilot = min(plan.n_trials, ROC_PILOT_TRIALS)
+        alice, eve, samples = zip(*_map_trials(_roc_stats, pilot, plan, plan.n_trials, workers))
         samples = np.concatenate(samples)
         positive = samples[samples > 0.0]
         lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
@@ -379,13 +393,13 @@ def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
         if hi <= lo:
             hi = 10.0 * lo
         eps = np.geomspace(lo, hi, ROC_AUTO_POINTS)
+        counts = sum(_tally(a, e, eps) for a, e in zip(alice, eve))
 
-    def rejected(parts):  # 1 - #(ts < eps) / n, the rule of auth.accepts: ties reject
-        n = sum(ts.size for ts in parts)
-        accepted = sum(np.searchsorted(ts, eps, side="left") for ts in parts)
+    def rejected(row):  # 1 - #(ts < eps) / n
+        n, accepted = row[0], row[1:]
         return 1.0 - accepted / n if n else np.full(eps.size, math.nan)
 
-    return RocCurve(epsilons=eps, pfa=rejected(alice), pd=rejected(eve))
+    return RocCurve(epsilons=eps, pfa=rejected(counts[0]), pd=rejected(counts[1]))
 
 
 def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int, *,

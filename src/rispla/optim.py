@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .auth import Feature, accepts, pmd_pathloss
-from .channel import EvanescentError, PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
+from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
 from .mc import TrialPlan, attacker_draws, decode, score
 
 __all__ = [
@@ -85,38 +85,29 @@ def default_gradient_grid(scenario: Scenario, n_points: int = 10_000) -> np.ndar
 def optimize_gradient(scenario: Scenario, epsilon: float, grid) -> OptResult:
     """Grid search of the analytical pathloss missed detection over gradients.
 
-    Evanescent grid points (no propagating reflection for either
-    transmitter) are skipped and recorded. First minimizer wins ties.
+    The whole grid is scored in one pass over arrays. Evanescent grid points
+    (no propagating reflection for either transmitter) are skipped and
+    recorded. First minimizer wins ties.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D sequence of gradients")
-    sigma = scenario.noise_sigma
-    trace: list[tuple[int, float, float]] = []
-    skipped: list[float] = []
-    best_gradient = None
-    best_pmd = math.inf
-    for g in grid.tolist():
-        try:
-            pl_a, pl_e = pathloss_pair(scenario, g)
-        except EvanescentError:
-            skipped.append(g)
-            continue
-        pmd = pmd_pathloss(epsilon, sigma, pl_a, pl_e)
-        trace.append((0, g, pmd))
-        if pmd < best_pmd:
-            best_pmd = pmd
-            best_gradient = g
-    if best_gradient is None:
+    pl_a, alice_ok = ris_pathloss_grid(scenario, scenario.alice_pos, grid)
+    pl_e, eve_ok = ris_pathloss_grid(scenario, scenario.eve_pos, grid)
+    ok = alice_ok & eve_ok
+    if not ok.any():
         raise InfeasibleGridError(
             f"all {grid.size} grid points are evanescent for this geometry"
         )
+    gradients = grid[ok].tolist()
+    pmds = pmd_pathloss(epsilon, scenario.noise_sigma, pl_a[ok], pl_e[ok])
+    best = int(np.argmin(pmds))  # argmin keeps the first minimizer
     return OptResult(
-        best_profile=ScalarGradient(best_gradient),
-        best_pmd=best_pmd,
-        evaluations=len(trace),
-        trace=trace,
-        skipped=skipped,
+        best_profile=ScalarGradient(gradients[best]),
+        best_pmd=float(pmds[best]),
+        evaluations=len(gradients),
+        trace=[(0, g, pmd) for g, pmd in zip(gradients, pmds.tolist())],
+        skipped=grid[~ok].tolist(),
     )
 
 

@@ -1,13 +1,17 @@
 """Special functions and distribution primitives for the closed-form error expressions.
 
-Scalar implementations; the Monte-Carlo engine does its own vectorized math
-and only meets these functions when cross-checking against closed forms.
+Scalar implementations, except the folded-normal CDF, which also maps an
+array of deltas (a whole gradient grid); the Monte-Carlo engine does its own
+vectorized math and only meets these functions when cross-checking against
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FoldedNormalParams",
@@ -23,13 +27,13 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FoldedNormalParams:
-    """Parameters of |X| for X ~ N(delta, sigma^2)."""
+    """Parameters of |X| for X ~ N(delta, sigma^2); delta may be an array."""
 
-    delta: float
+    delta: float | np.ndarray
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and math.isfinite(self.sigma)):
+        if not (np.all(np.isfinite(self.delta)) and math.isfinite(self.sigma)):
             raise ValueError("folded normal parameters must be finite")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -76,14 +80,15 @@ def q_inv(p: float) -> float:
     return x
 
 
-def folded_normal_cdf(x: float, params: FoldedNormalParams) -> float:
-    """CDF of the folded normal; 0 below the fold point x = 0."""
-    if x < 0.0:
-        return 0.0
-    a = (x + params.delta) / (params.sigma * _SQRT2)
-    b = (x - params.delta) / (params.sigma * _SQRT2)
-    val = 0.5 * (math.erf(a) + math.erf(b))
-    return min(1.0, max(0.0, val))
+def folded_normal_cdf(x: float, params: FoldedNormalParams):
+    """CDF of the folded normal at x, 0 below the fold point x = 0; elementwise over an
+    array delta, with libm's erf per element."""
+    delta = np.asarray(params.delta, dtype=float)
+    a = (x + delta) / (params.sigma * _SQRT2)
+    b = (x - delta) / (params.sigma * _SQRT2)
+    erfs = [math.erf(p) + math.erf(q) for p, q in zip(a.ravel().tolist(), b.ravel().tolist())]
+    val = np.where(x < 0.0, 0.0, np.clip(0.5 * np.reshape(erfs, delta.shape), 0.0, 1.0))
+    return float(val) if val.ndim == 0 else val
 
 
 def folded_normal_moments(params: FoldedNormalParams) -> tuple[float, float]:

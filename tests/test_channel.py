@@ -20,8 +20,8 @@ from rispla.channel import (
     incidence_angle,
     load_scenario,
     pathloss_pair,
-    reflection_angle,
     ris_pathloss,
+    ris_pathloss_grid,
 )
 from rispla.mc import (
     Hypothesis,
@@ -153,22 +153,47 @@ class TestIncidenceAngle:
             incidence_angle((90.0, 85.0, 1.0), sc)
 
 
+def specular_gain(sc, tx_pos) -> float:
+    """Gt Gr / (4 pi)^2 * (ab / (d_i r))^2 * cos^2(theta_i): the pathloss where sinc^2 = 1."""
+    tx = np.asarray(tx_pos, dtype=float)
+    d_i = np.linalg.norm(tx - sc.ris_pos)
+    r = np.linalg.norm(sc.bob_pos - sc.ris_pos)
+    cos_i = math.cos(incidence_angle(tx, sc))
+    return (sc.tx_gain * sc.rx_gain / (4 * math.pi) ** 2
+            * (sc.element_a * sc.element_b / (d_i * r)) ** 2 * cos_i**2)
+
+
 class TestReflectionAngle:
+    """The reflected ray theta_r, seen through the lobe factor sinc^2(u) of the pathloss,
+    u = (pi b / lambda) (sin theta_i - sin theta_r)."""
+
     def test_specular_when_flat(self):
+        # zero gradient: theta_r = theta_i, so u = 0 and the lobe factor is 1
         sc = make_scenario()
         for theta in (0.0, 0.3, 1.2):
-            assert reflection_angle(theta, 0.0, sc) == pytest.approx(theta, abs=1e-12)
+            tx = sc.ris_pos + 10.0 * np.array([math.sin(theta), math.cos(theta), 0.0])
+            pathloss, propagating = ris_pathloss_grid(sc, tx, [0.0])
+            assert propagating.tolist() == [True]
+            assert pathloss[0] == pytest.approx(specular_gain(sc, tx), rel=1e-12)
 
     def test_half_sine_offset(self):
+        # theta_i = 0 and sin(theta_r) = 1/2, i.e. theta_r = pi/6
         sc = make_scenario()
+        tx = (90.0, 95.0, 1.0)
         gradient = 0.5 * 2 * math.pi * sc.refractive_index / sc.wavelength
-        assert reflection_angle(0.0, gradient, sc) == pytest.approx(math.pi / 6, abs=1e-12)
+        u = (math.pi * sc.element_b / sc.wavelength) * (0.0 - math.sin(math.pi / 6))
+        expected = specular_gain(sc, tx) * (math.sin(u) / u) ** 2
+        assert ris_pathloss(sc, tx, gradient) == pytest.approx(expected, rel=1e-9)
 
     def test_evanescent(self):
         sc = make_scenario()
+        tx = (95.0, 95.0, 1.0)  # theta_i = pi/4
         gradient = 1.2 * 2 * math.pi / sc.wavelength  # asin argument 0.7071 + 1.2 > 1
+        pathloss, propagating = ris_pathloss_grid(sc, tx, [gradient, 0.0, -2.0 * gradient])
+        assert propagating.tolist() == [False, True, False]
+        assert np.isnan(pathloss).tolist() == [True, False, True]
         with pytest.raises(EvanescentError):
-            reflection_angle(math.pi / 4, gradient, sc)
+            ris_pathloss(sc, tx, gradient)
 
 
 class TestRisPathloss:

@@ -13,9 +13,11 @@ from rispla.mc import (
     ErrorEstimate,
     Hypothesis,
     TrialPlan,
+    decode,
     empirical_distribution,
     roc_sweep,
     run_trials,
+    score,
     sweep_trials,
 )
 from rispla.specfun import FoldedNormalParams, folded_normal_cdf
@@ -244,6 +246,30 @@ class TestRocSweep:
                           (curve.pd, expected.pd)]:
             np.testing.assert_array_equal(got, want)
         assert len(set(curve.pd.tolist())) > 1  # the grid spans the statistics
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_given_grid_counted_per_chunk(self, scenario_small, monkeypatch, workers):
+        # each chunk returns its counts per threshold, never its trials' statistics
+        plan = pathloss_plan(scenario_small, n=12_000, seed=21)
+        grid = np.geomspace(1e-3, 0.5, 7)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 4000)
+        real, results = mc._map_trials, []
+
+        def spy(*args):
+            out = real(*args)
+            results.extend(out)
+            return out
+
+        monkeypatch.setattr(mc, "_map_trials", spy)
+        curve = roc_sweep(plan, grid, workers=workers)
+        assert len(results) == 3
+        assert all(isinstance(r, np.ndarray) and r.size == 2 * (grid.size + 1) for r in results)
+        draws = decode(plan, 1, plan.n_trials)
+        ts = score(plan, draws, None)
+        for got, part in [(curve.pfa, ts[draws.is_alice]), (curve.pd, ts[~draws.is_alice])]:
+            want = 1.0 - np.searchsorted(np.sort(part), grid, side="left") / part.size
+            np.testing.assert_array_equal(got, want)
+        assert len(set(curve.pfa.tolist())) > 1 and len(set(curve.pd.tolist())) > 1
 
     def test_single_point_matches_run_trials(self, scenario_small):
         eps = 1.5e-5

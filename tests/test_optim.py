@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rispla import mc
-from rispla.auth import Feature, pmd_pathloss, threshold_for_pfa
-from rispla.channel import PerElement
+from rispla.auth import Feature, threshold_for_pfa
+from rispla.channel import PerElement, incidence_angle
 from rispla.mc import Hypothesis, TrialPlan, empirical_distribution
 from rispla.optim import (
     EXHAUSTIVE_CANDIDATE_LIMIT,
@@ -19,6 +19,55 @@ from rispla.optim import (
     optimize_gradient,
     optimize_phase_matrix,
 )
+
+
+def reference_pathloss(sc, tx_pos, gradient: float):
+    """The scalar reflection pathloss, libm only (math.asin, math.sin), in the order the
+    array code keeps; None when the gradient leaves no propagating reflection."""
+    tx = np.asarray(tx_pos, dtype=float)
+    d_i = float(np.linalg.norm(tx - sc.ris_pos))
+    r = float(np.linalg.norm(sc.bob_pos - sc.ris_pos))
+    theta_i = incidence_angle(tx, sc)
+    s = math.sin(theta_i) + sc.wavelength * gradient / (2.0 * math.pi * sc.refractive_index)
+    if abs(s) > 1.0:
+        return None
+    theta_r = math.asin(s)
+    u = (math.pi * sc.element_b / sc.wavelength) * (math.sin(theta_i) - math.sin(theta_r))
+    if abs(u) < 1e-8:
+        sinc_sq = 1.0 - u * u / 3.0
+    else:
+        sinc = math.sin(u) / u
+        sinc_sq = sinc * sinc
+    ab = sc.element_a * sc.element_b
+    return (sc.tx_gain * sc.rx_gain / (4.0 * math.pi) ** 2
+            * (ab / (d_i * r)) ** 2
+            * math.cos(theta_i) ** 2
+            * sinc_sq)
+
+
+def reference_pmd(eps: float, sigma: float, pl_a: float, pl_e: float) -> float:
+    """The scalar folded-normal CDF at eps, with math.erf."""
+    if eps < 0.0:
+        return 0.0
+    a = (eps + (pl_e - pl_a)) / (sigma * math.sqrt(2.0))
+    b = (eps - (pl_e - pl_a)) / (sigma * math.sqrt(2.0))
+    return min(1.0, max(0.0, 0.5 * (math.erf(a) + math.erf(b))))
+
+
+def reference_gradient_search(sc, eps: float, grid):
+    """Point-by-point search: (trace, skipped, (best gradient, best pmd)), first minimum."""
+    trace, skipped, best = [], [], (None, math.inf)
+    for g in np.asarray(grid, dtype=float).tolist():
+        pl_a = reference_pathloss(sc, sc.alice_pos, g)
+        pl_e = reference_pathloss(sc, sc.eve_pos, g)
+        if pl_a is None or pl_e is None:
+            skipped.append(g)
+            continue
+        pmd = reference_pmd(eps, sc.noise_sigma, pl_a, pl_e)
+        trace.append((0, g, pmd))
+        if pmd < best[1]:
+            best = (g, pmd)
+    return trace, skipped, best
 
 
 class TestOptimizeGradient:
@@ -35,15 +84,29 @@ class TestOptimizeGradient:
         assert res.best_profile.gradient == 0.0
 
     def test_matches_analytical_objective(self, scenario):
-        from rispla.channel import ris_pathloss
-
+        # every row, skip and optimum equals the scalar libm formula bit for bit; numpy's
+        # SIMD arcsin in place of math.asin breaks the default grid on AVX-512 hosts
         eps = threshold_for_pfa(0.05, scenario.noise_sigma)
-        grid = np.linspace(0.0, 20.0, 11)
-        res = optimize_gradient(scenario, eps, grid)
-        for _, g, pmd in res.trace[:5]:
-            pl_a = ris_pathloss(scenario, scenario.alice_pos, g)
-            pl_e = ris_pathloss(scenario, scenario.eve_pos, g)
-            assert pmd == pmd_pathloss(eps, scenario.noise_sigma, pl_a, pl_e)
+        grids = {
+            "default": default_gradient_grid(scenario),
+            "negative": np.linspace(-300.0, 300.0, 2001),
+            "only-eve-evanescent": np.linspace(-1100.0, -500.0, 3001),
+            "only-alice-evanescent": np.linspace(100.0, 700.0, 3001),
+            "zero": np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3]),
+        }
+        for name, grid in grids.items():
+            trace, skipped, best = reference_gradient_search(scenario, eps, grid)
+            res = optimize_gradient(scenario, eps, grid)
+            assert res.trace == trace, name
+            assert res.skipped == skipped, name
+            assert (res.best_profile.gradient, res.best_pmd) == best, name
+            assert res.evaluations == len(trace), name
+        # the edge grids hold points where exactly one transmitter is evanescent
+        for name, tx, other in [("only-eve-evanescent", "eve_pos", "alice_pos"),
+                                ("only-alice-evanescent", "alice_pos", "eve_pos")]:
+            assert any(reference_pathloss(scenario, getattr(scenario, tx), g) is None
+                       and reference_pathloss(scenario, getattr(scenario, other), g) is not None
+                       for g in grids[name].tolist()), name
 
     def test_reaches_zero_on_default_span(self, scenario):
         eps = threshold_for_pfa(0.05, scenario.noise_sigma)

@@ -25,6 +25,7 @@ __all__ = [
     "threshold_for_pfa",
     "pmd_pathloss",
     "pfa_cir_magnitude",
+    "threshold_for_pfa_magnitude",
     "rayleigh_sigma",
 ]
 
@@ -90,6 +91,14 @@ def pfa_cir_magnitude(epsilon: float, sigma: float) -> float:
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     return rayleigh_ccdf(epsilon, sigma)
+
+
+def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:
+    """Threshold whose pinned-magnitude false alarm is target_pfa: the Rayleigh tail
+    exp(-eps^2 / 2 sigma_r^2) inverted, with sigma_r = rayleigh_sigma(noise_sigma)."""
+    if not (0.0 < target_pfa <= 1.0):
+        raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
+    return rayleigh_sigma(noise_sigma) * math.sqrt(-2.0 * math.log(target_pfa))
 
 
 def rayleigh_sigma(noise_sigma: float) -> float:

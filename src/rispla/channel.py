@@ -35,6 +35,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 TWO_PI = 2.0 * math.pi
 
+_SCENARIO_VECTOR_KEYS = ("alice_pos", "eve_pos", "bob_pos", "ris_pos", "ris_normal")
+_SCENARIO_SCALAR_KEYS = ("element_a", "element_b", "n_elements", "frequency_hz",
+                         "tx_gain", "rx_gain", "tx_power_w", "refractive_index",
+                         "lq_db", "sigma_g_sq")
+_SCENARIO_OPTIONAL = frozenset({"sigma_g_sq", "refractive_index", "lq_db"})
+
 
 class GeometryError(ValueError):
     """Degenerate node geometry (coincident points, transmitter not facing the panel)."""
@@ -77,8 +83,11 @@ class Scenario:
     sigma_g_sq: float = 1.0  # panel-to-receiver fading variance, decoupled from noise
 
     def __post_init__(self):
-        for name in ("alice_pos", "eve_pos", "bob_pos", "ris_pos", "ris_normal"):
+        for name in _SCENARIO_VECTOR_KEYS:
             object.__setattr__(self, name, _as_point(getattr(self, name), name))
+        for name in (*_SCENARIO_VECTOR_KEYS, *_SCENARIO_SCALAR_KEYS):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(np.linalg.norm(self.ris_normal) - 1.0) > 1e-9:
             raise ValueError("ris_normal must have unit norm within 1e-9")
         for name in ("alice_pos", "eve_pos", "bob_pos"):
@@ -130,13 +139,6 @@ class PerElement:
 
 
 PhaseProfile = ScalarGradient | PerElement
-
-
-_SCENARIO_VECTOR_KEYS = ("alice_pos", "eve_pos", "bob_pos", "ris_pos", "ris_normal")
-_SCENARIO_SCALAR_KEYS = ("element_a", "element_b", "n_elements", "frequency_hz",
-                         "tx_gain", "rx_gain", "tx_power_w", "refractive_index",
-                         "lq_db", "sigma_g_sq")
-_SCENARIO_OPTIONAL = frozenset({"sigma_g_sq", "refractive_index", "lq_db"})
 
 
 def load_scenario(path) -> Scenario:

@@ -21,6 +21,7 @@ from .auth import (
     pmd_pathloss,
     rayleigh_sigma,
     threshold_for_pfa,
+    threshold_for_pfa_magnitude,
 )
 from .channel import PerElement, ScalarGradient, Scenario, pathloss_pair
 from .mc import Hypothesis, TrialPlan, empirical_distribution, run_trials, sweep_trials
@@ -113,7 +114,7 @@ def rayleigh_magnitude_false_alarm(scenario: Scenario, trials: int):
     sigma_r = rayleigh_sigma(sc.noise_sigma)
     worst = 0.0
     for q in np.linspace(0.05, 0.95, 10):
-        eps = sigma_r * math.sqrt(-2.0 * math.log(1.0 - q))  # Rayleigh quantile
+        eps = threshold_for_pfa_magnitude(1.0 - q, sc.noise_sigma)  # Rayleigh quantile
         expected = pfa_cir_magnitude(eps, sigma_r)
         emp = 1.0 - np.searchsorted(ts, eps, side="left") / trials
         se = math.sqrt(expected * (1 - expected) / trials)
@@ -139,8 +140,7 @@ def false_alarm_phase_invariance(scenario: Scenario, trials: int):
     rng = np.random.default_rng(7)
     profiles = [PerElement(rng.uniform(0, 2 * math.pi, 8)) for _ in range(2)]
     lq_scenarios = [replace(sc8, lq_db=float(lq)) for lq in np.linspace(5.0, 50.0, 10)]
-    epsilons = [rayleigh_sigma(sc.noise_sigma) * math.sqrt(2 * math.log(2))
-                for sc in lq_scenarios]
+    epsilons = [threshold_for_pfa_magnitude(0.5, sc.noise_sigma) for sc in lq_scenarios]
     pfas = []  # per profile: the false alarm at each link quality, from one decode
     for k, prof in enumerate(profiles):
         plans = [TrialPlan(n_trials=n, master_seed=500 + k,

@@ -39,7 +39,7 @@ EXIT_RUNTIME = 3
 
 
 GRID_POINT_LIMIT = 10_000  # --lq-grid points (each a Monte-Carlo run), --epsilons log points
-GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 5.5 s CPU, 309 MiB peak RSS
+GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 309 MiB peak RSS
 
 
 class UsageError(ValueError):
@@ -47,12 +47,8 @@ class UsageError(ValueError):
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal form; empty cell for None, plain ints for counts."""
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    """Shortest round-trip decimal form of a Python int or float; empty cell for None."""
+    return "" if x is None else repr(x)
 
 
 def _write_text(path, text: str) -> None:
@@ -151,13 +147,14 @@ def _profile_for(args, scenario: Scenario, feature: Feature):
     return PerElement(phases)
 
 
-def _threshold_for_target(feature: Feature, target_pfa: float, noise_sigma: float) -> float:
+def _epsilon(args, feature: Feature, noise_sigma: float) -> float:
+    """--epsilon, or the closed-form threshold meeting --target-pfa at this noise level."""
+    if args.epsilon is not None:
+        return args.epsilon
     if feature is Feature.PATHLOSS:
-        return auth.threshold_for_pfa(target_pfa, noise_sigma)
+        return auth.threshold_for_pfa(args.target_pfa, noise_sigma)
     if feature is Feature.CIR_MAGNITUDE:
-        # invert the Rayleigh tail exp(-eps^2 / 2 sigma_r^2)
-        sigma_r = auth.rayleigh_sigma(noise_sigma)
-        return sigma_r * math.sqrt(-2.0 * math.log(target_pfa))
+        return auth.threshold_for_pfa_magnitude(args.target_pfa, noise_sigma)
     raise UsageError("the phase feature has no closed-form threshold; pass --epsilon")
 
 
@@ -180,15 +177,24 @@ def _analytical_value(command: str, plan: TrialPlan, epsilon: float):
     return None
 
 
-def _baseline_outputs(output: str, baseline: str) -> list[tuple[str, bool]]:
-    """(path, use_ris) pairs; 'both' splits the output name."""
-    if baseline == "both":
-        p = Path(output)
-        return [
-            (str(p.with_name(p.stem + "_ris" + p.suffix)), True),
-            (str(p.with_name(p.stem + "_noris" + p.suffix)), False),
-        ]
-    return [(output, baseline == "ris")]
+def _tagged(output: str, tag: str) -> str:
+    """The output path with tag appended to its file stem."""
+    p = Path(output)
+    return str(p.with_name(p.stem + tag + p.suffix))
+
+
+def _plans(args, scenarios: list[Scenario], feature: Feature) -> list[tuple[str, list[TrialPlan]]]:
+    """(path, one TrialPlan per scenario) for each baseline; 'both' splits the output name.
+
+    The scenarios differ only in link quality, so --phases is parsed once.
+    """
+    profile = _profile_for(args, scenarios[0], feature)
+    outputs = ([(_tagged(args.output, "_ris"), True), (_tagged(args.output, "_noris"), False)]
+               if args.baseline == "both" else [(args.output, args.baseline == "ris")])
+    return [(path, [TrialPlan(n_trials=args.trials, master_seed=args.seed, feature=feature,
+                              scenario=sc, profile=profile, refade_alice=not args.freeze_alice,
+                              ris=use_ris) for sc in scenarios])
+            for path, use_ris in outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +202,15 @@ def _baseline_outputs(output: str, baseline: str) -> list[tuple[str, bool]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sweep(args, command: str) -> int:
+def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     feature = Feature(args.feature)
     lq_grid = _parse_grid(args.lq_grid)
+    scenarios = [replace(scenario, lq_db=lq) for lq in lq_grid]
+    epsilons = [_epsilon(args, feature, sc.noise_sigma) for sc in scenarios]
+    command = args.command  # sweep-pfa or sweep-pmd
     tables = []  # every baseline is computed before any file is written
-    for path, use_ris in _baseline_outputs(args.output, args.baseline):
-        plans, epsilons = [], []
-        for lq in lq_grid:
-            sc = replace(scenario, lq_db=lq)
-            epsilons.append(args.epsilon if args.epsilon is not None
-                            else _threshold_for_target(feature, args.target_pfa, sc.noise_sigma))
-            plans.append(TrialPlan(
-                n_trials=args.trials, master_seed=args.seed, feature=feature,
-                scenario=sc, profile=_profile_for(args, sc, feature),
-                refade_alice=not args.freeze_alice, ris=use_ris,
-            ))
+    for path, plans in _plans(args, scenarios, feature):
         estimates = mc.sweep_trials(plans, epsilons, workers=args.workers)
         rows = []
         flagged = []
@@ -236,22 +235,12 @@ def _cmd_roc(args) -> int:
         scenario = replace(scenario, lq_db=args.lq_db)
     feature = Feature(args.feature)
     epsilons = _parse_epsilons(args.epsilons) if args.epsilons else None  # None: auto grid
-    curves = []  # every baseline is computed before any file is written
-    for path, use_ris in _baseline_outputs(args.output, args.baseline):
-        plan = TrialPlan(
-            n_trials=args.trials, master_seed=args.seed, feature=feature,
-            scenario=scenario, profile=_profile_for(args, scenario, feature),
-            refade_alice=not args.freeze_alice, ris=use_ris,
-        )
-        curves.append((path, mc.roc_sweep(plan, epsilons, workers=args.workers)))
+    # every baseline is computed before any file is written
+    curves = [(path, mc.roc_sweep(plan, epsilons, workers=args.workers))
+              for path, (plan,) in _plans(args, [scenario], feature)]
     for path, curve in curves:
         _write_csv(path, "epsilon,pfa,pd", curve.points)
     return EXIT_OK
-
-
-def _summary_path(output: str) -> str:
-    p = Path(output)
-    return str(p.with_name(p.stem + "_summary" + p.suffix))
 
 
 def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
@@ -262,13 +251,12 @@ def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
         profile_text = ";".join(repr(p) for p in result.best_profile.phases.tolist())
     lines = ["best_pmd,evaluations,best_profile",
              f"{_fmt(result.best_pmd)},{result.evaluations},{profile_text}"]
-    _write_text(_summary_path(output), "\n".join(lines) + "\n")
+    _write_text(_tagged(output, "_summary"), "\n".join(lines) + "\n")
 
 
 def _cmd_optimize_gradient(args) -> int:
     scenario = load_scenario(args.scenario)
-    epsilon = (args.epsilon if args.epsilon is not None
-               else auth.threshold_for_pfa(args.target_pfa, scenario.noise_sigma))
+    epsilon = _epsilon(args, Feature.PATHLOSS, scenario.noise_sigma)
     if args.grid:
         grid = _parse_gradient_grid(args.grid)
     else:
@@ -375,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--epsilon", type=_THRESHOLD, default=None)
         group.add_argument("--target-pfa", type=_PROBABILITY, default=None)
         p.add_argument("--output", required=True)
+        p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("roc", help="operating characteristic over thresholds")
     _add_common(p)
@@ -383,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", default=None,
                    help="comma list or log:lo:hi:n (default: auto from the statistic range)")
     p.add_argument("--output", required=True)
+    p.set_defaults(handler=_cmd_roc)
 
     p = sub.add_parser("optimize-gradient", help="grid search of the phase gradient")
     p.add_argument("--scenario", required=True)
@@ -391,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target-pfa", type=_PROBABILITY, default=None)
     p.add_argument("--grid", default=None, help="start:stop:npoints (default: lobe span, 1e4 points)")
     p.add_argument("--output", required=True)
+    p.set_defaults(handler=_cmd_optimize_gradient)
 
     p = sub.add_parser("optimize-phases", help="discrete per-element phase search")
     p.add_argument("--scenario", required=True)
@@ -401,10 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-trials", type=_COUNT, default=10**4, help="trials per candidate")
     p.add_argument("--seed", type=_SEED, default=1)
     p.add_argument("--output", required=True)
+    p.set_defaults(handler=_cmd_optimize_phases)
 
     p = sub.add_parser("validate", help="acceptance criteria C01-C05: closed forms vs Monte Carlo")
     p.add_argument("--scenario", required=True)
     p.add_argument("--trials", type=_COUNT, default=10**6)
+    p.set_defaults(handler=_cmd_validate)
 
     return parser
 
@@ -413,15 +406,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("sweep-pfa", "sweep-pmd"):
-            return _cmd_sweep(args, args.command)
-        if args.command == "roc":
-            return _cmd_roc(args)
-        if args.command == "optimize-gradient":
-            return _cmd_optimize_gradient(args)
-        if args.command == "optimize-phases":
-            return _cmd_optimize_phases(args)
-        return _cmd_validate(args)
+        return args.handler(args)
     except (ScenarioFormatError, UsageError) as exc:
         print(f"rispla: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

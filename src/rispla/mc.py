@@ -402,8 +402,7 @@ def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
     return RocCurve(epsilons=eps, pfa=rejected(counts[0]), pd=rejected(counts[1]))
 
 
-def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int, *,
-                           workers: int = 1) -> np.ndarray:
+def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int) -> np.ndarray:
     """Sorted draws of the test statistic under one fixed hypothesis.
 
     A CDF lookup on the result at the threshold gives the missed detection
@@ -411,5 +410,5 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: i
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    parts = _map_trials(_forced_stats, hypothesis, plan, n_samples, workers)
+    parts = _map_trials(_forced_stats, hypothesis, plan, n_samples, workers=1)
     return np.sort(np.concatenate(parts))

@@ -193,53 +193,33 @@ def optimize_phase_matrix(
     phase_values = [2.0 * math.pi * k / levels for k in range(levels)]
     cache: dict[tuple, float] = {}
     objective = _phase_objective(scenario, epsilon, eval_trials, rng_seed, budget_trials, cache)
+    trace: list[tuple[int, float, float]] = []
+    best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
+
+    def evaluate(coordinate: int, value: float, phases: tuple) -> float:
+        nonlocal best
+        pmd = objective(phases)
+        trace.append((coordinate, value, pmd))
+        if pmd < best[0]:
+            best = (pmd, phases)
+        return pmd
 
     if strategy is Strategy.EXHAUSTIVE:
-        trace = []
-        best_pmd = math.inf
-        best_phases = None
         for idx, combo in enumerate(itertools.product(phase_values, repeat=n)):
-            pmd = objective(combo)
-            trace.append((1, combo[0], pmd) if n == 1 else (idx, float(idx), pmd))
-            if pmd < best_pmd:
-                best_pmd = pmd
-                best_phases = combo
-        return OptResult(
-            best_profile=PerElement(np.asarray(best_phases)),
-            best_pmd=best_pmd,
-            evaluations=len(cache),
-            trace=trace,
-        )
-
-    # coordinate descent from the all-zero assignment
-    current = [0.0] * n
-    best_phases = tuple(current)
-    best_pmd = math.inf
-    trace = []
-    try:
-        while True:
-            changed = False
-            for elem in range(n):
-                sweep_pmds = []
-                for value in phase_values:
-                    cand = tuple(current[:elem] + [value] + current[elem + 1 :])
-                    pmd = objective(cand)
-                    trace.append((elem + 1, value, pmd))
-                    sweep_pmds.append(pmd)
-                    if pmd < best_pmd:
-                        best_pmd = pmd
-                        best_phases = cand
-                best_k = int(np.argmin(sweep_pmds))  # argmin keeps the lowest index on ties
-                if current[elem] != phase_values[best_k]:
-                    current[elem] = phase_values[best_k]
-                    changed = True
-            if not changed:
-                break
-    except SearchBudgetError:
-        pass  # return the best candidate evaluated before the budget ran out
-    return OptResult(
-        best_profile=PerElement(np.asarray(best_phases)),
-        best_pmd=best_pmd,
-        evaluations=len(cache),
-        trace=trace,
-    )
+            evaluate(1 if n == 1 else idx, combo[0] if n == 1 else float(idx), combo)
+    else:  # coordinate passes from the all-zero assignment
+        current = [0.0] * n
+        changed = True
+        try:
+            while changed:
+                changed = False
+                for elem in range(n):
+                    pmds = [evaluate(elem + 1, v, tuple(current[:elem] + [v] + current[elem + 1:]))
+                            for v in phase_values]
+                    value = phase_values[int(np.argmin(pmds))]  # argmin: lowest index on ties
+                    changed |= current[elem] != value
+                    current[elem] = value
+        except SearchBudgetError:
+            pass  # return the best candidate evaluated before the budget ran out
+    return OptResult(best_profile=PerElement(np.asarray(best[1])), best_pmd=best[0],
+                     evaluations=len(cache), trace=trace)

@@ -18,6 +18,7 @@ from rispla.auth import (
     rayleigh_sigma,
     statistic,
     threshold_for_pfa,
+    threshold_for_pfa_magnitude,
 )
 
 
@@ -123,6 +124,30 @@ class TestThresholdForPfa:
     def test_domain(self, p):
         with pytest.raises(ValueError):
             threshold_for_pfa(p, 1.0)
+
+
+class TestThresholdForPfaMagnitude:
+    def test_round_trip_log_grid(self):
+        for p in np.geomspace(1e-6, 1.0, 25):
+            for sigma in (0.3, 1.0, 4.0):
+                eps = threshold_for_pfa_magnitude(p, sigma)
+                assert pfa_cir_magnitude(eps, rayleigh_sigma(sigma)) == pytest.approx(
+                    p, rel=1e-12)
+
+    def test_equals_inline_inversions(self):
+        # the Rayleigh quantile C04 and the median C05 computed before they called auth
+        for sigma in np.geomspace(1e-3, 10.0, 50).tolist():
+            sigma_r = rayleigh_sigma(sigma)
+            for q in np.linspace(0.05, 0.95, 10):
+                assert threshold_for_pfa_magnitude(1.0 - q, sigma) == (
+                    sigma_r * math.sqrt(-2.0 * math.log(1.0 - q)))
+            assert threshold_for_pfa_magnitude(0.5, sigma) == (
+                sigma_r * math.sqrt(2 * math.log(2)))
+
+    @pytest.mark.parametrize("p", [0.0, -0.3, 1.0001, math.nan])
+    def test_domain(self, p):
+        with pytest.raises(ValueError):
+            threshold_for_pfa_magnitude(p, 1.0)
 
 
 class TestPmdPathloss:

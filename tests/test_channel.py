@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from rispla.mc import (
 #   PL = 1e6/(4 pi)^2 * (0.25/(d_i r))^2 * cos^2
 GOLDEN_PL_ALICE = 0.009894646840072048
 GOLDEN_PL_EVE = 0.0395785873602882
+TABLE1 = Path(__file__).resolve().parents[1] / "scenarios" / "table1.cfg"
 
 
 def make_scenario(**overrides) -> Scenario:
@@ -102,6 +104,18 @@ class TestScenario:
         bad.write_text("alice_pos = 1, 2, 3\n")
         with pytest.raises(ScenarioFormatError, match="missing"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("key,value", [
+        ("tx_power_w", "nan"),
+        ("lq_db", "nan"),
+        ("ris_normal", "nan, nan, nan"),
+        ("lq_db", "inf"),
+    ], ids=["nan-power", "nan-lq", "nan-normal", "infinite-lq"])
+    def test_non_finite_value_refused(self, tmp_path, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TABLE1.read_text() + f"{key} = {value}\n")  # the last value wins
+        with pytest.raises(ScenarioFormatError, match=f"{key} must be finite"):
+            load_scenario(cfg)
 
     def test_comments_and_blanks_ignored(self, tmp_path, scenario):
         cfg = tmp_path / "ok.cfg"

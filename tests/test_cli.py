@@ -2,6 +2,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ class TestExitCodes:
             code = exc.code
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,extra", [
+        ("roc", []),
+        ("sweep-pfa", ["--epsilon", 1.0, "--lq-grid", "0"]),
+    ], ids=["roc", "sweep-pfa"])
+    def test_non_finite_scenario_exits_usage(self, tmp_path, command, extra):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(Path(SCENARIO).read_text() + "tx_power_w = nan\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(command, "--scenario", cfg, *extra, "--trials", 2000,
+                       "--output", out / "x.csv")
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
 
 
 class TestAtomicOutputs:

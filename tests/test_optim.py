@@ -170,6 +170,38 @@ class TestOptimizePhaseMatrix:
                                    budget_trials=10**6, rng_seed=2, eval_trials=5000)
         assert ex.best_pmd == min(pmd for _, _, pmd in ex.trace)
 
+    def test_exhaustive_rows_single_element(self, scenario):
+        sc = replace(scenario, n_elements=1, lq_db=20.0)
+        res = optimize_phase_matrix(sc, epsilon=0.3, levels=4, strategy=Strategy.EXHAUSTIVE,
+                                    budget_trials=10**6, rng_seed=5, eval_trials=2000)
+        values = [2.0 * math.pi * k / 4 for k in range(4)]
+        assert [row[:2] for row in res.trace] == [(1, v) for v in values]
+        for _, value, pmd in res.trace:
+            assert pmd == engine_pmd(sc, [value], 0.3, 5, 2000)
+
+    def test_exhaustive_rows_product_order(self, scenario):
+        sc = replace(scenario, n_elements=2, lq_db=20.0)
+        levels = 3
+        res = optimize_phase_matrix(sc, epsilon=0.3, levels=levels,
+                                    strategy=Strategy.EXHAUSTIVE, budget_trials=10**6,
+                                    rng_seed=5, eval_trials=2000)
+        assert [row[:2] for row in res.trace] == [(i, float(i)) for i in range(levels**2)]
+        assert all(type(row[0]) is int and type(row[1]) is float for row in res.trace)
+        for idx, (_, _, pmd) in enumerate(res.trace):
+            digits = divmod(idx, levels)  # base-levels digits, first element most significant
+            phases = [2.0 * math.pi * k / levels for k in digits]
+            assert pmd == engine_pmd(sc, phases, 0.3, 5, 2000), idx
+        assert res.evaluations == levels**2
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_ties_keep_first_candidate(self, scenario, strategy):
+        # at a zero threshold every candidate misses nothing: the all-zero one comes first
+        sc = replace(scenario, n_elements=2, lq_db=20.0)
+        res = optimize_phase_matrix(sc, epsilon=0.0, levels=4, strategy=strategy,
+                                    budget_trials=10**6, rng_seed=5, eval_trials=500)
+        assert {pmd for _, _, pmd in res.trace} == {0.0} and len(res.trace) > 1
+        np.testing.assert_array_equal(res.best_profile.phases, [0.0, 0.0])
+
     def test_candidate_guard(self, scenario):
         with pytest.raises(SearchBudgetError) as err:
             optimize_phase_matrix(scenario, epsilon=0.1, levels=4,

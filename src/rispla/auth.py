@@ -98,6 +98,8 @@ def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:
     exp(-eps^2 / 2 sigma_r^2) inverted, with sigma_r = rayleigh_sigma(noise_sigma)."""
     if not (0.0 < target_pfa <= 1.0):
         raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
+    if target_pfa == 1.0:
+        return 0.0  # not sigma_r * sqrt(-0.0), which is -0.0
     return rayleigh_sigma(noise_sigma) * math.sqrt(-2.0 * math.log(target_pfa))
 
 

@@ -132,6 +132,22 @@ def _parse_epsilons(text: str) -> np.ndarray:
     return eps
 
 
+def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
+    """The scenario file at each link quality (None: the file's own), refusing any whose
+    noise variance is not a positive finite number: 10^(-lq/10) overflows or underflows."""
+    scenario = load_scenario(args.scenario)
+    scenarios = [scenario if lq is None else replace(scenario, lq_db=lq) for lq in lq_dbs]
+    for sc in scenarios:
+        try:
+            ok = 0.0 < sc.noise_variance < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise UsageError(f"link quality {sc.lq_db!r} dB gives a noise variance that is "
+                             "not a positive finite number")
+    return scenarios
+
+
 def _profile_for(args, scenario: Scenario, feature: Feature):
     if feature is Feature.PATHLOSS:
         return ScalarGradient(args.gradient)
@@ -203,10 +219,9 @@ def _plans(args, scenarios: list[Scenario], feature: Feature) -> list[tuple[str,
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
     feature = Feature(args.feature)
     lq_grid = _parse_grid(args.lq_grid)
-    scenarios = [replace(scenario, lq_db=lq) for lq in lq_grid]
+    scenarios = _scenarios(args, lq_grid)
     epsilons = [_epsilon(args, feature, sc.noise_sigma) for sc in scenarios]
     command = args.command  # sweep-pfa or sweep-pmd
     tables = []  # every baseline is computed before any file is written
@@ -230,14 +245,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.lq_db is not None:
-        scenario = replace(scenario, lq_db=args.lq_db)
+    scenarios = _scenarios(args, [args.lq_db])
     feature = Feature(args.feature)
     epsilons = _parse_epsilons(args.epsilons) if args.epsilons else None  # None: auto grid
     # every baseline is computed before any file is written
     curves = [(path, mc.roc_sweep(plan, epsilons, workers=args.workers))
-              for path, (plan,) in _plans(args, [scenario], feature)]
+              for path, (plan,) in _plans(args, scenarios, feature)]
     for path, curve in curves:
         _write_csv(path, "epsilon,pfa,pd", curve.points)
     return EXIT_OK
@@ -255,7 +268,7 @@ def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
 
 
 def _cmd_optimize_gradient(args) -> int:
-    scenario = load_scenario(args.scenario)
+    (scenario,) = _scenarios(args)
     epsilon = _epsilon(args, Feature.PATHLOSS, scenario.noise_sigma)
     if args.grid:
         grid = _parse_gradient_grid(args.grid)
@@ -270,7 +283,7 @@ def _cmd_optimize_gradient(args) -> int:
 
 
 def _cmd_optimize_phases(args) -> int:
-    scenario = load_scenario(args.scenario)
+    (scenario,) = _scenarios(args)
     result = optim.optimize_phase_matrix(
         scenario,
         epsilon=args.epsilon,
@@ -288,7 +301,7 @@ def _cmd_optimize_phases(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Acceptance criteria C01-C05 (rispla.checks) at --trials."""
-    scenario = load_scenario(args.scenario)
+    (scenario,) = _scenarios(args)
     failures = 0
     for name, check in CHECKS:
         ok, detail = check(scenario, args.trials)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -170,18 +170,21 @@ class Draws:
 
     noise has unit variance: real for the pathloss feature, CN(0, 1) for the
     CIR features, which also carry the fading h and g (blocks x decoded
-    elements). Nothing here depends on the profile, so one decode serves
-    every candidate of a search under common random numbers.
+    elements) and the enrollment's h0 and g0 (block 0, one row each). Nothing
+    here depends on the profile, so one decode serves every candidate of a
+    search under common random numbers.
     """
 
     is_alice: np.ndarray
     noise: np.ndarray
     h: np.ndarray | None = None
     g: np.ndarray | None = None
+    h0: np.ndarray | None = None
+    g0: np.ndarray | None = None
 
 
 def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
-    """Decode uniform blocks [first_block, first_block + n_blocks).
+    """Decode uniform blocks [first_block, first_block + n_blocks), and block 0 for CIR.
 
     Trial i reads block i + 1; block 0 is the enrollment. Each block's first
     uniform draws the transmitter: Alice below 0.5.
@@ -191,34 +194,34 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     if plan.feature is Feature.PATHLOSS:
         noise, _ = _box_muller(block[:, 1], block[:, 2])
         return Draws(is_alice, noise)
-    sc = plan.scenario
-    n = sc.n_elements if plan.ris else 1
-    h, g, noise_unit = _cir_vectors(block, n, sc.sigma_g_sq if plan.ris else 1.0)
-    return Draws(is_alice, noise_unit, h, g)
+    n, g_scale = (plan.scenario.n_elements, plan.scenario.sigma_g_sq) if plan.ris else (1, 1.0)
+    h, g, noise_unit = _cir_vectors(block, n, g_scale)
+    h0, g0, _ = _cir_vectors(_uniform_blocks(plan.master_seed, _stride(plan), 0, 1), n, g_scale)
+    return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
 
 
 def _forced(draws: Draws, hypothesis: Hypothesis, k: int) -> Draws:
     """The first k draws (views) with the transmitter fixed: all a forced hypothesis changes."""
     h, g = (None if a is None else a[:k] for a in (draws.h, draws.g))
-    return Draws(np.full(k, hypothesis is Hypothesis.H0), draws.noise[:k], h, g)
+    return replace(draws, is_alice=np.full(k, hypothesis is Hypothesis.H0),
+                   noise=draws.noise[:k], h=h, g=g)
 
 
-def _fingerprint(plan: TrialPlan, enrollment: Draws) -> complex:
+def _fingerprint(plan: TrialPlan, draws: Draws) -> complex:
     """Enrolled cascade of plan's profile from the decoded block 0."""
-    h, g = enrollment.h, enrollment.g
     if plan.ris:
         # np.sum, not _cascade: einsum sums in another order, which changes the
         # last bits of the fingerprint and with them the committed outputs
         phase = np.exp(1j * plan.profile.phases)
-        return complex(np.sum(np.conj(h[0]) * phase * g[0]))
-    return complex(h[0, 0])  # direct link: single CN(0,1) gain
+        return complex(np.sum(np.conj(draws.h0) * phase * draws.g0))
+    return complex(draws.h0[0])  # direct link: single CN(0,1) gain
 
 
-def score(plan: TrialPlan, draws: Draws, enrollment: Draws | None) -> np.ndarray:
+def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
     """Test statistic of each decoded trial under plan's profile.
 
-    enrollment is the decoded block 0 for the CIR features and None for the
-    pathloss feature, whose enrolled value is the closed-form pathloss.
+    The CIR features compare with the fingerprint enrolled from the draws'
+    block 0; the pathloss feature's enrolled value is the closed-form pathloss.
     """
     sigma_n = plan.scenario.noise_sigma
     if plan.feature is Feature.PATHLOSS:
@@ -229,7 +232,7 @@ def score(plan: TrialPlan, draws: Draws, enrollment: Draws | None) -> np.ndarray
         cascade = _cascade(draws.h, draws.g, plan.profile.phases)
     else:
         cascade = draws.h[:, 0]
-    gt = _fingerprint(plan, enrollment)
+    gt = _fingerprint(plan, draws)
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
     return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
@@ -240,17 +243,9 @@ def _default_chunk(plan: TrialPlan) -> int:
 
 
 def _chunk(args):
-    """The one chunk kernel: reduce(plan, lo, draws, enrollment, arg) on trials [lo, hi).
-
-    The chunk and its enrollment block (None for pathloss) are decoded once.
-    reduce None returns the draws forced to hypothesis arg, with no enrollment.
-    """
+    """The one chunk kernel: reduce(plan, lo, draws, arg) on the decoded trials [lo, hi)."""
     plan, lo, hi, reduce, arg = args
-    draws = decode(plan, lo + 1, hi - lo)
-    if reduce is None:
-        return _forced(draws, arg, hi - lo)
-    enrollment = None if plan.feature is Feature.PATHLOSS else decode(plan, 0, 1)
-    return reduce(plan, lo, draws, enrollment, arg)
+    return reduce(plan, lo, decode(plan, lo + 1, hi - lo), arg)
 
 
 def _map_trials(reduce, arg, plan: TrialPlan, n: int, workers: int) -> list:
@@ -269,31 +264,31 @@ def _map_trials(reduce, arg, plan: TrialPlan, n: int, workers: int) -> list:
     return [_chunk(t) for t in tasks]
 
 
-def _counts(plan, lo, draws, enrollment, points) -> np.ndarray:
+def _counts(plan, lo, draws, points) -> np.ndarray:
     """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per (plan, epsilon) point."""
     is_alice = draws.is_alice
     n0 = np.count_nonzero(is_alice)
     counts = [(n0, is_alice.size - n0)]
     for point, epsilon in points:
-        accept = accepts(score(point, draws, enrollment), epsilon)
+        accept = accepts(score(point, draws), epsilon)
         counts.append((np.count_nonzero(is_alice & ~accept),
                        np.count_nonzero(~is_alice & accept)))
     return np.array(counts, dtype=np.int64)
 
 
-def _roc_stats(plan, lo, draws, enrollment, pilot):
+def _roc_stats(plan, lo, draws, pilot):
     """Sorted statistics of Alice's and of Eve's trials, then those of the chunk's
     trials below `pilot` under forced H0 and forced H1 (empty past the pilot)."""
-    ts = score(plan, draws, enrollment)
+    ts = score(plan, draws)
     k = min(pilot - lo, ts.size)
-    sample = (np.concatenate([score(plan, _forced(draws, h, k), enrollment) for h in Hypothesis])
+    sample = (np.concatenate([score(plan, _forced(draws, h, k)) for h in Hypothesis])
               if k > 0 else np.empty(0))
     return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
 
 
-def _roc_counts(plan, lo, draws, enrollment, eps) -> np.ndarray:
+def _roc_counts(plan, lo, draws, eps) -> np.ndarray:
     """_tally of the chunk's sorted statistics (no pilot): a given grid, counted per chunk."""
-    alice, eve, _ = _roc_stats(plan, lo, draws, enrollment, 0)
+    alice, eve, _ = _roc_stats(plan, lo, draws, 0)
     return _tally(alice, eve, eps)
 
 
@@ -304,8 +299,12 @@ def _tally(alice, eve, eps) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _forced_stats(plan, lo, draws, enrollment, hypothesis) -> np.ndarray:
-    return score(plan, _forced(draws, hypothesis, draws.is_alice.size), enrollment)
+def _forced_draws(plan, lo, draws, hypothesis) -> Draws:
+    return _forced(draws, hypothesis, draws.is_alice.size)
+
+
+def _forced_stats(plan, lo, draws, hypothesis) -> np.ndarray:
+    return score(plan, _forced_draws(plan, lo, draws, hypothesis))
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -314,7 +313,7 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
     score() on each chunk gives the statistics that
     empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
     """
-    return _map_trials(None, Hypothesis.H1, plan, plan.n_trials, 1)
+    return _map_trials(_forced_draws, Hypothesis.H1, plan, plan.n_trials, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .auth import Feature, accepts, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
-from .mc import TrialPlan, attacker_draws, decode, score
+from .mc import TrialPlan, attacker_draws, score
 
 __all__ = [
     "Strategy",
@@ -111,36 +111,6 @@ def optimize_gradient(scenario: Scenario, epsilon: float, grid) -> OptResult:
     )
 
 
-def _phase_objective(scenario: Scenario, epsilon: float, eval_trials: int,
-                     eval_seed: int, budget_trials: int, cache: dict[tuple, float]):
-    """Empirical phase-feature missed detection under common random numbers.
-
-    Decodes the attacker's trials [0, eval_trials) and the enrollment block
-    once, here (mc.attacker_draws, mc.decode); every candidate is then scored
-    on those draws (mc.score), chunk by chunk as the engine would, so each
-    value equals a fresh engine run of that candidate bit for bit. Values go
-    to the caller's cache, whose size is the number of evaluations; each
-    evaluation spends eval_trials of the trial budget.
-    """
-    plan = TrialPlan(n_trials=eval_trials, master_seed=eval_seed, feature=Feature.CIR_PHASE,
-                     scenario=scenario, profile=PerElement(np.zeros(scenario.n_elements)))
-    enrollment = decode(plan, 0, 1)
-    draws = attacker_draws(plan)
-
-    def objective(phases: tuple) -> float:
-        if phases not in cache:
-            required = (len(cache) + 1) * eval_trials
-            if required > budget_trials:
-                raise SearchBudgetError("trial budget exhausted", required=required)
-            candidate = replace(plan, profile=PerElement(np.asarray(phases)))
-            misses = sum(int(np.count_nonzero(accepts(score(candidate, d, enrollment), epsilon)))
-                         for d in draws)
-            cache[phases] = misses / eval_trials
-        return cache[phases]
-
-    return objective
-
-
 def optimize_phase_matrix(
     scenario: Scenario,
     epsilon: float,
@@ -160,6 +130,8 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties. A search whose decoded
     draws (eval_trials * N * 32 bytes) exceed EVAL_DRAWS_LIMIT is refused.
+    Each candidate is scored on one decode of the attacker's trials, bit for
+    bit as a fresh engine run, and spends eval_trials of the trial budget.
     """
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
@@ -191,14 +163,24 @@ def optimize_phase_matrix(
                 required=n_candidates * eval_trials,
             )
     phase_values = [2.0 * math.pi * k / levels for k in range(levels)]
-    cache: dict[tuple, float] = {}
-    objective = _phase_objective(scenario, epsilon, eval_trials, rng_seed, budget_trials, cache)
+    plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
+                     scenario=scenario, profile=PerElement(np.zeros(n)))
+    draws = attacker_draws(plan)
+    cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
 
     def evaluate(coordinate: int, value: float, phases: tuple) -> float:
         nonlocal best
-        pmd = objective(phases)
+        if phases not in cache:
+            required = (len(cache) + 1) * eval_trials
+            if required > budget_trials:
+                raise SearchBudgetError("trial budget exhausted", required=required)
+            candidate = replace(plan, profile=PerElement(np.asarray(phases)))
+            misses = sum(int(np.count_nonzero(accepts(score(candidate, d), epsilon)))
+                         for d in draws)
+            cache[phases] = misses / eval_trials
+        pmd = cache[phases]
         trace.append((coordinate, value, pmd))
         if pmd < best[0]:
             best = (pmd, phases)

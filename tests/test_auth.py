@@ -149,6 +149,12 @@ class TestThresholdForPfaMagnitude:
         with pytest.raises(ValueError):
             threshold_for_pfa_magnitude(p, 1.0)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 4.0])
+    def test_certain_false_alarm_is_positive_zero(self, sigma):
+        # as threshold_for_pfa: 0.0, not the -0.0 of sqrt(-2 log 1)
+        eps = threshold_for_pfa_magnitude(1.0, sigma)
+        assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+
 
 class TestPmdPathloss:
     def test_zero_threshold(self):

@@ -276,6 +276,11 @@ class TestExitCodes:
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "0:1:inf"],
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "10:1:0"],
         ["sweep-pfa", "--epsilon", 1, "--lq-grid", "0:1e-300:1"],
+        ["roc", "--lq-db", -4000],
+        ["roc", "--lq-db", 4000],
+        ["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", -4000],
+        ["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", 4000],
+        ["sweep-pmd", "--epsilon", 1e-5, "--lq-grid", "0,4000"],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
@@ -283,7 +288,10 @@ class TestExitCodes:
             "grid-bad-count", "grid-zero-points", "grid-nan-stop", "grid-huge-count",
             "one-level",
             "nan-lq-grid", "nan-in-lq-list", "infinite-lq-grid", "infinite-lq-range",
-            "reversed-lq-range", "huge-lq-range"])
+            "reversed-lq-range", "huge-lq-range",
+            # 10^(-lq/10) overflows, or underflows to a zero noise variance
+            "overflowing-lq", "underflowing-lq", "overflowing-lq-grid", "underflowing-lq-grid",
+            "underflowing-lq-in-list"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]
@@ -307,6 +315,22 @@ class TestExitCodes:
         out.mkdir()
         code = run_cli(command, "--scenario", cfg, *extra, "--trials", 2000,
                        "--output", out / "x.csv")
+        assert code == EXIT_USAGE
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("lq", [-4000, 4000], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("command,extra", [
+        ("roc", ["--trials", 2000]),
+        ("optimize-gradient", ["--target-pfa", 0.05, "--grid", "0:50:5"]),
+        ("optimize-phases", ["--epsilon", 0.1, "--levels", 2, "--budget", 2000,
+                             "--eval-trials", 1000]),
+    ], ids=["roc", "optimize-gradient", "optimize-phases"])
+    def test_noise_out_of_range_scenario_exits_usage(self, tmp_path, command, extra, lq):
+        cfg = tmp_path / "lq.cfg"
+        cfg.write_text(Path(SCENARIO).read_text() + f"lq_db = {lq}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(command, "--scenario", cfg, *extra, "--output", out / "x.csv")
         assert code == EXIT_USAGE
         assert list(out.iterdir()) == []
 

@@ -265,7 +265,7 @@ class TestRocSweep:
         assert len(results) == 3
         assert all(isinstance(r, np.ndarray) and r.size == 2 * (grid.size + 1) for r in results)
         draws = decode(plan, 1, plan.n_trials)
-        ts = score(plan, draws, None)
+        ts = score(plan, draws)
         for got, part in [(curve.pfa, ts[draws.is_alice]), (curve.pd, ts[~draws.is_alice])]:
             want = 1.0 - np.searchsorted(np.sort(part), grid, side="left") / part.size
             np.testing.assert_array_equal(got, want)
@@ -314,6 +314,21 @@ class TestRocSweep:
         np.testing.assert_array_equal(a.pd, b.pd)
 
 
+class TestDecode:
+    @pytest.mark.parametrize("kw", [dict(refade_alice=False), dict(refade_alice=True),
+                                    dict(ris=False)], ids=["pinned", "refading", "no-ris"])
+    @pytest.mark.parametrize("feature", [Feature.CIR_PHASE, Feature.CIR_MAGNITUDE],
+                             ids=["phase", "magnitude"])
+    def test_chunk_past_block_one_scores_its_slice(self, scenario_small, feature, kw):
+        # a chunk's draws carry the enrollment block, whatever block the chunk starts at
+        plan = cir_plan(scenario_small, feature, n=900, seed=13,
+                        phases=np.linspace(0.0, 3.0, scenario_small.n_elements), **kw)
+        whole = score(plan, decode(plan, 1, plan.n_trials))
+        for lo, k in [(1, 1), (300, 250), (550, 350)]:
+            np.testing.assert_array_equal(score(plan, decode(plan, lo + 1, k)),
+                                          whole[lo:lo + k])
+
+
 class TestEmpiricalDistribution:
     def test_sorted_output(self, scenario_small):
         plan = pathloss_plan(scenario_small)
@@ -340,7 +355,8 @@ class TestEmpiricalDistribution:
         assert ks < 0.005
 
     def test_cir_phase_noiseless_match(self, scenario_small):
-        quiet = replace(scenario_small, lq_db=400.0)  # noise variance underflows to 0
+        # noise variance 1e-40 P: the noise falls below the last bit of the fingerprint
+        quiet = replace(scenario_small, lq_db=400.0)
         plan = cir_plan(quiet, Feature.CIR_PHASE, refade_alice=False)
         ts = empirical_distribution(plan, Hypothesis.H0, 2000)
         assert np.all(ts == 0.0)

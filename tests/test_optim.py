@@ -295,15 +295,14 @@ class TestDecodeOnceObjective:
             assert row[2] == engine_pmd(sc, phases, 0.05, 4, n), row
 
     def test_full_panel_spanning_two_chunks_matches_engine(self, scenario):
-        from rispla.optim import _phase_objective
-
-        n = 5000  # two engine chunks of 4080 trials at 256 elements
-        rng = np.random.default_rng(7)
-        profiles = [np.zeros(scenario.n_elements),
-                    2.0 * math.pi * rng.integers(0, 16, scenario.n_elements) / 16]
-        objective = _phase_objective(scenario, 0.3, n, 11, len(profiles) * n, {})
-        for phases in profiles:
-            assert objective(tuple(phases)) == engine_pmd(scenario, phases, 0.3, 11, n)
+        n, levels = 5000, 4  # two engine chunks of 4080 trials at 256 elements
+        res = optimize_phase_matrix(scenario, epsilon=0.3, levels=levels,
+                                    strategy=Strategy.COORDINATE, budget_trials=3 * n,
+                                    rng_seed=11, eval_trials=n)
+        assert len(res.trace) == 3 and any(row[1] != 0.0 for row in res.trace)
+        profiles = coordinate_profiles(res.trace, scenario.n_elements, levels)
+        for row, phases in zip(res.trace, profiles):
+            assert row[2] == engine_pmd(scenario, phases, 0.3, 11, n), row
 
     def test_search_decodes_once(self, scenario, monkeypatch):
         n = 5000
@@ -319,8 +318,11 @@ class TestDecodeOnceObjective:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
-        res = optimize_phase_matrix(scenario, epsilon=0.3, levels=4,
-                                    strategy=Strategy.COORDINATE, budget_trials=3 * n,
-                                    rng_seed=1, eval_trials=n)
-        assert res.evaluations == 3
-        assert len(calls) == chunks + 1
+        for evaluations in (3, 6):  # twice the evaluations decode no more
+            calls.clear()
+            res = optimize_phase_matrix(scenario, epsilon=0.3, levels=4,
+                                        strategy=Strategy.COORDINATE,
+                                        budget_trials=evaluations * n, rng_seed=1,
+                                        eval_trials=n)
+            assert res.evaluations == evaluations
+            assert len(calls) == 2 * chunks  # per chunk: its trials and the enrollment block

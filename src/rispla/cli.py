@@ -38,12 +38,13 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-GRID_POINT_LIMIT = 10_000  # --lq-grid points (each a Monte-Carlo run), --epsilons log points
+# --lq-grid points (each one more score and count on every decoded chunk), --epsilons log points
+GRID_POINT_LIMIT = 10_000
 GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 309 MiB peak RSS
 
 
 class UsageError(ValueError):
-    """Malformed command-line value (exit code 2)."""
+    """A command-line value refused against the scenario or another option (exit code 2)."""
 
 
 def _fmt(x) -> str:
@@ -70,68 +71,6 @@ def _write_csv(path, header: str, rows, comments: list[str] | None = None) -> No
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list, all finite.
-
-    At most GRID_POINT_LIMIT points; a range's count is checked before its list is built.
-    """
-    parts = text.split(":")
-    if len(parts) not in (1, 3):
-        raise UsageError(f"grid spec must be start:step:stop, got {text!r}")
-    try:
-        values = [float(p) for p in (parts if len(parts) == 3 else text.split(","))]
-    except ValueError as exc:
-        raise UsageError(f"bad grid spec {text!r}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"grid values must be finite, got {text!r}")
-    if len(parts) == 3:
-        start, step, stop = values
-        if step <= 0 or stop < start:
-            raise UsageError(f"grid needs a positive step and stop >= start, got {text!r}")
-        span = (stop - start) / step + 1e-9  # inf when the range overflows
-        n_points = math.floor(span) + 1 if math.isfinite(span) else math.inf
-    else:
-        n_points = len(values)
-    if n_points > GRID_POINT_LIMIT:
-        raise UsageError(f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
-    return values if len(parts) == 1 else [start + i * step for i in range(n_points)]
-
-
-def _parse_gradient_grid(text: str) -> np.ndarray:
-    """'start:stop:npoints' for np.linspace: finite ends, 1 to GRADIENT_POINT_LIMIT points."""
-    try:
-        start, stop, count = text.split(":")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError as exc:
-        raise UsageError(f"bad --grid {text!r}: {exc}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)) or count < 1:
-        raise UsageError(f"--grid needs a finite start and stop and at least one point, "
-                         f"got {text!r}")
-    if count > GRADIENT_POINT_LIMIT:
-        raise UsageError(f"--grid {text!r} has more than {GRADIENT_POINT_LIMIT} points")
-    return np.linspace(start, stop, count)
-
-
-def _parse_epsilons(text: str) -> np.ndarray:
-    """'log:lo:hi:n' for a geometric grid of at most GRID_POINT_LIMIT points, else a
-    comma-separated list."""
-    try:
-        if text.startswith("log:"):
-            _, lo, hi, n = text.split(":")
-            if int(n) > GRID_POINT_LIMIT:  # refused before np.geomspace allocates
-                raise ValueError(f"more than {GRID_POINT_LIMIT} points")
-            eps = np.geomspace(float(lo), float(hi), int(n))
-        else:
-            eps = np.asarray([float(p) for p in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"bad epsilon spec {text!r}: {exc}") from None
-    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
-        raise UsageError(f"epsilons must be finite and nonnegative: {text!r}")
-    if eps.size == 0 or np.any(np.diff(eps) <= 0):
-        raise UsageError(f"epsilons must be a nonempty, strictly increasing grid: {text!r}")
-    return eps
-
-
 def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
     """The scenario file at each link quality (None: the file's own), refusing any whose
     noise variance is not a positive finite number: 10^(-lq/10) overflows or underflows."""
@@ -151,16 +90,12 @@ def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
 def _profile_for(args, scenario: Scenario, feature: Feature):
     if feature is Feature.PATHLOSS:
         return ScalarGradient(args.gradient)
-    if not args.phases:
+    if args.phases is None:
         return PerElement(np.zeros(scenario.n_elements))
-    try:
-        phases = np.asarray([float(p) for p in args.phases.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"bad --phases {args.phases!r}: {exc}") from None
-    if phases.size != scenario.n_elements:
-        raise UsageError(f"--phases has {phases.size} values, "
+    if args.phases.size != scenario.n_elements:
+        raise UsageError(f"--phases has {args.phases.size} values, "
                          f"scenario has {scenario.n_elements} elements")
-    return PerElement(phases)
+    return PerElement(args.phases)
 
 
 def _epsilon(args, feature: Feature, noise_sigma: float) -> float:
@@ -202,7 +137,7 @@ def _tagged(output: str, tag: str) -> str:
 def _plans(args, scenarios: list[Scenario], feature: Feature) -> list[tuple[str, list[TrialPlan]]]:
     """(path, one TrialPlan per scenario) for each baseline; 'both' splits the output name.
 
-    The scenarios differ only in link quality, so --phases is parsed once.
+    The scenarios differ only in link quality, so one profile serves them all.
     """
     profile = _profile_for(args, scenarios[0], feature)
     outputs = ([(_tagged(args.output, "_ris"), True), (_tagged(args.output, "_noris"), False)]
@@ -220,8 +155,7 @@ def _plans(args, scenarios: list[Scenario], feature: Feature) -> list[tuple[str,
 
 def _cmd_sweep(args) -> int:
     feature = Feature(args.feature)
-    lq_grid = _parse_grid(args.lq_grid)
-    scenarios = _scenarios(args, lq_grid)
+    scenarios = _scenarios(args, args.lq_grid)
     epsilons = [_epsilon(args, feature, sc.noise_sigma) for sc in scenarios]
     command = args.command  # sweep-pfa or sweep-pmd
     tables = []  # every baseline is computed before any file is written
@@ -229,7 +163,7 @@ def _cmd_sweep(args) -> int:
         estimates = mc.sweep_trials(plans, epsilons, workers=args.workers)
         rows = []
         flagged = []
-        for lq, plan, epsilon, (pfa, pmd) in zip(lq_grid, plans, epsilons, estimates):
+        for lq, plan, epsilon, (pfa, pmd) in zip(args.lq_grid, plans, epsilons, estimates):
             est = pfa if command == "sweep-pfa" else pmd
             analytical = _analytical_value(command, plan, epsilon)
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,
@@ -247,9 +181,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_roc(args) -> int:
     scenarios = _scenarios(args, [args.lq_db])
     feature = Feature(args.feature)
-    epsilons = _parse_epsilons(args.epsilons) if args.epsilons else None  # None: auto grid
-    # every baseline is computed before any file is written
-    curves = [(path, mc.roc_sweep(plan, epsilons, workers=args.workers))
+    # every baseline is computed before any file is written; no --epsilons: the auto grid
+    curves = [(path, mc.roc_sweep(plan, args.epsilons, workers=args.workers))
               for path, (plan,) in _plans(args, scenarios, feature)]
     for path, curve in curves:
         _write_csv(path, "epsilon,pfa,pd", curve.points)
@@ -270,10 +203,7 @@ def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
 def _cmd_optimize_gradient(args) -> int:
     (scenario,) = _scenarios(args)
     epsilon = _epsilon(args, Feature.PATHLOSS, scenario.noise_sigma)
-    if args.grid:
-        grid = _parse_gradient_grid(args.grid)
-    else:
-        grid = optim.default_gradient_grid(scenario)
+    grid = optim.default_gradient_grid(scenario) if args.grid is None else args.grid
     result = optim.optimize_gradient(scenario, epsilon, grid)
     _write_opt_outputs(args.output, result)
     print(f"best gradient {result.best_profile.gradient:.6g} rad/m, "
@@ -342,11 +272,59 @@ _PROBABILITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a probability in (0, 1
 _FINITE = _checked(float, math.isfinite, "a finite number")
 
 
-def _add_common(p, *, trials_default=10**6):
+def _floats(text: str) -> np.ndarray:
+    """A comma list of numbers."""
+    return np.asarray([float(p) for p in text.split(",")])
+
+
+def _lq_grid(text: str) -> list[float]:
+    """'start:step:stop' (inclusive, its count checked before its list is built) or a
+    comma list."""
+    if ":" not in text:
+        return _floats(text).tolist()
+    start, step, stop = (float(p) for p in text.split(":"))
+    if not (0.0 < step < math.inf and start <= stop):
+        raise ValueError("needs a positive step and stop >= start")
+    span = (stop - start) / step + 1e-9  # inf or nan when an end is not finite
+    if not span < GRID_POINT_LIMIT:
+        raise ValueError("too many points")
+    return [start + i * step for i in range(math.floor(span) + 1)]
+
+
+def _epsilon_grid(text: str) -> np.ndarray:
+    """'log:lo:hi:n' (n checked before np.geomspace allocates) or a comma list."""
+    if not text.startswith("log:"):
+        return _floats(text)
+    _, lo, hi, n = text.split(":")
+    if int(n) > GRID_POINT_LIMIT:
+        raise ValueError("too many points")
+    return np.geomspace(float(lo), float(hi), int(n))
+
+
+def _gradient_grid(text: str) -> np.ndarray:
+    """'start:stop:npoints' for np.linspace (npoints checked before it allocates)."""
+    start, stop, count = text.split(":")
+    if int(count) > GRADIENT_POINT_LIMIT:
+        raise ValueError("too many points")
+    return np.linspace(float(start), float(stop), int(count))
+
+
+_LQ_GRID = _checked(_lq_grid, lambda v: len(v) <= GRID_POINT_LIMIT and all(map(math.isfinite, v)),
+                    f"start:step:stop or a comma list, at most {GRID_POINT_LIMIT} finite dB")
+_EPSILONS = _checked(_epsilon_grid, lambda e: e.size > 0 and np.all(np.isfinite(e))
+                     and np.all(e >= 0.0) and np.all(np.diff(e) > 0.0),
+                     "a strictly increasing comma list or log:lo:hi:n of finite nonnegative "
+                     f"thresholds, at most {GRID_POINT_LIMIT} log points")
+_GRADIENT_GRID = _checked(_gradient_grid, lambda g: g.size > 0 and np.all(np.isfinite(g)),
+                          f"start:stop:npoints of 1 to {GRADIENT_POINT_LIMIT} finite points")
+_PHASES = _checked(_floats, lambda v: np.all(np.isfinite(v)), "a comma list of finite phases")
+
+
+def _add_common(p):
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--seed", type=_SEED, default=1, help="master seed (default 1)")
-    p.add_argument("--trials", type=_COUNT, default=trials_default,
-                   help=f"Monte-Carlo trials (default {trials_default})")
+    p.add_argument("--trials", type=_COUNT, default=10**6,
+                   help="Monte-Carlo trials (default 1000000)")
     p.add_argument("--workers", type=_COUNT, default=1, help="parallel workers (default 1)")
 
 
@@ -354,7 +332,7 @@ def _add_feature_opts(p):
     p.add_argument("--feature", choices=[f.value for f in Feature], default="pathloss")
     p.add_argument("--gradient", type=_FINITE, default=0.0,
                    help="phase gradient rad/m for the pathloss feature (default 0)")
-    p.add_argument("--phases", default=None,
+    p.add_argument("--phases", type=_PHASES, default=None,
                    help="comma-separated element phases for CIR features (default all zero)")
     p.add_argument("--freeze-alice", action="store_true",
                    help="pin the legitimate channel to the enrollment realization")
@@ -370,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=f"{cmd} against link quality")
         _add_common(p)
         _add_feature_opts(p)
-        p.add_argument("--lq-grid", default="0:2:40",
+        p.add_argument("--lq-grid", type=_LQ_GRID, default="0:2:40",
                        help="dB grid, start:step:stop or comma list (default 0:2:40)")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--epsilon", type=_THRESHOLD, default=None)
@@ -382,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_feature_opts(p)
     p.add_argument("--lq-db", type=_FINITE, default=None, help="override scenario link quality")
-    p.add_argument("--epsilons", default=None,
+    p.add_argument("--epsilons", type=_EPSILONS, default=None,
                    help="comma list or log:lo:hi:n (default: auto from the statistic range)")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_roc)
@@ -392,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilon", type=_THRESHOLD, default=None)
     group.add_argument("--target-pfa", type=_PROBABILITY, default=None)
-    p.add_argument("--grid", default=None, help="start:stop:npoints (default: lobe span, 1e4 points)")
+    p.add_argument("--grid", type=_GRADIENT_GRID, default=None, help="start:stop:npoints (default: lobe span, 1e4 points)")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_optimize_gradient)
 

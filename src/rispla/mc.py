@@ -148,11 +148,9 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cir_vectors(block: np.ndarray, n: int, sigma_g_sq: float):
     """Decode one block of uniforms into (h, g, noise_unit) complex vectors."""
     m = block.shape[0]
-    pairs = block[:, 1 : 4 * n + 3].reshape(m, 2 * n + 1, 2)
-    z0, z1 = _box_muller(pairs[:, :, 0], pairs[:, :, 1])
-    z = np.empty((m, 4 * n + 2))
-    z[:, 0::2] = z0
-    z[:, 1::2] = z1
+    z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
+    z[:, :, 0], z[:, :, 1] = _box_muller(block[:, 1 : 4 * n + 3 : 2], block[:, 2 : 4 * n + 3 : 2])
+    z = z.reshape(m, 4 * n + 2)
     h = (z[:, 0:n] + 1j * z[:, n : 2 * n]) / math.sqrt(2.0)
     g = math.sqrt(sigma_g_sq / 2.0) * (z[:, 2 * n : 3 * n] + 1j * z[:, 3 * n : 4 * n])
     noise_unit = (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) / math.sqrt(2.0)

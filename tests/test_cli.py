@@ -17,6 +17,7 @@ from rispla.cli import (
 )
 
 SCENARIO = "scenarios/table1.cfg"
+ZEROS_255 = ",".join(["0"] * 255)  # with one more value, a --phases for table1's 256 elements
 
 
 def run_cli(*args) -> int:
@@ -84,6 +85,14 @@ class TestRocSchema:
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 4
+
+    def test_log_epsilon_grid(self, tmp_path):
+        out = tmp_path / "roc.csv"
+        code = run_cli("roc", "--scenario", SCENARIO, "--epsilons", "log:1e-7:1e-4:4",
+                       "--trials", 2000, "--output", out)
+        assert code == EXIT_OK
+        epsilons = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert epsilons == [repr(e) for e in np.geomspace(1e-7, 1e-4, 4).tolist()]
 
     def test_auto_grid_decodes_each_chunk_once(self, tmp_path, monkeypatch):
         from rispla import mc
@@ -281,6 +290,15 @@ class TestExitCodes:
         ["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", -4000],
         ["sweep-pfa", "--target-pfa", 0.05, "--lq-grid", 4000],
         ["sweep-pmd", "--epsilon", 1e-5, "--lq-grid", "0,4000"],
+        ["sweep-pmd", "--feature", "cir-phase", "--epsilon", 0.1, "--phases", "nan," + ZEROS_255],
+        ["sweep-pmd", "--feature", "cir-phase", "--epsilon", 0.1, "--phases", "inf," + ZEROS_255],
+        ["sweep-pmd", "--feature", "cir-magnitude", "--epsilon", 0.5, "--phases", ""],
+        ["sweep-pmd", "--epsilon", 0.5, "--phases", "abc"],
+        ["roc", "--epsilons", ""],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid", ""],
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid=-1e308:1e308:3"],
+        ["sweep-pfa", "--epsilon", 1.0, "--seed", "abc"],
+        ["sweep-pfa", "--epsilon", 1.0, "--trials", 1.5],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
@@ -291,7 +309,11 @@ class TestExitCodes:
             "reversed-lq-range", "huge-lq-range",
             # 10^(-lq/10) overflows, or underflows to a zero noise variance
             "overflowing-lq", "underflowing-lq", "overflowing-lq-grid", "underflowing-lq-grid",
-            "underflowing-lq-in-list"])
+            "underflowing-lq-in-list",
+            "nan-phases", "infinite-phases", "empty-phases", "malformed-phases-pathloss",
+            "empty-epsilons", "empty-grid",
+            "overflowing-grid",  # finite ends whose linspace step overflows: NaN points
+            "bad-seed-text", "fractional-trials"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]

@@ -158,12 +158,16 @@ def _cmd_sweep(args) -> int:
     scenarios = _scenarios(args, args.lq_grid)
     epsilons = [_epsilon(args, feature, sc.noise_sigma) for sc in scenarios]
     command = args.command  # sweep-pfa or sweep-pmd
+    baselines = _plans(args, scenarios, feature)
+    # one engine call for every baseline, so baselines of one random stream share its decode
+    estimates = mc.sweep_trials([p for _, plans in baselines for p in plans],
+                                epsilons * len(baselines), workers=args.workers)
     tables = []  # every baseline is computed before any file is written
-    for path, plans in _plans(args, scenarios, feature):
-        estimates = mc.sweep_trials(plans, epsilons, workers=args.workers)
+    for b, (path, plans) in enumerate(baselines):
         rows = []
         flagged = []
-        for lq, plan, epsilon, (pfa, pmd) in zip(args.lq_grid, plans, epsilons, estimates):
+        own = estimates[b * len(plans):(b + 1) * len(plans)]  # this baseline's points
+        for lq, plan, epsilon, (pfa, pmd) in zip(args.lq_grid, plans, epsilons, own):
             est = pfa if command == "sweep-pfa" else pmd
             analytical = _analytical_value(command, plan, epsilon)
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,
@@ -298,7 +302,8 @@ def _epsilon_grid(text: str) -> np.ndarray:
     _, lo, hi, n = text.split(":")
     if int(n) > GRID_POINT_LIMIT:
         raise ValueError("too many points")
-    return np.geomspace(float(lo), float(hi), int(n))
+    with np.errstate(all="ignore"):  # _EPSILONS refuses a non-finite grid: no warning first
+        return np.geomspace(float(lo), float(hi), int(n))
 
 
 def _gradient_grid(text: str) -> np.ndarray:
@@ -306,7 +311,8 @@ def _gradient_grid(text: str) -> np.ndarray:
     start, stop, count = text.split(":")
     if int(count) > GRADIENT_POINT_LIMIT:
         raise ValueError("too many points")
-    return np.linspace(float(start), float(stop), int(count))
+    with np.errstate(all="ignore"):  # _GRADIENT_GRID refuses a non-finite grid: no warning first
+        return np.linspace(float(start), float(stop), int(count))
 
 
 _LQ_GRID = _checked(_lq_grid, lambda v: len(v) <= GRID_POINT_LIMIT and all(map(math.isfinite, v)),

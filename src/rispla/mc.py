@@ -139,22 +139,45 @@ def _uniform_blocks(master_seed: int, stride: int, first_block: int, n_blocks: i
     return Generator(bit_gen).random((n_blocks, stride))
 
 
+def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius sqrt(-2 ln(1 - u)) and angle 2 pi v, each one new array."""
+    rad = np.negative(u)
+    np.log1p(rad, out=rad)
+    np.multiply(rad, -2.0, out=rad)
+    np.sqrt(rad, out=rad)
+    return rad, np.multiply(TWO_PI, v)
+
+
 def _box_muller(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rad = np.sqrt(-2.0 * np.log1p(-u))
-    ang = TWO_PI * v
+    rad, ang = _polar(u, v)
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
+def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (re + 1j * im), each product written straight into its plane."""
+    out = np.empty(re.shape, complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
+
+
 def _cir_vectors(block: np.ndarray, n: int, sigma_g_sq: float):
-    """Decode one block of uniforms into (h, g, noise_unit) complex vectors."""
+    """Decode one block of uniforms into (h, g, noise_unit) complex vectors.
+
+    Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies
+    by (Smith's rule), so h and noise_unit keep the bits of that division.
+    """
     m = block.shape[0]
+    rad, ang = _polar(block[:, 1 : 4 * n + 3 : 2], block[:, 2 : 4 * n + 3 : 2])
     z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
-    z[:, :, 0], z[:, :, 1] = _box_muller(block[:, 1 : 4 * n + 3 : 2], block[:, 2 : 4 * n + 3 : 2])
+    np.multiply(rad, np.cos(ang), out=z[:, :, 0])
+    np.multiply(rad, np.sin(ang, out=ang), out=z[:, :, 1])
+    del rad, ang  # freed before h and g are allocated, so the planes do not raise the peak
     z = z.reshape(m, 4 * n + 2)
-    h = (z[:, 0:n] + 1j * z[:, n : 2 * n]) / math.sqrt(2.0)
-    g = math.sqrt(sigma_g_sq / 2.0) * (z[:, 2 * n : 3 * n] + 1j * z[:, 3 * n : 4 * n])
-    noise_unit = (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) / math.sqrt(2.0)
-    return h, g, noise_unit
+    unit = 1.0 / math.sqrt(2.0)
+    h = _scaled_complex(z[:, 0:n], z[:, n : 2 * n], unit)
+    g = _scaled_complex(z[:, 2 * n : 3 * n], z[:, 3 * n : 4 * n], math.sqrt(sigma_g_sq / 2.0))
+    return h, g, _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
 
 
 def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -190,8 +213,8 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     block = _uniform_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
     is_alice = block[:, 0] < 0.5
     if plan.feature is Feature.PATHLOSS:
-        noise, _ = _box_muller(block[:, 1], block[:, 2])
-        return Draws(is_alice, noise)
+        rad, ang = _polar(block[:, 1], block[:, 2])
+        return Draws(is_alice, rad * np.cos(ang))  # the cosine half of Box-Muller only
     n, g_scale = (plan.scenario.n_elements, plan.scenario.sigma_g_sq) if plan.ris else (1, 1.0)
     h, g, noise_unit = _cir_vectors(block, n, g_scale)
     h0, g0, _ = _cir_vectors(_uniform_blocks(plan.master_seed, _stride(plan), 0, 1), n, g_scale)
@@ -339,14 +362,16 @@ def run_trials(plan: TrialPlan, epsilon: float, *,
 
 def sweep_trials(plans, epsilons, *,
                  workers: int = 1) -> list[tuple[ErrorEstimate, ErrorEstimate]]:
-    """run_trials(plans[k], epsilons[k]) for every k, from one decode of the trials.
+    """run_trials(plans[k], epsilons[k]) for every k, from one decode per random stream.
 
-    The plans must share one random stream (master_seed, n_trials, feature
-    family, stride and fading scale) and may differ in everything decode()
-    does not read: link quality, profile, statistic, refade_alice. Each
-    default chunk is decoded once and scored at every point, on one process
-    pool when workers > 1; the counts equal those of one run_trials call
-    per point.
+    Plans that share a random stream (master_seed, n_trials, feature family,
+    stride and fading scale) decode the same draws; they may differ in
+    everything decode() does not read: link quality, profile, statistic,
+    refade_alice, and for the pathloss feature the baseline. The plans are
+    grouped by stream in first-seen order, and each stream's default chunks
+    are decoded once and scored at every point of the stream, on one process
+    pool per stream when workers > 1. The counts equal those of one
+    run_trials call per point, and the results come back in input order.
     """
     if not plans or len(plans) != len(epsilons):
         raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
@@ -354,16 +379,19 @@ def sweep_trials(plans, epsilons, *,
     for epsilon in epsilons:
         if not (math.isfinite(epsilon) and epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    plan = plans[0]
-    if any(_stream(p) != _stream(plan) for p in plans):
-        raise ValueError("plans of one sweep must share master_seed, n_trials, "
-                         "feature family, stride and fading scale")
-    points = list(zip(plans, epsilons))
-    counts = sum(_map_trials(_counts, points, plan, plan.n_trials, workers))
-    (n0, n1), *per_point = counts.tolist()
-    return [(ErrorEstimate.from_counts(rejects_alice, n0),
-             ErrorEstimate.from_counts(accepts_eve, n1))
-            for rejects_alice, accepts_eve in per_point]
+    streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
+    for k, plan in enumerate(plans):
+        streams.setdefault(_stream(plan), []).append(k)
+    results = [None] * len(plans)
+    for ks in streams.values():
+        plan = plans[ks[0]]
+        points = [(plans[k], epsilons[k]) for k in ks]
+        counts = sum(_map_trials(_counts, points, plan, plan.n_trials, workers))
+        (n0, n1), *per_point = counts.tolist()
+        for k, (rejects_alice, accepts_eve) in zip(ks, per_point):
+            results[k] = (ErrorEstimate.from_counts(rejects_alice, n0),
+                          ErrorEstimate.from_counts(accepts_eve, n1))
+    return results
 
 
 def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:

@@ -1,6 +1,9 @@
 """CLI contract tests: schemas, byte-identity, exit codes, baseline handling."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from rispla.cli import (
 )
 
 SCENARIO = "scenarios/table1.cfg"
+SRC = Path(__file__).resolve().parents[1] / "src"
 ZEROS_255 = ",".join(["0"] * 255)  # with one more value, a --phases for table1's 256 elements
 
 
@@ -185,6 +189,46 @@ class TestBaselines:
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[3]) == 0.0  # empirical column
 
+    def test_both_pathloss_baselines_decode_each_chunk_once(self, tmp_path, monkeypatch):
+        from rispla import mc
+
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1000)  # 3 chunks
+        calls = []
+        real = mc._uniform_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        code = run_cli("sweep-pfa", "--scenario", SCENARIO, "--target-pfa", 0.05,
+                       "--lq-grid", "0:20:40", "--trials", 3000, "--baseline", "both",
+                       "--output", tmp_path / "pfa.csv")
+        assert code == EXIT_OK
+        assert len(calls) == 3  # RIS and no-RIS share the pathloss stream: one decode
+
+    @pytest.mark.parametrize("feature,pools", [("pathloss", 1), ("cir-magnitude", 2)])
+    def test_one_pool_per_random_stream(self, tmp_path, monkeypatch, feature, pools):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from rispla import mc
+
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        code = run_cli("sweep-pmd", "--scenario", SCENARIO, "--feature", feature,
+                       "--target-pfa", 0.05, "--lq-grid", "0,20", "--trials", 1000,
+                       "--workers", 2, "--baseline", "both", "--output", tmp_path / "pmd.csv")
+        assert code == EXIT_OK
+        # the CIR baselines decode one element per trial without the panel, N with it
+        assert len(built) == pools
+
     def test_no_ris_pathloss_uses_friis(self, tmp_path, scenario):
         from rispla.auth import pmd_pathloss, threshold_for_pfa
         from rispla.channel import fspl
@@ -326,6 +370,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [
+        ["optimize-gradient", "--epsilon", 1e-5, "--grid=-1e308:1e308:3"],
+        ["roc", "--epsilons", "log:inf:1:3"],
+        ["roc", "--epsilons", "log:-1:1:5"],
+    ], ids=["overflowing-grid", "infinite-log-epsilons", "negative-log-epsilons"])
+    def test_refused_grid_is_one_stderr_line(self, tmp_path, args):
+        # numpy warns on stderr, outside pytest's capture: run the command in a fresh process
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rispla.cli", args[0], "--scenario", SCENARIO,
+             *map(str, args[1:]), "--output", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == EXIT_USAGE
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command,extra", [
         ("roc", []),
         ("sweep-pfa", ["--epsilon", 1.0, "--lq-grid", "0"]),
@@ -368,13 +429,13 @@ class TestAtomicOutputs:
 
         real = getattr(mc, engine)
 
-        def fail_without_ris(plan, *args, **kwargs):
+        def fail_on_no_ris(plan, *args, **kwargs):
             plans = plan if isinstance(plan, list) else [plan]  # sweep_trials takes a list
-            if not any(p.ris for p in plans):
+            if not all(p.ris for p in plans):
                 raise ValueError("no-RIS baseline failed")
             return real(plan, *args, **kwargs)
 
-        monkeypatch.setattr(mc, engine, fail_without_ris)
+        monkeypatch.setattr(mc, engine, fail_on_no_ris)
         code = run_cli(command, "--scenario", SCENARIO, *extra, "--trials", 100,
                        "--baseline", "both", "--output", tmp_path / "x.csv")
         assert code == EXIT_RUNTIME

@@ -180,14 +180,36 @@ class TestSweepTrials:
         assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
         assert len(set(swept)) > 1  # the points do differ
 
-    def test_refuses_points_of_different_streams(self, scenario_small):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_streams_equal_run_trials_per_point(self, scenario_small, monkeypatch,
+                                                      workers):
         plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
         other_seed = replace(plans[1], master_seed=18)
         other_trials = replace(plans[1], n_trials=2999)
         other_stride = replace(plans[1], ris=False)  # one decoded gain, not 8
-        for odd in (other_seed, other_trials, other_stride):
-            with pytest.raises(ValueError, match="share"):
-                sweep_trials([plans[0], odd], epsilons)
+        # streams in first-seen order: plans[0] and plans[1]; then one stream each
+        mixed = [plans[0], other_seed, other_trials, plans[1], other_stride]
+        mixed_epsilons = [epsilons[0]] + [epsilons[1]] * 4
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks a stream
+        expected = [run_trials(p, e) for p, e in zip(mixed, mixed_epsilons)]
+        calls = []
+        real = mc._uniform_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        assert sweep_trials(mixed, mixed_epsilons, workers=workers) == expected
+        if workers == 1:  # a pool decodes in its workers, out of this process's sight
+            # each stream's two chunks, once, in first-seen order; each with an enrollment
+            assert [args for args in calls if args[2] > 0] == [
+                (17, 36, 1, 1500), (17, 36, 1501, 1500), (18, 36, 1, 1500), (18, 36, 1501, 1500),
+                (17, 36, 1, 1500), (17, 36, 1501, 1499), (17, 8, 1, 1500), (17, 8, 1501, 1500)]
+            assert len(calls) == 4 * 2 * 2
+
+    def test_refuses_malformed_sweeps(self, scenario_small):
+        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
         with pytest.raises(ValueError, match="one epsilon per plan"):
             sweep_trials(plans, epsilons[:1])
         with pytest.raises(ValueError, match="one epsilon per plan"):
@@ -208,6 +230,45 @@ class TestSweepTrials:
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
         sweep_trials(plans, epsilons)
         assert len(calls) == 4  # per chunk: its trials and the enrollment block
+
+
+def reference_box_muller(u, v):
+    """Box-Muller as the engine computed it before the radius and angle were shared."""
+    rad = np.sqrt(-2.0 * np.log1p(-u))
+    ang = 2.0 * math.pi * v
+    return rad * np.cos(ang), rad * np.sin(ang)
+
+
+def reference_cir_vectors(block, n, sigma_g_sq):
+    """The CIR decode as the engine built it before it wrote the complex planes."""
+    m = block.shape[0]
+    z = np.empty((m, 2 * n + 1, 2))
+    z[:, :, 0], z[:, :, 1] = reference_box_muller(block[:, 1 : 4 * n + 3 : 2],
+                                                  block[:, 2 : 4 * n + 3 : 2])
+    z = z.reshape(m, 4 * n + 2)
+    h = (z[:, 0:n] + 1j * z[:, n : 2 * n]) / math.sqrt(2.0)
+    g = math.sqrt(sigma_g_sq / 2.0) * (z[:, 2 * n : 3 * n] + 1j * z[:, 3 * n : 4 * n])
+    noise_unit = (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) / math.sqrt(2.0)
+    return h, g, noise_unit
+
+
+class TestDecodeBytes:
+    """The decode keeps the bits of its earlier, plainer construction."""
+
+    def test_pathloss_noise_is_box_muller_cosine(self, scenario_small):
+        plan = pathloss_plan(scenario_small, n=5000, seed=31)
+        draws = decode(plan, 1, 5000)
+        block = mc._uniform_blocks(31, 4, 1, 5000)
+        expected = reference_box_muller(block[:, 1], block[:, 2])[0]
+        assert draws.noise.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_cir_vectors_equal_complex_construction(self, n):
+        block = mc._uniform_blocks(23, 4 * n + 4, 1, 300)
+        for got, want in zip(mc._cir_vectors(block, n, 0.37),
+                             reference_cir_vectors(block, n, 0.37)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def two_pilot_grid(plan):

@@ -40,35 +40,40 @@ EXIT_RUNTIME = 3
 
 # --lq-grid points (each one more score and count on every decoded chunk), --epsilons log points
 GRID_POINT_LIMIT = 10_000
-GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 309 MiB peak RSS
+GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 286 MiB peak RSS
 
 
 class UsageError(ValueError):
     """A command-line value refused against the scenario or another option (exit code 2)."""
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a Python int or float; empty cell for None."""
-    return "" if x is None else repr(x)
+def _csv(header: str, rows, comments=()) -> str:
+    """CSV text: the header, one line per row, then the comment lines. Each cell is the
+    repr of its number (the shortest round-trip decimal form); None is an empty cell."""
+    lines = [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
+    lines.insert(0, header)  # in place: a 10^6-row trace is not copied into a second list
+    lines.extend(comments)
+    lines.append("")  # the newline that ends the last line
+    return "\n".join(lines)
 
 
-def _write_text(path, text: str) -> None:
-    """Replace path in one step: write a temp file beside it, then os.replace it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_outputs(outputs: dict[str, str]) -> None:
+    """Put every {path: text} in place or none: refuse a path that is a directory before
+    writing anything, write each text to a temp file beside its path, and rename the
+    temps into place only once every one of them is written."""
+    paths = [Path(p) for p in outputs]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for tmp, text in zip(temps, outputs.values()):
+            tmp.write_text(text)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
-
-
-def _write_csv(path, header: str, rows, comments: list[str] | None = None) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    if comments:
-        lines.extend(comments)
-    _write_text(path, "\n".join(lines) + "\n")
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)  # left only when a write or a rename failed
 
 
 def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
@@ -162,10 +167,9 @@ def _cmd_sweep(args) -> int:
     # one engine call for every baseline, so baselines of one random stream share its decode
     estimates = mc.sweep_trials([p for _, plans in baselines for p in plans],
                                 epsilons * len(baselines), workers=args.workers)
-    tables = []  # every baseline is computed before any file is written
+    outputs = {}  # every baseline is computed before any file is written
     for b, (path, plans) in enumerate(baselines):
-        rows = []
-        flagged = []
+        rows, flagged = [], []
         own = estimates[b * len(plans):(b + 1) * len(plans)]  # this baseline's points
         for lq, plan, epsilon, (pfa, pmd) in zip(args.lq_grid, plans, epsilons, own):
             est = pfa if command == "sweep-pfa" else pmd
@@ -174,34 +178,33 @@ def _cmd_sweep(args) -> int:
                          est.n_conditioning))
             if est.low_confidence:
                 flagged.append(len(rows))
-        comments = [f"# low_confidence_rows: {','.join(str(i) for i in flagged)}"] if flagged else None
-        tables.append((path, rows, comments))
-    for path, rows, comments in tables:
-        _write_csv(path, "lq_db,threshold,analytical,empirical,half_width_95,n_trials",
-                   rows, comments)
+        comments = [f"# low_confidence_rows: {','.join(map(str, flagged))}"] if flagged else []
+        outputs[path] = _csv("lq_db,threshold,analytical,empirical,half_width_95,n_trials",
+                             rows, comments)
+    _write_outputs(outputs)
     return EXIT_OK
 
 
 def _cmd_roc(args) -> int:
     scenarios = _scenarios(args, [args.lq_db])
     feature = Feature(args.feature)
-    # every baseline is computed before any file is written; no --epsilons: the auto grid
-    curves = [(path, mc.roc_sweep(plan, args.epsilons, workers=args.workers))
-              for path, (plan,) in _plans(args, scenarios, feature)]
-    for path, curve in curves:
-        _write_csv(path, "epsilon,pfa,pd", curve.points)
+    outputs = {}  # every baseline is computed before any file is written
+    for path, (plan,) in _plans(args, scenarios, feature):
+        curve = mc.roc_sweep(plan, args.epsilons, workers=args.workers)  # None: the auto grid
+        outputs[path] = _csv("epsilon,pfa,pd", zip(curve.epsilons.tolist(), curve.pfa.tolist(),
+                                                   curve.pd.tolist()))
+    _write_outputs(outputs)
     return EXIT_OK
 
 
-def _write_opt_outputs(output: str, result: optim.OptResult) -> None:
-    _write_csv(output, "coordinate,value,pmd", result.trace)
-    if isinstance(result.best_profile, ScalarGradient):
-        profile_text = repr(result.best_profile.gradient)
-    else:
-        profile_text = ";".join(repr(p) for p in result.best_profile.phases.tolist())
-    lines = ["best_pmd,evaluations,best_profile",
-             f"{_fmt(result.best_pmd)},{result.evaluations},{profile_text}"]
-    _write_text(_tagged(output, "_summary"), "\n".join(lines) + "\n")
+def _opt_outputs(output: str, result: optim.OptResult) -> dict[str, str]:
+    """The trace and its one-row summary, whose best_profile joins the numbers with ';'."""
+    profile = result.best_profile
+    numbers = [profile.gradient] if isinstance(profile, ScalarGradient) else profile.phases.tolist()
+    summary = (f"best_pmd,evaluations,best_profile\n"
+               f"{result.best_pmd!r},{result.evaluations},{';'.join(map(repr, numbers))}\n")
+    return {output: _csv("coordinate,value,pmd", result.trace),
+            _tagged(output, "_summary"): summary}
 
 
 def _cmd_optimize_gradient(args) -> int:
@@ -209,7 +212,7 @@ def _cmd_optimize_gradient(args) -> int:
     epsilon = _epsilon(args, Feature.PATHLOSS, scenario.noise_sigma)
     grid = optim.default_gradient_grid(scenario) if args.grid is None else args.grid
     result = optim.optimize_gradient(scenario, epsilon, grid)
-    _write_opt_outputs(args.output, result)
+    _write_outputs(_opt_outputs(args.output, result))
     print(f"best gradient {result.best_profile.gradient:.6g} rad/m, "
           f"pmd {result.best_pmd:.3g}, {result.evaluations} evaluations, "
           f"{len(result.skipped)} evanescent points skipped")
@@ -227,7 +230,7 @@ def _cmd_optimize_phases(args) -> int:
         rng_seed=args.seed,
         eval_trials=args.eval_trials,
     )
-    _write_opt_outputs(args.output, result)
+    _write_outputs(_opt_outputs(args.output, result))
     print(f"best pmd {result.best_pmd:.3g} after {result.evaluations} evaluations "
           f"({result.evaluations * args.eval_trials} trials)")
     return EXIT_OK

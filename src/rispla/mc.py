@@ -115,10 +115,6 @@ class RocCurve:
     pfa: np.ndarray
     pd: np.ndarray
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.epsilons.tolist(), self.pfa.tolist(), self.pd.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # Counter-based trial generation
@@ -148,9 +144,11 @@ def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rad, np.multiply(TWO_PI, v)
 
 
-def _box_muller(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rad, ang = _polar(u, v)
-    return rad * np.cos(ang), rad * np.sin(ang)
+def _polar_blocks(master_seed: int, stride: int, first_block: int, m: int):
+    """The transmitter draw (Alice below 0.5) and the Box-Muller radius and angle of the
+    uniform pairs after it, of m blocks from first_block; the uniforms are freed on return."""
+    block = _uniform_blocks(master_seed, stride, first_block, m)
+    return (block[:, 0] < 0.5, *_polar(block[:, 1:-1:2], block[:, 2::2]))
 
 
 def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
@@ -161,14 +159,14 @@ def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _cir_vectors(block: np.ndarray, n: int, sigma_g_sq: float):
-    """Decode one block of uniforms into (h, g, noise_unit) complex vectors.
+def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, first_block: int, m: int):
+    """Decode m uniform blocks of n elements from first_block into the transmitter draw
+    and the (h, g, noise_unit) complex vectors.
 
     Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies
     by (Smith's rule), so h and noise_unit keep the bits of that division.
     """
-    m = block.shape[0]
-    rad, ang = _polar(block[:, 1 : 4 * n + 3 : 2], block[:, 2 : 4 * n + 3 : 2])
+    is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, first_block, m)
     z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
     np.multiply(rad, np.cos(ang), out=z[:, :, 0])
     np.multiply(rad, np.sin(ang, out=ang), out=z[:, :, 1])
@@ -177,7 +175,7 @@ def _cir_vectors(block: np.ndarray, n: int, sigma_g_sq: float):
     unit = 1.0 / math.sqrt(2.0)
     h = _scaled_complex(z[:, 0:n], z[:, n : 2 * n], unit)
     g = _scaled_complex(z[:, 2 * n : 3 * n], z[:, 3 * n : 4 * n], math.sqrt(sigma_g_sq / 2.0))
-    return h, g, _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
+    return is_alice, h, g, _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
 
 
 def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -210,14 +208,12 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     Trial i reads block i + 1; block 0 is the enrollment. Each block's first
     uniform draws the transmitter: Alice below 0.5.
     """
-    block = _uniform_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
-    is_alice = block[:, 0] < 0.5
     if plan.feature is Feature.PATHLOSS:
-        rad, ang = _polar(block[:, 1], block[:, 2])
-        return Draws(is_alice, rad * np.cos(ang))  # the cosine half of Box-Muller only
+        is_alice, rad, ang = _polar_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
+        return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
     n, g_scale = (plan.scenario.n_elements, plan.scenario.sigma_g_sq) if plan.ris else (1, 1.0)
-    h, g, noise_unit = _cir_vectors(block, n, g_scale)
-    h0, g0, _ = _cir_vectors(_uniform_blocks(plan.master_seed, _stride(plan), 0, 1), n, g_scale)
+    is_alice, h, g, noise_unit = _cir_vectors(plan.master_seed, n, g_scale, first_block, n_blocks)
+    _, h0, g0, _ = _cir_vectors(plan.master_seed, n, g_scale, 0, 1)
     return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
 
 

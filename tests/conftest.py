@@ -1,6 +1,8 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -11,6 +13,13 @@ settings.load_profile("suite")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TABLE1 = REPO_ROOT / "scenarios" / "table1.cfg"
+
+
+def reference_box_muller(u, v):
+    """Box-Muller as the engine computed it before the radius and angle were shared."""
+    rad = np.sqrt(-2.0 * np.log1p(-u))
+    ang = 2.0 * math.pi * v
+    return rad * np.cos(ang), rad * np.sin(ang)
 
 
 @pytest.fixture(scope="session")

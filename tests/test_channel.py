@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_box_muller
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from rispla.channel import (
 from rispla.mc import (
     Hypothesis,
     TrialPlan,
-    _box_muller,
     _cascade,
     _cir_vectors,
     _uniform_blocks,
@@ -296,7 +296,7 @@ class TestFspl:
 
 def cir_draws(n: int, trials: int, seed: int, sigma_g_sq: float = 1.0, first: int = 1):
     """(h, g, unit noise) of engine trials [first - 1, first - 1 + trials) on n elements."""
-    return _cir_vectors(_uniform_blocks(seed, 4 * n + 4, first, trials), n, sigma_g_sq)
+    return _cir_vectors(seed, n, sigma_g_sq, first, trials)[1:]
 
 
 def cascade(h, g, phases) -> complex:
@@ -373,7 +373,7 @@ class TestAddNoise:
 
     def test_real_variance(self):
         block = _uniform_blocks(21, 4, 1, 10**6)
-        noise, _ = _box_muller(block[:, 1], block[:, 2])  # the pathloss noise draw
+        noise, _ = reference_box_muller(block[:, 1], block[:, 2])  # the pathloss noise draw
         assert noise.var() == pytest.approx(1.0, rel=0.01)
 
     def test_complex_variance_convention(self):

@@ -441,6 +441,34 @@ class TestAtomicOutputs:
         assert code == EXIT_RUNTIME
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,extra,blocked", [
+        ("optimize-gradient", ["--target-pfa", 0.05, "--grid", "0:40:30"], "x_summary.csv"),
+        ("sweep-pfa", ["--epsilon", 1.0, "--lq-grid", "0", "--trials", 100, "--baseline", "both"],
+         "x_noris.csv"),
+    ], ids=["optimize-gradient-summary", "sweep-pfa-noris"])
+    def test_directory_in_the_way_writes_nothing(self, tmp_path, command, extra, blocked):
+        (tmp_path / blocked).mkdir()  # the second output's path
+        code = run_cli(command, "--scenario", SCENARIO, *extra, "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]  # no output, no temp file
+
+    def test_failed_second_write_leaves_nothing(self, tmp_path, monkeypatch):
+        real = Path.write_text
+        writes = []
+
+        def fail_second(path, text, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return real(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_second)
+        code = run_cli("optimize-gradient", "--scenario", SCENARIO, "--target-pfa", 0.05,
+                       "--grid", "0:40:30", "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
+        assert len(writes) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDbConversions:
     def test_lq_column_round_trips(self, tmp_path):

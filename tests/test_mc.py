@@ -1,10 +1,12 @@
 """Monte-Carlo engine: determinism, closed-form agreement, distribution checks."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import reference_box_muller
 
 from rispla import mc
 from rispla.auth import Feature, accepts, rayleigh_sigma, threshold_for_pfa
@@ -232,13 +234,6 @@ class TestSweepTrials:
         assert len(calls) == 4  # per chunk: its trials and the enrollment block
 
 
-def reference_box_muller(u, v):
-    """Box-Muller as the engine computed it before the radius and angle were shared."""
-    rad = np.sqrt(-2.0 * np.log1p(-u))
-    ang = 2.0 * math.pi * v
-    return rad * np.cos(ang), rad * np.sin(ang)
-
-
 def reference_cir_vectors(block, n, sigma_g_sq):
     """The CIR decode as the engine built it before it wrote the complex planes."""
     m = block.shape[0]
@@ -265,7 +260,7 @@ class TestDecodeBytes:
     @pytest.mark.parametrize("n", [1, 8, 256])
     def test_cir_vectors_equal_complex_construction(self, n):
         block = mc._uniform_blocks(23, 4 * n + 4, 1, 300)
-        for got, want in zip(mc._cir_vectors(block, n, 0.37),
+        for got, want in zip(mc._cir_vectors(23, n, 0.37, 1, 300)[1:],
                              reference_cir_vectors(block, n, 0.37)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -352,11 +347,11 @@ class TestRocSweep:
         assert np.all(np.diff(curve.pfa) <= 0)
         assert np.all(np.diff(curve.pd) <= 0)
 
-    def test_points_property(self, scenario_small):
+    def test_curve_columns(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=1000)
         curve = roc_sweep(plan, [1e-6, 1e-5])
-        pts = curve.points
-        assert len(pts) == 2 and pts[0][0] == 1e-6
+        assert curve.epsilons.tolist() == [1e-6, 1e-5]
+        assert curve.pfa.shape == curve.pd.shape == (2,)
 
     def test_grid_must_increase(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=100)
@@ -387,6 +382,19 @@ class TestDecode:
         for lo, k in [(1, 1), (300, 250), (550, 350)]:
             np.testing.assert_array_equal(score(plan, decode(plan, lo + 1, k)),
                                           whole[lo:lo + k])
+
+    def test_peak_memory_of_one_decode(self, scenario):
+        # the uniforms (4N+4 doubles a trial) are freed before the normals are allocated:
+        # 2.5 x the returned bytes on the full panel, 3.5 x while the decode held them
+        plan = cir_plan(scenario, Feature.CIR_PHASE, n=1024)
+        tracemalloc.start()
+        try:
+            draws = decode(plan, 1, plan.n_trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in vars(draws).values())
+        assert peak <= 2.6 * returned
 
 
 class TestEmpiricalDistribution:

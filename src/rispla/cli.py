@@ -334,7 +334,8 @@ def _add_common(p):
     p.add_argument("--seed", type=_SEED, default=1, help="master seed (default 1)")
     p.add_argument("--trials", type=_COUNT, default=10**6,
                    help="Monte-Carlo trials (default 1000000)")
-    p.add_argument("--workers", type=_COUNT, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=_COUNT, default=1,
+                   help="engine threads, at most one per chunk and one per CPU (default 1)")
 
 
 def _add_feature_opts(p):

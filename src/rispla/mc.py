@@ -4,7 +4,7 @@ Randomness is counter-based: trial i consumes a fixed-size block of uniform
 draws from a Philox stream advanced to a position that depends only on
 (master_seed, i). Normals come from Box-Muller on those uniforms, never from
 a rejection sampler, so the draw count per trial is constant and any
-partition of the trial range across chunks or workers reproduces the same
+partition of the trial range across chunks or threads reproduces the same
 trials bit for bit. Block 0 is reserved for fingerprint enrollment.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -217,11 +217,13 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
 
 
-def _forced(draws: Draws, hypothesis: Hypothesis, k: int) -> Draws:
-    """The first k draws (views) with the transmitter fixed: all a forced hypothesis changes."""
+def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws:
+    """The first k draws (views; all by default) with the transmitter fixed: all a forced
+    hypothesis changes."""
     h, g = (None if a is None else a[:k] for a in (draws.h, draws.g))
-    return replace(draws, is_alice=np.full(k, hypothesis is Hypothesis.H0),
-                   noise=draws.noise[:k], h=h, g=g)
+    noise = draws.noise[:k]
+    return replace(draws, is_alice=np.full(noise.size, hypothesis is Hypothesis.H0),
+                   noise=noise, h=h, g=g)
 
 
 def _fingerprint(plan: TrialPlan, draws: Draws) -> complex:
@@ -259,29 +261,31 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1024, (1 << 22) // _stride(plan))
 
 
-def _chunk(args):
-    """The one chunk kernel: reduce(plan, lo, draws, arg) on the decoded trials [lo, hi)."""
-    plan, lo, hi, reduce, arg = args
-    return reduce(plan, lo, decode(plan, lo + 1, hi - lo), arg)
+def _map_trials(reduce, plan: TrialPlan, n: int, workers: int) -> list:
+    """reduce(lo, decode(plan, lo + 1, hi - lo)) for each default chunk [lo, hi) of trials [0, n).
 
-
-def _map_trials(reduce, arg, plan: TrialPlan, n: int, workers: int) -> list:
-    """_chunk((plan, lo, hi, reduce, arg)) for each default chunk [lo, hi) of trials [0, n).
-
-    The one place the trial range is split: serially, or on a process pool
-    of `workers`, at most os.cpu_count() (the pool forks every worker at
-    once). Chunk results are returned in trial order.
+    The one place the trial range is split: serially, or on a thread pool of
+    `workers` threads, at most one per chunk and one per CPU, so a one-chunk
+    call starts no pool. A chunk that raises cancels the chunks not yet
+    started. Chunk results are returned in trial order.
     """
     chunk = _default_chunk(plan)
-    tasks = [(plan, lo, min(lo + chunk, n), reduce, arg) for lo in range(0, n, chunk)]
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_chunk, tasks))
-    return [_chunk(t) for t in tasks]
+    starts = range(0, n, chunk)
+
+    def run(lo):
+        return reduce(lo, decode(plan, lo + 1, min(chunk, n - lo)))
+
+    workers = min(workers, len(starts), os.cpu_count() or 1)
+    if workers < 2:
+        return [run(lo) for lo in starts]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(run, starts))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _counts(plan, lo, draws, points) -> np.ndarray:
+def _counts(draws, points) -> np.ndarray:
     """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per (plan, epsilon) point."""
     is_alice = draws.is_alice
     n0 = np.count_nonzero(is_alice)
@@ -293,35 +297,11 @@ def _counts(plan, lo, draws, points) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def _roc_stats(plan, lo, draws, pilot):
-    """Sorted statistics of Alice's and of Eve's trials, then those of the chunk's
-    trials below `pilot` under forced H0 and forced H1 (empty past the pilot)."""
-    ts = score(plan, draws)
-    k = min(pilot - lo, ts.size)
-    sample = (np.concatenate([score(plan, _forced(draws, h, k)) for h in Hypothesis])
-              if k > 0 else np.empty(0))
-    return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
-
-
-def _roc_counts(plan, lo, draws, eps) -> np.ndarray:
-    """_tally of the chunk's sorted statistics (no pilot): a given grid, counted per chunk."""
-    alice, eve, _ = _roc_stats(plan, lo, draws, 0)
-    return _tally(alice, eve, eps)
-
-
 def _tally(alice, eve, eps) -> np.ndarray:
     """Rows (Alice, Eve) from sorted statistics: trials, then #(ts < eps) per threshold,
     the rule of auth.accepts (ties reject)."""
     return np.array([[ts.size, *np.searchsorted(ts, eps, side="left")] for ts in (alice, eve)],
                     dtype=np.int64)
-
-
-def _forced_draws(plan, lo, draws, hypothesis) -> Draws:
-    return _forced(draws, hypothesis, draws.is_alice.size)
-
-
-def _forced_stats(plan, lo, draws, hypothesis) -> np.ndarray:
-    return score(plan, _forced_draws(plan, lo, draws, hypothesis))
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -330,7 +310,7 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
     score() on each chunk gives the statistics that
     empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
     """
-    return _map_trials(_forced_draws, Hypothesis.H1, plan, plan.n_trials, 1)
+    return _map_trials(lambda lo, draws: _forced(draws, Hypothesis.H1), plan, plan.n_trials, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +323,12 @@ def _stream(plan: TrialPlan) -> tuple:
     cir = plan.feature is not Feature.PATHLOSS
     g_scale = plan.scenario.sigma_g_sq if cir and plan.ris else 1.0
     return plan.master_seed, plan.n_trials, cir, _stride(plan), g_scale
+
+
+def _check_thresholds(epsilons) -> None:
+    for epsilon in epsilons:
+        if not (math.isfinite(epsilon) and epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 
 def run_trials(plan: TrialPlan, epsilon: float, *,
@@ -365,16 +351,14 @@ def sweep_trials(plans, epsilons, *,
     everything decode() does not read: link quality, profile, statistic,
     refade_alice, and for the pathloss feature the baseline. The plans are
     grouped by stream in first-seen order, and each stream's default chunks
-    are decoded once and scored at every point of the stream, on one process
-    pool per stream when workers > 1. The counts equal those of one
-    run_trials call per point, and the results come back in input order.
+    are decoded once and scored at every point of the stream, on one thread
+    pool per stream when workers > 1 (see _map_trials). The counts equal those
+    of one run_trials call per point, and the results come back in input order.
     """
     if not plans or len(plans) != len(epsilons):
         raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
                          f"and {len(epsilons)} epsilons")
-    for epsilon in epsilons:
-        if not (math.isfinite(epsilon) and epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    _check_thresholds(epsilons)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
         streams.setdefault(_stream(plan), []).append(k)
@@ -382,7 +366,8 @@ def sweep_trials(plans, epsilons, *,
     for ks in streams.values():
         plan = plans[ks[0]]
         points = [(plans[k], epsilons[k]) for k in ks]
-        counts = sum(_map_trials(_counts, points, plan, plan.n_trials, workers))
+        counts = sum(_map_trials(lambda lo, draws: _counts(draws, points), plan, plan.n_trials,
+                                 workers))
         (n0, n1), *per_point = counts.tolist()
         for k, (rejects_alice, accepts_eve) in zip(ks, per_point):
             results[k] = (ErrorEstimate.from_counts(rejects_alice, n0),
@@ -399,14 +384,26 @@ def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
     its pilot rescored with the transmitter forced; the sorted statistics
     (8 bytes per trial) are held until the grid is known.
     """
+    pilot = 0 if epsilons is not None else min(plan.n_trials, ROC_PILOT_TRIALS)
+
+    def stats(lo, draws):
+        """Sorted statistics of Alice's and of Eve's trials, then those of the chunk's
+        trials below `pilot` under forced H0 and forced H1 (empty past the pilot)."""
+        ts = score(plan, draws)
+        k = min(pilot - lo, ts.size)
+        sample = (np.concatenate([score(plan, _forced(draws, h, k)) for h in Hypothesis])
+                  if k > 0 else np.empty(0))
+        return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
+
     if epsilons is not None:
         eps = np.asarray(epsilons, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
-        counts = sum(_map_trials(_roc_counts, eps, plan, plan.n_trials, workers))
+        _check_thresholds(eps)
+        counts = sum(_map_trials(lambda lo, draws: _tally(*stats(lo, draws)[:2], eps),
+                                 plan, plan.n_trials, workers))
     else:
-        pilot = min(plan.n_trials, ROC_PILOT_TRIALS)
-        alice, eve, samples = zip(*_map_trials(_roc_stats, pilot, plan, plan.n_trials, workers))
+        alice, eve, samples = zip(*_map_trials(stats, plan, plan.n_trials, workers))
         samples = np.concatenate(samples)
         positive = samples[samples > 0.0]
         lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
@@ -431,5 +428,6 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: i
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    parts = _map_trials(_forced_stats, hypothesis, plan, n_samples, workers=1)
+    parts = _map_trials(lambda lo, draws: score(plan, _forced(draws, hypothesis)), plan,
+                        n_samples, workers=1)
     return np.sort(np.concatenate(parts))

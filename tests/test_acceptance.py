@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rispla import mc
 from rispla.auth import Feature, accepts, pfa_pathloss, pmd_pathloss, threshold_for_pfa
 from rispla.channel import ScalarGradient, Scenario, ris_pathloss
 from rispla.checks import CHECKS
@@ -191,7 +192,10 @@ class TestAcceptance:
         report("C09 monotonicity-properties", ok,
                failure or f"{cases['n']} randomized cases in {dt:.1f}s")
 
-    def test_c10_byte_identical_reruns(self, tmp_path):
+    def test_c10_byte_identical_reruns(self, tmp_path, monkeypatch):
+        # the 20 000 pathloss trials are one default chunk: split them so that both
+        # workers run (4000 is near the default CIR chunk of 4080 trials at N = 256)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 4000)
         specs = [
             (["sweep-pfa", "--scenario", SCENARIO_FILE, "--target-pfa", "0.05",
               "--lq-grid", "0:10:30", "--trials", "20000", "--seed", "6"], True),

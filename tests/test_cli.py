@@ -156,7 +156,10 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("grid", [["--epsilons", "0.01,0.1,1.0"], []],
                              ids=["given-grid", "auto-grid"])
-    def test_workers_byte_identical(self, tmp_path, grid):
+    def test_workers_byte_identical(self, tmp_path, monkeypatch, grid):
+        from rispla import mc
+
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 3 chunks, on 2 threads
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["roc", "--scenario", SCENARIO, "--trials", 4000, "--seed", 9,
                 "--feature", "cir-magnitude", *grid]
@@ -209,19 +212,20 @@ class TestBaselines:
 
     @pytest.mark.parametrize("feature,pools", [("pathloss", 1), ("cir-magnitude", 2)])
     def test_one_pool_per_random_stream(self, tmp_path, monkeypatch, feature, pools):
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
         from rispla import mc
 
         built = []
 
-        class CountingPool(ProcessPoolExecutor):
+        class CountingPool(ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                built.append(kwargs)
+                built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 400)  # 3 chunks a stream
         code = run_cli("sweep-pmd", "--scenario", SCENARIO, "--feature", feature,
                        "--target-pfa", 0.05, "--lq-grid", "0,20", "--trials", 1000,
                        "--workers", 2, "--baseline", "both", "--output", tmp_path / "pmd.csv")

@@ -1,7 +1,9 @@
 """Monte-Carlo engine: determinism, closed-form agreement, distribution checks."""
 
 import math
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,19 @@ def cir_plan(scenario, feature, *, n=10**4, seed=7, phases=None, **kw):
     phases = np.zeros(scenario.n_elements) if phases is None else phases
     return TrialPlan(n_trials=n, master_seed=seed, feature=feature,
                      scenario=scenario, profile=PerElement(phases), **kw)
+
+
+def recording_pool(monkeypatch) -> list:
+    """Swap mc's thread pool for one that records each pool's size; returns the record."""
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    return started
 
 
 class TestTrialPlanValidation:
@@ -111,37 +126,52 @@ class TestRunTrials:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan, chunk=chunk: chunk)
             assert run_trials(plan, 1e-5) == ref
 
-    def test_worker_independence(self, scenario_small):
+    def test_worker_independence(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=4000)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 3 chunks
         assert run_trials(plan, 1.0, workers=2) == run_trials(plan, 1.0, workers=1)
 
     def test_workers_capped_at_cpu_count(self, scenario_small, monkeypatch):
-        # a recording stand-in for the pool: no process is started
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        started = recording_pool(monkeypatch)
         plan = pathloss_plan(scenario_small, n=2000)
         ref = run_trials(plan, 1e-5)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 500)  # 4 chunks
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
         assert run_trials(plan, 1e-5, workers=100_000) == ref
         assert started == [3]
         for cpus in (1, None):  # one CPU, or a count the OS cannot tell: no pool
             monkeypatch.setattr(mc.os, "cpu_count", lambda cpus=cpus: cpus)
             assert run_trials(plan, 1e-5, workers=100_000) == ref
-        assert started == [3]
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1000)  # 2 chunks
+        assert run_trials(plan, 1e-5, workers=100_000) == ref
+        assert started == [3, 2]
+
+    def test_one_chunk_starts_no_pool(self, scenario_small, monkeypatch):
+        started = recording_pool(monkeypatch)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        plan = pathloss_plan(scenario_small, n=2000)  # below one default chunk
+        assert run_trials(plan, 1e-5, workers=2) == run_trials(plan, 1e-5)
+        assert started == []
+
+    def test_raising_chunk_cancels_the_rest(self, scenario_small, monkeypatch):
+        # chunk 0 raises at once while chunk 1 sleeps: the chunks still queued never start
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 100)  # 8 chunks
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        started = []
+        real = mc.decode
+
+        def failing(plan, first_block, n_blocks):
+            started.append(first_block)
+            if first_block == 1:
+                raise RuntimeError("chunk 0 failed")
+            time.sleep(0.2)
+            return real(plan, first_block, n_blocks)
+
+        monkeypatch.setattr(mc, "decode", failing)
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
+            run_trials(pathloss_plan(scenario_small, n=800), 1e-5, workers=2)
+        assert 1 in started and len(started) < 8
 
     def test_engine_matches_accepts_rule(self, scenario_small):
         # roc_sweep counts acceptances with searchsorted; run_trials calls accepts
@@ -203,12 +233,13 @@ class TestSweepTrials:
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
         assert sweep_trials(mixed, mixed_epsilons, workers=workers) == expected
-        if workers == 1:  # a pool decodes in its workers, out of this process's sight
-            # each stream's two chunks, once, in first-seen order; each with an enrollment
-            assert [args for args in calls if args[2] > 0] == [
-                (17, 36, 1, 1500), (17, 36, 1501, 1500), (18, 36, 1, 1500), (18, 36, 1501, 1500),
-                (17, 36, 1, 1500), (17, 36, 1501, 1499), (17, 8, 1, 1500), (17, 8, 1501, 1500)]
-            assert len(calls) == 4 * 2 * 2
+        # each stream's two chunks, once, in first-seen order; each with an enrollment.
+        # A stream's chunks may decode concurrently, so each stream's pair is sorted.
+        chunk_calls = [args for args in calls if args[2] > 0]
+        assert [sorted(chunk_calls[i:i + 2]) for i in range(0, 8, 2)] == [
+            [(17, 36, 1, 1500), (17, 36, 1501, 1500)], [(18, 36, 1, 1500), (18, 36, 1501, 1500)],
+            [(17, 36, 1, 1500), (17, 36, 1501, 1499)], [(17, 8, 1, 1500), (17, 8, 1501, 1500)]]
+        assert len(calls) == 4 * 2 * 2
 
     def test_refuses_malformed_sweeps(self, scenario_small):
         plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
@@ -357,6 +388,18 @@ class TestRocSweep:
         plan = pathloss_plan(scenario_small, n=100)
         with pytest.raises(ValueError):
             roc_sweep(plan, [2.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.1, math.inf], [-1.0, 0.5]],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry", ["roc_sweep", "sweep_trials"])
+    def test_refuses_bad_thresholds(self, scenario_small, grid, entry):
+        # one check for both entry points: every threshold finite and nonnegative
+        plan = pathloss_plan(scenario_small, n=100)
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            if entry == "roc_sweep":
+                roc_sweep(plan, grid)
+            else:
+                sweep_trials([plan] * len(grid), grid)
 
     def test_partition_independence(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)

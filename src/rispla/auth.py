@@ -2,10 +2,12 @@
 
 `statistic` is the one implementation of the three features' test
 statistics; it works elementwise on arrays, so the Monte-Carlo engine calls
-it on whole chunks of trials. `accepts` is the decision rule. Every
-probability here is a pure function of linear-unit quantities; dB conversion
-belongs to the CLI layer. The phase-feature and magnitude-feature missed
-detections have no closed form and live in the Monte-Carlo engine.
+it on whole chunks of trials. `accepts` is the decision rule (ties reject);
+`count_accepted` owns its count and `check_threshold` its domain, for every
+closed form, engine entry and optimizer. Every probability here is a pure
+function of linear-unit quantities; dB conversion belongs to the CLI layer.
+The phase-feature and magnitude-feature missed detections have no closed form
+and live in the Monte-Carlo engine.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import FoldedNormalParams, folded_normal_cdf, q_func, q_inv, rayleigh_ccdf
+from .specfun import FoldedNormalParams, folded_normal_cdf, q_func, q_inv
 
 __all__ = [
     "Feature",
     "statistic",
     "accepts",
+    "count_accepted",
+    "check_threshold",
     "pfa_pathloss",
     "threshold_for_pfa",
     "pmd_pathloss",
@@ -56,13 +60,23 @@ def accepts(ts, epsilon):
     return ts < epsilon
 
 
+def count_accepted(sorted_ts, epsilons):
+    """#(ts < epsilon) for each threshold, from ascending statistics: accepts, counted."""
+    return np.searchsorted(sorted_ts, epsilons, side="left")
+
+
+def check_threshold(epsilon: float) -> float:
+    """epsilon, if it is a threshold: finite and nonnegative."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return epsilon
+
+
 def pfa_pathloss(epsilon: float, sigma: float) -> float:
     """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return 2.0 * q_func(epsilon / sigma)
+    return 2.0 * q_func(check_threshold(epsilon) / sigma)
 
 
 def threshold_for_pfa(target_pfa: float, sigma: float) -> float:
@@ -81,16 +95,15 @@ def pmd_pathloss(epsilon: float, sigma: float, pl_a, pl_e):
 
     pl_a and pl_e may be arrays of pathloss pairs (one per gradient of a grid).
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return folded_normal_cdf(epsilon, FoldedNormalParams(delta=pl_e - pl_a, sigma=sigma))
+    return folded_normal_cdf(check_threshold(epsilon), FoldedNormalParams(pl_e - pl_a, sigma))
 
 
 def pfa_cir_magnitude(epsilon: float, sigma: float) -> float:
-    """False-alarm probability of the magnitude test: Rayleigh tail at the threshold."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return rayleigh_ccdf(epsilon, sigma)
+    """False alarm of the magnitude test: the Rayleigh(sigma) tail exp(-eps^2 / 2 sigma^2)."""
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    epsilon = check_threshold(epsilon)
+    return math.exp(-epsilon * epsilon / (2.0 * sigma * sigma))
 
 
 def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:

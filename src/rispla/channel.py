@@ -123,6 +123,10 @@ class ScalarGradient:
 
     gradient: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.gradient):
+            raise ValueError(f"gradient must be finite, got {self.gradient}")
+
 
 @dataclass(frozen=True)
 class PerElement:
@@ -131,11 +135,11 @@ class PerElement:
     phases: np.ndarray
 
     def __post_init__(self):
-        arr = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
-        if arr.ndim != 1:
-            raise ValueError("phases must be a 1-D vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "phases", arr)
+        arr = np.asarray(self.phases, dtype=float)
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise ValueError("phases must be a 1-D vector of finite values")
+        object.__setattr__(self, "phases", np.mod(arr, TWO_PI))
+        self.phases.flags.writeable = False
 
 
 PhaseProfile = ScalarGradient | PerElement

@@ -16,6 +16,7 @@ import numpy as np
 
 from .auth import (
     Feature,
+    count_accepted,
     pfa_cir_magnitude,
     pfa_pathloss,
     pmd_pathloss,
@@ -116,7 +117,7 @@ def rayleigh_magnitude_false_alarm(scenario: Scenario, trials: int):
     for q in np.linspace(0.05, 0.95, 10):
         eps = threshold_for_pfa_magnitude(1.0 - q, sc.noise_sigma)  # Rayleigh quantile
         expected = pfa_cir_magnitude(eps, sigma_r)
-        emp = 1.0 - np.searchsorted(ts, eps, side="left") / trials
+        emp = 1.0 - count_accepted(ts, eps) / trials
         se = math.sqrt(expected * (1 - expected) / trials)
         worst = max(worst, abs(emp - expected) / se)
     cdf = 1.0 - np.exp(-(ts**2) / (2 * sigma_r**2))

@@ -1,9 +1,9 @@
 """Monte-Carlo trial engine for empirical error probabilities and ROC curves.
 
-Randomness is counter-based: trial i consumes a fixed-size block of uniform
-draws from a Philox stream advanced to a position that depends only on
-(master_seed, i). Normals come from Box-Muller on those uniforms, never from
-a rejection sampler, so the draw count per trial is constant and any
+Randomness is counter-based: trial i consumes a block of 4N + 4 uniforms
+(N decoded elements; `_stream` holds all a decode reads) from a Philox stream
+advanced to a position that depends only on (master_seed, i). Normals come
+from Box-Muller on those uniforms, never a rejection sampler, so any
 partition of the trial range across chunks or threads reproduces the same
 trials bit for bit. Block 0 is reserved for fingerprint enrollment.
 """
@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .auth import Feature, accepts, statistic
+from .auth import Feature, accepts, check_threshold, count_accepted, statistic
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
 
 __all__ = [
@@ -121,12 +121,14 @@ class RocCurve:
 # ---------------------------------------------------------------------------
 
 
-def _stride(plan: TrialPlan) -> int:
-    """Uniform draws reserved per trial block (multiple of 4 for Philox advance)."""
+def _stream(plan: TrialPlan) -> tuple:
+    """(master_seed, n_trials, N, g_scale), all decode() reads: plans with equal streams decode
+    the same draws. N elements are decoded per trial (0 for pathloss, 1 for the direct link),
+    in blocks of 4N + 4 uniforms, a multiple of the Philox advance unit."""
     if plan.feature is Feature.PATHLOSS:
-        return 4
-    n = plan.scenario.n_elements if plan.ris else 1
-    return 4 * n + 4
+        return plan.master_seed, plan.n_trials, 0, 1.0
+    n, g_scale = (plan.scenario.n_elements, plan.scenario.sigma_g_sq) if plan.ris else (1, 1.0)
+    return plan.master_seed, plan.n_trials, n, g_scale
 
 
 def _uniform_blocks(master_seed: int, stride: int, first_block: int, n_blocks: int) -> np.ndarray:
@@ -208,12 +210,12 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
     Trial i reads block i + 1; block 0 is the enrollment. Each block's first
     uniform draws the transmitter: Alice below 0.5.
     """
-    if plan.feature is Feature.PATHLOSS:
-        is_alice, rad, ang = _polar_blocks(plan.master_seed, _stride(plan), first_block, n_blocks)
+    seed, _, n, g_scale = _stream(plan)
+    if n == 0:  # pathloss: stride 4
+        is_alice, rad, ang = _polar_blocks(seed, 4, first_block, n_blocks)
         return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
-    n, g_scale = (plan.scenario.n_elements, plan.scenario.sigma_g_sq) if plan.ris else (1, 1.0)
-    is_alice, h, g, noise_unit = _cir_vectors(plan.master_seed, n, g_scale, first_block, n_blocks)
-    _, h0, g0, _ = _cir_vectors(plan.master_seed, n, g_scale, 0, 1)
+    is_alice, h, g, noise_unit = _cir_vectors(seed, n, g_scale, first_block, n_blocks)
+    _, h0, g0, _ = _cir_vectors(seed, n, g_scale, 0, 1)
     return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
 
 
@@ -226,20 +228,10 @@ def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws
                    noise=noise, h=h, g=g)
 
 
-def _fingerprint(plan: TrialPlan, draws: Draws) -> complex:
-    """Enrolled cascade of plan's profile from the decoded block 0."""
-    if plan.ris:
-        # np.sum, not _cascade: einsum sums in another order, which changes the
-        # last bits of the fingerprint and with them the committed outputs
-        phase = np.exp(1j * plan.profile.phases)
-        return complex(np.sum(np.conj(draws.h0) * phase * draws.g0))
-    return complex(draws.h0[0])  # direct link: single CN(0,1) gain
-
-
 def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
     """Test statistic of each decoded trial under plan's profile.
 
-    The CIR features compare with the fingerprint enrolled from the draws'
+    The CIR features compare with the fingerprint gt enrolled from the draws'
     block 0; the pathloss feature's enrolled value is the closed-form pathloss.
     """
     sigma_n = plan.scenario.noise_sigma
@@ -249,16 +241,18 @@ def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
         return statistic(plan.feature, pl_true + sigma_n * draws.noise, pl_a)
     if plan.ris:
         cascade = _cascade(draws.h, draws.g, plan.profile.phases)
+        # np.sum, not _cascade: einsum sums in another order, which changes the
+        # last bits of the fingerprint and with them the committed outputs
+        gt = complex(np.sum(np.conj(draws.h0) * np.exp(1j * plan.profile.phases) * draws.g0))
     else:
-        cascade = draws.h[:, 0]
-    gt = _fingerprint(plan, draws)
+        cascade, gt = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
     return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
 
 
 def _default_chunk(plan: TrialPlan) -> int:
-    return max(1024, (1 << 22) // _stride(plan))
+    return max(1024, (1 << 22) // (4 * _stream(plan)[2] + 4))
 
 
 def _map_trials(reduce, plan: TrialPlan, n: int, workers: int) -> list:
@@ -298,10 +292,8 @@ def _counts(draws, points) -> np.ndarray:
 
 
 def _tally(alice, eve, eps) -> np.ndarray:
-    """Rows (Alice, Eve) from sorted statistics: trials, then #(ts < eps) per threshold,
-    the rule of auth.accepts (ties reject)."""
-    return np.array([[ts.size, *np.searchsorted(ts, eps, side="left")] for ts in (alice, eve)],
-                    dtype=np.int64)
+    """Rows (Alice, Eve) from sorted statistics: trials, then the accepted count per threshold."""
+    return np.array([[ts.size, *count_accepted(ts, eps)] for ts in (alice, eve)], dtype=np.int64)
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -316,19 +308,6 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def _stream(plan: TrialPlan) -> tuple:
-    """Everything decode() reads from a plan: plans with equal keys decode the same draws."""
-    cir = plan.feature is not Feature.PATHLOSS
-    g_scale = plan.scenario.sigma_g_sq if cir and plan.ris else 1.0
-    return plan.master_seed, plan.n_trials, cir, _stride(plan), g_scale
-
-
-def _check_thresholds(epsilons) -> None:
-    for epsilon in epsilons:
-        if not (math.isfinite(epsilon) and epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 
 def run_trials(plan: TrialPlan, epsilon: float, *,
@@ -346,8 +325,8 @@ def sweep_trials(plans, epsilons, *,
                  workers: int = 1) -> list[tuple[ErrorEstimate, ErrorEstimate]]:
     """run_trials(plans[k], epsilons[k]) for every k, from one decode per random stream.
 
-    Plans that share a random stream (master_seed, n_trials, feature family,
-    stride and fading scale) decode the same draws; they may differ in
+    Plans that share a random stream (master_seed, n_trials, decoded elements
+    and fading scale; see _stream) decode the same draws; they may differ in
     everything decode() does not read: link quality, profile, statistic,
     refade_alice, and for the pathloss feature the baseline. The plans are
     grouped by stream in first-seen order, and each stream's default chunks
@@ -358,7 +337,7 @@ def sweep_trials(plans, epsilons, *,
     if not plans or len(plans) != len(epsilons):
         raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
                          f"and {len(epsilons)} epsilons")
-    _check_thresholds(epsilons)
+    epsilons = [check_threshold(epsilon) for epsilon in epsilons]
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
         streams.setdefault(_stream(plan), []).append(k)
@@ -399,7 +378,8 @@ def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
         eps = np.asarray(epsilons, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
-        _check_thresholds(eps)
+        for epsilon in eps:
+            check_threshold(epsilon)
         counts = sum(_map_trials(lambda lo, draws: _tally(*stats(lo, draws)[:2], eps),
                                  plan, plan.n_trials, workers))
     else:

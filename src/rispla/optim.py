@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auth import Feature, accepts, pmd_pathloss
+from .auth import Feature, accepts, check_threshold, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
 from .mc import TrialPlan, attacker_draws, score
 
@@ -133,6 +133,7 @@ def optimize_phase_matrix(
     Each candidate is scored on one decode of the attacker's trials, bit for
     bit as a fresh engine run, and spends eval_trials of the trial budget.
     """
+    check_threshold(epsilon)
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     if eval_trials < 1 or budget_trials < eval_trials:

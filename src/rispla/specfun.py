@@ -3,7 +3,7 @@
 Scalar implementations, except the folded-normal CDF, which also maps an
 array of deltas (a whole gradient grid); the Monte-Carlo engine does its own
 vectorized math and only meets these functions when cross-checking against
-closed forms.
+closed forms. The Rayleigh tail is one line in `auth.pfa_cir_magnitude`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "q_inv",
     "folded_normal_cdf",
     "folded_normal_moments",
-    "rayleigh_ccdf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -100,12 +99,3 @@ def folded_normal_moments(params: FoldedNormalParams) -> tuple[float, float]:
     )
     variance = d * d + s * s - mean * mean
     return mean, max(0.0, variance)
-
-
-def rayleigh_ccdf(x: float, sigma: float) -> float:
-    """Tail probability exp(-x^2 / 2 sigma^2) of a Rayleigh(sigma) variable."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x < 0.0:
-        raise ValueError(f"rayleigh_ccdf requires x >= 0, got {x}")
-    return math.exp(-x * x / (2.0 * sigma * sigma))

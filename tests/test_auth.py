@@ -205,6 +205,16 @@ class TestPfaCirMagnitude:
     def test_direct_value(self):
         assert pfa_cir_magnitude(2.0, 1.0) == pytest.approx(0.13534, abs=1e-5)
 
+    def test_strictly_decreasing(self):
+        vals = [pfa_cir_magnitude(x, 1.3) for x in np.linspace(0, 10, 100)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            pfa_cir_magnitude(-0.1, 1.0)
+        with pytest.raises(ValueError):
+            pfa_cir_magnitude(1.0, 0.0)
+
     def test_rayleigh_scale_convention(self):
         # |CN(0, sigma^2)| with per-part variance sigma^2/2 is Rayleigh(sigma/sqrt(2))
         rng = np.random.default_rng(64)

@@ -381,3 +381,21 @@ class TestAddNoise:
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, rel=0.01)
         # each part carries half the power
         assert noise.real.var() == pytest.approx(0.5, rel=0.02)
+
+
+class TestPhaseProfiles:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [lambda v: ScalarGradient(v),
+                                      lambda v: PerElement([0.0] * 7 + [v])],
+                             ids=["gradient", "per-element"])
+    def test_refuses_nonfinite(self, make, value):
+        # NaN phases make every statistic NaN, which every threshold rejects: pfa 1 and
+        # pmd 0; a NaN gradient counts as propagating and ends the same way
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
+    def test_keeps_finite_values(self):
+        assert ScalarGradient(3.5).gradient == 3.5
+        phases = PerElement([-math.pi / 2, 2 * math.pi, 1.0]).phases
+        assert phases.tolist() == pytest.approx([1.5 * math.pi, 0.0, 1.0])
+        assert not phases.flags.writeable

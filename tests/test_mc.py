@@ -11,7 +11,15 @@ import pytest
 from conftest import reference_box_muller
 
 from rispla import mc
-from rispla.auth import Feature, accepts, rayleigh_sigma, threshold_for_pfa
+from rispla.auth import (
+    Feature,
+    accepts,
+    pfa_cir_magnitude,
+    pfa_pathloss,
+    pmd_pathloss,
+    rayleigh_sigma,
+    threshold_for_pfa,
+)
 from rispla.channel import PerElement, ScalarGradient
 from rispla.mc import (
     ErrorEstimate,
@@ -24,6 +32,7 @@ from rispla.mc import (
     score,
     sweep_trials,
 )
+from rispla.optim import default_gradient_grid, optimize_gradient, optimize_phase_matrix
 
 
 def pathloss_plan(scenario, *, n=10**5, seed=42, gradient=0.0, **kw):
@@ -391,15 +400,27 @@ class TestRocSweep:
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.1, math.inf], [-1.0, 0.5]],
                              ids=["nan", "inf", "negative"])
-    @pytest.mark.parametrize("entry", ["roc_sweep", "sweep_trials"])
+    @pytest.mark.parametrize("entry", [
+        "roc_sweep", "sweep_trials", "optimize_gradient", "optimize_phase_matrix",
+        "pfa_pathloss", "pmd_pathloss", "pfa_cir_magnitude"])
     def test_refuses_bad_thresholds(self, scenario_small, grid, entry):
-        # one check for both entry points: every threshold finite and nonnegative
+        # one check for every entry point that takes a threshold: finite and nonnegative,
+        # so no optimizer or closed form turns a bad threshold into a zero error
         plan = pathloss_plan(scenario_small, n=100)
+        bad = next(e for e in grid if not 0.0 <= e < math.inf)
+        call = {
+            "roc_sweep": lambda: roc_sweep(plan, grid),
+            "sweep_trials": lambda: sweep_trials([plan] * len(grid), grid),
+            "optimize_gradient": lambda: optimize_gradient(
+                scenario_small, bad, default_gradient_grid(scenario_small, 100)),
+            "optimize_phase_matrix": lambda: optimize_phase_matrix(scenario_small, bad,
+                                                                   eval_trials=100),
+            "pfa_pathloss": lambda: pfa_pathloss(bad, 1.0),
+            "pmd_pathloss": lambda: pmd_pathloss(bad, 1.0, 2.0, 3.0),
+            "pfa_cir_magnitude": lambda: pfa_cir_magnitude(bad, 1.0),
+        }[entry]
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
-            if entry == "roc_sweep":
-                roc_sweep(plan, grid)
-            else:
-                sweep_trials([plan] * len(grid), grid)
+            call()
 
     def test_partition_independence(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)
@@ -489,10 +510,8 @@ class TestEmpiricalDistribution:
 
     def test_direct_baseline_magnitude_scale(self, scenario_small):
         # direct link: zeta - gt = c' - gt + n, conditioned on the enrolled gt
-        from rispla.mc import _fingerprint, decode
-
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, ris=False, seed=11)
-        gt = _fingerprint(plan, decode(plan, 0, 1))
+        gt = complex(decode(plan, 0, 1).h0[0])  # the enrolled gain: the single decoded h
         ts = empirical_distribution(plan, Hypothesis.H0, 10**5)
         expected_power = 1.0 + abs(gt) ** 2 + scenario_small.noise_variance
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)

@@ -19,7 +19,6 @@ from rispla.specfun import (
     folded_normal_moments,
     q_func,
     q_inv,
-    rayleigh_ccdf,
 )
 
 
@@ -176,25 +175,3 @@ class TestFoldedNormalMoments:
         assert mean >= abs(delta) * (1 - 2 * phi_neg) - 1e-12
         assert var >= 0.0
 
-
-class TestRayleighCcdf:
-    def test_at_zero(self):
-        assert rayleigh_ccdf(0.0, 1.0) == 1.0
-
-    def test_median(self):
-        sigma = 0.7
-        assert rayleigh_ccdf(sigma * math.sqrt(2 * math.log(2)), sigma) == pytest.approx(
-            0.5, abs=1e-12)
-
-    def test_direct_value(self):
-        assert rayleigh_ccdf(2.0, 1.0) == pytest.approx(math.exp(-2.0), abs=1e-12)
-
-    def test_strictly_decreasing(self):
-        vals = [rayleigh_ccdf(x, 1.3) for x in np.linspace(0, 10, 100)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            rayleigh_ccdf(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            rayleigh_ccdf(1.0, 0.0)

@@ -4,7 +4,8 @@
 statistics; it works elementwise on arrays, so the Monte-Carlo engine calls
 it on whole chunks of trials. `accepts` is the decision rule (ties reject);
 `count_accepted` owns its count and `check_threshold` its domain, for every
-closed form, engine entry and optimizer. Every probability here is a pure
+closed form, engine entry and optimizer; `specfun.check_sigma` owns the
+noise scale's domain for every closed form. Every probability here is a pure
 function of linear-unit quantities; dB conversion belongs to the CLI layer.
 The phase-feature and magnitude-feature missed detections have no closed form
 and live in the Monte-Carlo engine.
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import FoldedNormalParams, folded_normal_cdf, q_func, q_inv
+from .specfun import FoldedNormalParams, check_sigma, folded_normal_cdf, q_func, q_inv
 
 __all__ = [
     "Feature",
@@ -74,15 +75,12 @@ def check_threshold(epsilon: float) -> float:
 
 def pfa_pathloss(epsilon: float, sigma: float) -> float:
     """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return 2.0 * q_func(check_threshold(epsilon) / sigma)
+    return 2.0 * q_func(check_threshold(epsilon) / check_sigma(sigma))
 
 
 def threshold_for_pfa(target_pfa: float, sigma: float) -> float:
     """Smallest threshold meeting a prescribed false-alarm probability."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_sigma(sigma)
     if not (0.0 < target_pfa <= 1.0):
         raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
     if target_pfa == 1.0:
@@ -100,15 +98,14 @@ def pmd_pathloss(epsilon: float, sigma: float, pl_a, pl_e):
 
 def pfa_cir_magnitude(epsilon: float, sigma: float) -> float:
     """False alarm of the magnitude test: the Rayleigh(sigma) tail exp(-eps^2 / 2 sigma^2)."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    epsilon = check_threshold(epsilon)
+    sigma, epsilon = check_sigma(sigma), check_threshold(epsilon)
     return math.exp(-epsilon * epsilon / (2.0 * sigma * sigma))
 
 
 def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:
     """Threshold whose pinned-magnitude false alarm is target_pfa: the Rayleigh tail
     exp(-eps^2 / 2 sigma_r^2) inverted, with sigma_r = rayleigh_sigma(noise_sigma)."""
+    check_sigma(noise_sigma)
     if not (0.0 < target_pfa <= 1.0):
         raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
     if target_pfa == 1.0:

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "FoldedNormalParams",
+    "check_sigma",
     "q_func",
     "q_inv",
     "folded_normal_cdf",
@@ -22,6 +23,13 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def check_sigma(sigma: float) -> float:
+    """sigma, if it is a noise scale: positive and finite."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -32,10 +40,9 @@ class FoldedNormalParams:
     sigma: float
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.delta)) and math.isfinite(self.sigma)):
-            raise ValueError("folded normal parameters must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not np.all(np.isfinite(self.delta)):
+            raise ValueError("folded normal delta must be finite")
+        check_sigma(self.sigma)
 
 
 def q_func(x: float) -> float:

@@ -126,6 +126,26 @@ class TestThresholdForPfa:
             threshold_for_pfa(p, 1.0)
 
 
+class TestSigmaDomain:
+    """Every closed form refuses a noise scale that is not positive and finite."""
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("closed_form", [
+        lambda s: pfa_pathloss(1.0, s),
+        lambda s: threshold_for_pfa(0.05, s),
+        lambda s: threshold_for_pfa(1.0, s),
+        lambda s: pmd_pathloss(1.0, s, 2.0, 3.0),
+        lambda s: pfa_cir_magnitude(1.0, s),
+        lambda s: threshold_for_pfa_magnitude(0.05, s),
+        lambda s: threshold_for_pfa_magnitude(1.0, s),
+    ], ids=["pfa_pathloss", "threshold_for_pfa", "threshold_for_pfa-certain", "pmd_pathloss",
+            "pfa_cir_magnitude", "threshold_for_pfa_magnitude",
+            "threshold_for_pfa_magnitude-certain"])
+    def test_refused(self, closed_form, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            closed_form(sigma)
+
+
 class TestThresholdForPfaMagnitude:
     def test_round_trip_log_grid(self):
         for p in np.geomspace(1e-6, 1.0, 25):

@@ -9,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import reference_box_muller
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rispla import mc
 from rispla.auth import (
@@ -220,6 +222,36 @@ class TestSweepTrials:
         swept = sweep_trials(plans, epsilons, workers=workers)
         assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
         assert len(set(swept)) > 1  # the points do differ
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(seed=st.integers(0, 2**64 - 1),
+           lqs=st.lists(st.floats(-20.0, 300.0), min_size=1, max_size=3),
+           gradient=st.floats(0.0, 40.0), tie=st.integers(0, 2999))
+    def test_pathloss_counts_equal_the_rule(self, scenario_small, workers, seed, lqs, gradient,
+                                            tie):
+        # the pathloss counts come from bisection on sorted noise, not from score():
+        # check them against accepts(score(...)) over the whole decoded range
+        plans = [pathloss_plan(replace(scenario_small, lq_db=lq), n=3000, seed=seed,
+                               gradient=gradient, ris=ris)
+                 for lq in lqs for ris in (True, False)]
+        draws = decode(plans[0], 1, 3000)
+        is_alice = draws.is_alice
+        points = []
+        for plan in plans:
+            ts = score(plan, draws)
+            pfa_threshold = threshold_for_pfa(0.05, plan.scenario.noise_sigma)
+            # ts[tie] as a threshold: that trial ties, and ties reject
+            for epsilon in (0.0, float(ts[tie]), pfa_threshold):
+                accept = accepts(ts, epsilon)
+                points.append((plan, epsilon, (
+                    ErrorEstimate.from_counts(np.count_nonzero(is_alice & ~accept),
+                                              np.count_nonzero(is_alice)),
+                    ErrorEstimate.from_counts(np.count_nonzero(~is_alice & accept),
+                                              np.count_nonzero(~is_alice)))))
+        plans, epsilons, expected = zip(*points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
+            assert sweep_trials(plans, epsilons, workers=workers) == list(expected)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_streams_equal_run_trials_per_point(self, scenario_small, monkeypatch,

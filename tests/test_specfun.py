@@ -15,6 +15,7 @@ from scipy import integrate
 
 from rispla.specfun import (
     FoldedNormalParams,
+    check_sigma,
     folded_normal_cdf,
     folded_normal_moments,
     q_func,
@@ -138,6 +139,17 @@ class TestFoldedNormalCdf:
             FoldedNormalParams(0.0, 0.0)
         with pytest.raises(ValueError):
             FoldedNormalParams(0.0, -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_sigma_domain_has_one_owner(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            check_sigma(sigma)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            FoldedNormalParams(0.0, sigma)
+
+    def test_check_sigma_passes_a_scale_through(self):
+        assert check_sigma(5e-324) == 5e-324
+        assert check_sigma(1.0) == 1.0
 
 
 class TestFoldedNormalMoments:

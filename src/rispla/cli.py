@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-# --lq-grid points (each one more score and count on every decoded chunk), --epsilons log points
+# --lq-grid and --epsilons log points: each adds a count per decoded chunk, a CIR lq point a score
 GRID_POINT_LIMIT = 10_000
 GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 286 MiB peak RSS
 
@@ -186,14 +186,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    scenarios = _scenarios(args, [args.lq_db])
-    feature = Feature(args.feature)
-    outputs = {}  # every baseline is computed before any file is written
-    for path, (plan,) in _plans(args, scenarios, feature):
-        curve = mc.roc_sweep(plan, args.epsilons, workers=args.workers)  # None: the auto grid
-        outputs[path] = _csv("epsilon,pfa,pd", zip(curve.epsilons.tolist(), curve.pfa.tolist(),
-                                                   curve.pd.tolist()))
-    _write_outputs(outputs)
+    baselines = _plans(args, _scenarios(args, [args.lq_db]), Feature(args.feature))
+    # one engine call for every baseline, so baselines of one random stream share its decode
+    curves = mc.roc_sweeps([plan for _, (plan,) in baselines], args.epsilons,  # None: auto grid
+                           workers=args.workers)
+    _write_outputs({path: _csv("epsilon,pfa,pd", np.c_[c.epsilons, c.pfa, c.pd].tolist())
+                    for (path, _), c in zip(baselines, curves)})
     return EXIT_OK
 
 

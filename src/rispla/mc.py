@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,6 +31,7 @@ __all__ = [
     "run_trials",
     "sweep_trials",
     "roc_sweep",
+    "roc_sweeps",
     "empirical_distribution",
     "decode",
     "score",
@@ -42,8 +42,8 @@ TWO_PI = 2.0 * math.pi
 
 LOW_CONFIDENCE_TRIALS = 100
 
-# roc_sweep's auto grid: ROC_AUTO_POINTS thresholds, log-spaced from ROC_LO_SCALE x the smallest
-# positive to ROC_HI_SCALE x the largest forced-H0/H1 statistic of the first ROC_PILOT_TRIALS.
+# A plan's auto ROC grid: ROC_AUTO_POINTS thresholds, log-spaced from ROC_LO_SCALE x the smallest
+# positive to ROC_HI_SCALE x the largest forced-H0/H1 statistic of its first ROC_PILOT_TRIALS.
 ROC_PILOT_TRIALS, ROC_AUTO_POINTS, ROC_LO_SCALE, ROC_HI_SCALE = 10_000, 50, 0.5, 1.05
 
 
@@ -240,18 +240,27 @@ def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
     The CIR features compare with the fingerprint gt enrolled from the draws'
     block 0; the pathloss feature's enrolled value is the closed-form pathloss.
     """
+    return _score(plan, draws, {})
+
+
+def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
+    """score(), keeping each CIR gain (cascade, gt) in gains by (baseline, phases), so that
+    plans and forced runs that share them compute them once. The first score of a key must
+    be of the full draws: a forced run of their first k trials slices the cascade."""
     sigma_n = plan.scenario.noise_sigma
     if plan.feature is Feature.PATHLOSS:
         pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
         pl_true = np.where(draws.is_alice, pl_a, pl_e)
         return statistic(plan.feature, _observed(pl_true, sigma_n, draws.noise), pl_a)
-    if plan.ris:
-        cascade = _cascade(draws.h, draws.g, plan.profile.phases)
-        # np.sum, not _cascade: einsum sums in another order, which changes the
+    key = plan.ris, plan.profile.phases.tobytes()
+    if key not in gains and not plan.ris:
+        gains[key] = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
+    elif key not in gains:
+        # gt by np.sum, not _cascade: einsum sums in another order, which changes the
         # last bits of the fingerprint and with them the committed outputs
         gt = complex(np.sum(np.conj(draws.h0) * np.exp(1j * plan.profile.phases) * draws.g0))
-    else:
-        cascade, gt = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
+        gains[key] = _cascade(draws.h, draws.g, plan.profile.phases), gt
+    cascade, gt = gains[key][0][:draws.noise.size], gains[key][1]
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
     return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
@@ -285,57 +294,86 @@ def _map_trials(reduce, plan: TrialPlan, n: int, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _accepted_run(noise, pl_true, pl_a, sigma_n, epsilon) -> int:
-    """#accepts(statistic) over one sender's pathloss trials, from their ascending unit noise.
+def _accepted_run(noise, pl_true, pl_a, sigma_n, eps) -> np.ndarray:
+    """#accepts(statistic) over one sender's pathloss trials, from their ascending unit noise,
+    at each point of the 1-D arrays pl_true, pl_a, sigma_n and eps.
 
-    Each rounded step of the signed distance pl_true + sigma_n * n - pl_a (a
-    multiply by sigma_n >= 0, an add, a subtract) is monotone in n, so over
-    ascending n the statistic, its modulus, falls up to the fold (the first n
-    observed at or above pl_a) and rises after it: the accepted trials are one
-    run of the sorted noise around the fold. Both ends are bisected, each probe
-    one noise value through the same IEEE operations as score, so the count is
-    score's exactly.
+    Each rounded step of pl_true + sigma_n * n - pl_a (a multiply by sigma_n >= 0, an add, a
+    subtract) is monotone in n, so over ascending n the statistic falls up to the fold (the
+    first n observed at or above pl_a) and rises after it: the accepted trials are one run
+    around the fold. The fold and both ends are bisected for all points at once, each probe
+    through score's IEEE operations, so the counts are score's exactly.
     """
-    def accepted(n) -> bool:
-        return accepts(statistic(Feature.PATHLOSS, _observed(pl_true, sigma_n, n), pl_a), epsilon)
+    def first(lo, hi, key):  # per point, the first index in [lo, hi) whose noise has key, or hi
+        lo, hi = np.broadcast_to(lo, eps.shape), np.broadcast_to(hi, eps.shape)
+        while np.any(lo < hi):
+            mid, active = (lo + hi) // 2, lo < hi
+            true = key(noise[np.minimum(mid, noise.size - 1)])  # a settled point's mid may be hi
+            lo, hi = np.where(active & ~true, mid + 1, lo), np.where(active & true, mid, hi)
+        return lo
 
-    fold = bisect_left(noise, True, key=lambda n: _observed(pl_true, sigma_n, n) >= pl_a)
-    first = bisect_left(noise, True, 0, fold, key=accepted)
-    return bisect_left(noise, True, fold, key=lambda n: not accepted(n)) - first
+    def accepted(n):
+        return accepts(statistic(Feature.PATHLOSS, _observed(pl_true, sigma_n, n), pl_a), eps)
+
+    fold = first(0, noise.size, lambda n: _observed(pl_true, sigma_n, n) >= pl_a)
+    return first(fold, noise.size, lambda n: ~accepted(n)) - first(0, fold, accepted)
 
 
-def _counts(draws, points) -> np.ndarray:
-    """Rows (n_alice, n_eve), then (rejects_alice, accepts_eve) per (plan, epsilon) point.
-
-    A pathloss chunk sorts each sender's noise once and counts every point on it
-    by bisection, exactly (_accepted_run): one sort plus O(log n) probes per
-    point, where scoring is O(n) per point. The CIR features score every point.
-    """
-    is_alice = draws.is_alice
-    n0 = np.count_nonzero(is_alice)
-    counts = [(n0, is_alice.size - n0)]
-    if draws.h is None:  # pathloss
-        # compress, not a boolean index, which takes 4x as long on a random mask; both copy,
-        # so each sender's noise is sorted in place
-        alice, eve = np.compress(is_alice, draws.noise), np.compress(~is_alice, draws.noise)
-        alice.sort()
-        eve.sort()
-        for point, epsilon in points:
-            pl_a, pl_e = pathloss_pair(point.scenario, point.profile.gradient, point.ris)
-            sigma_n = point.scenario.noise_sigma
-            counts.append((n0 - _accepted_run(alice, pl_a, pl_a, sigma_n, epsilon),
-                           _accepted_run(eve, pl_e, pl_a, sigma_n, epsilon)))
+def _counts(pairs, plans, grids) -> np.ndarray:
+    """Rows (n_alice, n_eve), then (Alice's, Eve's) accepted count per threshold of each plan's
+    grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise."""
+    rows = [tuple(part.size for part in pairs[0])]
+    if plans[0].feature is not Feature.PATHLOSS:  # a stream's plans are all CIR or all pathloss
+        for eps, (alice, eve) in zip(grids, pairs):
+            rows.extend(zip(count_accepted(alice, eps), count_accepted(eve, eps)))
     else:
-        for point, epsilon in points:
-            accept = accepts(score(point, draws), epsilon)
-            counts.append((np.count_nonzero(is_alice & ~accept),
-                           np.count_nonzero(~is_alice & accept)))
-    return np.array(counts, dtype=np.int64)
+        points = [(*pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris),
+                   plan.scenario.noise_sigma) for plan in plans]
+        pl_a, pl_e, sigma_n = np.repeat(points, [len(eps) for eps in grids], axis=0).T
+        eps, ((alice, eve),) = np.concatenate(grids), pairs
+        rows.extend(zip(_accepted_run(alice, pl_a, pl_a, sigma_n, eps),
+                        _accepted_run(eve, pl_e, pl_a, sigma_n, eps)))
+    return np.array(rows, dtype=np.int64)
 
 
-def _tally(alice, eve, eps) -> np.ndarray:
-    """Rows (Alice, Eve) from sorted statistics: trials, then the accepted count per threshold."""
-    return np.array([[ts.size, *count_accepted(ts, eps)] for ts in (alice, eve)], dtype=np.int64)
+def _sweep(plans, grids, workers: int) -> list:
+    """(grid, n_alice, n_eve, accepted) per plan, accepted holding (Alice's, Eve's) count at each
+    threshold of its grid, or of the auto grid where the grid is None. Each stream (sweep_trials)
+    is decoded once; a chunk sorts once per distinct statistic and counts a given grid, or holds
+    its sorted values (8 B per trial, shared by pathloss plans) until the pilot picks the grid."""
+    results = [None] * len(plans)
+    streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
+    for k, plan in enumerate(plans):
+        streams.setdefault(_stream(plan), []).append(k)
+    for ks in streams.values():
+        group, own = [plans[k] for k in ks], [grids[k] for k in ks]
+        pilot = min(group[0].n_trials, ROC_PILOT_TRIALS) if own[0] is None else 0
+
+        def chunk(lo, draws):
+            gains = {}  # shared by every score of the chunk (_score)
+            values = [draws.noise] if draws.h is None else [_score(p, draws, gains) for p in group]
+            masks = draws.is_alice, ~draws.is_alice
+            # compress, not a boolean index, which takes 4x as long on a random mask
+            pairs = [[np.sort(np.compress(mask, v)) for mask in masks] for v in values]
+            if not pilot:
+                return _counts(pairs, group, own)
+            forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
+            return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
+
+        parts = _map_trials(chunk, group[0], group[0].n_trials, workers)
+        if pilot:
+            own = []
+            for samples in map(np.concatenate, zip(*(s for _, s in parts))):
+                positive = samples[samples > 0.0]
+                lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
+                hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
+                own.append(np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS))
+            parts = [_counts(pairs, group, own) for pairs, _ in parts]
+        total = sum(parts)
+        accepted = np.split(total[1:], np.cumsum([len(grid) for grid in own[:-1]]))
+        for k, grid, acc in zip(ks, own, accepted):
+            results[k] = grid, *total[0].tolist(), acc
+    return results
 
 
 def attacker_draws(plan: TrialPlan) -> list[Draws]:
@@ -367,79 +405,43 @@ def sweep_trials(plans, epsilons, *,
                  workers: int = 1) -> list[tuple[ErrorEstimate, ErrorEstimate]]:
     """run_trials(plans[k], epsilons[k]) for every k, from one decode per random stream.
 
-    Plans that share a random stream (master_seed, n_trials, decoded elements
-    and fading scale; see _stream) decode the same draws; they may differ in
-    everything decode() does not read: link quality, profile, statistic,
-    refade_alice, and for the pathloss feature the baseline. The plans are
-    grouped by stream in first-seen order, and each stream's default chunks
-    are decoded once and scored at every point of the stream, on one thread
-    pool per stream when workers > 1 (see _map_trials). The counts equal those
-    of one run_trials call per point, and the results come back in input order.
+    Plans that share a random stream (see _stream) decode the same draws, so they may differ
+    in all that decode() does not read: link quality, profile, statistic, refade_alice, and
+    for pathloss the baseline. Streams go in first-seen order, each on one thread pool when
+    workers > 1 (_map_trials); the counts equal run_trials' per point, in input order.
     """
     if not plans or len(plans) != len(epsilons):
         raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
                          f"and {len(epsilons)} epsilons")
-    epsilons = [check_threshold(epsilon) for epsilon in epsilons]
-    streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
-    for k, plan in enumerate(plans):
-        streams.setdefault(_stream(plan), []).append(k)
-    results = [None] * len(plans)
-    for ks in streams.values():
-        plan = plans[ks[0]]
-        points = [(plans[k], epsilons[k]) for k in ks]
-        counts = sum(_map_trials(lambda lo, draws: _counts(draws, points), plan, plan.n_trials,
-                                 workers))
-        (n0, n1), *per_point = counts.tolist()
-        for k, (rejects_alice, accepts_eve) in zip(ks, per_point):
-            results[k] = (ErrorEstimate.from_counts(rejects_alice, n0),
-                          ErrorEstimate.from_counts(accepts_eve, n1))
-    return results
+    grids = [[check_threshold(epsilon)] for epsilon in epsilons]
+    return [(ErrorEstimate.from_counts(n0 - alice, n0), ErrorEstimate.from_counts(eve, n1))
+            for _, n0, n1, accepted in _sweep(plans, grids, workers)
+            for alice, eve in accepted.tolist()]  # one threshold per plan
+
+
+def roc_sweeps(plans, epsilons=None, *, workers: int = 1) -> list[RocCurve]:
+    """roc_sweep(plan, epsilons) for each plan, from one decode per stream (see sweep_trials)."""
+    if epsilons is not None:
+        epsilons = np.asarray(epsilons, dtype=float)
+        if epsilons.ndim != 1 or epsilons.size == 0 or np.any(np.diff(epsilons) <= 0):
+            raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
+        for epsilon in epsilons:
+            check_threshold(epsilon)
+
+    def rejected(accepted, n):  # 1 - #(ts < eps) / n
+        return 1.0 - accepted / n if n else np.full(accepted.size, math.nan)
+
+    return [RocCurve(epsilons=eps, pfa=rejected(acc[:, 0], n0), pd=rejected(acc[:, 1], n1))
+            for eps, n0, n1, acc in _sweep(plans, [epsilons] * len(plans), workers)]
 
 
 def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
-    """Operating points for many thresholds from a single sample pass.
+    """Operating points for many thresholds from a single sample pass (roc_sweeps).
 
-    All thresholds see the same per-trial statistics, so the resulting pfa
-    and pd are each monotone along the curve. A given grid is counted per
-    chunk. Without epsilons the auto grid is picked from the same decode,
-    its pilot rescored with the transmitter forced; the sorted statistics
-    (8 bytes per trial) are held until the grid is known.
+    Every threshold counts the same statistics, so pfa and pd are each monotone along the
+    curve. Without epsilons the auto grid (see ROC_PILOT_TRIALS) comes from the same decode.
     """
-    pilot = 0 if epsilons is not None else min(plan.n_trials, ROC_PILOT_TRIALS)
-
-    def stats(lo, draws):
-        """Sorted statistics of Alice's and of Eve's trials, then those of the chunk's
-        trials below `pilot` under forced H0 and forced H1 (empty past the pilot)."""
-        ts = score(plan, draws)
-        k = min(pilot - lo, ts.size)
-        sample = (np.concatenate([score(plan, _forced(draws, h, k)) for h in Hypothesis])
-                  if k > 0 else np.empty(0))
-        return np.sort(ts[draws.is_alice]), np.sort(ts[~draws.is_alice]), sample
-
-    if epsilons is not None:
-        eps = np.asarray(epsilons, dtype=float)
-        if eps.ndim != 1 or eps.size == 0 or np.any(np.diff(eps) <= 0):
-            raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
-        for epsilon in eps:
-            check_threshold(epsilon)
-        counts = sum(_map_trials(lambda lo, draws: _tally(*stats(lo, draws)[:2], eps),
-                                 plan, plan.n_trials, workers))
-    else:
-        alice, eve, samples = zip(*_map_trials(stats, plan, plan.n_trials, workers))
-        samples = np.concatenate(samples)
-        positive = samples[samples > 0.0]
-        lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
-        hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
-        if hi <= lo:
-            hi = 10.0 * lo
-        eps = np.geomspace(lo, hi, ROC_AUTO_POINTS)
-        counts = sum(_tally(a, e, eps) for a, e in zip(alice, eve))
-
-    def rejected(row):  # 1 - #(ts < eps) / n
-        n, accepted = row[0], row[1:]
-        return 1.0 - accepted / n if n else np.full(eps.size, math.nan)
-
-    return RocCurve(epsilons=eps, pfa=rejected(counts[0]), pd=rejected(counts[1]))
+    return roc_sweeps([plan], epsilons, workers=workers)[0]
 
 
 def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int) -> np.ndarray:

@@ -210,6 +210,40 @@ class TestBaselines:
         assert code == EXIT_OK
         assert len(calls) == 3  # RIS and no-RIS share the pathloss stream: one decode
 
+    @pytest.mark.parametrize("grid", [["--epsilons", "1e-6,1e-5"], []],
+                             ids=["given-grid", "auto-grid"])
+    def test_both_pathloss_roc_baselines_decode_each_chunk_once(self, tmp_path, monkeypatch,
+                                                                 grid):
+        from rispla import mc
+
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1000)  # 3 chunks
+        calls = []
+        real = mc.decode
+
+        def counting(plan, first_block, n_blocks):
+            calls.append((first_block, n_blocks))
+            return real(plan, first_block, n_blocks)
+
+        monkeypatch.setattr(mc, "decode", counting)
+        code = run_cli("roc", "--scenario", SCENARIO, "--trials", 3000, "--baseline", "both",
+                       *grid, "--output", tmp_path / "roc.csv")
+        assert code == EXIT_OK
+        # RIS and no-RIS share the pathloss stream: each chunk is decoded once for both
+        assert calls == [(1, 1000), (1001, 1000), (2001, 1000)]
+
+    @pytest.mark.parametrize("feature,trials,lq", [("pathloss", 20000, 60), ("cir-phase", 1000, 20)])
+    @pytest.mark.parametrize("grid", [["--epsilons", "log:1e-9:3:40"], []],
+                             ids=["given-grid", "auto-grid"])
+    def test_roc_both_equals_separate_baselines(self, tmp_path, feature, trials, lq, grid):
+        args = ["roc", "--scenario", SCENARIO, "--feature", feature, "--trials", trials,
+                "--lq-db", lq, "--seed", 6, *grid]
+        assert run_cli(*args, "--baseline", "both", "--output", tmp_path / "roc.csv") == EXIT_OK
+        for baseline, tag in [("ris", "_ris"), ("no-ris", "_noris")]:
+            alone = tmp_path / f"alone{tag}.csv"
+            assert run_cli(*args, "--baseline", baseline, "--output", alone) == EXIT_OK
+            assert (tmp_path / f"roc{tag}.csv").read_bytes() == alone.read_bytes()
+        assert (tmp_path / "roc_ris.csv").read_bytes() != (tmp_path / "roc_noris.csv").read_bytes()
+
     @pytest.mark.parametrize("feature,pools", [("pathloss", 1), ("cir-magnitude", 2)])
     def test_one_pool_per_random_stream(self, tmp_path, monkeypatch, feature, pools):
         from concurrent.futures import ThreadPoolExecutor
@@ -425,8 +459,8 @@ class TestExitCodes:
 class TestAtomicOutputs:
     @pytest.mark.parametrize("command,engine,extra", [
         ("sweep-pfa", "sweep_trials", ["--epsilon", 1.0, "--lq-grid", "0"]),
-        ("roc", "roc_sweep", ["--epsilons", "1e-6,1e-5"]),
-    ], ids=["sweep-pfa-run_trials-extra0", "roc-roc_sweep-extra1"])  # ids kept from before sweep_trials
+        ("roc", "roc_sweeps", ["--epsilons", "1e-6,1e-5"]),
+    ], ids=["sweep-pfa-run_trials-extra0", "roc-roc_sweep-extra1"])  # ids kept from before the sweeps
     def test_failed_baseline_writes_nothing(self, tmp_path, monkeypatch, command, engine,
                                             extra):
         from rispla import mc
@@ -434,7 +468,7 @@ class TestAtomicOutputs:
         real = getattr(mc, engine)
 
         def fail_on_no_ris(plan, *args, **kwargs):
-            plans = plan if isinstance(plan, list) else [plan]  # sweep_trials takes a list
+            plans = plan if isinstance(plan, list) else [plan]  # the sweeps take a list
             if not all(p.ris for p in plans):
                 raise ValueError("no-RIS baseline failed")
             return real(plan, *args, **kwargs)

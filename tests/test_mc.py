@@ -16,6 +16,7 @@ from rispla import mc
 from rispla.auth import (
     Feature,
     accepts,
+    count_accepted,
     pfa_cir_magnitude,
     pfa_pathloss,
     pmd_pathloss,
@@ -305,6 +306,44 @@ class TestSweepTrials:
         sweep_trials(plans, epsilons)
         assert len(calls) == 4  # per chunk: its trials and the enrollment block
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_element_panel_and_direct_link_share_a_stream(self, scenario_small, workers):
+        # one element with unit fading decodes what the direct link decodes: the baselines
+        # share their chunks but not their cascaded gains
+        sc = replace(scenario_small, n_elements=1, sigma_g_sq=1.0)
+        plans = [cir_plan(sc, Feature.CIR_MAGNITUDE, n=3000, phases=np.array([1.0]), ris=ris)
+                 for ris in (True, False)]
+        assert mc._stream(plans[0]) == mc._stream(plans[1])
+        epsilons = [3.0 * rayleigh_sigma(sc.noise_sigma)] * 2
+        swept = sweep_trials(plans, epsilons, workers=workers)
+        assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
+        assert swept[0] != swept[1]
+        curves = mc.roc_sweeps(plans, workers=workers)
+        for curve, plan in zip(curves, plans):
+            alone = roc_sweep(plan)
+            for got, want in [(curve.epsilons, alone.epsilons), (curve.pfa, alone.pfa),
+                              (curve.pd, alone.pd)]:
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("call", ["roc-auto-grid", "sweep-3-points"])
+    def test_one_cascade_per_chunk(self, scenario_small, monkeypatch, call):
+        # the points of a sweep share their (baseline, phases) cascade, and so do a ROC's
+        # statistics and its forced-H0/H1 pilot
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks
+        rows = []
+        real = mc._cascade
+
+        def counting(h, g, phases):
+            rows.append(h.shape[0])
+            return real(h, g, phases)
+
+        monkeypatch.setattr(mc, "_cascade", counting)
+        if call == "roc-auto-grid":
+            roc_sweep(cir_plan(scenario_small, Feature.CIR_PHASE, n=3000))
+        else:
+            sweep_trials(*cir_grid(scenario_small, [10.0, 20.0, 30.0]))
+        assert rows == [1500, 1500]
+
 
 def reference_cir_vectors(block, n, sigma_g_sq):
     """The CIR decode as the engine built it before it wrote the complex planes."""
@@ -351,7 +390,38 @@ def two_pilot_grid(plan):
     return np.geomspace(lo, hi, 50)
 
 
+def full_count_curve(plan, grid, piece=4100):
+    """(pfa, pd) as roc_sweep counted them before it counted per stream: every trial scored,
+    split by sender with a boolean index, sorted and counted with count_accepted."""
+    ts, is_alice = [], []
+    for lo in range(0, plan.n_trials, piece):  # decoded in pieces, to bound the memory
+        draws = decode(plan, lo + 1, min(piece, plan.n_trials - lo))
+        ts.append(score(plan, draws))
+        is_alice.append(draws.is_alice)
+    ts, is_alice = np.concatenate(ts), np.concatenate(is_alice)
+    return [1.0 - count_accepted(np.sort(ts[mask]), grid) / np.count_nonzero(mask)
+            for mask in (is_alice, ~is_alice)]
+
+
 class TestRocSweep:
+    @pytest.mark.parametrize("case", ["cir-n256-8200", "pathloss-small-chunks"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pilot_across_chunks_equals_full_count(self, scenario, scenario_small, monkeypatch,
+                                                    case, workers):
+        if case == "cir-n256-8200":
+            # the 8200-trial pilot spans all three chunks (4080, 4080, 40) of the full panel
+            plan = cir_plan(scenario, Feature.CIR_PHASE, n=8200)
+            assert mc._default_chunk(plan) == 4080
+        else:
+            plan = pathloss_plan(scenario_small, n=12_000, seed=21)
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan: 2500)  # pilot: 4 chunks
+        grid = two_pilot_grid(plan)
+        curve = roc_sweep(plan, workers=workers)
+        pfa, pd = full_count_curve(plan, grid)
+        for got, want in [(curve.epsilons, grid), (curve.pfa, pfa), (curve.pd, pd)]:
+            np.testing.assert_array_equal(got, want)
+        assert len(set(curve.pfa.tolist())) > 1 and len(set(curve.pd.tolist())) > 1
+
     @pytest.mark.parametrize("make_plan", [
         lambda sc, n: pathloss_plan(sc, n=n),
         lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n),

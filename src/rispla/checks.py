@@ -59,7 +59,7 @@ def pfa_closed_form(scenario: Scenario, trials: int):
             plan = TrialPlan(n_trials=trials, master_seed=100 + 10 * i + j,
                              feature=Feature.PATHLOSS, scenario=sc,
                              profile=ScalarGradient(0.0))
-            pfa, _ = run_trials(plan, eps)
+            pfa, _ = run_trials(plan, eps, hypothesis=Hypothesis.H0)
             worst = max(worst, _deviation(pfa, p))
             n_pairs += 1
     return (worst <= 3.0 and n_pairs == 20,
@@ -93,7 +93,7 @@ def pmd_closed_form(scenario: Scenario, trials: int):
             plan = TrialPlan(n_trials=trials, master_seed=300 + 10 * i + j,
                              feature=Feature.PATHLOSS, scenario=sc,
                              profile=ScalarGradient(gradient))
-            _, pmd = run_trials(plan, eps)
+            _, pmd = run_trials(plan, eps, hypothesis=Hypothesis.H1)
             worst = max(worst, _deviation(pmd, expected))
             n_triples += 1
     rng = np.random.default_rng(31)
@@ -148,7 +148,7 @@ def false_alarm_phase_invariance(scenario: Scenario, trials: int):
                            feature=Feature.CIR_MAGNITUDE, scenario=sc,
                            profile=prof, refade_alice=False)
                  for sc in lq_scenarios]
-        pfas.append([pfa for pfa, _ in sweep_trials(plans, epsilons)])
+        pfas.append([pfa for pfa, _ in sweep_trials(plans, epsilons, hypothesis=Hypothesis.H0)])
     worst = 0.0
     for a, b in zip(*pfas):
         se = math.hypot(a.half_width_95, b.half_width_95) / 1.96

@@ -164,9 +164,12 @@ def _cmd_sweep(args) -> int:
     epsilons = [_epsilon(args, feature, sc.noise_sigma) for sc in scenarios]
     command = args.command  # sweep-pfa or sweep-pmd
     baselines = _plans(args, scenarios, feature)
-    # one engine call for every baseline, so baselines of one random stream share its decode
+    # one engine call for every baseline, so baselines of one random stream share its decode;
+    # it decodes only the sender whose trials the written error counts
+    hypothesis = mc.Hypothesis.H0 if command == "sweep-pfa" else mc.Hypothesis.H1
     estimates = mc.sweep_trials([p for _, plans in baselines for p in plans],
-                                epsilons * len(baselines), workers=args.workers)
+                                epsilons * len(baselines), hypothesis=hypothesis,
+                                workers=args.workers)
     outputs = {}  # every baseline is computed before any file is written
     for b, (path, plans) in enumerate(baselines):
         rows, flagged = [], []

@@ -147,11 +147,16 @@ def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rad, np.multiply(TWO_PI, v)
 
 
-def _polar_blocks(master_seed: int, stride: int, first_block: int, m: int):
+def _polar_blocks(master_seed: int, stride: int, first_block: int, m: int, hypothesis=None):
     """The transmitter draw (Alice below 0.5) and the Box-Muller radius and angle of the
-    uniform pairs after it, of m blocks from first_block; the uniforms are freed on return."""
+    uniform pairs after it, of m blocks from first_block, or of those of hypothesis's sender
+    only (H0: Alice's); the uniforms are freed on return."""
     block = _uniform_blocks(master_seed, stride, first_block, m)
-    return (block[:, 0] < 0.5, *_polar(block[:, 1:-1:2], block[:, 2::2]))
+    is_alice = block[:, 0] < 0.5
+    if hypothesis is not None:  # whole rows, so _polar takes the same views of fewer rows
+        keep = is_alice == (hypothesis is Hypothesis.H0)
+        block, is_alice = np.compress(keep, block, axis=0), np.compress(keep, is_alice)
+    return (is_alice, *_polar(block[:, 1:-1:2], block[:, 2::2]))
 
 
 def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
@@ -162,14 +167,16 @@ def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, first_block: int, m: int):
-    """Decode m uniform blocks of n elements from first_block into the transmitter draw
-    and the (h, g, noise_unit) complex vectors.
+def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, first_block: int, m: int,
+                 hypothesis=None):
+    """Decode m uniform blocks of n elements from first_block (those of hypothesis's sender
+    only, if given) into the transmitter draw and the (h, g, noise_unit) complex vectors.
 
     Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies
     by (Smith's rule), so h and noise_unit keep the bits of that division.
     """
-    is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, first_block, m)
+    is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, first_block, m, hypothesis)
+    m = is_alice.size  # the rows kept
     z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
     np.multiply(rad, np.cos(ang), out=z[:, :, 0])
     np.multiply(rad, np.sin(ang, out=ang), out=z[:, :, 1])
@@ -194,7 +201,8 @@ class Draws:
     CIR features, which also carry the fading h and g (blocks x decoded
     elements) and the enrollment's h0 and g0 (block 0, one row each). Nothing
     here depends on the profile, so one decode serves every candidate of a
-    search under common random numbers.
+    search under common random numbers. A decode for one hypothesis holds the
+    rows of that sender's trials only, in trial order.
     """
 
     is_alice: np.ndarray
@@ -205,17 +213,19 @@ class Draws:
     g0: np.ndarray | None = None
 
 
-def decode(plan: TrialPlan, first_block: int, n_blocks: int) -> Draws:
+def decode(plan: TrialPlan, first_block: int, n_blocks: int,
+           hypothesis: Hypothesis | None = None) -> Draws:
     """Decode uniform blocks [first_block, first_block + n_blocks), and block 0 for CIR.
 
     Trial i reads block i + 1; block 0 is the enrollment. Each block's first
-    uniform draws the transmitter: Alice below 0.5.
+    uniform draws the transmitter: Alice below 0.5. Given a hypothesis, only the
+    blocks whose transmitter is its sender are decoded past that draw.
     """
     seed, _, n, g_scale = _stream(plan)
     if n == 0:  # pathloss: stride 4
-        is_alice, rad, ang = _polar_blocks(seed, 4, first_block, n_blocks)
+        is_alice, rad, ang = _polar_blocks(seed, 4, first_block, n_blocks, hypothesis)
         return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
-    is_alice, h, g, noise_unit = _cir_vectors(seed, n, g_scale, first_block, n_blocks)
+    is_alice, h, g, noise_unit = _cir_vectors(seed, n, g_scale, first_block, n_blocks, hypothesis)
     _, h0, g0, _ = _cir_vectors(seed, n, g_scale, 0, 1)
     return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
 
@@ -270,8 +280,9 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1024, (1 << 22) // (4 * _stream(plan)[2] + 4))
 
 
-def _map_trials(reduce, plan: TrialPlan, n: int, workers: int) -> list:
-    """reduce(lo, decode(plan, lo + 1, hi - lo)) for each default chunk [lo, hi) of trials [0, n).
+def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None) -> list:
+    """reduce(lo, decode(plan, lo + 1, hi - lo, hypothesis)) for each default chunk [lo, hi) of
+    trials [0, n).
 
     The one place the trial range is split: serially, or on a thread pool of
     `workers` threads, at most one per chunk and one per CPU, so a one-chunk
@@ -282,7 +293,7 @@ def _map_trials(reduce, plan: TrialPlan, n: int, workers: int) -> list:
     starts = range(0, n, chunk)
 
     def run(lo):
-        return reduce(lo, decode(plan, lo + 1, min(chunk, n - lo)))
+        return reduce(lo, decode(plan, lo + 1, min(chunk, n - lo), hypothesis))
 
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers < 2:
@@ -336,11 +347,12 @@ def _counts(pairs, plans, grids) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _sweep(plans, grids, workers: int) -> list:
+def _sweep(plans, grids, workers: int, hypothesis=None) -> list:
     """(grid, n_alice, n_eve, accepted) per plan, accepted holding (Alice's, Eve's) count at each
     threshold of its grid, or of the auto grid where the grid is None. Each stream (sweep_trials)
-    is decoded once; a chunk sorts once per distinct statistic and counts a given grid, or holds
-    its sorted values (8 B per trial, shared by pathloss plans) until the pilot picks the grid."""
+    is decoded once, of hypothesis's sender only if given (the other's counts are 0); a chunk
+    sorts once per distinct statistic and counts a given grid, or holds its sorted values
+    (8 B per trial, shared by pathloss plans) until the pilot picks the grid."""
     results = [None] * len(plans)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
@@ -360,7 +372,7 @@ def _sweep(plans, grids, workers: int) -> list:
             forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
             return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
 
-        parts = _map_trials(chunk, group[0], group[0].n_trials, workers)
+        parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis)
         if pilot:
             own = []
             for samples in map(np.concatenate, zip(*(s for _, s in parts))):
@@ -390,20 +402,23 @@ def attacker_draws(plan: TrialPlan) -> list[Draws]:
 # ---------------------------------------------------------------------------
 
 
-def run_trials(plan: TrialPlan, epsilon: float, *,
-               workers: int = 1) -> tuple[ErrorEstimate, ErrorEstimate]:
+def run_trials(plan: TrialPlan, epsilon: float, *, hypothesis: Hypothesis | None = None,
+               workers: int = 1) -> tuple[ErrorEstimate | None, ErrorEstimate | None]:
     """Empirical (false alarm, missed detection) at threshold epsilon.
 
     The transmitter is drawn uniformly per trial. Deterministic for fixed
     (master_seed, n_trials) for any partition or worker count; merging is
-    integer-count summation.
+    integer-count summation. A hypothesis counts one error, over its sender's
+    trials (H0: the false alarm, H1: the missed detection), and decodes only
+    those trials past the transmitter draw; the other estimate is None.
     """
-    return sweep_trials([plan], [epsilon], workers=workers)[0]
+    return sweep_trials([plan], [epsilon], hypothesis=hypothesis, workers=workers)[0]
 
 
-def sweep_trials(plans, epsilons, *,
-                 workers: int = 1) -> list[tuple[ErrorEstimate, ErrorEstimate]]:
-    """run_trials(plans[k], epsilons[k]) for every k, from one decode per random stream.
+def sweep_trials(plans, epsilons, *, hypothesis: Hypothesis | None = None,
+                 workers: int = 1) -> list[tuple[ErrorEstimate | None, ErrorEstimate | None]]:
+    """run_trials(plans[k], epsilons[k], hypothesis=hypothesis) for every k, from one decode
+    per random stream.
 
     Plans that share a random stream (see _stream) decode the same draws, so they may differ
     in all that decode() does not read: link quality, profile, statistic, refade_alice, and
@@ -414,8 +429,9 @@ def sweep_trials(plans, epsilons, *,
         raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
                          f"and {len(epsilons)} epsilons")
     grids = [[check_threshold(epsilon)] for epsilon in epsilons]
-    return [(ErrorEstimate.from_counts(n0 - alice, n0), ErrorEstimate.from_counts(eve, n1))
-            for _, n0, n1, accepted in _sweep(plans, grids, workers)
+    return [(None if hypothesis is Hypothesis.H1 else ErrorEstimate.from_counts(n0 - alice, n0),
+             None if hypothesis is Hypothesis.H0 else ErrorEstimate.from_counts(eve, n1))
+            for _, n0, n1, accepted in _sweep(plans, grids, workers, hypothesis)
             for alice, eve in accepted.tolist()]  # one threshold per plan
 
 

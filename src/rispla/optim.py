@@ -153,7 +153,7 @@ def optimize_phase_matrix(
         n_candidates = levels**n
         if n_candidates > EXHAUSTIVE_CANDIDATE_LIMIT:
             raise SearchBudgetError(
-                f"exhaustive search needs {n_candidates} candidate evaluations "
+                f"exhaustive search needs {levels}^{n} candidate evaluations "
                 f"(limit {EXHAUSTIVE_CANDIDATE_LIMIT}); use the coordinate strategy",
                 required=n_candidates,
             )

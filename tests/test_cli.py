@@ -220,9 +220,9 @@ class TestBaselines:
         calls = []
         real = mc.decode
 
-        def counting(plan, first_block, n_blocks):
+        def counting(plan, first_block, n_blocks, hypothesis=None):
             calls.append((first_block, n_blocks))
-            return real(plan, first_block, n_blocks)
+            return real(plan, first_block, n_blocks, hypothesis)
 
         monkeypatch.setattr(mc, "decode", counting)
         code = run_cli("roc", "--scenario", SCENARIO, "--trials", 3000, "--baseline", "both",
@@ -310,6 +310,18 @@ class TestExitCodes:
         code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
                        "--strategy", "exhaustive", "--output", tmp_path / "x.csv")
         assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("levels", [16, 10**20])
+    def test_exhaustive_guard_names_the_count_as_a_power(self, tmp_path, capsys, levels):
+        # levels^256 candidates: 309 digits at 16 levels, past Python's int-to-str limit at 1e20
+        code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
+                       "--strategy", "exhaustive", "--levels", levels,
+                       "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"needs {levels}^256 candidate evaluations" in err
+        assert "limit 1000000" in err and "use the coordinate strategy" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_draws_limit_is_runtime_error(self, tmp_path):
         # 1e7 trials x 256 elements x 32 bytes of decoded draws: refused before decoding

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import reference_box_muller
+from conftest import TABLE1, reference_box_muller
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from rispla.auth import (
     threshold_for_pfa,
 )
 from rispla.channel import PerElement, ScalarGradient
+from rispla.cli import EXIT_OK, main
 from rispla.mc import (
     ErrorEstimate,
     Hypothesis,
@@ -138,6 +139,18 @@ class TestRunTrials:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan, chunk=chunk: chunk)
             assert run_trials(plan, 1e-5) == ref
 
+    @pytest.mark.parametrize("feature", [Feature.PATHLOSS, Feature.CIR_MAGNITUDE])
+    def test_one_trial_of_the_uncounted_sender(self, scenario_small, feature):
+        plan = (pathloss_plan(scenario_small, n=1) if feature is Feature.PATHLOSS
+                else cir_plan(scenario_small, feature, n=1))
+        pfa, _ = run_trials(plan, 1.0)
+        # count the sender that did not send the only trial: nothing is left to decode
+        hypothesis = Hypothesis.H1 if pfa.n_conditioning else Hypothesis.H0
+        pfa, pmd = run_trials(plan, 1.0, hypothesis=hypothesis)
+        counted, uncounted = (pfa, pmd) if hypothesis is Hypothesis.H0 else (pmd, pfa)
+        assert uncounted is None
+        assert counted.n_conditioning == 0 and math.isnan(counted.value)
+
     def test_worker_independence(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=4000)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 3 chunks
@@ -173,12 +186,12 @@ class TestRunTrials:
         started = []
         real = mc.decode
 
-        def failing(plan, first_block, n_blocks):
+        def failing(plan, first_block, n_blocks, hypothesis=None):
             started.append(first_block)
             if first_block == 1:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.2)
-            return real(plan, first_block, n_blocks)
+            return real(plan, first_block, n_blocks, hypothesis)
 
         monkeypatch.setattr(mc, "decode", failing)
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
@@ -283,6 +296,50 @@ class TestSweepTrials:
             [(17, 36, 1, 1500), (17, 36, 1501, 1499)], [(17, 8, 1, 1500), (17, 8, 1501, 1500)]]
         assert len(calls) == 4 * 2 * 2
 
+    @pytest.mark.parametrize("grid,kw", [
+        (pathloss_grid, {}),
+        (cir_grid, {"refade_alice": True}),
+        (cir_grid, {"refade_alice": False}),
+    ], ids=["pathloss", "cir-refading", "cir-pinned"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_hypothesis_equals_its_half_of_the_sweep(self, scenario_small, monkeypatch,
+                                                          grid, kw, workers):
+        # both baselines in one call, as --baseline both makes it
+        plans, epsilons = grid(scenario_small, [5.0, 20.0, 35.0], **kw)
+        plans += [replace(plan, ris=False) for plan in plans]
+        epsilons *= 2
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
+        both = sweep_trials(plans, epsilons, workers=workers)
+        assert sweep_trials(plans, epsilons, hypothesis=Hypothesis.H0,
+                            workers=workers) == [(pfa, None) for pfa, _ in both]
+        assert sweep_trials(plans, epsilons, hypothesis=Hypothesis.H1,
+                            workers=workers) == [(None, pmd) for _, pmd in both]
+
+    @pytest.mark.parametrize("feature", ["pathloss", "cir-magnitude"])
+    @pytest.mark.parametrize("command", ["sweep-pfa", "sweep-pmd"])
+    def test_sweep_runs_box_muller_on_its_sender_only(self, scenario, tmp_path, monkeypatch,
+                                                      feature, command):
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 600)  # 2 chunks
+        plan = (pathloss_plan(scenario, n=1000, seed=5) if feature == "pathloss"
+                else cir_plan(scenario, Feature.CIR_MAGNITUDE, n=1000, seed=5))
+        is_alice = decode(plan, 1, 1000).is_alice
+        sender = is_alice if command == "sweep-pfa" else ~is_alice
+        rows = []
+        real = mc._polar
+
+        def counting(u, v):
+            rows.append(u.shape[0])
+            return real(u, v)
+
+        monkeypatch.setattr(mc, "_polar", counting)
+        code = main([command, "--scenario", str(TABLE1), "--feature", feature, "--epsilon",
+                     "1.0", "--lq-grid", "0,20", "--trials", "1000", "--seed", "5",
+                     "--output", str(tmp_path / "out.csv")])
+        assert code == EXIT_OK
+        # per chunk, its sender's rows; a CIR chunk also decodes the one enrollment block
+        chunks = [int(np.count_nonzero(sender[:600])), int(np.count_nonzero(sender[600:]))]
+        assert rows == (chunks if feature == "pathloss" else [chunks[0], 1, chunks[1], 1])
+
     def test_refuses_malformed_sweeps(self, scenario_small):
         plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
         with pytest.raises(ValueError, match="one epsilon per plan"):
@@ -375,6 +432,32 @@ class TestDecodeBytes:
                              reference_cir_vectors(block, n, 0.37)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestOneSenderDecode:
+    """A decode for one hypothesis keeps the bits of the full decode's rows of its sender."""
+
+    @pytest.mark.parametrize("case", ["pathloss", "cir-panel", "cir-direct"])
+    @pytest.mark.parametrize("n_blocks", [3, 1000])
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_rows_equal_the_full_decode(self, scenario, case, n_blocks, hypothesis):
+        plan = (pathloss_plan(scenario, seed=29) if case == "pathloss"
+                else cir_plan(scenario, Feature.CIR_MAGNITUDE, seed=29,
+                              ris=case == "cir-panel"))
+        full = decode(plan, 7, n_blocks)
+        one = decode(plan, 7, n_blocks, hypothesis)
+        keep = full.is_alice == (hypothesis is Hypothesis.H0)
+        assert 0 < np.count_nonzero(keep) < n_blocks  # each sender has rows
+        assert one.is_alice.tobytes() == full.is_alice[keep].tobytes()
+        pairs = [(one.noise, full.noise[keep]), (one.h0, full.h0), (one.g0, full.g0)]
+        if case != "pathloss":
+            pairs += [(one.h, full.h[keep]), (one.g, full.g[keep])]
+        for got, want in pairs:
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def two_pilot_grid(plan):

@@ -9,7 +9,7 @@ draws of the CIR features are decoded by the Monte-Carlo engine (`mc`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 TWO_PI = 2.0 * math.pi
 
 _SCENARIO_VECTOR_KEYS = ("alice_pos", "eve_pos", "bob_pos", "ris_pos", "ris_normal")
-_SCENARIO_SCALAR_KEYS = ("element_a", "element_b", "n_elements", "frequency_hz",
-                         "tx_gain", "rx_gain", "tx_power_w", "refractive_index",
-                         "lq_db", "sigma_g_sq")
-_SCENARIO_OPTIONAL = frozenset({"sigma_g_sq", "refractive_index", "lq_db"})
 
 
 class GeometryError(ValueError):
@@ -117,6 +113,12 @@ class Scenario:
         return math.sqrt(self.noise_variance)
 
 
+# a scenario file's keys are Scenario's fields; those with a default may be left out
+_SCENARIO_SCALAR_KEYS = tuple(f.name for f in fields(Scenario)
+                              if f.name not in _SCENARIO_VECTOR_KEYS)
+_SCENARIO_REQUIRED = tuple(f.name for f in fields(Scenario) if f.default is MISSING)
+
+
 @dataclass(frozen=True)
 class ScalarGradient:
     """Phase-discontinuity gradient d(phase)/dx in rad/m, for the pathloss feature."""
@@ -172,8 +174,7 @@ def load_scenario(path) -> Scenario:
                 raise ScenarioFormatError(f"{path}:{lineno}: non-numeric value for {key}") from None
         else:
             raise ScenarioFormatError(f"{path}:{lineno}: unknown key {key!r}")
-    missing = [k for k in (*_SCENARIO_VECTOR_KEYS, *_SCENARIO_SCALAR_KEYS)
-               if k not in values and k not in _SCENARIO_OPTIONAL]
+    missing = [k for k in _SCENARIO_REQUIRED if k not in values]
     if missing:
         raise ScenarioFormatError(f"{path}: missing keys: {', '.join(missing)}")
     try:

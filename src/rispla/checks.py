@@ -25,7 +25,7 @@ from .auth import (
     threshold_for_pfa_magnitude,
 )
 from .channel import PerElement, ScalarGradient, Scenario, pathloss_pair
-from .mc import Hypothesis, TrialPlan, empirical_distribution, run_trials, sweep_trials
+from .mc import Hypothesis, TrialPlan, empirical_distribution, sweep_trials
 from .specfun import FoldedNormalParams, folded_normal_moments
 
 __all__ = ["CHECKS"]
@@ -49,19 +49,18 @@ def pfa_closed_form(scenario: Scenario, trials: int):
     """C01: empirical pathloss false alarm at the Neyman-Pearson threshold."""
     targets = (0.9, 0.5, 0.2, 0.05, 1e-3)
     lqs = (12.0, 0.0, -9.5, -22.0)  # sigma from 0.25 to ~12.6
-    worst = 0.0
-    n_pairs = 0
+    plans, grids, expected = [], [], []
     for i, lq in enumerate(lqs):
         sc = replace(scenario, lq_db=lq)
-        sigma = sc.noise_sigma
         for j, p in enumerate(targets):
-            eps = threshold_for_pfa(p, sigma)
-            plan = TrialPlan(n_trials=trials, master_seed=100 + 10 * i + j,
-                             feature=Feature.PATHLOSS, scenario=sc,
-                             profile=ScalarGradient(0.0))
-            pfa, _ = run_trials(plan, eps, hypothesis=Hypothesis.H0)
-            worst = max(worst, _deviation(pfa, p))
-            n_pairs += 1
+            plans.append(TrialPlan(n_trials=trials, master_seed=100 + 10 * i + j,
+                                   feature=Feature.PATHLOSS, scenario=sc,
+                                   profile=ScalarGradient(0.0)))
+            grids.append([threshold_for_pfa(p, sc.noise_sigma)])
+            expected.append(p)
+    counts = sweep_trials(plans, grids, hypothesis=Hypothesis.H0)
+    worst = max(_deviation(c.false_alarm(0), p) for c, p in zip(counts, expected))
+    n_pairs = len(counts)
     return (worst <= 3.0 and n_pairs == 20,
             f"{n_pairs} (eps,sigma) pairs, {_count(trials)} trials each, max deviation "
             f"{worst:.2f} std errors")
@@ -79,8 +78,7 @@ def neyman_pearson_round_trip(scenario: Scenario, trials: int):
 
 def pmd_closed_form(scenario: Scenario, trials: int):
     """C03: empirical pathloss missed detection against the folded normal."""
-    worst = 0.0
-    n_triples = 0
+    plans, grids, expected = [], [], []
     ratios_targets = ((0.5, 0.05), (1.5, 0.2), (2.5, 0.05), (3.5, 0.2), (5.0, 0.05))
     for i, gradient in enumerate((0.0, 6.0, 9.0, 11.0)):
         pl_a, pl_e = pathloss_pair(scenario, gradient)
@@ -89,13 +87,14 @@ def pmd_closed_form(scenario: Scenario, trials: int):
             lq = -10.0 * math.log10(sigma**2 / scenario.tx_power_w)
             sc = replace(scenario, lq_db=lq)
             eps = threshold_for_pfa(target, sc.noise_sigma)
-            expected = pmd_pathloss(eps, sc.noise_sigma, pl_a, pl_e)
-            plan = TrialPlan(n_trials=trials, master_seed=300 + 10 * i + j,
-                             feature=Feature.PATHLOSS, scenario=sc,
-                             profile=ScalarGradient(gradient))
-            _, pmd = run_trials(plan, eps, hypothesis=Hypothesis.H1)
-            worst = max(worst, _deviation(pmd, expected))
-            n_triples += 1
+            expected.append(pmd_pathloss(eps, sc.noise_sigma, pl_a, pl_e))
+            plans.append(TrialPlan(n_trials=trials, master_seed=300 + 10 * i + j,
+                                   feature=Feature.PATHLOSS, scenario=sc,
+                                   profile=ScalarGradient(gradient)))
+            grids.append([eps])
+    counts = sweep_trials(plans, grids, hypothesis=Hypothesis.H1)
+    worst = max(_deviation(c.missed_detection(0), p) for c, p in zip(counts, expected))
+    n_triples = len(counts)
     rng = np.random.default_rng(31)
     draws = np.abs(2.0 + rng.standard_normal(10**6))
     mean, var = folded_normal_moments(FoldedNormalParams(2.0, 1.0))
@@ -142,15 +141,15 @@ def false_alarm_phase_invariance(scenario: Scenario, trials: int):
     profiles = [PerElement(rng.uniform(0, 2 * math.pi, 8)) for _ in range(2)]
     lq_scenarios = [replace(sc8, lq_db=float(lq)) for lq in np.linspace(5.0, 50.0, 10)]
     epsilons = [threshold_for_pfa_magnitude(0.5, sc.noise_sigma) for sc in lq_scenarios]
-    pfas = []  # per profile: the false alarm at each link quality, from one decode
-    for k, prof in enumerate(profiles):
-        plans = [TrialPlan(n_trials=n, master_seed=500 + k,
-                           feature=Feature.CIR_MAGNITUDE, scenario=sc,
-                           profile=prof, refade_alice=False)
-                 for sc in lq_scenarios]
-        pfas.append([pfa for pfa, _ in sweep_trials(plans, epsilons, hypothesis=Hypothesis.H0)])
+    plans = [TrialPlan(n_trials=n, master_seed=500 + k, feature=Feature.CIR_MAGNITUDE,
+                       scenario=sc, profile=prof, refade_alice=False)
+             for k, prof in enumerate(profiles) for sc in lq_scenarios]
+    # one decode per profile's stream: the false alarm at each link quality
+    counts = sweep_trials(plans, [[eps] for eps in epsilons] * len(profiles),
+                          hypothesis=Hypothesis.H0)
+    pfas = [c.false_alarm(0) for c in counts]
     worst = 0.0
-    for a, b in zip(*pfas):
+    for a, b in zip(pfas[:len(lq_scenarios)], pfas[len(lq_scenarios):]):
         se = math.hypot(a.half_width_95, b.half_width_95) / 1.96
         worst = max(worst, abs(a.value - b.value) / se)
     signatures = ("analytical signatures carry no phase" if no_phase

@@ -93,8 +93,14 @@ def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
 
 
 def _profile_for(args, scenario: Scenario, feature: Feature):
+    """The feature's phase profile, refusing the options that this feature never reads."""
     if feature is Feature.PATHLOSS:
-        return ScalarGradient(args.gradient)
+        if args.phases is not None or args.freeze_alice:
+            option = "--phases" if args.phases is not None else "--freeze-alice"
+            raise UsageError(f"{option} applies to the CIR features only")
+        return ScalarGradient(0.0 if args.gradient is None else args.gradient)
+    if args.gradient is not None:
+        raise UsageError("--gradient applies to the pathloss feature only")
     if args.phases is None:
         return PerElement(np.zeros(scenario.n_elements))
     if args.phases.size != scenario.n_elements:
@@ -167,15 +173,15 @@ def _cmd_sweep(args) -> int:
     # one engine call for every baseline, so baselines of one random stream share its decode;
     # it decodes only the sender whose trials the written error counts
     hypothesis = mc.Hypothesis.H0 if command == "sweep-pfa" else mc.Hypothesis.H1
-    estimates = mc.sweep_trials([p for _, plans in baselines for p in plans],
-                                epsilons * len(baselines), hypothesis=hypothesis,
-                                workers=args.workers)
+    counts = mc.sweep_trials([p for _, plans in baselines for p in plans],
+                             [[epsilon] for epsilon in epsilons] * len(baselines),
+                             hypothesis=hypothesis, workers=args.workers)
     outputs = {}  # every baseline is computed before any file is written
     for b, (path, plans) in enumerate(baselines):
         rows, flagged = [], []
-        own = estimates[b * len(plans):(b + 1) * len(plans)]  # this baseline's points
-        for lq, plan, epsilon, (pfa, pmd) in zip(args.lq_grid, plans, epsilons, own):
-            est = pfa if command == "sweep-pfa" else pmd
+        own = counts[b * len(plans):(b + 1) * len(plans)]  # this baseline's points
+        for lq, plan, epsilon, c in zip(args.lq_grid, plans, epsilons, own):
+            est = c.false_alarm(0) if command == "sweep-pfa" else c.missed_detection(0)
             analytical = _analytical_value(command, plan, epsilon)
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,
                          est.n_conditioning))
@@ -191,10 +197,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_roc(args) -> int:
     baselines = _plans(args, _scenarios(args, [args.lq_db]), Feature(args.feature))
     # one engine call for every baseline, so baselines of one random stream share its decode
-    curves = mc.roc_sweeps([plan for _, (plan,) in baselines], args.epsilons,  # None: auto grid
-                           workers=args.workers)
-    _write_outputs({path: _csv("epsilon,pfa,pd", np.c_[c.epsilons, c.pfa, c.pd].tolist())
-                    for (path, _), c in zip(baselines, curves)})
+    grids = None if args.epsilons is None else [args.epsilons] * len(baselines)  # None: auto
+    counts = mc.sweep_trials([plan for _, (plan,) in baselines], grids, workers=args.workers)
+    _write_outputs({path: _csv("epsilon,pfa,pd", zip(c.grid, *(a.tolist() for a in c.roc())))
+                    for (path, _), c in zip(baselines, counts)})
     return EXIT_OK
 
 
@@ -341,12 +347,12 @@ def _add_common(p):
 
 def _add_feature_opts(p):
     p.add_argument("--feature", choices=[f.value for f in Feature], default="pathloss")
-    p.add_argument("--gradient", type=_FINITE, default=0.0,
+    p.add_argument("--gradient", type=_FINITE, default=None,
                    help="phase gradient rad/m for the pathloss feature (default 0)")
     p.add_argument("--phases", type=_PHASES, default=None,
                    help="comma-separated element phases for CIR features (default all zero)")
     p.add_argument("--freeze-alice", action="store_true",
-                   help="pin the legitimate channel to the enrollment realization")
+                   help="pin the legitimate channel to the enrollment realization (CIR features)")
     p.add_argument("--baseline", choices=["ris", "no-ris", "both"], default="ris")
 
 

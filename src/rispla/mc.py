@@ -27,11 +27,8 @@ __all__ = [
     "TrialPlan",
     "Draws",
     "ErrorEstimate",
-    "RocCurve",
-    "run_trials",
+    "Counts",
     "sweep_trials",
-    "roc_sweep",
-    "roc_sweeps",
     "empirical_distribution",
     "decode",
     "score",
@@ -109,12 +106,33 @@ class ErrorEstimate:
 
 
 @dataclass(frozen=True)
-class RocCurve:
-    """Operating points (threshold, false alarm, detection) from one sample pass."""
+class Counts:
+    """Each sender's trials accepted at each threshold of one plan's grid, as Python numbers.
 
-    epsilons: np.ndarray
-    pfa: np.ndarray
-    pd: np.ndarray
+    accepted[k] holds (Alice's, Eve's) count at grid[k], out of n_alice and n_eve trials.
+    Under a hypothesis the other sender's trials are not decoded, so its n and counts are 0.
+    """
+
+    grid: tuple[float, ...]
+    n_alice: int
+    n_eve: int
+    accepted: tuple[tuple[int, int], ...]
+
+    def false_alarm(self, k: int) -> ErrorEstimate:
+        """Alice's trials rejected at grid[k]."""
+        return ErrorEstimate.from_counts(self.n_alice - self.accepted[k][0], self.n_alice)
+
+    def missed_detection(self, k: int) -> ErrorEstimate:
+        """Eve's trials accepted at grid[k]."""
+        return ErrorEstimate.from_counts(self.accepted[k][1], self.n_eve)
+
+    def roc(self) -> tuple[np.ndarray, np.ndarray]:
+        """(false alarm, detection) at every threshold: each sender's 1 - accepted / n, NaN
+        where the sender has no trial. Every threshold counts the same trials, so both
+        fall along the grid."""
+        accepted = np.array(self.accepted, dtype=np.int64).reshape(-1, 2)
+        return tuple(1.0 - accepted[:, s] / n if n else np.full(len(self.grid), math.nan)
+                     for s, n in enumerate((self.n_alice, self.n_eve)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +348,17 @@ def _accepted_run(noise, pl_true, pl_a, sigma_n, eps) -> np.ndarray:
     return first(fold, noise.size, lambda n: ~accepted(n)) - first(0, fold, accepted)
 
 
+def _checked_grid(thresholds) -> np.ndarray:
+    """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them.
+    Every point of such a sequence lies between its ends, so checking them checks it all."""
+    grid = np.asarray(thresholds, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not (grid[1:] > grid[:-1]).all():  # NaN fails
+        raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence")
+    check_threshold(grid[0])
+    check_threshold(grid[-1])
+    return grid
+
+
 def _counts(pairs, plans, grids) -> np.ndarray:
     """Rows (n_alice, n_eve), then (Alice's, Eve's) accepted count per threshold of each plan's
     grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise."""
@@ -347,12 +376,42 @@ def _counts(pairs, plans, grids) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _sweep(plans, grids, workers: int, hypothesis=None) -> list:
-    """(grid, n_alice, n_eve, accepted) per plan, accepted holding (Alice's, Eve's) count at each
-    threshold of its grid, or of the auto grid where the grid is None. Each stream (sweep_trials)
-    is decoded once, of hypothesis's sender only if given (the other's counts are 0); a chunk
-    sorts once per distinct statistic and counts a given grid, or holds its sorted values
-    (8 B per trial, shared by pathloss plans) until the pilot picks the grid."""
+def attacker_draws(plan: TrialPlan) -> list[Draws]:
+    """Decoded attacker (H1) trials [0, plan.n_trials), in the engine's default chunks.
+
+    score() on each chunk gives the statistics that
+    empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
+    """
+    return _map_trials(lambda lo, draws: _forced(draws, Hypothesis.H1), plan, plan.n_trials, 1)
+
+
+# ---------------------------------------------------------------------------
+# Public operations
+# ---------------------------------------------------------------------------
+
+
+def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
+                 workers: int = 1) -> list[Counts]:
+    """The Counts of each plan at each threshold of its grid, from one decode per random stream.
+
+    grids holds one strictly increasing threshold sequence per plan; None gives every plan
+    the auto grid (see ROC_PILOT_TRIALS), picked from the same decode. Plans that share a
+    random stream (see _stream) decode the same draws, so they may differ in all that
+    decode() does not read: link quality, profile, statistic, refade_alice, and for pathloss
+    the baseline. Streams go in first-seen order, each on one thread pool when workers > 1
+    (_map_trials). The counts are integer sums over chunks, so they do not depend on the
+    partition, the worker count or the other plans of the call. A hypothesis decodes past the
+    transmitter draw only its sender's trials (H0: Alice's); the auto grid's pilot reads both
+    senders, so it takes none. A chunk sorts once per distinct statistic and counts a given
+    grid, or holds its sorted values (8 B per trial, shared by pathloss plans) until the
+    pilot picks the grid.
+    """
+    if not plans or grids is not None and len(grids) != len(plans):
+        raise ValueError(f"need one grid per plan, got {len(plans)} plans and "
+                         f"{'no' if grids is None else len(grids)} grids")
+    if grids is None and hypothesis is not None:
+        raise ValueError("the auto grid's pilot reads both senders: give grids with a hypothesis")
+    grids = [None] * len(plans) if grids is None else [_checked_grid(grid) for grid in grids]
     results = [None] * len(plans)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
@@ -382,82 +441,12 @@ def _sweep(plans, grids, workers: int, hypothesis=None) -> list:
                 own.append(np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS))
             parts = [_counts(pairs, group, own) for pairs, _ in parts]
         total = sum(parts)
+        n_alice, n_eve = total[0].tolist()
         accepted = np.split(total[1:], np.cumsum([len(grid) for grid in own[:-1]]))
         for k, grid, acc in zip(ks, own, accepted):
-            results[k] = grid, *total[0].tolist(), acc
+            results[k] = Counts(tuple(grid.tolist()), n_alice, n_eve,
+                                tuple(map(tuple, acc.tolist())))
     return results
-
-
-def attacker_draws(plan: TrialPlan) -> list[Draws]:
-    """Decoded attacker (H1) trials [0, plan.n_trials), in the engine's default chunks.
-
-    score() on each chunk gives the statistics that
-    empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
-    """
-    return _map_trials(lambda lo, draws: _forced(draws, Hypothesis.H1), plan, plan.n_trials, 1)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def run_trials(plan: TrialPlan, epsilon: float, *, hypothesis: Hypothesis | None = None,
-               workers: int = 1) -> tuple[ErrorEstimate | None, ErrorEstimate | None]:
-    """Empirical (false alarm, missed detection) at threshold epsilon.
-
-    The transmitter is drawn uniformly per trial. Deterministic for fixed
-    (master_seed, n_trials) for any partition or worker count; merging is
-    integer-count summation. A hypothesis counts one error, over its sender's
-    trials (H0: the false alarm, H1: the missed detection), and decodes only
-    those trials past the transmitter draw; the other estimate is None.
-    """
-    return sweep_trials([plan], [epsilon], hypothesis=hypothesis, workers=workers)[0]
-
-
-def sweep_trials(plans, epsilons, *, hypothesis: Hypothesis | None = None,
-                 workers: int = 1) -> list[tuple[ErrorEstimate | None, ErrorEstimate | None]]:
-    """run_trials(plans[k], epsilons[k], hypothesis=hypothesis) for every k, from one decode
-    per random stream.
-
-    Plans that share a random stream (see _stream) decode the same draws, so they may differ
-    in all that decode() does not read: link quality, profile, statistic, refade_alice, and
-    for pathloss the baseline. Streams go in first-seen order, each on one thread pool when
-    workers > 1 (_map_trials); the counts equal run_trials' per point, in input order.
-    """
-    if not plans or len(plans) != len(epsilons):
-        raise ValueError(f"need one epsilon per plan, got {len(plans)} plans "
-                         f"and {len(epsilons)} epsilons")
-    grids = [[check_threshold(epsilon)] for epsilon in epsilons]
-    return [(None if hypothesis is Hypothesis.H1 else ErrorEstimate.from_counts(n0 - alice, n0),
-             None if hypothesis is Hypothesis.H0 else ErrorEstimate.from_counts(eve, n1))
-            for _, n0, n1, accepted in _sweep(plans, grids, workers, hypothesis)
-            for alice, eve in accepted.tolist()]  # one threshold per plan
-
-
-def roc_sweeps(plans, epsilons=None, *, workers: int = 1) -> list[RocCurve]:
-    """roc_sweep(plan, epsilons) for each plan, from one decode per stream (see sweep_trials)."""
-    if epsilons is not None:
-        epsilons = np.asarray(epsilons, dtype=float)
-        if epsilons.ndim != 1 or epsilons.size == 0 or np.any(np.diff(epsilons) <= 0):
-            raise ValueError("epsilons must be a nonempty, strictly increasing 1-D sequence")
-        for epsilon in epsilons:
-            check_threshold(epsilon)
-
-    def rejected(accepted, n):  # 1 - #(ts < eps) / n
-        return 1.0 - accepted / n if n else np.full(accepted.size, math.nan)
-
-    return [RocCurve(epsilons=eps, pfa=rejected(acc[:, 0], n0), pd=rejected(acc[:, 1], n1))
-            for eps, n0, n1, acc in _sweep(plans, [epsilons] * len(plans), workers)]
-
-
-def roc_sweep(plan: TrialPlan, epsilons=None, *, workers: int = 1) -> RocCurve:
-    """Operating points for many thresholds from a single sample pass (roc_sweeps).
-
-    Every threshold counts the same statistics, so pfa and pd are each monotone along the
-    curve. Without epsilons the auto grid (see ROC_PILOT_TRIALS) comes from the same decode.
-    """
-    return roc_sweeps([plan], epsilons, workers=workers)[0]
 
 
 def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int) -> np.ndarray:

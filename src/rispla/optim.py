@@ -163,7 +163,10 @@ def optimize_phase_matrix(
                 f"budget is {budget_trials}",
                 required=n_candidates * eval_trials,
             )
-    phase_values = [2.0 * math.pi * k / levels for k in range(levels)]
+
+    def phase(k: int) -> float:  # level k, computed per candidate: --levels has no upper bound
+        return 2.0 * math.pi * k / levels
+
     plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
                      scenario=scenario, profile=PerElement(np.zeros(n)))
     draws = attacker_draws(plan)
@@ -188,7 +191,8 @@ def optimize_phase_matrix(
         return pmd
 
     if strategy is Strategy.EXHAUSTIVE:
-        for idx, combo in enumerate(itertools.product(phase_values, repeat=n)):
+        # product holds the levels' phases once: at most EXHAUSTIVE_CANDIDATE_LIMIT of them
+        for idx, combo in enumerate(itertools.product(map(phase, range(levels)), repeat=n)):
             evaluate(1 if n == 1 else idx, combo[0] if n == 1 else float(idx), combo)
     else:  # coordinate passes from the all-zero assignment
         current = [0.0] * n
@@ -198,8 +202,8 @@ def optimize_phase_matrix(
                 changed = False
                 for elem in range(n):
                     pmds = [evaluate(elem + 1, v, tuple(current[:elem] + [v] + current[elem + 1:]))
-                            for v in phase_values]
-                    value = phase_values[int(np.argmin(pmds))]  # argmin: lowest index on ties
+                            for v in map(phase, range(levels))]
+                    value = phase(int(np.argmin(pmds)))  # argmin: lowest index on ties
                     changed |= current[elem] != value
                     current[elem] = value
         except SearchBudgetError:

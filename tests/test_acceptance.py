@@ -16,7 +16,7 @@ from rispla.auth import Feature, accepts, pfa_pathloss, pmd_pathloss, threshold_
 from rispla.channel import ScalarGradient, Scenario, ris_pathloss
 from rispla.checks import CHECKS
 from rispla.cli import main as cli_main
-from rispla.mc import TrialPlan, roc_sweep
+from rispla.mc import TrialPlan, sweep_trials
 from rispla.optim import Strategy, default_gradient_grid, optimize_gradient, optimize_phase_matrix
 
 SCENARIO_FILE = "scenarios/table1.cfg"
@@ -109,16 +109,16 @@ class TestAcceptance:
         plan_ris = TrialPlan(n_trials=2 * 10**5, master_seed=11, feature=Feature.PATHLOSS,
                              scenario=sc, profile=best)
         plan_no = replace(plan_ris, ris=False)
-        roc_ris = roc_sweep(plan_ris, grid)
-        roc_no = roc_sweep(plan_no, grid)
-        with_alarms = roc_ris.pfa > 0
-        perfect = bool(np.all(roc_ris.pd[with_alarms] == 1.0)) and bool(np.any(with_alarms))
-        dominated = bool(np.all(roc_no.pd <= roc_ris.pd) and np.any(roc_no.pd < roc_ris.pd))
+        (pfa_ris, pd_ris), (_, pd_no) = (
+            counts.roc() for counts in sweep_trials([plan_ris, plan_no], [grid, grid]))
+        with_alarms = pfa_ris > 0
+        perfect = bool(np.all(pd_ris[with_alarms] == 1.0)) and bool(np.any(with_alarms))
+        dominated = bool(np.all(pd_no <= pd_ris) and np.any(pd_no < pd_ris))
         ok = perfect and dominated
         report("C08 perfect-roc-at-optimum", ok,
                f"detection = 1 at every threshold with false alarms (pfa up to "
-               f"{roc_ris.pfa.max():.3f}); direct baseline strictly dominated "
-               f"(its detection drops to {roc_no.pd.min():.3f})")
+               f"{pfa_ris.max():.3f}); direct baseline strictly dominated "
+               f"(its detection drops to {pd_no.min():.3f})")
 
     def test_c09_monotonicity_property_suite(self):
         t0 = time.perf_counter()
@@ -169,9 +169,9 @@ class TestAcceptance:
             hi = abs(pl_e - pl_a) + 8 * sigma
             plan = TrialPlan(n_trials=400, master_seed=seed, feature=Feature.PATHLOSS,
                              scenario=sc, profile=ScalarGradient(0.0))
-            curve = roc_sweep(plan, np.geomspace(hi * 1e-4, hi, 12))
-            assert np.all(np.diff(curve.pfa) <= 0)
-            assert np.all(np.diff(curve.pd) <= 0)
+            pfa, pd = sweep_trials([plan], [np.geomspace(hi * 1e-4, hi, 12)])[0].roc()
+            assert np.all(np.diff(pfa) <= 0)
+            assert np.all(np.diff(pd) <= 0)
 
         @settings(max_examples=250)
         @given(ts=st.floats(min_value=0, max_value=1e6, allow_nan=False))

@@ -393,6 +393,13 @@ class TestExitCodes:
         ["optimize-gradient", "--epsilon", 1e-5, "--grid=-1e308:1e308:3"],
         ["sweep-pfa", "--epsilon", 1.0, "--seed", "abc"],
         ["sweep-pfa", "--epsilon", 1.0, "--trials", 1.5],
+        # options the chosen feature never reads
+        ["sweep-pmd", "--epsilon", 1e-5, "--phases", "0"],
+        ["roc", "--phases", "0," + ZEROS_255],
+        ["sweep-pmd", "--feature", "cir-phase", "--epsilon", 0.1, "--gradient", 0],
+        ["roc", "--feature", "cir-magnitude", "--gradient", 3],
+        ["sweep-pfa", "--epsilon", 1e-5, "--freeze-alice"],
+        ["roc", "--freeze-alice", "--baseline", "both"],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
@@ -407,7 +414,9 @@ class TestExitCodes:
             "nan-phases", "infinite-phases", "empty-phases", "malformed-phases-pathloss",
             "empty-epsilons", "empty-grid",
             "overflowing-grid",  # finite ends whose linspace step overflows: NaN points
-            "bad-seed-text", "fractional-trials"])
+            "bad-seed-text", "fractional-trials",
+            "phases-pathloss-sweep", "phases-pathloss-roc", "gradient-cir-sweep",
+            "gradient-cir-roc", "freeze-alice-pathloss-sweep", "freeze-alice-pathloss-roc"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]
@@ -469,23 +478,21 @@ class TestExitCodes:
 
 
 class TestAtomicOutputs:
-    @pytest.mark.parametrize("command,engine,extra", [
-        ("sweep-pfa", "sweep_trials", ["--epsilon", 1.0, "--lq-grid", "0"]),
-        ("roc", "roc_sweeps", ["--epsilons", "1e-6,1e-5"]),
-    ], ids=["sweep-pfa-run_trials-extra0", "roc-roc_sweep-extra1"])  # ids kept from before the sweeps
-    def test_failed_baseline_writes_nothing(self, tmp_path, monkeypatch, command, engine,
-                                            extra):
+    @pytest.mark.parametrize("command,extra", [
+        ("sweep-pfa", ["--epsilon", 1.0, "--lq-grid", "0"]),
+        ("roc", ["--epsilons", "1e-6,1e-5"]),
+    ], ids=["sweep-pfa", "roc"])
+    def test_failed_baseline_writes_nothing(self, tmp_path, monkeypatch, command, extra):
         from rispla import mc
 
-        real = getattr(mc, engine)
+        real = mc.sweep_trials
 
-        def fail_on_no_ris(plan, *args, **kwargs):
-            plans = plan if isinstance(plan, list) else [plan]  # the sweeps take a list
+        def fail_on_no_ris(plans, *args, **kwargs):
             if not all(p.ris for p in plans):
                 raise ValueError("no-RIS baseline failed")
-            return real(plan, *args, **kwargs)
+            return real(plans, *args, **kwargs)
 
-        monkeypatch.setattr(mc, engine, fail_on_no_ris)
+        monkeypatch.setattr(mc, "sweep_trials", fail_on_no_ris)
         code = run_cli(command, "--scenario", SCENARIO, *extra, "--trials", 100,
                        "--baseline", "both", "--output", tmp_path / "x.csv")
         assert code == EXIT_RUNTIME

@@ -26,13 +26,12 @@ from rispla.auth import (
 from rispla.channel import PerElement, ScalarGradient
 from rispla.cli import EXIT_OK, main
 from rispla.mc import (
+    Counts,
     ErrorEstimate,
     Hypothesis,
     TrialPlan,
     decode,
     empirical_distribution,
-    roc_sweep,
-    run_trials,
     score,
     sweep_trials,
 )
@@ -48,6 +47,18 @@ def cir_plan(scenario, feature, *, n=10**4, seed=7, phases=None, **kw):
     phases = np.zeros(scenario.n_elements) if phases is None else phases
     return TrialPlan(n_trials=n, master_seed=seed, feature=feature,
                      scenario=scenario, profile=PerElement(phases), **kw)
+
+
+def counts_at(plan, epsilon, **kw) -> Counts:
+    """The counts of one plan at one threshold."""
+    (counts,) = sweep_trials([plan], [[epsilon]], **kw)
+    return counts
+
+
+def errors_at(plan, epsilon, **kw) -> tuple[ErrorEstimate, ErrorEstimate]:
+    """(false alarm, missed detection) of one plan at one threshold."""
+    counts = counts_at(plan, epsilon, **kw)
+    return counts.false_alarm(0), counts.missed_detection(0)
 
 
 def recording_pool(monkeypatch) -> list:
@@ -84,7 +95,7 @@ class TestTrialPlanValidation:
         plan = pathloss_plan(scenario_small, n=10)
         for bad_threshold in (-1.0, math.nan):
             with pytest.raises(ValueError):
-                run_trials(plan, bad_threshold)
+                counts_at(plan, bad_threshold)
 
 
 class TestErrorEstimate:
@@ -102,81 +113,98 @@ class TestErrorEstimate:
         assert est.low_confidence
 
 
+class TestCounts:
+    def test_views(self):
+        counts = Counts(grid=(0.5, 2.0), n_alice=3, n_eve=4, accepted=((1, 0), (3, 2)))
+        assert counts.false_alarm(0) == ErrorEstimate.from_counts(2, 3)
+        assert counts.missed_detection(1) == ErrorEstimate.from_counts(2, 4)
+        pfa, pd = counts.roc()
+        # 1 - accepted / n keeps the ROC files' bytes: 1 - 1/3 is not 2/3 in the last bit
+        assert pfa.tolist() == [1.0 - 1 / 3, 0.0] and pfa[0] != 2 / 3
+        assert pd.tolist() == [1.0, 0.5]
+        # a sender without trials: NaN
+        counts = Counts(grid=(1.0,), n_alice=0, n_eve=5, accepted=((0, 5),))
+        assert math.isnan(counts.false_alarm(0).value)
+        pfa, pd = counts.roc()
+        assert math.isnan(pfa[0]) and pd[0] == 0.0
+
+
 class TestRunTrials:
     def test_huge_threshold_always_accepts(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=2000), 1e12)
+        pfa, pmd = errors_at(pathloss_plan(scenario_small, n=2000), 1e12)
         assert pfa.value == 0.0
         assert pmd.value == 1.0
 
     def test_zero_threshold_always_rejects(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=2000), 0.0)
+        pfa, pmd = errors_at(pathloss_plan(scenario_small, n=2000), 0.0)
         assert pfa.value == 1.0
         assert pmd.value == 0.0
 
     def test_pathloss_pfa_matches_closed_form(self, scenario_small):
         sigma = scenario_small.noise_sigma
         eps = threshold_for_pfa(0.05, sigma)
-        pfa, _ = run_trials(pathloss_plan(scenario_small, n=10**6), eps)
+        pfa, _ = errors_at(pathloss_plan(scenario_small, n=10**6), eps)
         se = math.sqrt(0.05 * 0.95 / pfa.n_conditioning)
         assert abs(pfa.value - 0.05) < 3 * se
 
     def test_uniform_transmitter_split(self, scenario_small):
         n = 10**5
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=n), 1.0)
-        assert pfa.n_conditioning + pmd.n_conditioning == n
-        assert abs(pfa.n_conditioning - n / 2) < 5 * math.sqrt(n * 0.25)
+        counts = counts_at(pathloss_plan(scenario_small, n=n), 1.0)
+        assert counts.n_alice + counts.n_eve == n
+        assert abs(counts.n_alice - n / 2) < 5 * math.sqrt(n * 0.25)
 
     def test_single_trial_flags_empty_hypothesis(self, scenario_small):
-        pfa, pmd = run_trials(pathloss_plan(scenario_small, n=1), 1.0)
+        pfa, pmd = errors_at(pathloss_plan(scenario_small, n=1), 1.0)
         assert (pfa.n_conditioning == 0) != (pmd.n_conditioning == 0)
         empty = pfa if pfa.n_conditioning == 0 else pmd
         assert math.isnan(empty.value)
 
     def test_partition_independence(self, scenario_small, monkeypatch):
         plan = pathloss_plan(scenario_small, n=5000)
-        ref = run_trials(plan, 1e-5)
+        ref = counts_at(plan, 1e-5)
         for chunk in (1, 7, 499, 5000):
             monkeypatch.setattr(mc, "_default_chunk", lambda plan, chunk=chunk: chunk)
-            assert run_trials(plan, 1e-5) == ref
+            assert counts_at(plan, 1e-5) == ref
 
     @pytest.mark.parametrize("feature", [Feature.PATHLOSS, Feature.CIR_MAGNITUDE])
     def test_one_trial_of_the_uncounted_sender(self, scenario_small, feature):
         plan = (pathloss_plan(scenario_small, n=1) if feature is Feature.PATHLOSS
                 else cir_plan(scenario_small, feature, n=1))
-        pfa, _ = run_trials(plan, 1.0)
+        sent = counts_at(plan, 1.0)
         # count the sender that did not send the only trial: nothing is left to decode
-        hypothesis = Hypothesis.H1 if pfa.n_conditioning else Hypothesis.H0
-        pfa, pmd = run_trials(plan, 1.0, hypothesis=hypothesis)
-        counted, uncounted = (pfa, pmd) if hypothesis is Hypothesis.H0 else (pmd, pfa)
-        assert uncounted is None
+        hypothesis = Hypothesis.H1 if sent.n_alice else Hypothesis.H0
+        counts = counts_at(plan, 1.0, hypothesis=hypothesis)
+        assert (counts.n_alice, counts.n_eve, counts.accepted) == (0, 0, ((0, 0),))
+        counted = (counts.false_alarm(0) if hypothesis is Hypothesis.H0
+                   else counts.missed_detection(0))
         assert counted.n_conditioning == 0 and math.isnan(counted.value)
 
     def test_worker_independence(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=4000)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 3 chunks
-        assert run_trials(plan, 1.0, workers=2) == run_trials(plan, 1.0, workers=1)
+        assert counts_at(plan, 1.0, workers=2) == counts_at(plan, 1.0, workers=1)
 
     def test_workers_capped_at_cpu_count(self, scenario_small, monkeypatch):
         started = recording_pool(monkeypatch)
         plan = pathloss_plan(scenario_small, n=2000)
-        ref = run_trials(plan, 1e-5)
+        ref = counts_at(plan, 1e-5)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 500)  # 4 chunks
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
-        assert run_trials(plan, 1e-5, workers=100_000) == ref
+        assert counts_at(plan, 1e-5, workers=100_000) == ref
         assert started == [3]
         for cpus in (1, None):  # one CPU, or a count the OS cannot tell: no pool
             monkeypatch.setattr(mc.os, "cpu_count", lambda cpus=cpus: cpus)
-            assert run_trials(plan, 1e-5, workers=100_000) == ref
+            assert counts_at(plan, 1e-5, workers=100_000) == ref
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1000)  # 2 chunks
-        assert run_trials(plan, 1e-5, workers=100_000) == ref
+        assert counts_at(plan, 1e-5, workers=100_000) == ref
         assert started == [3, 2]
 
     def test_one_chunk_starts_no_pool(self, scenario_small, monkeypatch):
         started = recording_pool(monkeypatch)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
         plan = pathloss_plan(scenario_small, n=2000)  # below one default chunk
-        assert run_trials(plan, 1e-5, workers=2) == run_trials(plan, 1e-5)
+        assert counts_at(plan, 1e-5, workers=2) == counts_at(plan, 1e-5)
         assert started == []
 
     def test_raising_chunk_cancels_the_rest(self, scenario_small, monkeypatch):
@@ -195,11 +223,11 @@ class TestRunTrials:
 
         monkeypatch.setattr(mc, "decode", failing)
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
-            run_trials(pathloss_plan(scenario_small, n=800), 1e-5, workers=2)
+            counts_at(pathloss_plan(scenario_small, n=800), 1e-5, workers=2)
         assert 1 in started and len(started) < 8
 
     def test_engine_matches_accepts_rule(self, scenario_small):
-        # roc_sweep counts acceptances with searchsorted; run_trials calls accepts
+        # the engine counts acceptances with searchsorted (count_accepted); the rule is accepts
         eps = 1.2e-5
         plan = pathloss_plan(scenario_small, n=4000, seed=9)
         ts = empirical_distribution(plan, Hypothesis.H1, 4000)
@@ -210,7 +238,7 @@ class TestRunTrials:
 def pathloss_grid(scenario, lqs, **kw):
     scenarios = [replace(scenario, lq_db=lq) for lq in lqs]
     return ([pathloss_plan(sc, n=3000, seed=13, **kw) for sc in scenarios],
-            [threshold_for_pfa(0.05, sc.noise_sigma) for sc in scenarios])
+            [[threshold_for_pfa(0.05, sc.noise_sigma)] for sc in scenarios])
 
 
 def cir_grid(scenario, lqs, **kw):
@@ -218,7 +246,7 @@ def cir_grid(scenario, lqs, **kw):
     # the last point scores the phase statistic on the same draws
     features = [Feature.CIR_MAGNITUDE] * (len(lqs) - 1) + [Feature.CIR_PHASE]
     return ([cir_plan(sc, f, n=3000, seed=17, **kw) for sc, f in zip(scenarios, features)],
-            [3.0 * rayleigh_sigma(sc.noise_sigma) for sc in scenarios])
+            [[3.0 * rayleigh_sigma(sc.noise_sigma)] for sc in scenarios])
 
 
 class TestSweepTrials:
@@ -231,10 +259,10 @@ class TestSweepTrials:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_run_trials_per_point(self, scenario_small, monkeypatch, grid, kw,
                                          workers):
-        plans, epsilons = grid(scenario_small, [5.0, 20.0, 35.0, 50.0], **kw)
+        plans, grids = grid(scenario_small, [5.0, 20.0, 35.0, 50.0], **kw)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
-        swept = sweep_trials(plans, epsilons, workers=workers)
-        assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
+        swept = sweep_trials(plans, grids, workers=workers)
+        assert swept == [counts_at(p, e) for p, (e,) in zip(plans, grids)]
         assert len(set(swept)) > 1  # the points do differ
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -250,35 +278,33 @@ class TestSweepTrials:
                  for lq in lqs for ris in (True, False)]
         draws = decode(plans[0], 1, 3000)
         is_alice = draws.is_alice
-        points = []
+        expected = []
         for plan in plans:
             ts = score(plan, draws)
             pfa_threshold = threshold_for_pfa(0.05, plan.scenario.noise_sigma)
             # ts[tie] as a threshold: that trial ties, and ties reject
-            for epsilon in (0.0, float(ts[tie]), pfa_threshold):
-                accept = accepts(ts, epsilon)
-                points.append((plan, epsilon, (
-                    ErrorEstimate.from_counts(np.count_nonzero(is_alice & ~accept),
-                                              np.count_nonzero(is_alice)),
-                    ErrorEstimate.from_counts(np.count_nonzero(~is_alice & accept),
-                                              np.count_nonzero(~is_alice)))))
-        plans, epsilons, expected = zip(*points)
+            grid = sorted({0.0, float(ts[tie]), float(pfa_threshold)})
+            expected.append(Counts(tuple(grid), int(np.count_nonzero(is_alice)),
+                                   int(np.count_nonzero(~is_alice)), tuple(
+                (int(np.count_nonzero(is_alice & accepts(ts, e))),
+                 int(np.count_nonzero(~is_alice & accepts(ts, e)))) for e in grid)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
-            assert sweep_trials(plans, epsilons, workers=workers) == list(expected)
+            got = sweep_trials(plans, [c.grid for c in expected], workers=workers)
+            assert got == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_streams_equal_run_trials_per_point(self, scenario_small, monkeypatch,
                                                       workers):
-        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
+        plans, grids = cir_grid(scenario_small, [10.0, 20.0])
         other_seed = replace(plans[1], master_seed=18)
         other_trials = replace(plans[1], n_trials=2999)
         other_stride = replace(plans[1], ris=False)  # one decoded gain, not 8
         # streams in first-seen order: plans[0] and plans[1]; then one stream each
         mixed = [plans[0], other_seed, other_trials, plans[1], other_stride]
-        mixed_epsilons = [epsilons[0]] + [epsilons[1]] * 4
+        mixed_grids = [grids[0]] + [grids[1]] * 4
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks a stream
-        expected = [run_trials(p, e) for p, e in zip(mixed, mixed_epsilons)]
+        expected = [counts_at(p, e) for p, (e,) in zip(mixed, mixed_grids)]
         calls = []
         real = mc._uniform_blocks
 
@@ -287,7 +313,7 @@ class TestSweepTrials:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
-        assert sweep_trials(mixed, mixed_epsilons, workers=workers) == expected
+        assert sweep_trials(mixed, mixed_grids, workers=workers) == expected
         # each stream's two chunks, once, in first-seen order; each with an enrollment.
         # A stream's chunks may decode concurrently, so each stream's pair is sorted.
         chunk_calls = [args for args in calls if args[2] > 0]
@@ -305,15 +331,16 @@ class TestSweepTrials:
     def test_one_hypothesis_equals_its_half_of_the_sweep(self, scenario_small, monkeypatch,
                                                           grid, kw, workers):
         # both baselines in one call, as --baseline both makes it
-        plans, epsilons = grid(scenario_small, [5.0, 20.0, 35.0], **kw)
+        plans, grids = grid(scenario_small, [5.0, 20.0, 35.0], **kw)
         plans += [replace(plan, ris=False) for plan in plans]
-        epsilons *= 2
+        grids *= 2
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
-        both = sweep_trials(plans, epsilons, workers=workers)
-        assert sweep_trials(plans, epsilons, hypothesis=Hypothesis.H0,
-                            workers=workers) == [(pfa, None) for pfa, _ in both]
-        assert sweep_trials(plans, epsilons, hypothesis=Hypothesis.H1,
-                            workers=workers) == [(None, pmd) for _, pmd in both]
+        both = sweep_trials(plans, grids, workers=workers)
+        # the other sender's trials are not decoded: its n and counts are 0
+        assert sweep_trials(plans, grids, hypothesis=Hypothesis.H0, workers=workers) == [
+            replace(c, n_eve=0, accepted=tuple((a, 0) for a, _ in c.accepted)) for c in both]
+        assert sweep_trials(plans, grids, hypothesis=Hypothesis.H1, workers=workers) == [
+            replace(c, n_alice=0, accepted=tuple((0, e) for _, e in c.accepted)) for c in both]
 
     @pytest.mark.parametrize("feature", ["pathloss", "cir-magnitude"])
     @pytest.mark.parametrize("command", ["sweep-pfa", "sweep-pmd"])
@@ -341,16 +368,25 @@ class TestSweepTrials:
         assert rows == (chunks if feature == "pathloss" else [chunks[0], 1, chunks[1], 1])
 
     def test_refuses_malformed_sweeps(self, scenario_small):
-        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0])
-        with pytest.raises(ValueError, match="one epsilon per plan"):
-            sweep_trials(plans, epsilons[:1])
-        with pytest.raises(ValueError, match="one epsilon per plan"):
+        plans, grids = cir_grid(scenario_small, [10.0, 20.0])
+        with pytest.raises(ValueError, match="one grid per plan"):
+            sweep_trials(plans, grids[:1])
+        with pytest.raises(ValueError, match="one grid per plan"):
             sweep_trials([], [])
+        with pytest.raises(ValueError, match="one grid per plan"):
+            sweep_trials([])
         with pytest.raises(ValueError, match="epsilon"):
-            sweep_trials(plans, [epsilons[0], math.nan])
+            sweep_trials(plans, [grids[0], [math.nan]])
+        # a grid is a nonempty, strictly increasing 1-D sequence
+        for bad in ([], [[]], 1.0, [[1.0]], [1.0, 1.0], [0.1, math.nan, 0.5]):
+            with pytest.raises(ValueError, match="strictly increasing 1-D"):
+                sweep_trials(plans[:1], [bad])
+        for hypothesis in Hypothesis:  # the auto grid's pilot scores both senders' trials
+            with pytest.raises(ValueError, match="both senders"):
+                sweep_trials(plans, hypothesis=hypothesis)
 
     def test_sweep_decodes_each_chunk_once(self, scenario_small, monkeypatch):
-        plans, epsilons = cir_grid(scenario_small, [10.0, 20.0, 30.0])
+        plans, grids = cir_grid(scenario_small, [10.0, 20.0, 30.0])
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks
         calls = []
         real = mc._uniform_blocks
@@ -360,7 +396,7 @@ class TestSweepTrials:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
-        sweep_trials(plans, epsilons)
+        sweep_trials(plans, grids)
         assert len(calls) == 4  # per chunk: its trials and the enrollment block
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -371,16 +407,12 @@ class TestSweepTrials:
         plans = [cir_plan(sc, Feature.CIR_MAGNITUDE, n=3000, phases=np.array([1.0]), ris=ris)
                  for ris in (True, False)]
         assert mc._stream(plans[0]) == mc._stream(plans[1])
-        epsilons = [3.0 * rayleigh_sigma(sc.noise_sigma)] * 2
-        swept = sweep_trials(plans, epsilons, workers=workers)
-        assert swept == [run_trials(p, e) for p, e in zip(plans, epsilons)]
+        grids = [[3.0 * rayleigh_sigma(sc.noise_sigma)]] * 2
+        swept = sweep_trials(plans, grids, workers=workers)
+        assert swept == [counts_at(p, e) for p, (e,) in zip(plans, grids)]
         assert swept[0] != swept[1]
-        curves = mc.roc_sweeps(plans, workers=workers)
-        for curve, plan in zip(curves, plans):
-            alone = roc_sweep(plan)
-            for got, want in [(curve.epsilons, alone.epsilons), (curve.pfa, alone.pfa),
-                              (curve.pd, alone.pd)]:
-                np.testing.assert_array_equal(got, want)
+        auto = sweep_trials(plans, workers=workers)  # the auto grid and its pilot
+        assert auto == [sweep_trials([plan])[0] for plan in plans]
 
     @pytest.mark.parametrize("call", ["roc-auto-grid", "sweep-3-points"])
     def test_one_cascade_per_chunk(self, scenario_small, monkeypatch, call):
@@ -396,7 +428,7 @@ class TestSweepTrials:
 
         monkeypatch.setattr(mc, "_cascade", counting)
         if call == "roc-auto-grid":
-            roc_sweep(cir_plan(scenario_small, Feature.CIR_PHASE, n=3000))
+            sweep_trials([cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)])
         else:
             sweep_trials(*cir_grid(scenario_small, [10.0, 20.0, 30.0]))
         assert rows == [1500, 1500]
@@ -461,7 +493,7 @@ class TestOneSenderDecode:
 
 
 def two_pilot_grid(plan):
-    """The auto grid as it was chosen before roc_sweep chose it: two separate pilots."""
+    """The auto grid as it was chosen before the engine chose it: two separate pilots."""
     pilot = min(plan.n_trials, 10_000)
     samples = np.concatenate([empirical_distribution(plan, Hypothesis.H0, pilot),
                               empirical_distribution(plan, Hypothesis.H1, pilot)])
@@ -474,7 +506,7 @@ def two_pilot_grid(plan):
 
 
 def full_count_curve(plan, grid, piece=4100):
-    """(pfa, pd) as roc_sweep counted them before it counted per stream: every trial scored,
+    """(pfa, pd) as the engine counted them before it counted per stream: every trial scored,
     split by sender with a boolean index, sorted and counted with count_accepted."""
     ts, is_alice = [], []
     for lo in range(0, plan.n_trials, piece):  # decoded in pieces, to bound the memory
@@ -499,11 +531,11 @@ class TestRocSweep:
             plan = pathloss_plan(scenario_small, n=12_000, seed=21)
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: 2500)  # pilot: 4 chunks
         grid = two_pilot_grid(plan)
-        curve = roc_sweep(plan, workers=workers)
-        pfa, pd = full_count_curve(plan, grid)
-        for got, want in [(curve.epsilons, grid), (curve.pfa, pfa), (curve.pd, pd)]:
+        (counts,) = sweep_trials([plan], workers=workers)
+        curve = counts.roc()
+        for got, want in zip([counts.grid, *curve], [grid, *full_count_curve(plan, grid)]):
             np.testing.assert_array_equal(got, want)
-        assert len(set(curve.pfa.tolist())) > 1 and len(set(curve.pd.tolist())) > 1
+        assert all(len(set(column.tolist())) > 1 for column in curve)
 
     @pytest.mark.parametrize("make_plan", [
         lambda sc, n: pathloss_plan(sc, n=n),
@@ -520,12 +552,9 @@ class TestRocSweep:
         if chunk:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
         grid = two_pilot_grid(plan)
-        expected = roc_sweep(plan, grid)
-        curve = roc_sweep(plan, workers=workers)
-        for got, want in [(curve.epsilons, grid), (curve.pfa, expected.pfa),
-                          (curve.pd, expected.pd)]:
-            np.testing.assert_array_equal(got, want)
-        assert len(set(curve.pd.tolist())) > 1  # the grid spans the statistics
+        (counts,) = sweep_trials([plan], workers=workers)
+        assert counts == sweep_trials([plan], [grid])[0]
+        assert len(set(counts.roc()[1].tolist())) > 1  # the grid spans the statistics
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_given_grid_counted_per_chunk(self, scenario_small, monkeypatch, workers):
@@ -541,47 +570,52 @@ class TestRocSweep:
             return out
 
         monkeypatch.setattr(mc, "_map_trials", spy)
-        curve = roc_sweep(plan, grid, workers=workers)
+        (counts,) = sweep_trials([plan], [grid], workers=workers)
         assert len(results) == 3
         assert all(isinstance(r, np.ndarray) and r.size == 2 * (grid.size + 1) for r in results)
         draws = decode(plan, 1, plan.n_trials)
         ts = score(plan, draws)
-        for got, part in [(curve.pfa, ts[draws.is_alice]), (curve.pd, ts[~draws.is_alice])]:
+        curve = counts.roc()
+        for got, part in zip(curve, [ts[draws.is_alice], ts[~draws.is_alice]]):
             want = 1.0 - np.searchsorted(np.sort(part), grid, side="left") / part.size
             np.testing.assert_array_equal(got, want)
-        assert len(set(curve.pfa.tolist())) > 1 and len(set(curve.pd.tolist())) > 1
+        assert all(len(set(column.tolist())) > 1 for column in curve)
 
     def test_single_point_matches_run_trials(self, scenario_small):
         eps = 1.5e-5
         plan = pathloss_plan(scenario_small, n=20000)
-        pfa, pmd = run_trials(plan, eps)
-        curve = roc_sweep(plan, [eps])
-        assert curve.pfa[0] == pytest.approx(pfa.value, abs=1e-15)
-        assert curve.pd[0] == pytest.approx(1.0 - pmd.value, abs=1e-15)
+        counts = counts_at(plan, eps)
+        pfa, pd = counts.roc()
+        assert pfa[0] == pytest.approx(counts.false_alarm(0).value, abs=1e-15)
+        assert pd[0] == pytest.approx(1.0 - counts.missed_detection(0).value, abs=1e-15)
 
     def test_endpoints(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=20000)
-        curve = roc_sweep(plan, [0.0, 1e12])
-        assert (curve.pfa[0], curve.pd[0]) == (1.0, 1.0)
-        assert (curve.pfa[-1], curve.pd[-1]) == (0.0, 0.0)
+        pfa, pd = sweep_trials([plan], [[0.0, 1e12]])[0].roc()
+        assert (pfa[0], pd[0]) == (1.0, 1.0)
+        assert (pfa[-1], pd[-1]) == (0.0, 0.0)
 
     def test_comonotone(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=30000)
         grid = np.geomspace(1e-7, 1e-4, 25)
-        curve = roc_sweep(plan, grid)
-        assert np.all(np.diff(curve.pfa) <= 0)
-        assert np.all(np.diff(curve.pd) <= 0)
+        pfa, pd = sweep_trials([plan], [grid])[0].roc()
+        assert np.all(np.diff(pfa) <= 0)
+        assert np.all(np.diff(pd) <= 0)
 
     def test_curve_columns(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=1000)
-        curve = roc_sweep(plan, [1e-6, 1e-5])
-        assert curve.epsilons.tolist() == [1e-6, 1e-5]
-        assert curve.pfa.shape == curve.pd.shape == (2,)
+        (counts,) = sweep_trials([plan], [np.array([1e-6, 1e-5])])
+        assert counts.grid == (1e-6, 1e-5)
+        # Python numbers only, so no numpy scalar reaches a CSV cell's repr
+        numbers = [*counts.grid, counts.n_alice, counts.n_eve, *sum(counts.accepted, ())]
+        assert [type(x) for x in numbers] == [float] * 2 + [int] * 6
+        pfa, pd = counts.roc()
+        assert pfa.shape == pd.shape == (2,)
 
     def test_grid_must_increase(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=100)
         with pytest.raises(ValueError):
-            roc_sweep(plan, [2.0, 1.0])
+            sweep_trials([plan], [[2.0, 1.0]])
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.1, math.inf], [-1.0, 0.5]],
                              ids=["nan", "inf", "negative"])
@@ -594,8 +628,8 @@ class TestRocSweep:
         plan = pathloss_plan(scenario_small, n=100)
         bad = next(e for e in grid if not 0.0 <= e < math.inf)
         call = {
-            "roc_sweep": lambda: roc_sweep(plan, grid),
-            "sweep_trials": lambda: sweep_trials([plan] * len(grid), grid),
+            "roc_sweep": lambda: sweep_trials([plan], [grid]),  # one grid of many thresholds
+            "sweep_trials": lambda: sweep_trials([plan] * len(grid), [[e] for e in grid]),
             "optimize_gradient": lambda: optimize_gradient(
                 scenario_small, bad, default_gradient_grid(scenario_small, 100)),
             "optimize_phase_matrix": lambda: optimize_phase_matrix(scenario_small, bad,
@@ -611,11 +645,9 @@ class TestRocSweep:
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)
         grid = np.geomspace(1e-3, 3.0, 10)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 3000)
-        a = roc_sweep(plan, grid)
+        a = sweep_trials([plan], [grid])
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)
-        b = roc_sweep(plan, grid)
-        np.testing.assert_array_equal(a.pfa, b.pfa)
-        np.testing.assert_array_equal(a.pd, b.pd)
+        assert sweep_trials([plan], [grid]) == a
 
 
 class TestDecode:

@@ -1,6 +1,7 @@
 """Phase-shift search: oracle comparisons, guards, and determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,21 @@ class TestOptimizePhaseMatrix:
     def test_levels_validation(self, scenario):
         with pytest.raises(ValueError):
             optimize_phase_matrix(scenario, epsilon=0.1, levels=1)
+
+    def test_many_levels_allocate_per_candidate(self, scenario):
+        # a budget of 2 evaluations at 10^6 levels: the phases are computed per candidate,
+        # not held in a list of all levels (32 MB of Python floats at 10^6)
+        sc = replace(scenario, n_elements=4, lq_db=20.0)
+        tracemalloc.start()
+        try:
+            res = optimize_phase_matrix(sc, epsilon=0.05, levels=10**6, budget_trials=2 * 1000,
+                                        rng_seed=1, eval_trials=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 2
+        assert [value for _, value, _ in res.trace] == [0.0, 2.0 * math.pi / 10**6]
+        assert peak < 4 * 2**20
 
 
 def engine_pmd(sc, phases, eps: float, seed: int, n: int) -> float:

@@ -120,22 +120,24 @@ def _epsilon(args, feature: Feature, noise_sigma: float) -> float:
     raise UsageError("the phase feature has no closed-form threshold; pass --epsilon")
 
 
-def _analytical_value(command: str, plan: TrialPlan, epsilon: float):
-    """Closed form for the requested error, or None where only numerics exist.
+def _closed_form(command: str, plan: TrialPlan):
+    """The requested error in closed form as a function of (threshold, noise sigma), or None
+    where only numerics exist. It reads nothing of plan that the link quality changes, so
+    one serves a baseline's whole sweep, and its pathloss pair is computed once.
 
     The Rayleigh magnitude false alarm holds only with Alice's channel pinned
     to its enrollment (--freeze-alice); a re-fading Alice has no closed form.
     """
-    sigma_n = plan.scenario.noise_sigma
     if command == "sweep-pfa":
         if plan.feature is Feature.PATHLOSS:
-            return auth.pfa_pathloss(epsilon, sigma_n)
+            return auth.pfa_pathloss
         if plan.feature is Feature.CIR_MAGNITUDE and not plan.refade_alice:
-            return auth.pfa_cir_magnitude(epsilon, auth.rayleigh_sigma(sigma_n))
+            return lambda epsilon, sigma_n: auth.pfa_cir_magnitude(
+                epsilon, auth.rayleigh_sigma(sigma_n))
         return None
     if plan.feature is Feature.PATHLOSS:
         pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
-        return auth.pmd_pathloss(epsilon, sigma_n, pl_a, pl_e)
+        return lambda epsilon, sigma_n: auth.pmd_pathloss(epsilon, sigma_n, pl_a, pl_e)
     return None
 
 
@@ -180,9 +182,11 @@ def _cmd_sweep(args) -> int:
     for b, (path, plans) in enumerate(baselines):
         rows, flagged = [], []
         own = counts[b * len(plans):(b + 1) * len(plans)]  # this baseline's points
+        closed_form = _closed_form(command, plans[0])
         for lq, plan, epsilon, c in zip(args.lq_grid, plans, epsilons, own):
             est = c.false_alarm(0) if command == "sweep-pfa" else c.missed_detection(0)
-            analytical = _analytical_value(command, plan, epsilon)
+            analytical = (None if closed_form is None
+                          else closed_form(epsilon, plan.scenario.noise_sigma))
             rows.append((lq, epsilon, analytical, est.value, est.half_width_95,
                          est.n_conditioning))
             if est.low_confidence:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# every Scenario field but the link quality: a superset of what a pathloss pair reads
+_GEOMETRY = tuple(f.name for f in fields(Scenario) if f.name != "lq_db")
 
 LOW_CONFIDENCE_TRIALS = 100
 
@@ -211,6 +214,105 @@ def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j,ij->i", np.conj(h), np.exp(1j * phases), g)
 
 
+def _fingerprint(draws: Draws, phases: np.ndarray) -> complex:
+    """The enrolled cascade gt of block 0 under phases.
+
+    By np.sum, not _cascade: einsum sums in another order, which changes the last bits of
+    the fingerprint and with them the committed outputs.
+    """
+    return complex(np.sum(np.conj(draws.h0) * np.exp(1j * phases) * draws.g0))
+
+
+# einsum's iterator hands its inner loop at most 8192 elements of a row (numpy's default
+# buffer size, which np.setbufsize does not change); each inner loop sums its elements from
+# +0.0 and then adds that sum to the row's output
+_EINSUM_BLOCK = 8192
+
+
+def _element_term(planes: np.ndarray, factor: complex, out: np.ndarray) -> None:
+    """One element's cascade term (conj(h) * factor) * g of every trial, into out.
+
+    planes holds the element's conj(h) re/im and g re/im planes. Each complex product is
+    einsum's: two real products and their difference, two and their sum, each rounded on
+    its own. numpy's complex multiply may fuse a product into the sum (FMA), which would
+    change the last bits.
+    """
+    hr, hi, gr, gi = planes
+    re = hr * factor.real - hi * factor.imag
+    im = hr * factor.imag + hi * factor.real
+    np.subtract(re * gr, im * gi, out=out.real)
+    np.add(re * gi, im * gr, out=out.imag)
+
+
+class _RunningCascade:
+    """_cascade of one chunk of CIR draws for a sequence of phase vectors, bit for bit.
+
+    The cascade is summed as einsum sums it: each element's term in element order, from
+    +0.0 in blocks of _EINSUM_BLOCK elements, the block sums then added in order. Element
+    j's term is kept while its factor exp(j psi_j) is unchanged, and the running sums of the
+    longest prefix of elements that the vector shares with the previous one are kept and
+    reused; past that prefix the sum runs in place in one buffer, which numpy adds to about
+    three times as fast as it writes a new running sum per element. A vector that differs
+    from the last in element k alone costs one term and N - k adds, instead of a conj copy
+    and a sum over all N elements. The draws' h and g are dropped once their planes are
+    written (see nbytes).
+    """
+
+    @staticmethod
+    def nbytes(n_trials: int, n: int) -> int:
+        """Bytes held for n_trials draws on n elements: per element and trial 32 of conj(h)
+        and g planes, 16 of kept term and 16 of running sum; per trial 16 of noise and 1 of
+        transmitter flag. While a chunk's planes are written, its h and g stand in for the
+        terms and sums, which are written only once the search scores."""
+        return n_trials * (64 * n + 17)
+
+    def __init__(self, draws: Draws):
+        m, n = draws.h.shape
+        self.draws = replace(draws, h=None, g=None)
+        self.planes = np.empty((n, 4, m))  # element j: conj(h) re, im, g re, im
+        for k, part in enumerate((draws.h.real, draws.h.imag, draws.g.real, draws.g.imag)):
+            np.copyto(self.planes[:, k], part.T)
+        np.negative(self.planes[:, 1], out=self.planes[:, 1])
+        self.terms = np.empty((n, m), complex)
+        self.sums = np.empty((n, m), complex)  # the running sum of each block through element j
+        self.factors = np.full(n, math.nan, complex)  # of the kept terms: none yet
+        self.summed = 0  # elements whose running sums are kept
+
+    def __call__(self, phases: np.ndarray) -> np.ndarray:
+        """The chunk's cascade under phases."""
+        factors = np.exp(1j * phases)  # as _cascade computes them
+        n = factors.size
+        # bits, not values: the kept term of a factor is valid for that factor's bits only
+        changed = (factors.view(np.uint64) != self.factors.view(np.uint64)).reshape(n, 2)
+        changed = changed.any(axis=1)
+        for j in np.flatnonzero(changed).tolist():
+            _element_term(self.planes[j], complex(factors[j]), self.terms[j])
+        self.factors = factors
+        shared = int(np.argmax(changed)) if changed.any() else n
+        for j in range(self.summed, shared):
+            np.add(self.terms[j], self.sums[j - 1] if j % _EINSUM_BLOCK else 0.0,
+                   out=self.sums[j])
+        self.summed = shared
+        cascade = 0.0  # einsum's output starts at +0.0 and adds each block's sum
+        for lo in range(0, n, _EINSUM_BLOCK):
+            end = min(lo + _EINSUM_BLOCK, n) - 1
+            if end < shared:
+                block = self.sums[end]
+            else:
+                start = max(lo, shared)
+                block = self.terms[start] + (self.sums[start - 1] if start > lo else 0.0)
+                for j in range(start + 1, end + 1):
+                    np.add(self.terms[j], block, out=block)
+            cascade = block + cascade
+        return cascade
+
+    def score(self, plan: TrialPlan) -> np.ndarray:
+        """score(plan, draws) on the chunk's draws, for a reflected-link CIR plan."""
+        phases = plan.profile.phases
+        gains = {(True, phases.tobytes()): (self(phases), _fingerprint(self.draws, phases))}
+        return _score(plan, self.draws, gains)
+
+
 @dataclass(frozen=True)
 class Draws:
     """Decoded draws of a run of trial blocks, for any phase profile.
@@ -257,6 +359,17 @@ def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws
                    noise=noise, h=h, g=g)
 
 
+def _pathloss_pair(plan: TrialPlan, pairs: dict) -> tuple[float, float]:
+    """plan's (Alice's, Eve's) pathloss, kept in pairs by all that it depends on: the
+    scenario but its link quality, the gradient and the baseline."""
+    sc = plan.scenario
+    key = (plan.ris, plan.profile.gradient,
+           *(np.asarray(getattr(sc, name)).tobytes() for name in _GEOMETRY))
+    if key not in pairs:
+        pairs[key] = pathloss_pair(sc, plan.profile.gradient, plan.ris)
+    return pairs[key]
+
+
 def _observed(pl_true, sigma_n, noise):
     """The pathloss Bob measures: the sender's pathloss plus sigma_n times unit noise."""
     return pl_true + sigma_n * noise
@@ -272,22 +385,21 @@ def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
 
 
 def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
-    """score(), keeping each CIR gain (cascade, gt) in gains by (baseline, phases), so that
-    plans and forced runs that share them compute them once. The first score of a key must
-    be of the full draws: a forced run of their first k trials slices the cascade."""
+    """score(), keeping each CIR gain (cascade, gt) in gains by (baseline, phases), and each
+    pathloss pair as _pathloss_pair does, so that plans and forced runs that share them
+    compute them once. The first score of a CIR key must be of the full draws: a forced run
+    of their first k trials slices the cascade."""
     sigma_n = plan.scenario.noise_sigma
     if plan.feature is Feature.PATHLOSS:
-        pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
+        pl_a, pl_e = _pathloss_pair(plan, gains)
         pl_true = np.where(draws.is_alice, pl_a, pl_e)
         return statistic(plan.feature, _observed(pl_true, sigma_n, draws.noise), pl_a)
     key = plan.ris, plan.profile.phases.tobytes()
     if key not in gains and not plan.ris:
         gains[key] = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
     elif key not in gains:
-        # gt by np.sum, not _cascade: einsum sums in another order, which changes the
-        # last bits of the fingerprint and with them the committed outputs
-        gt = complex(np.sum(np.conj(draws.h0) * np.exp(1j * plan.profile.phases) * draws.g0))
-        gains[key] = _cascade(draws.h, draws.g, plan.profile.phases), gt
+        phases = plan.profile.phases
+        gains[key] = _cascade(draws.h, draws.g, phases), _fingerprint(draws, phases)
     cascade, gt = gains[key][0][:draws.noise.size], gains[key][1]
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
@@ -359,16 +471,15 @@ def _checked_grid(thresholds) -> np.ndarray:
     return grid
 
 
-def _counts(pairs, plans, grids) -> np.ndarray:
+def _counts(pairs, grids, points) -> np.ndarray:
     """Rows (n_alice, n_eve), then (Alice's, Eve's) accepted count per threshold of each plan's
-    grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise."""
+    grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise
+    with each plan's point (Alice's pathloss, Eve's pathloss, noise sigma)."""
     rows = [tuple(part.size for part in pairs[0])]
-    if plans[0].feature is not Feature.PATHLOSS:  # a stream's plans are all CIR or all pathloss
+    if points is None:
         for eps, (alice, eve) in zip(grids, pairs):
             rows.extend(zip(count_accepted(alice, eps), count_accepted(eve, eps)))
     else:
-        points = [(*pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris),
-                   plan.scenario.noise_sigma) for plan in plans]
         pl_a, pl_e, sigma_n = np.repeat(points, [len(eps) for eps in grids], axis=0).T
         eps, ((alice, eve),) = np.concatenate(grids), pairs
         rows.extend(zip(_accepted_run(alice, pl_a, pl_a, sigma_n, eps),
@@ -419,15 +530,18 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     for ks in streams.values():
         group, own = [plans[k] for k in ks], [grids[k] for k in ks]
         pilot = min(group[0].n_trials, ROC_PILOT_TRIALS) if own[0] is None else 0
+        pathloss, points = {}, None  # each distinct pathloss pair of the stream, computed once
+        if group[0].feature is Feature.PATHLOSS:  # a stream's plans are all CIR or all pathloss
+            points = [(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group]
 
         def chunk(lo, draws):
-            gains = {}  # shared by every score of the chunk (_score)
+            gains = dict(pathloss)  # shared by every score of the chunk (_score)
             values = [draws.noise] if draws.h is None else [_score(p, draws, gains) for p in group]
             masks = draws.is_alice, ~draws.is_alice
             # compress, not a boolean index, which takes 4x as long on a random mask
             pairs = [[np.sort(np.compress(mask, v)) for mask in masks] for v in values]
             if not pilot:
-                return _counts(pairs, group, own)
+                return _counts(pairs, own, points)
             forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
             return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
 
@@ -439,7 +553,7 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
                 lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
                 hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
                 own.append(np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS))
-            parts = [_counts(pairs, group, own) for pairs, _ in parts]
+            parts = [_counts(pairs, own, points) for pairs, _ in parts]
         total = sum(parts)
         n_alice, n_eve = total[0].tolist()
         accepted = np.split(total[1:], np.cumsum([len(grid) for grid in own[:-1]]))

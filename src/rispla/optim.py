@@ -5,6 +5,15 @@ detection on a grid. The per-element search minimizes the empirical
 phase-feature missed detection; candidates are compared under common random
 numbers (one fixed evaluation seed, decoded once per search) so the noisy
 objective is a deterministic function of the candidate.
+
+A candidate's cascade is not recomputed from scratch: each chunk of draws is
+held as a running cascade (`mc._RunningCascade`) that keeps every element's
+term while its phase is unchanged and reuses the running sums of the phase
+prefix the candidate shares with the one before. A coordinate candidate
+then costs one element term and the adds after it; an exhaustive one, which
+steps the last element fastest, mostly the same. The sum runs in einsum's
+order with einsum's rounding, so every statistic, and every trace row, has
+the bits of a fresh engine run.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .auth import Feature, accepts, check_threshold, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
-from .mc import TrialPlan, attacker_draws, score
+from .mc import TrialPlan, _RunningCascade, attacker_draws
 
 __all__ = [
     "Strategy",
@@ -33,7 +42,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 10**6
-EVAL_DRAWS_LIMIT = 2**30  # bytes of decoded attacker draws one search may hold
+EVAL_DRAWS_LIMIT = 2**30  # bytes one search may hold: its draws, kept terms and running sums
 
 
 class Strategy(Enum):
@@ -128,10 +137,16 @@ def optimize_phase_matrix(
     EXHAUSTIVE_CANDIDATE_LIMIT candidates or above the trial budget);
     COORDINATE sweeps elements 1..N in order, fixing each at its best level
     given the others, and repeats passes until no element changes or the
-    budget runs out. Lowest-index candidate wins ties. A search whose decoded
-    draws (eval_trials * N * 32 bytes) exceed EVAL_DRAWS_LIMIT is refused.
-    Each candidate is scored on one decode of the attacker's trials, bit for
-    bit as a fresh engine run, and spends eval_trials of the trial budget.
+    budget runs out. Lowest-index candidate wins ties.
+
+    The attacker's trials are decoded once and held as running cascades, which
+    sum each candidate's cascade in einsum's order from the element terms and
+    prefix sums that the previous candidate left; each candidate is scored
+    through the engine's statistic, bit for bit as a fresh engine run, and
+    spends eval_trials of the trial budget. What the search holds, eval_trials
+    * (64 * N + 17) bytes (conj(h) and g planes, terms and running sums; noise
+    and transmitter flag), is refused above EVAL_DRAWS_LIMIT before anything
+    is decoded.
     """
     check_threshold(epsilon)
     if levels < 2:
@@ -142,12 +157,13 @@ def optimize_phase_matrix(
             required=eval_trials,
         )
     n = scenario.n_elements
-    draws_bytes = eval_trials * n * 32  # complex h and g per element and trial
-    if draws_bytes > EVAL_DRAWS_LIMIT:
+    held = _RunningCascade.nbytes(eval_trials, n)
+    if held > EVAL_DRAWS_LIMIT:
         raise SearchBudgetError(
-            f"{eval_trials} evaluation trials on {n} elements need {draws_bytes} bytes "
-            f"of decoded draws (limit {EVAL_DRAWS_LIMIT}); lower the evaluation trials",
-            required=draws_bytes,
+            f"{eval_trials} evaluation trials on {n} elements need {held} bytes of draws, "
+            f"element terms and running sums (limit {EVAL_DRAWS_LIMIT}); "
+            "lower the evaluation trials",
+            required=held,
         )
     if strategy is Strategy.EXHAUSTIVE:
         n_candidates = levels**n
@@ -170,6 +186,8 @@ def optimize_phase_matrix(
     plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
                      scenario=scenario, profile=PerElement(np.zeros(n)))
     draws = attacker_draws(plan)
+    # one chunk at a time, so that each chunk's h and g are freed once its planes are written
+    chunks = [_RunningCascade(draws.pop(0)) for _ in range(len(draws))]
     cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
@@ -181,8 +199,8 @@ def optimize_phase_matrix(
             if required > budget_trials:
                 raise SearchBudgetError("trial budget exhausted", required=required)
             candidate = replace(plan, profile=PerElement(np.asarray(phases)))
-            misses = sum(int(np.count_nonzero(accepts(score(candidate, d), epsilon)))
-                         for d in draws)
+            misses = sum(int(np.count_nonzero(accepts(chunk.score(candidate), epsilon)))
+                         for chunk in chunks)
             cache[phases] = misses / eval_trials
         pmd = cache[phases]
         trace.append((coordinate, value, pmd))

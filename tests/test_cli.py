@@ -192,6 +192,33 @@ class TestBaselines:
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[3]) == 0.0  # empirical column
 
+    def test_one_pathloss_pair_per_baseline(self, tmp_path, monkeypatch):
+        # the pair depends on the geometry, gradient and baseline, not on the link quality:
+        # the engine and the analytical column each compute it once per baseline
+        from rispla import cli, mc
+
+        calls = []
+
+        def counting(module):
+            real = module.pathloss_pair
+
+            def pair(*args):
+                calls.append(module.__name__)
+                return real(*args)
+
+            monkeypatch.setattr(module, "pathloss_pair", pair)
+
+        counting(mc)
+        counting(cli)
+        seen = []
+        for grid in ("60", "50:10:100"):
+            calls.clear()
+            assert run_cli("sweep-pmd", "--scenario", SCENARIO, "--target-pfa", 0.05,
+                           "--lq-grid", grid, "--trials", 2000, "--baseline", "both",
+                           "--output", tmp_path / "pmd.csv") == EXIT_OK
+            seen.append(sorted(calls))
+        assert seen == [["rispla.cli"] * 2 + ["rispla.mc"] * 2] * 2
+
     def test_both_pathloss_baselines_decode_each_chunk_once(self, tmp_path, monkeypatch):
         from rispla import mc
 
@@ -323,15 +350,24 @@ class TestExitCodes:
         assert "limit 1000000" in err and "use the coordinate strategy" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_draws_limit_is_runtime_error(self, tmp_path):
-        # 1e7 trials x 256 elements x 32 bytes of decoded draws: refused before decoding
-        t0 = time.perf_counter()
-        code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
-                       "--eval-trials", 10**7, "--budget", 10**7,
-                       "--output", tmp_path / "x.csv")
-        assert code == EXIT_RUNTIME
-        assert time.perf_counter() - t0 < 5.0
-        assert list(tmp_path.iterdir()) == []
+    def test_draws_limit_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a search holds 64 * 256 + 17 bytes a trial on 256 elements (draws, element terms
+        # and running sums), refused before decoding above 2^30: 65 469 trials is the first
+        from rispla import optim
+
+        def decoding(plan):
+            raise AssertionError("decoded past the limit")
+
+        monkeypatch.setattr(optim, "attacker_draws", decoding)
+        for eval_trials in (10**7, 65_469):
+            t0 = time.perf_counter()
+            code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
+                           "--eval-trials", eval_trials, "--budget", 10**7,
+                           "--output", tmp_path / "x.csv")
+            assert code == EXIT_RUNTIME
+            assert time.perf_counter() - t0 < 5.0
+            assert f"need {eval_trials * (64 * 256 + 17)} bytes" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self):
         code = run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1.0,

@@ -1,5 +1,6 @@
 """Monte-Carlo engine: determinism, closed-form agreement, distribution checks."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -737,3 +738,110 @@ class TestEmpiricalDistribution:
         plan = pathloss_plan(scenario_small)
         with pytest.raises(ValueError):
             empirical_distribution(plan, Hypothesis.H0, 0)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The IEEE bits of a complex array, real and imaginary parts: -0.0 differs from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def fading(seed: int, m: int, n: int, zeros: int = 0) -> mc.Draws:
+    """m trials of n-element h and g, with `zeros` of their parts set to +0.0 or -0.0. With
+    any zeros, trial 0 has h = -0.0 + 0.0j and g = -1 - 1j: each of its terms is a zero,
+    at phase 0 one of real part -0.0, which only a sum from +0.0 turns into +0.0."""
+    rng = np.random.default_rng(seed)
+    h, g = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in "hg")
+    if zeros:
+        h[0], g[0] = complex(-0.0, 0.0), -1.0 - 1.0j
+    for part in (h.real, h.imag, g.real, g.imag):
+        flat = part.reshape(-1)
+        at = rng.integers(0, flat.size, zeros)
+        flat[at] = np.where(rng.random(zeros) < 0.5, 0.0, -0.0)
+    return mc.Draws(np.zeros(m, bool), np.zeros(m, complex), h, g, h[0], g[0])
+
+
+# candidate steps: a new level at element 0, at the last element or at element k, a new
+# level at every element, or the previous vector again
+STEPS = st.one_of(st.tuples(st.sampled_from(["first", "last", "whole", "repeat"]),
+                            st.integers(0, 5)),
+                  st.tuples(st.integers(0, 39), st.integers(0, 5)))
+LEVELS = [0.0, 0.5, 1.0, math.pi, 4.0, 2.0 * math.pi - 1e-9]
+
+
+class TestRunningCascade:
+    """The search's running cascade equals the einsum reference bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), n=st.integers(1, 40),
+           zeros=st.integers(0, 6), steps=st.lists(STEPS, min_size=1, max_size=12))
+    def test_equals_einsum_over_candidate_sequences(self, seed, m, n, zeros, steps):
+        draws = fading(seed, m, n, zeros)
+        running = mc._RunningCascade(draws)
+        phases = np.zeros(n)
+        for kind, level in [("whole", 0), *steps]:
+            phases = phases.copy()
+            if kind == "whole":
+                phases[:] = np.roll(LEVELS, level)[np.arange(n) % len(LEVELS)]
+            elif kind != "repeat":
+                k = 0 if kind == "first" else n - 1 if kind == "last" else kind % n
+                phases[k] = LEVELS[level]
+            np.testing.assert_array_equal(bits(running(phases)),
+                                          bits(mc._cascade(draws.h, draws.g, phases)))
+
+    @pytest.mark.parametrize("n,levels", [(1, 5), (2, 4), (3, 3), (5, 2)])
+    def test_equals_einsum_in_exhaustive_product_order(self, n, levels):
+        draws = fading(n, 50, n, zeros=4)
+        running = mc._RunningCascade(draws)
+        values = [2.0 * math.pi * k / levels for k in range(levels)]
+        for combo in itertools.product(values, repeat=n):
+            phases = np.array(combo)
+            np.testing.assert_array_equal(bits(running(phases)),
+                                          bits(mc._cascade(draws.h, draws.g, phases)))
+
+    @pytest.mark.parametrize("n", [8192, 8193, 16385])
+    def test_equals_einsum_past_one_inner_loop(self, n):
+        # einsum sums at most 8192 elements of a row from +0.0, then adds that block's sum
+        draws = fading(n, 2, n)
+        running = mc._RunningCascade(draws)
+        phases = np.linspace(0.0, 6.0, n)
+        for k in (None, 0, 8191, n - 1, 8192 % n, None):
+            if k is not None:
+                phases = phases.copy()
+                phases[k] = 1.5
+            np.testing.assert_array_equal(bits(running(phases)),
+                                          bits(mc._cascade(draws.h, draws.g, phases)))
+
+    def test_scores_as_score(self, scenario_small):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
+        (draws,) = mc.attacker_draws(plan)
+        running = mc._RunningCascade(draws)
+        for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8), np.linspace(0.0, 3.0, 8)):
+            candidate = replace(plan, profile=PerElement(phases))
+            np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))
+
+
+class TestPathlossPairs:
+    """A pathloss pair depends on the geometry, gradient and baseline, not the link quality."""
+
+    @pytest.mark.parametrize("call", ["sweep", "roc-auto-grid"])
+    def test_one_pair_per_baseline(self, scenario, monkeypatch, call):
+        calls = []
+        real = mc.pathloss_pair
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "pathloss_pair", counting)
+        seen = []
+        # 1.1e6 trials are two engine chunks (2^20 pathloss trials each)
+        for n, lqs in [(1000, [60.0]), (1_100_000, [60.0]), (1_100_000, [50.0, 75.0, 100.0])]:
+            plans = [pathloss_plan(replace(scenario, lq_db=lq), n=n, ris=ris)
+                     for ris in (True, False) for lq in lqs]
+            assert -(-n // mc._default_chunk(plans[0])) == (1 if n == 1000 else 2)
+            calls.clear()
+            if call == "sweep":
+                sweep_trials(plans, [[1e-9]] * len(plans), hypothesis=Hypothesis.H1)
+            else:
+                sweep_trials(plans)
+            seen.append(len(calls))
+        assert seen == [2, 2, 2]

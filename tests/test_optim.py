@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rispla import mc
+from rispla import mc, optim
 from rispla.auth import Feature, threshold_for_pfa
 from rispla.channel import PerElement, incidence_angle
 from rispla.mc import Hypothesis, TrialPlan, empirical_distribution
 from rispla.optim import (
+    EVAL_DRAWS_LIMIT,
     EXHAUSTIVE_CANDIDATE_LIMIT,
     InfeasibleGridError,
     SearchBudgetError,
@@ -342,3 +343,53 @@ class TestDecodeOnceObjective:
                                         eval_trials=n)
             assert res.evaluations == evaluations
             assert len(calls) == 2 * chunks  # per chunk: its trials and the enrollment block
+
+    def test_coordinate_pass_sums_element_terms(self, scenario, monkeypatch):
+        # one pass at the C07 shape makes no einsum cascade: each candidate computes the
+        # terms of the elements it changes against the candidate evaluated before it
+        sc = replace(scenario, n_elements=8, lq_db=20.0)
+        levels, n = 16, 500
+        evaluations = levels + 7 * (levels - 1)
+
+        def einsum_cascade(*args):
+            raise AssertionError("the search summed a cascade with einsum")
+
+        terms = []
+        real = mc._element_term
+
+        def counting(planes, factor, out):
+            terms.append(factor)
+            return real(planes, factor, out)
+
+        monkeypatch.setattr(mc, "_cascade", einsum_cascade)
+        monkeypatch.setattr(mc, "_element_term", counting)
+        res = optimize_phase_matrix(sc, epsilon=1e-3, levels=levels,
+                                    budget_trials=evaluations * n, rng_seed=3, eval_trials=n)
+        monkeypatch.undo()
+        assert res.evaluations == evaluations
+        profiles = list(coordinate_profiles(res.trace, 8, levels))
+        evaluated = list(dict.fromkeys(map(tuple, profiles)))  # in order, without cache hits
+        assert len(evaluated) == evaluations
+        changed = [sum(a != b for a, b in zip(p, q)) for p, q in zip(evaluated, evaluated[1:])]
+        # N terms, then one per candidate, and one more where a sweep's first candidate
+        # also moves the element before it from its last evaluated level to its chosen one
+        assert len(terms) == 8 + sum(changed) <= 8 + evaluations + 7
+        assert set(changed) <= {1, 2}
+        for row, phases in list(zip(res.trace, profiles))[::9]:
+            assert row[2] == engine_pmd(sc, phases, 1e-3, 3, n), row
+
+    def test_largest_search_under_the_limit_decodes(self, scenario, monkeypatch):
+        # 256 elements hold 64 * 256 + 17 bytes a trial: 65 468 trials fit in the limit
+        # (test_cli refuses 65 469); the decode is stubbed, as it would take 1 GiB
+        held = mc._RunningCascade.nbytes
+        assert held(65_468, 256) <= EVAL_DRAWS_LIMIT < held(65_469, 256)
+
+        class Decoding(Exception):
+            pass
+
+        def decoding(plan):
+            raise Decoding
+
+        monkeypatch.setattr(optim, "attacker_draws", decoding)
+        with pytest.raises(Decoding):
+            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=65_468)

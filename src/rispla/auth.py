@@ -3,12 +3,12 @@
 `statistic` is the one implementation of the three features' test
 statistics; it works elementwise on arrays, so the Monte-Carlo engine calls
 it on whole chunks of trials. `accepts` is the decision rule (ties reject);
-`count_accepted` owns its count and `check_threshold` its domain, for every
-closed form, engine entry and optimizer; `specfun.check_sigma` owns the
-noise scale's domain for every closed form. Every probability here is a pure
-function of linear-unit quantities; dB conversion belongs to the CLI layer.
-The phase-feature and magnitude-feature missed detections have no closed form
-and live in the Monte-Carlo engine.
+`count_accepted` owns its count; `check_threshold`, `check_grid` and
+`check_target_pfa` own the domains of a threshold, a threshold grid and a
+false-alarm target for every closed form, engine entry, optimizer and CLI
+option, as `specfun.check_sigma` owns the noise scale's. Every probability
+here is a pure function of linear-unit quantities; dB conversion belongs to
+the CLI layer. CIR missed detections have no closed form; `mc` estimates them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ __all__ = [
     "accepts",
     "count_accepted",
     "check_threshold",
+    "check_grid",
+    "check_target_pfa",
     "pfa_pathloss",
     "threshold_for_pfa",
     "pmd_pathloss",
@@ -73,6 +75,24 @@ def check_threshold(epsilon: float) -> float:
     return epsilon
 
 
+def check_grid(thresholds) -> np.ndarray:
+    """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them.
+    Every point of such a sequence lies between its ends, so checking them checks it all."""
+    grid = np.asarray(thresholds, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not (grid[1:] > grid[:-1]).all():  # NaN fails
+        raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence")
+    check_threshold(grid[0])
+    check_threshold(grid[-1])
+    return grid
+
+
+def check_target_pfa(target_pfa: float) -> float:
+    """target_pfa, if it is a false-alarm target: in (0, 1]."""
+    if not (0.0 < target_pfa <= 1.0):
+        raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
+    return target_pfa
+
+
 def pfa_pathloss(epsilon: float, sigma: float) -> float:
     """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test."""
     return 2.0 * q_func(check_threshold(epsilon) / check_sigma(sigma))
@@ -81,9 +101,7 @@ def pfa_pathloss(epsilon: float, sigma: float) -> float:
 def threshold_for_pfa(target_pfa: float, sigma: float) -> float:
     """Smallest threshold meeting a prescribed false-alarm probability."""
     check_sigma(sigma)
-    if not (0.0 < target_pfa <= 1.0):
-        raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
-    if target_pfa == 1.0:
+    if check_target_pfa(target_pfa) == 1.0:
         return 0.0
     return sigma * q_inv(target_pfa / 2.0)
 
@@ -106,9 +124,7 @@ def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:
     """Threshold whose pinned-magnitude false alarm is target_pfa: the Rayleigh tail
     exp(-eps^2 / 2 sigma_r^2) inverted, with sigma_r = rayleigh_sigma(noise_sigma)."""
     check_sigma(noise_sigma)
-    if not (0.0 < target_pfa <= 1.0):
-        raise ValueError(f"target_pfa must be in (0, 1], got {target_pfa}")
-    if target_pfa == 1.0:
+    if check_target_pfa(target_pfa) == 1.0:
         return 0.0  # not sigma_r * sqrt(-0.0), which is -0.0
     return rayleigh_sigma(noise_sigma) * math.sqrt(-2.0 * math.log(target_pfa))
 

@@ -107,10 +107,10 @@ def pmd_closed_form(scenario: Scenario, trials: int):
 def rayleigh_magnitude_false_alarm(scenario: Scenario, trials: int):
     """C04: pinned magnitude statistic under H0 is Rayleigh, on an 8-element 20 dB panel."""
     sc = replace(scenario, n_elements=8, lq_db=20.0)
-    plan = TrialPlan(n_trials=1, master_seed=77, feature=Feature.CIR_MAGNITUDE,
+    plan = TrialPlan(n_trials=trials, master_seed=77, feature=Feature.CIR_MAGNITUDE,
                      scenario=sc, profile=PerElement(np.zeros(8)),
                      refade_alice=False)
-    ts = empirical_distribution(plan, Hypothesis.H0, trials)
+    ts = empirical_distribution(plan, Hypothesis.H0)
     sigma_r = rayleigh_sigma(sc.noise_sigma)
     worst = 0.0
     for q in np.linspace(0.05, 0.95, 10):

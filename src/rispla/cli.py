@@ -22,6 +22,7 @@ import numpy as np
 from . import auth, mc, optim
 from .auth import Feature
 from .channel import (
+    GeometryError,
     PerElement,
     ScalarGradient,
     Scenario,
@@ -40,7 +41,7 @@ EXIT_RUNTIME = 3
 
 # --lq-grid and --epsilons log points: each adds a count per decoded chunk, a CIR lq point a score
 GRID_POINT_LIMIT = 10_000
-GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 4.5 s CPU, 286 MiB peak RSS
+GRADIENT_POINT_LIMIT = 10**6  # optimize-gradient grid points: 2.8-3.9 s CPU, 291 MiB peak RSS
 
 
 class UsageError(ValueError):
@@ -268,8 +269,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, ok, expected: str):
-    """argparse type: convert the text and refuse values outside the domain (exit 2)."""
+def _checked(convert, expected: str, ok=lambda value: True):
+    """argparse type: the text through convert, refused (exit 2) on a ValueError or by ok."""
     def parse(text):
         try:
             value = convert(text)
@@ -281,13 +282,12 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_SEED = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
-_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
-_LEVELS = _checked(int, lambda v: v >= 2, "an integer >= 2")
-_THRESHOLD = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
-                      "a finite nonnegative number")
-_PROBABILITY = _checked(float, lambda v: 0.0 < v <= 1.0, "a probability in (0, 1]")
-_FINITE = _checked(float, math.isfinite, "a finite number")
+_SEED = _checked(int, "an integer in [0, 2^64)", lambda v: 0 <= v < 2**64)
+_COUNT = _checked(int, "a positive integer", lambda v: v >= 1)
+_LEVELS = _checked(int, "an integer >= 2", lambda v: v >= 2)
+_THRESHOLD = _checked(lambda t: auth.check_threshold(float(t)), "a finite nonnegative number")
+_PROBABILITY = _checked(lambda t: auth.check_target_pfa(float(t)), "a probability in (0, 1]")
+_FINITE = _checked(float, "a finite number", math.isfinite)
 
 
 def _floats(text: str) -> np.ndarray:
@@ -316,7 +316,7 @@ def _epsilon_grid(text: str) -> np.ndarray:
     _, lo, hi, n = text.split(":")
     if int(n) > GRID_POINT_LIMIT:
         raise ValueError("too many points")
-    with np.errstate(all="ignore"):  # _EPSILONS refuses a non-finite grid: no warning first
+    with np.errstate(all="ignore"):  # auth.check_grid refuses a non-finite grid: no warning first
         return np.geomspace(float(lo), float(hi), int(n))
 
 
@@ -329,15 +329,16 @@ def _gradient_grid(text: str) -> np.ndarray:
         return np.linspace(float(start), float(stop), int(count))
 
 
-_LQ_GRID = _checked(_lq_grid, lambda v: len(v) <= GRID_POINT_LIMIT and all(map(math.isfinite, v)),
-                    f"start:step:stop or a comma list, at most {GRID_POINT_LIMIT} finite dB")
-_EPSILONS = _checked(_epsilon_grid, lambda e: e.size > 0 and np.all(np.isfinite(e))
-                     and np.all(e >= 0.0) and np.all(np.diff(e) > 0.0),
+_LQ_GRID = _checked(_lq_grid,
+                    f"start:step:stop or a comma list, at most {GRID_POINT_LIMIT} finite dB",
+                    lambda v: len(v) <= GRID_POINT_LIMIT and all(map(math.isfinite, v)))
+_EPSILONS = _checked(lambda text: auth.check_grid(_epsilon_grid(text)),
                      "a strictly increasing comma list or log:lo:hi:n of finite nonnegative "
                      f"thresholds, at most {GRID_POINT_LIMIT} log points")
-_GRADIENT_GRID = _checked(_gradient_grid, lambda g: g.size > 0 and np.all(np.isfinite(g)),
-                          f"start:stop:npoints of 1 to {GRADIENT_POINT_LIMIT} finite points")
-_PHASES = _checked(_floats, lambda v: np.all(np.isfinite(v)), "a comma list of finite phases")
+_GRADIENT_GRID = _checked(_gradient_grid,
+                          f"start:stop:npoints of 1 to {GRADIENT_POINT_LIMIT} finite points",
+                          lambda g: g.size > 0 and np.all(np.isfinite(g)))
+_PHASES = _checked(_floats, "a comma list of finite phases", lambda v: np.all(np.isfinite(v)))
 
 
 def _add_common(p):
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioFormatError, UsageError) as exc:
+    except (ScenarioFormatError, UsageError, GeometryError) as exc:
         print(f"rispla: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .auth import Feature, accepts, check_threshold, count_accepted, statistic
+from .auth import Feature, accepts, check_grid, count_accepted, statistic
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, pathloss_pair
 
 __all__ = [
@@ -460,17 +460,6 @@ def _accepted_run(noise, pl_true, pl_a, sigma_n, eps) -> np.ndarray:
     return first(fold, noise.size, lambda n: ~accepted(n)) - first(0, fold, accepted)
 
 
-def _checked_grid(thresholds) -> np.ndarray:
-    """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them.
-    Every point of such a sequence lies between its ends, so checking them checks it all."""
-    grid = np.asarray(thresholds, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not (grid[1:] > grid[:-1]).all():  # NaN fails
-        raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence")
-    check_threshold(grid[0])
-    check_threshold(grid[-1])
-    return grid
-
-
 def _counts(pairs, grids, points) -> np.ndarray:
     """Rows (n_alice, n_eve), then (Alice's, Eve's) accepted count per threshold of each plan's
     grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise
@@ -487,13 +476,12 @@ def _counts(pairs, grids, points) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def attacker_draws(plan: TrialPlan) -> list[Draws]:
-    """Decoded attacker (H1) trials [0, plan.n_trials), in the engine's default chunks.
-
-    score() on each chunk gives the statistics that
-    empirical_distribution(plan, H1, plan.n_trials) draws, before the sort.
-    """
-    return _map_trials(lambda lo, draws: _forced(draws, Hypothesis.H1), plan, plan.n_trials, 1)
+def attacker_draws(plan: TrialPlan) -> list[_RunningCascade]:
+    """Decoded attacker (H1) trials [0, plan.n_trials) in the engine's default chunks, each
+    held as a running cascade once decoded (freeing its h and g before the next decode); their
+    scores are the statistics that empirical_distribution(plan, H1) draws, unsorted."""
+    return _map_trials(lambda lo, draws: _RunningCascade(_forced(draws, Hypothesis.H1)),
+                       plan, plan.n_trials, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +510,7 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
                          f"{'no' if grids is None else len(grids)} grids")
     if grids is None and hypothesis is not None:
         raise ValueError("the auto grid's pilot reads both senders: give grids with a hypothesis")
-    grids = [None] * len(plans) if grids is None else [_checked_grid(grid) for grid in grids]
+    grids = [None] * len(plans) if grids is None else [check_grid(grid) for grid in grids]
     results = [None] * len(plans)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
@@ -563,14 +551,12 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     return results
 
 
-def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis, n_samples: int) -> np.ndarray:
-    """Sorted draws of the test statistic under one fixed hypothesis.
+def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis) -> np.ndarray:
+    """Sorted draws of the test statistic of plan's trials under one fixed hypothesis.
 
     A CDF lookup on the result at the threshold gives the missed detection
     (H1) or one minus the false alarm (H0).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     parts = _map_trials(lambda lo, draws: score(plan, _forced(draws, hypothesis)), plan,
-                        n_samples, workers=1)
+                        plan.n_trials, workers=1)
     return np.sort(np.concatenate(parts))

@@ -185,9 +185,7 @@ def optimize_phase_matrix(
 
     plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
                      scenario=scenario, profile=PerElement(np.zeros(n)))
-    draws = attacker_draws(plan)
-    # one chunk at a time, so that each chunk's h and g are freed once its planes are written
-    chunks = [_RunningCascade(draws.pop(0)) for _ in range(len(draws))]
+    chunks = attacker_draws(plan)
     cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,16 @@ settings.load_profile("suite")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TABLE1 = REPO_ROOT / "scenarios" / "table1.cfg"
+
+
+def table1_with(**values) -> str:
+    """table1.cfg's text with the line of each given key set to its value: a scenario file
+    may set a key once."""
+    text = TABLE1.read_text()
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    return text
 
 
 def reference_box_muller(u, v):

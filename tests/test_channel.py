@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_box_muller
+from conftest import reference_box_muller, table1_with
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -99,6 +99,15 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError, match="unknown key"):
             load_scenario(bad)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        lines = TABLE1.read_text().splitlines()
+        bad.write_text("\n".join(lines) + "\n\n# the link quality again\nlq_db = 30\n")
+        first, repeat = 1 + lines.index("lq_db = 100"), len(lines) + 3
+        message = f"bad.cfg:{repeat}: lq_db repeats line {first}$"
+        with pytest.raises(ScenarioFormatError, match=message):
+            load_scenario(bad)
+
     def test_missing_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("alice_pos = 1, 2, 3\n")
@@ -113,7 +122,7 @@ class TestScenario:
     ], ids=["nan-power", "nan-lq", "nan-normal", "infinite-lq"])
     def test_non_finite_value_refused(self, tmp_path, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TABLE1.read_text() + f"{key} = {value}\n")  # the last value wins
+        cfg.write_text(table1_with(**{key: value}))
         with pytest.raises(ScenarioFormatError, match=f"{key} must be finite"):
             load_scenario(cfg)
 
@@ -363,13 +372,13 @@ class TestAddNoise:
         silent = replace(scenario_small, lq_db=4000.0)  # 10^-400 underflows to 0
         assert silent.noise_sigma == 0.0
         plans = [
-            TrialPlan(n_trials=1, master_seed=3, feature=Feature.PATHLOSS,
+            TrialPlan(n_trials=500, master_seed=3, feature=Feature.PATHLOSS,
                       scenario=silent, profile=ScalarGradient(0.0)),
-            TrialPlan(n_trials=1, master_seed=3, feature=Feature.CIR_MAGNITUDE,
+            TrialPlan(n_trials=500, master_seed=3, feature=Feature.CIR_MAGNITUDE,
                       scenario=silent, profile=PerElement(np.zeros(8)), refade_alice=False),
         ]
         for plan in plans:
-            assert np.all(empirical_distribution(plan, Hypothesis.H0, 500) == 0.0)
+            assert np.all(empirical_distribution(plan, Hypothesis.H0) == 0.0)
 
     def test_real_variance(self):
         block = _uniform_blocks(21, 4, 1, 10**6)

@@ -9,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TABLE1, table1_with
 
+from rispla import auth
 from rispla.checks import CHECKS
 from rispla.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 
@@ -465,6 +468,39 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("alice_pos,args,message", [
+        ("100, 80, 1", ["sweep-pfa", "--epsilon", 1.0, "--lq-grid", "0", "--trials", 100],
+         "transmitter lies in or behind the panel plane"),
+        ("100, 80, 1", ["optimize-gradient", "--target-pfa", 0.05, "--grid", "0:50:5"],
+         "transmitter lies in or behind the panel plane"),
+        ("90, 80, 1", ["sweep-pmd", "--baseline", "no-ris", "--epsilon", 1.0, "--lq-grid", "0",
+                       "--trials", 100], "coincident transmitter and receiver positions"),
+    ], ids=["behind-panel-sweep", "behind-panel-gradient", "at-bob-no-ris"])
+    def test_degenerate_geometry_exits_usage(self, tmp_path, capsys, alice_pos, args, message):
+        cfg = tmp_path / "geometry.cfg"
+        cfg.write_text(table1_with(alice_pos=alice_pos))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(args[0], "--scenario", cfg, *args[1:], "--output", out / "x.csv")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"rispla: error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_repeated_scenario_key_exits_usage(self, tmp_path, capsys):
+        text = TABLE1.read_text()
+        first = 1 + next(i for i, line in enumerate(text.splitlines()) if line.startswith("lq_db"))
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(text + "lq_db = 30\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli("sweep-pfa", "--scenario", cfg, "--epsilon", 1.0, "--lq-grid", "0",
+                       "--trials", 100, "--output", out / "x.csv")
+        assert code == EXIT_USAGE
+        repeat = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"rispla: error: {cfg}:{repeat}: lq_db repeats line {first}\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("args", [
         ["optimize-gradient", "--epsilon", 1e-5, "--grid=-1e308:1e308:3"],
         ["roc", "--epsilons", "log:inf:1:3"],
@@ -488,7 +524,7 @@ class TestExitCodes:
     ], ids=["roc", "sweep-pfa"])
     def test_non_finite_scenario_exits_usage(self, tmp_path, command, extra):
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text(Path(SCENARIO).read_text() + "tx_power_w = nan\n")
+        cfg.write_text(table1_with(tx_power_w="nan"))
         out = tmp_path / "out"
         out.mkdir()
         code = run_cli(command, "--scenario", cfg, *extra, "--trials", 2000,
@@ -505,12 +541,57 @@ class TestExitCodes:
     ], ids=["roc", "optimize-gradient", "optimize-phases"])
     def test_noise_out_of_range_scenario_exits_usage(self, tmp_path, command, extra, lq):
         cfg = tmp_path / "lq.cfg"
-        cfg.write_text(Path(SCENARIO).read_text() + f"lq_db = {lq}\n")
+        cfg.write_text(table1_with(lq_db=lq))
         out = tmp_path / "out"
         out.mkdir()
         code = run_cli(command, "--scenario", cfg, *extra, "--output", out / "x.csv")
         assert code == EXIT_USAGE
         assert list(out.iterdir()) == []
+
+
+def log_grid(lo, hi, n):
+    with np.errstate(all="ignore"):
+        return np.geomspace(lo, hi, n)
+
+
+# (text, the numbers it denotes, or None where it denotes none)
+THRESHOLD_TEXTS = [("0", 0.0), ("-0.0", -0.0), ("1e-5", 1e-5), ("1e308", 1e308),
+                   ("-1e-300", -1e-300), ("-1", -1.0), ("nan", math.nan), ("inf", math.inf),
+                   ("-inf", -math.inf), ("0.1x", None), ("", None)]
+TARGET_TEXTS = [("1", 1.0), ("0.05", 0.05), ("5e-324", 5e-324), ("0", 0.0), ("-0.0", -0.0),
+                ("1.5", 1.5), ("-1", -1.0), ("nan", math.nan), ("inf", math.inf), ("x", None)]
+GRID_TEXTS = [("1e-5,1e-4", [1e-5, 1e-4]), ("0", [0.0]), ("-0.0,1", [-0.0, 1.0]),
+              ("0,-0.0", [0.0, -0.0]), ("1,1", [1.0, 1.0]), ("2,1", [2.0, 1.0]),
+              ("nan", [math.nan]), ("1,nan,2", [1.0, math.nan, 2.0]), ("-1,2", [-1.0, 2.0]),
+              ("0,1,inf", [0.0, 1.0, math.inf]), ("-inf,0", [-math.inf, 0.0]), ("", None),
+              ("1,,2", None), ("log:1e-6:1:4", log_grid(1e-6, 1.0, 4)),
+              ("log:1:1:2", [1.0, 1.0]), ("log:1:10:0", []),
+              ("log:inf:1:3", log_grid(math.inf, 1.0, 3)),
+              ("log:1:10:20000", None)]  # more points than the CLI's limit: never built
+
+
+class TestThresholdOptions:
+    """The threshold options accept exactly the values that auth's checks accept."""
+
+    @pytest.mark.parametrize("command,option,check,text,value", [
+        *(("optimize-phases", "--epsilon", auth.check_threshold, *tv) for tv in THRESHOLD_TEXTS),
+        *(("sweep-pmd", "--target-pfa", auth.check_target_pfa, *tv) for tv in TARGET_TEXTS),
+        *(("roc", "--epsilons", auth.check_grid, *tv) for tv in GRID_TEXTS),
+    ])
+    def test_option_accepts_what_auth_accepts(self, capsys, command, option, check, text, value):
+        argv = [command, "--scenario", SCENARIO, f"{option}={text}", "--output", "x.csv"]
+        try:
+            checked = None if value is None else check(value)
+        except ValueError:
+            checked = None
+        if checked is None:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == EXIT_USAGE
+            assert f"argument {option}: expected " in capsys.readouterr().err
+        else:
+            parsed = getattr(build_parser().parse_args(argv), option[2:].replace("-", "_"))
+            assert np.asarray(parsed).tobytes() == np.asarray(checked, float).tobytes()
 
 
 class TestAtomicOutputs:

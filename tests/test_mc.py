@@ -231,7 +231,7 @@ class TestRunTrials:
         # the engine counts acceptances with searchsorted (count_accepted); the rule is accepts
         eps = 1.2e-5
         plan = pathloss_plan(scenario_small, n=4000, seed=9)
-        ts = empirical_distribution(plan, Hypothesis.H1, 4000)
+        ts = empirical_distribution(plan, Hypothesis.H1)
         n_accepts = int(np.count_nonzero(accepts(ts, eps)))
         assert n_accepts == int(np.searchsorted(ts, eps, side="left"))
 
@@ -495,9 +495,9 @@ class TestOneSenderDecode:
 
 def two_pilot_grid(plan):
     """The auto grid as it was chosen before the engine chose it: two separate pilots."""
-    pilot = min(plan.n_trials, 10_000)
-    samples = np.concatenate([empirical_distribution(plan, Hypothesis.H0, pilot),
-                              empirical_distribution(plan, Hypothesis.H1, pilot)])
+    pilot = replace(plan, n_trials=min(plan.n_trials, 10_000))
+    samples = np.concatenate([empirical_distribution(pilot, Hypothesis.H0),
+                              empirical_distribution(pilot, Hypothesis.H1)])
     positive = samples[samples > 0.0]
     lo = 0.5 * float(positive.min()) if positive.size else 1e-12
     hi = 1.05 * float(samples.max()) if samples.max() > 0 else 1.0
@@ -681,24 +681,24 @@ class TestDecode:
 
 class TestEmpiricalDistribution:
     def test_sorted_output(self, scenario_small):
-        plan = pathloss_plan(scenario_small)
-        ts = empirical_distribution(plan, Hypothesis.H0, 5000)
+        plan = pathloss_plan(scenario_small, n=5000)
+        ts = empirical_distribution(plan, Hypothesis.H0)
         assert np.all(np.diff(ts) >= 0)
 
     def test_pathloss_h0_is_folded_normal(self, scenario_small):
-        plan = pathloss_plan(scenario_small, seed=3)
         n = 2 * 10**5
-        ts = empirical_distribution(plan, Hypothesis.H0, n)
+        plan = pathloss_plan(scenario_small, n=n, seed=3)
+        ts = empirical_distribution(plan, Hypothesis.H0)
         # at delta = 0 the folded-normal CDF is erf(x / (sigma sqrt 2))
         cdf = np.vectorize(math.erf)(ts / (scenario_small.noise_sigma * math.sqrt(2.0)))
         ks = np.max(np.abs(cdf - (np.arange(1, n + 1) - 0.5) / n))
         assert ks < 0.005
 
     def test_cir_magnitude_h0_is_rayleigh_when_pinned(self, scenario_small):
-        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, seed=77,
-                        refade_alice=False)
         n = 2 * 10**5
-        ts = empirical_distribution(plan, Hypothesis.H0, n)
+        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, n=n, seed=77,
+                        refade_alice=False)
+        ts = empirical_distribution(plan, Hypothesis.H0)
         s = rayleigh_sigma(scenario_small.noise_sigma)
         cdf = 1.0 - np.exp(-(ts**2) / (2 * s * s))
         ks = np.max(np.abs(cdf - (np.arange(1, n + 1) - 0.5) / n))
@@ -707,37 +707,32 @@ class TestEmpiricalDistribution:
     def test_cir_phase_noiseless_match(self, scenario_small):
         # noise variance 1e-40 P: the noise falls below the last bit of the fingerprint
         quiet = replace(scenario_small, lq_db=400.0)
-        plan = cir_plan(quiet, Feature.CIR_PHASE, refade_alice=False)
-        ts = empirical_distribution(plan, Hypothesis.H0, 2000)
+        plan = cir_plan(quiet, Feature.CIR_PHASE, n=2000, refade_alice=False)
+        ts = empirical_distribution(plan, Hypothesis.H0)
         assert np.all(ts == 0.0)
 
     def test_h1_differs_from_h0(self, scenario):
         # at the shipped link quality the pathloss contrast dwarfs the noise
-        plan = pathloss_plan(scenario)
-        h0 = empirical_distribution(plan, Hypothesis.H0, 2000)
-        h1 = empirical_distribution(plan, Hypothesis.H1, 2000)
+        plan = pathloss_plan(scenario, n=2000)
+        h0 = empirical_distribution(plan, Hypothesis.H0)
+        h1 = empirical_distribution(plan, Hypothesis.H1)
         assert h1.mean() > 10 * h0.mean()
 
     def test_refade_widens_h0_magnitude(self, scenario_small):
-        base = dict(seed=5)
+        base = dict(n=5000, seed=5)
         pinned = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, refade_alice=False, **base)
         refade = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, refade_alice=True, **base)
-        ts_pin = empirical_distribution(pinned, Hypothesis.H0, 5000)
-        ts_ref = empirical_distribution(refade, Hypothesis.H0, 5000)
+        ts_pin = empirical_distribution(pinned, Hypothesis.H0)
+        ts_ref = empirical_distribution(refade, Hypothesis.H0)
         assert ts_ref.mean() > 10 * ts_pin.mean()
 
     def test_direct_baseline_magnitude_scale(self, scenario_small):
         # direct link: zeta - gt = c' - gt + n, conditioned on the enrolled gt
-        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, ris=False, seed=11)
+        plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, ris=False, n=10**5, seed=11)
         gt = complex(decode(plan, 0, 1).h0[0])  # the enrolled gain: the single decoded h
-        ts = empirical_distribution(plan, Hypothesis.H0, 10**5)
+        ts = empirical_distribution(plan, Hypothesis.H0)
         expected_power = 1.0 + abs(gt) ** 2 + scenario_small.noise_variance
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)
-
-    def test_bad_sample_count(self, scenario_small):
-        plan = pathloss_plan(scenario_small)
-        with pytest.raises(ValueError):
-            empirical_distribution(plan, Hypothesis.H0, 0)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -812,8 +807,8 @@ class TestRunningCascade:
 
     def test_scores_as_score(self, scenario_small):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
-        (draws,) = mc.attacker_draws(plan)
-        running = mc._RunningCascade(draws)
+        draws = mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1)
+        (running,) = mc.attacker_draws(plan)
         for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8), np.linspace(0.0, 3.0, 8)):
             candidate = replace(plan, profile=PerElement(phases))
             np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))

@@ -245,7 +245,7 @@ class TestOptimizePhaseMatrix:
                                     budget_trials=10**6, rng_seed=2, eval_trials=5000)
         plan = TrialPlan(n_trials=5000, master_seed=2, feature=Feature.CIR_PHASE,
                          scenario=sc, profile=res.best_profile)
-        samples = empirical_distribution(plan, Hypothesis.H1, 5000)
+        samples = empirical_distribution(plan, Hypothesis.H1)
         pmd = np.searchsorted(samples, 0.05, side="left") / 5000
         assert pmd == res.best_pmd
 
@@ -283,7 +283,7 @@ def engine_pmd(sc, phases, eps: float, seed: int, n: int) -> float:
     """Missed detection of one profile from a fresh engine run: sorted H1 draws, then a lookup."""
     plan = TrialPlan(n_trials=n, master_seed=seed, feature=Feature.CIR_PHASE,
                      scenario=sc, profile=PerElement(np.asarray(phases, dtype=float)))
-    samples = empirical_distribution(plan, Hypothesis.H1, n)
+    samples = empirical_distribution(plan, Hypothesis.H1)
     return np.searchsorted(samples, eps, side="left") / n
 
 

@@ -407,7 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_optimize_phases)
 
-    p = sub.add_parser("validate", help="acceptance criteria C01-C05: closed forms vs Monte Carlo")
+    p = sub.add_parser(
+        "validate", help="acceptance criteria C01-C05: closed forms vs Monte Carlo",
+        description="C01 and C03 each take the largest |z| of 20 independent points against 3 "
+        "standard errors, so a correct engine fails each by chance at about 5% of trial "
+        "counts: --trials 100000 is one (C01 reads 3.01 against 3.0).")
     p.add_argument("--scenario", required=True)
     p.add_argument("--trials", type=_COUNT, default=10**6)
     p.set_defaults(handler=_cmd_validate)

@@ -245,7 +245,7 @@ def _element_term(planes: np.ndarray, factor: complex, out: np.ndarray) -> None:
 
 
 class _RunningCascade:
-    """_cascade of one chunk of CIR draws for a sequence of phase vectors, bit for bit.
+    """_cascade of a run of CIR draws for a sequence of phase vectors, bit for bit.
 
     The cascade is summed as einsum sums it: each element's term in element order, from
     +0.0 in blocks of _EINSUM_BLOCK elements, the block sums then added in order. Element
@@ -254,32 +254,48 @@ class _RunningCascade:
     reused; past that prefix the sum runs in place in one buffer, which numpy adds to about
     three times as fast as it writes a new running sum per element. A vector that differs
     from the last in element k alone costs one term and N - k adds, instead of a conj copy
-    and a sum over all N elements. The draws' h and g are dropped once their planes are
-    written (see nbytes).
+    and a sum over all N elements. Every sum is per trial, so its bits do not depend on how
+    many trials are held. The run's planes are allocated once and written a chunk at a time
+    (write); a chunk's h and g are dropped once written (see nbytes).
     """
 
     @staticmethod
     def nbytes(n_trials: int, n: int) -> int:
         """Bytes held for n_trials draws on n elements: per element and trial 32 of conj(h)
         and g planes, 16 of kept term and 16 of running sum; per trial 16 of noise and 1 of
-        transmitter flag. While a chunk's planes are written, its h and g stand in for the
-        terms and sums, which are written only once the search scores."""
+        transmitter flag. While a chunk is written, its h and g stand in for the terms and
+        sums, which are written only once the search scores."""
         return n_trials * (64 * n + 17)
 
-    def __init__(self, draws: Draws):
-        m, n = draws.h.shape
-        self.draws = replace(draws, h=None, g=None)
-        self.planes = np.empty((n, 4, m))  # element j: conj(h) re, im, g re, im
-        for k, part in enumerate((draws.h.real, draws.h.imag, draws.g.real, draws.g.imag)):
-            np.copyto(self.planes[:, k], part.T)
-        np.negative(self.planes[:, 1], out=self.planes[:, 1])
-        self.terms = np.empty((n, m), complex)
-        self.sums = np.empty((n, m), complex)  # the running sum of each block through element j
-        self.factors = np.full(n, math.nan, complex)  # of the kept terms: none yet
-        self.summed = 0  # elements whose running sums are kept
+    def __init__(self, n_trials: int):
+        self.n_trials = n_trials
+        self.draws = None  # the run's draws but h and g, once a chunk is written
+
+    def write(self, lo: int, draws: Draws) -> None:
+        """Hold a chunk's draws as trials [lo, lo + m) of the run."""
+        if self.draws is None:  # allocated once the first chunk is decoded: the buffers that
+            # its decode freed are reused, where allocating first faults in fresh pages
+            n, n_trials = draws.h.shape[1], self.n_trials
+            self.planes = np.empty((n, 4, n_trials))  # element j: conj(h) re, im, g re, im
+            self.noise = np.empty(n_trials, complex)
+            self.is_alice = np.empty(n_trials, bool)
+            self.terms = np.empty((n, n_trials), complex)
+            self.sums = np.empty((n, n_trials), complex)  # each block's running sum to element j
+            self.factors = np.full(n, math.nan, complex)  # of the kept terms: none yet
+            self.summed = 0  # elements whose running sums are kept
+        rows = slice(lo, lo + draws.noise.size)
+        planes = self.planes[:, :, rows]
+        np.copyto(planes[:, 0], draws.h.real.T)
+        # negated on the way in: in numpy 2.4.6, negating a one-trial slice of planes in place
+        # reads the wrong elements
+        np.negative(draws.h.imag.T, out=planes[:, 1])
+        np.copyto(planes[:, 2], draws.g.real.T)
+        np.copyto(planes[:, 3], draws.g.imag.T)
+        self.noise[rows], self.is_alice[rows] = draws.noise, draws.is_alice
+        self.draws = replace(draws, is_alice=self.is_alice, noise=self.noise, h=None, g=None)
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
-        """The chunk's cascade under phases."""
+        """The run's cascade under phases."""
         factors = np.exp(1j * phases)  # as _cascade computes them
         n = factors.size
         # bits, not values: the kept term of a factor is valid for that factor's bits only
@@ -307,7 +323,7 @@ class _RunningCascade:
         return cascade
 
     def score(self, plan: TrialPlan) -> np.ndarray:
-        """score(plan, draws) on the chunk's draws, for a reflected-link CIR plan."""
+        """score(plan, draws) on the held draws, for a reflected-link CIR plan."""
         phases = plan.profile.phases
         gains = {(True, phases.tobytes()): (self(phases), _fingerprint(self.draws, phases))}
         return _score(plan, self.draws, gains)
@@ -407,7 +423,9 @@ def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
 
 
 def _default_chunk(plan: TrialPlan) -> int:
-    return max(1024, (1 << 22) // (4 * _stream(plan)[2] + 4))
+    """Trials per engine chunk: 2^19 uniforms (4 MiB, near the cache) over a trial's 4N + 4,
+    at least one. Fewer make per-chunk overhead dominate and split 10^5 pathloss trials."""
+    return max(1, (1 << 19) // (4 * _stream(plan)[2] + 4))
 
 
 def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None) -> list:
@@ -476,12 +494,15 @@ def _counts(pairs, grids, points) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def attacker_draws(plan: TrialPlan) -> list[_RunningCascade]:
-    """Decoded attacker (H1) trials [0, plan.n_trials) in the engine's default chunks, each
-    held as a running cascade once decoded (freeing its h and g before the next decode); their
-    scores are the statistics that empirical_distribution(plan, H1) draws, unsorted."""
-    return _map_trials(lambda lo, draws: _RunningCascade(_forced(draws, Hypothesis.H1)),
-                       plan, plan.n_trials, 1)
+def attacker_draws(plan: TrialPlan) -> _RunningCascade:
+    """Decoded attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held as
+    one running cascade that each default chunk is written into once decoded (freeing its h
+    and g before the next decode); its scores are the statistics that
+    empirical_distribution(plan, H1) draws, unsorted."""
+    held = _RunningCascade(plan.n_trials)
+    _map_trials(lambda lo, draws: held.write(lo, _forced(draws, Hypothesis.H1)), plan,
+                plan.n_trials, 1)
+    return held
 
 
 # ---------------------------------------------------------------------------

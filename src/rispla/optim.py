@@ -6,8 +6,8 @@ phase-feature missed detection; candidates are compared under common random
 numbers (one fixed evaluation seed, decoded once per search) so the noisy
 objective is a deterministic function of the candidate.
 
-A candidate's cascade is not recomputed from scratch: each chunk of draws is
-held as a running cascade (`mc._RunningCascade`) that keeps every element's
+A candidate's cascade is not recomputed from scratch: the draws are held as
+one running cascade (`mc._RunningCascade`) that keeps every element's
 term while its phase is unchanged and reuses the running sums of the phase
 prefix the candidate shares with the one before. A coordinate candidate
 then costs one element term and the adds after it; an exhaustive one, which
@@ -139,8 +139,8 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties.
 
-    The attacker's trials are decoded once and held as running cascades, which
-    sum each candidate's cascade in einsum's order from the element terms and
+    The attacker's trials are decoded once and held as one running cascade, which
+    sums each candidate's cascade in einsum's order from the element terms and
     prefix sums that the previous candidate left; each candidate is scored
     through the engine's statistic, bit for bit as a fresh engine run, and
     spends eval_trials of the trial budget. What the search holds, eval_trials
@@ -185,7 +185,7 @@ def optimize_phase_matrix(
 
     plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
                      scenario=scenario, profile=PerElement(np.zeros(n)))
-    chunks = attacker_draws(plan)
+    cascade = attacker_draws(plan)
     cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
@@ -197,9 +197,8 @@ def optimize_phase_matrix(
             if required > budget_trials:
                 raise SearchBudgetError("trial budget exhausted", required=required)
             candidate = replace(plan, profile=PerElement(np.asarray(phases)))
-            misses = sum(int(np.count_nonzero(accepts(chunk.score(candidate), epsilon)))
-                         for chunk in chunks)
-            cache[phases] = misses / eval_trials
+            misses = np.count_nonzero(accepts(cascade.score(candidate), epsilon))
+            cache[phases] = int(misses) / eval_trials
         pmd = cache[phases]
         trace.append((coordinate, value, pmd))
         if pmd < best[0]:

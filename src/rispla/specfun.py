@@ -90,8 +90,9 @@ def folded_normal_cdf(x: float, params: FoldedNormalParams):
     """CDF of the folded normal at x, 0 below the fold point x = 0; elementwise over an
     array delta, with libm's erf per element."""
     delta = np.asarray(params.delta, dtype=float)
-    a = (x + delta) / (params.sigma * _SQRT2)
-    b = (x - delta) / (params.sigma * _SQRT2)
+    with np.errstate(over="ignore"):  # a huge x gives +-inf, whose erf is +-1 exactly
+        a = (x + delta) / (params.sigma * _SQRT2)
+        b = (x - delta) / (params.sigma * _SQRT2)
     erfs = [math.erf(p) + math.erf(q) for p, q in zip(a.ravel().tolist(), b.ravel().tolist())]
     val = np.where(x < 0.0, 0.0, np.clip(0.5 * np.reshape(erfs, delta.shape), 0.0, 1.0))
     return float(val) if val.ndim == 0 else val

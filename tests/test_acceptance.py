@@ -194,7 +194,7 @@ class TestAcceptance:
 
     def test_c10_byte_identical_reruns(self, tmp_path, monkeypatch):
         # the 20 000 pathloss trials are one default chunk: split them so that both
-        # workers run (4000 is near the default CIR chunk of 4080 trials at N = 256)
+        # workers run (5 chunks of 4000 trials)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 4000)
         specs = [
             (["sweep-pfa", "--scenario", SCENARIO_FILE, "--target-pfa", "0.05",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,14 @@ ZEROS_255 = ",".join(["0"] * 255)  # with one more value, a --phases for table1'
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def run_fresh(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process: numpy warns on stderr, outside pytest's capture."""
+    return subprocess.run(
+        [sys.executable, "-m", "rispla.cli", *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
 
 
 class TestSweepSchema:
@@ -134,6 +143,16 @@ class TestOptimizeOutputs:
         assert float(best_pmd) < 1e-6
         assert int(evals) == 500
 
+    def test_huge_threshold_misses_everything_quietly(self, tmp_path):
+        # (x -+ delta) / (sigma * sqrt 2) overflows to +-inf, whose erf is +-1: pmd 1, no warning
+        out = tmp_path / "grad.csv"
+        proc = run_fresh("optimize-gradient", "--scenario", SCENARIO, "--epsilon", 1e308,
+                         "--grid", "0:40:3", "--output", out)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        summary = (tmp_path / "grad_summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[0] == "1.0"
+
     def test_phase_trace_and_summary(self, tmp_path):
         out = tmp_path / "ph.csv"
         code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.3,
@@ -169,6 +188,27 @@ class TestDeterminism:
         run_cli(*args, "--workers", 1, "--output", a)
         run_cli(*args, "--workers", 2, "--output", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestPeakMemory:
+    """A run holds a few cache-sized chunks of draws at a time, not a share of its trials."""
+
+    @pytest.mark.parametrize("args", [
+        ["roc", "--feature", "cir-phase", "--trials", 8200],
+        ["sweep-pmd", "--feature", "cir-magnitude", "--epsilon", 0.5, "--lq-grid", "0,20",
+         "--trials", 16320, "--workers", 2],
+    ], ids=["roc-pilot-over-every-chunk", "sweep-two-workers"])
+    def test_traced_peak_below_24_mib(self, tmp_path, args):
+        # numpy's buffers report to tracemalloc, from the pool's threads too
+        tracemalloc.start()
+        try:
+            code = run_cli(args[0], "--scenario", SCENARIO, *args[1:], "--output",
+                           tmp_path / "x.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBaselines:
@@ -507,13 +547,7 @@ class TestExitCodes:
         ["roc", "--epsilons", "log:-1:1:5"],
     ], ids=["overflowing-grid", "infinite-log-epsilons", "negative-log-epsilons"])
     def test_refused_grid_is_one_stderr_line(self, tmp_path, args):
-        # numpy warns on stderr, outside pytest's capture: run the command in a fresh process
-        out = tmp_path / "x.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rispla.cli", args[0], "--scenario", SCENARIO,
-             *map(str, args[1:]), "--output", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        proc = run_fresh(args[0], "--scenario", SCENARIO, *args[1:], "--output", tmp_path / "x.csv")
         assert proc.returncode == EXIT_USAGE
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert list(tmp_path.iterdir()) == []

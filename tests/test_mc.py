@@ -525,9 +525,9 @@ class TestRocSweep:
     def test_pilot_across_chunks_equals_full_count(self, scenario, scenario_small, monkeypatch,
                                                     case, workers):
         if case == "cir-n256-8200":
-            # the 8200-trial pilot spans all three chunks (4080, 4080, 40) of the full panel
+            # the 8200-trial pilot spans every default chunk of the full panel, three or more
             plan = cir_plan(scenario, Feature.CIR_PHASE, n=8200)
-            assert mc._default_chunk(plan) == 4080
+            assert -(-plan.n_trials // mc._default_chunk(plan)) >= 3
         else:
             plan = pathloss_plan(scenario_small, n=12_000, seed=21)
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: 2500)  # pilot: 4 chunks
@@ -755,6 +755,18 @@ def fading(seed: int, m: int, n: int, zeros: int = 0) -> mc.Draws:
     return mc.Draws(np.zeros(m, bool), np.zeros(m, complex), h, g, h[0], g[0])
 
 
+def running_cascade(draws: mc.Draws, split: int = 0) -> mc._RunningCascade:
+    """draws held as a running cascade, written as the chunks [0, split) and [split, m)."""
+    m = draws.noise.size
+    running = mc._RunningCascade(m)
+    for lo, hi in ((0, split), (split, m)):
+        if hi > lo:
+            running.write(lo, replace(draws, is_alice=draws.is_alice[lo:hi],
+                                      noise=draws.noise[lo:hi], h=draws.h[lo:hi],
+                                      g=draws.g[lo:hi]))
+    return running
+
+
 # candidate steps: a new level at element 0, at the last element or at element k, a new
 # level at every element, or the previous vector again
 STEPS = st.one_of(st.tuples(st.sampled_from(["first", "last", "whole", "repeat"]),
@@ -767,10 +779,11 @@ class TestRunningCascade:
     """The search's running cascade equals the einsum reference bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), n=st.integers(1, 40),
-           zeros=st.integers(0, 6), steps=st.lists(STEPS, min_size=1, max_size=12))
-    def test_equals_einsum_over_candidate_sequences(self, seed, m, n, zeros, steps):
+           zeros=st.integers(0, 6), steps=st.lists(STEPS, min_size=1, max_size=12),
+           split=st.integers(0, 30))
+    def test_equals_einsum_over_candidate_sequences(self, seed, m, n, zeros, steps, split):
         draws = fading(seed, m, n, zeros)
-        running = mc._RunningCascade(draws)
+        running = running_cascade(draws, min(split, m))
         phases = np.zeros(n)
         for kind, level in [("whole", 0), *steps]:
             phases = phases.copy()
@@ -785,7 +798,7 @@ class TestRunningCascade:
     @pytest.mark.parametrize("n,levels", [(1, 5), (2, 4), (3, 3), (5, 2)])
     def test_equals_einsum_in_exhaustive_product_order(self, n, levels):
         draws = fading(n, 50, n, zeros=4)
-        running = mc._RunningCascade(draws)
+        running = running_cascade(draws, split=17)
         values = [2.0 * math.pi * k / levels for k in range(levels)]
         for combo in itertools.product(values, repeat=n):
             phases = np.array(combo)
@@ -796,7 +809,7 @@ class TestRunningCascade:
     def test_equals_einsum_past_one_inner_loop(self, n):
         # einsum sums at most 8192 elements of a row from +0.0, then adds that block's sum
         draws = fading(n, 2, n)
-        running = mc._RunningCascade(draws)
+        running = running_cascade(draws, split=1)
         phases = np.linspace(0.0, 6.0, n)
         for k in (None, 0, 8191, n - 1, 8192 % n, None):
             if k is not None:
@@ -808,8 +821,20 @@ class TestRunningCascade:
     def test_scores_as_score(self, scenario_small):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
         draws = mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1)
-        (running,) = mc.attacker_draws(plan)
+        running = mc.attacker_draws(plan)
         for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8), np.linspace(0.0, 3.0, 8)):
+            candidate = replace(plan, profile=PerElement(phases))
+            np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))
+
+    def test_attacker_draws_hold_every_chunk_in_one_cascade(self, scenario_small, monkeypatch):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
+        draws = mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)  # 12 chunks, the last short
+        running = mc.attacker_draws(plan)
+        assert isinstance(running, mc._RunningCascade)
+        assert running.draws.noise.shape == (plan.n_trials,)
+        assert running.planes.shape == (8, 4, plan.n_trials)
+        for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8)):
             candidate = replace(plan, profile=PerElement(phases))
             np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))
 
@@ -828,11 +853,12 @@ class TestPathlossPairs:
 
         monkeypatch.setattr(mc, "pathloss_pair", counting)
         seen = []
-        # 1.1e6 trials are two engine chunks (2^20 pathloss trials each)
+        # 1000 trials are one default chunk, 1.1e6 trials two or more
         for n, lqs in [(1000, [60.0]), (1_100_000, [60.0]), (1_100_000, [50.0, 75.0, 100.0])]:
             plans = [pathloss_plan(replace(scenario, lq_db=lq), n=n, ris=ris)
                      for ris in (True, False) for lq in lqs]
-            assert -(-n // mc._default_chunk(plans[0])) == (1 if n == 1000 else 2)
+            chunks = -(-n // mc._default_chunk(plans[0]))
+            assert chunks == 1 if n == 1000 else chunks >= 2
             calls.clear()
             if call == "sweep":
                 sweep_trials(plans, [[1e-9]] * len(plans), hypothesis=Hypothesis.H1)

@@ -9,6 +9,11 @@ false-alarm target for every closed form, engine entry, optimizer and CLI
 option, as `specfun.check_sigma` owns the noise scale's. Every probability
 here is a pure function of linear-unit quantities; dB conversion belongs to
 the CLI layer. CIR missed detections have no closed form; `mc` estimates them.
+
+The closed forms and thresholds work elementwise: a threshold or noise scale
+may be an array (one per link quality of a sweep), and each element takes the
+IEEE operations and the libm call that the number alone takes, so it gets the
+same bits. A number in gives a number out.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import FoldedNormalParams, check_sigma, folded_normal_cdf, q_func, q_inv
+from .specfun import (FoldedNormalParams, check_sigma, extremes, folded_normal_cdf, libm, q_func,
+                      q_inv)
 
 __all__ = [
     "Feature",
@@ -68,10 +74,11 @@ def count_accepted(sorted_ts, epsilons):
     return np.searchsorted(sorted_ts, epsilons, side="left")
 
 
-def check_threshold(epsilon: float) -> float:
-    """epsilon, if it is a threshold: finite and nonnegative."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+def check_threshold(epsilon):
+    """epsilon, if it is a threshold, or an array of them: finite and nonnegative."""
+    for e in extremes(epsilon):
+        if not (math.isfinite(e) and e >= 0.0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {e}")
     return epsilon
 
 
@@ -93,20 +100,19 @@ def check_target_pfa(target_pfa: float) -> float:
     return target_pfa
 
 
-def pfa_pathloss(epsilon: float, sigma: float) -> float:
+def pfa_pathloss(epsilon, sigma):
     """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test."""
-    return 2.0 * q_func(check_threshold(epsilon) / check_sigma(sigma))
+    with np.errstate(over="ignore"):  # as a float division: q_func refuses the inf
+        return 2.0 * q_func(check_threshold(epsilon) / check_sigma(sigma))
 
 
-def threshold_for_pfa(target_pfa: float, sigma: float) -> float:
+def threshold_for_pfa(target_pfa: float, sigma):
     """Smallest threshold meeting a prescribed false-alarm probability."""
     check_sigma(sigma)
-    if check_target_pfa(target_pfa) == 1.0:
-        return 0.0
-    return sigma * q_inv(target_pfa / 2.0)
+    return sigma * (0.0 if check_target_pfa(target_pfa) == 1.0 else q_inv(target_pfa / 2.0))
 
 
-def pmd_pathloss(epsilon: float, sigma: float, pl_a, pl_e):
+def pmd_pathloss(epsilon, sigma, pl_a, pl_e):
     """Missed-detection probability: folded-normal CDF at the threshold.
 
     pl_a and pl_e may be arrays of pathloss pairs (one per gradient of a grid).
@@ -114,22 +120,23 @@ def pmd_pathloss(epsilon: float, sigma: float, pl_a, pl_e):
     return folded_normal_cdf(check_threshold(epsilon), FoldedNormalParams(pl_e - pl_a, sigma))
 
 
-def pfa_cir_magnitude(epsilon: float, sigma: float) -> float:
+def pfa_cir_magnitude(epsilon, sigma):
     """False alarm of the magnitude test: the Rayleigh(sigma) tail exp(-eps^2 / 2 sigma^2)."""
     sigma, epsilon = check_sigma(sigma), check_threshold(epsilon)
-    return math.exp(-epsilon * epsilon / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as float arithmetic
+        return libm(math.exp, -epsilon * epsilon / (2.0 * sigma * sigma))
 
 
-def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma: float) -> float:
+def threshold_for_pfa_magnitude(target_pfa: float, noise_sigma):
     """Threshold whose pinned-magnitude false alarm is target_pfa: the Rayleigh tail
     exp(-eps^2 / 2 sigma_r^2) inverted, with sigma_r = rayleigh_sigma(noise_sigma)."""
     check_sigma(noise_sigma)
     if check_target_pfa(target_pfa) == 1.0:
-        return 0.0  # not sigma_r * sqrt(-0.0), which is -0.0
+        return rayleigh_sigma(noise_sigma) * 0.0  # not sigma_r * sqrt(-0.0), which is -0.0
     return rayleigh_sigma(noise_sigma) * math.sqrt(-2.0 * math.log(target_pfa))
 
 
-def rayleigh_sigma(noise_sigma: float) -> float:
+def rayleigh_sigma(noise_sigma):
     """Rayleigh scale of |n| for n ~ CN(0, noise_sigma^2): each part has variance
     noise_sigma^2 / 2, so the modulus is Rayleigh(noise_sigma / sqrt(2))."""
     return noise_sigma / math.sqrt(2.0)

@@ -102,6 +102,19 @@ class Scenario:
                      "refractive_index", "sigma_g_sq"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # every field but the link quality, as bytes: a superset of what a pathloss pair
+        # reads, kept so that the scenarios of one sweep (at_link_quality) share one key
+        object.__setattr__(self, "geometry_key", tuple(
+            np.asarray(getattr(self, name)).tobytes() for name in _SCENARIO_GEOMETRY))
+
+    def at_link_quality(self, lq_db: float) -> "Scenario":
+        """This scenario at link quality lq_db, sharing every other field and geometry_key
+        without running __post_init__ again: it checked them all. lq_db is left to the
+        caller's check of the noise variance it gives, which is a positive finite number
+        only for a finite lq_db."""
+        scenario = object.__new__(Scenario)
+        scenario.__dict__.update(self.__dict__, lq_db=lq_db)
+        return scenario
 
     @property
     def wavelength(self) -> float:
@@ -121,6 +134,7 @@ class Scenario:
 _SCENARIO_SCALAR_KEYS = tuple(f.name for f in fields(Scenario)
                               if f.name not in _SCENARIO_VECTOR_KEYS)
 _SCENARIO_REQUIRED = tuple(f.name for f in fields(Scenario) if f.default is MISSING)
+_SCENARIO_GEOMETRY = tuple(f.name for f in fields(Scenario) if f.name != "lq_db")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# every Scenario field but the link quality: a superset of what a pathloss pair reads
-_GEOMETRY = tuple(f.name for f in fields(Scenario) if f.name != "lq_db")
 
 LOW_CONFIDENCE_TRIALS = 100
 
@@ -378,11 +375,9 @@ def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws
 def _pathloss_pair(plan: TrialPlan, pairs: dict) -> tuple[float, float]:
     """plan's (Alice's, Eve's) pathloss, kept in pairs by all that it depends on: the
     scenario but its link quality, the gradient and the baseline."""
-    sc = plan.scenario
-    key = (plan.ris, plan.profile.gradient,
-           *(np.asarray(getattr(sc, name)).tobytes() for name in _GEOMETRY))
+    key = plan.ris, plan.profile.gradient, plan.scenario.geometry_key
     if key not in pairs:
-        pairs[key] = pathloss_pair(sc, plan.profile.gradient, plan.ris)
+        pairs[key] = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
     return pairs[key]
 
 

@@ -1,9 +1,11 @@
 """Special functions and distribution primitives for the closed-form error expressions.
 
-Scalar implementations, except the folded-normal CDF, which also maps an
-array of deltas (a whole gradient grid); the Monte-Carlo engine does its own
-vectorized math and only meets these functions when cross-checking against
-closed forms. The Rayleigh tail is one line in `auth.pfa_cir_magnitude`.
+`q_func`, `check_sigma` and the folded-normal CDF work elementwise on arrays
+(a sweep's link qualities, a gradient grid) as well as on numbers, with
+libm's `erf`/`erfc` per element (`libm`); `q_inv` and the folded-normal
+moments are scalar. The Monte-Carlo engine does its own vectorized math and
+only meets these functions when cross-checking against closed forms. The
+Rayleigh tail is one line in `auth.pfa_cir_magnitude`.
 """
 
 from __future__ import annotations
@@ -25,19 +27,36 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def check_sigma(sigma: float) -> float:
-    """sigma, if it is a noise scale: positive and finite."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+def extremes(values) -> tuple:
+    """(values,) for a number, (least, greatest) for an array: both are NaN when an element
+    is, so a domain that is an interval holds every element when it holds these."""
+    if isinstance(values, np.ndarray):
+        return np.min(values).item(), np.max(values).item()
+    return (values,)
+
+
+def libm(fn, x):
+    """fn, a libm function of one float, at x or at each element of an array x: numpy's SIMD
+    exp, erf and erfc may differ from libm's in the last bit, and the outputs hold libm's."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+
+
+def check_sigma(sigma):
+    """sigma, if it is a noise scale, or an array of them: positive and finite."""
+    for s in extremes(sigma):
+        if not (math.isfinite(s) and s > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {s}")
     return sigma
 
 
 @dataclass(frozen=True)
 class FoldedNormalParams:
-    """Parameters of |X| for X ~ N(delta, sigma^2); delta may be an array."""
+    """Parameters of |X| for X ~ N(delta, sigma^2); delta and sigma may be arrays."""
 
     delta: float | np.ndarray
-    sigma: float
+    sigma: float | np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.delta)):
@@ -45,11 +64,12 @@ class FoldedNormalParams:
         check_sigma(self.sigma)
 
 
-def q_func(x: float) -> float:
-    """Standard normal tail probability P(N(0,1) > x)."""
-    if not math.isfinite(x):
-        raise ValueError(f"q_func requires finite input, got {x}")
-    return 0.5 * math.erfc(x / _SQRT2)
+def q_func(x):
+    """Standard normal tail probability P(N(0,1) > x), elementwise on an array."""
+    for end in extremes(x):
+        if not math.isfinite(end):
+            raise ValueError(f"q_func requires finite input, got {end}")
+    return 0.5 * libm(math.erfc, x / _SQRT2)
 
 
 def _normal_pdf(x: float) -> float:
@@ -86,15 +106,14 @@ def q_inv(p: float) -> float:
     return x
 
 
-def folded_normal_cdf(x: float, params: FoldedNormalParams):
-    """CDF of the folded normal at x, 0 below the fold point x = 0; elementwise over an
-    array delta, with libm's erf per element."""
+def folded_normal_cdf(x, params: FoldedNormalParams):
+    """CDF of the folded normal at x, 0 below the fold point x = 0; elementwise over arrays
+    x, delta and sigma, with libm's erf per element."""
     delta = np.asarray(params.delta, dtype=float)
     with np.errstate(over="ignore"):  # a huge x gives +-inf, whose erf is +-1 exactly
         a = (x + delta) / (params.sigma * _SQRT2)
         b = (x - delta) / (params.sigma * _SQRT2)
-    erfs = [math.erf(p) + math.erf(q) for p, q in zip(a.ravel().tolist(), b.ravel().tolist())]
-    val = np.where(x < 0.0, 0.0, np.clip(0.5 * np.reshape(erfs, delta.shape), 0.0, 1.0))
+    val = np.where(x < 0.0, 0.0, np.clip(0.5 * (libm(math.erf, a) + libm(math.erf, b)), 0.0, 1.0))
     return float(val) if val.ndim == 0 else val
 
 

@@ -141,9 +141,11 @@ class TestSigmaDomain:
     ], ids=["pfa_pathloss", "threshold_for_pfa", "threshold_for_pfa-certain", "pmd_pathloss",
             "pfa_cir_magnitude", "threshold_for_pfa_magnitude",
             "threshold_for_pfa_magnitude-certain"])
-    def test_refused(self, closed_form, sigma):
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            closed_form(sigma)
+    @pytest.mark.parametrize("where", ["number", "array"])
+    def test_refused(self, closed_form, sigma, where):
+        # an array is refused for any element, here the second of a sweep's two
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            closed_form(sigma if where == "number" else np.array([1.0, sigma]))
 
 
 class TestThresholdForPfaMagnitude:
@@ -245,6 +247,69 @@ class TestPfaCirMagnitude:
         emp = np.mean(np.abs(n) > eps)
         expected = pfa_cir_magnitude(eps, rayleigh_sigma(sigma))
         assert emp == pytest.approx(expected, abs=3 * math.sqrt(expected * (1 - expected) / 10**6))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _scalar_calls(fn, *columns):
+    """(fn at each element, None), or (None, the message of the first element refused)."""
+    try:
+        return [fn(*args) for args in zip(*columns)], None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _array_call(fn, *columns):
+    try:
+        return fn(*map(np.array, columns)), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def sweep_points(draw):
+    """(eps, sigma, pl_a, pl_e) columns: thresholds include 0 and a huge one, noise scales
+    span a sweep's link qualities."""
+    n = draw(st.integers(1, 12))
+    eps = st.one_of(st.just(0.0), st.just(1e308), st.floats(0.0, 1e3))
+    pl = st.floats(0.0, 1e-3)
+    return tuple(draw(st.lists(strategy, min_size=n, max_size=n))
+                 for strategy in (eps, st.floats(1e-160, 1e150), pl, pl))
+
+
+class TestElementwiseClosedForms:
+    """A sweep computes a baseline's thresholds and analytical column in one call on its
+    arrays; each element has the bits of the scalar call, or the array is refused with the
+    scalar calls' message."""
+
+    @given(sweep_points(), st.one_of(st.just(1.0), st.floats(1e-300, 1.0)))
+    def test_equal_scalar_calls_bit_for_bit(self, points, target_pfa):
+        eps, sigma, pl_a, pl_e = points
+        for fn, columns in [
+            (lambda s: threshold_for_pfa(target_pfa, s), [sigma]),
+            (lambda s: threshold_for_pfa_magnitude(target_pfa, s), [sigma]),
+            (rayleigh_sigma, [sigma]),
+            (pfa_pathloss, [eps, sigma]),
+            (pmd_pathloss, [eps, sigma, pl_a, pl_e]),
+            (lambda e, s: pfa_cir_magnitude(e, rayleigh_sigma(s)), [eps, sigma]),
+        ]:
+            scalars, refused = _scalar_calls(fn, *columns)
+            array, array_refused = _array_call(fn, *columns)
+            assert array_refused == refused
+            if refused is None:
+                assert all(type(v) is float for v in scalars)
+                assert isinstance(array, np.ndarray) and array.shape == (len(sigma),)
+                assert _bits(array) == _bits(scalars)
+
+    def test_huge_threshold_refuses_as_the_scalar_call(self):
+        # 1e308 / 1e-5 overflows to inf, which q_func refuses, number or array
+        message = "q_func requires finite input, got inf"
+        with pytest.raises(ValueError, match=message):
+            pfa_pathloss(1e308, 1e-5)
+        with pytest.raises(ValueError, match=message):
+            pfa_pathloss(np.array([1.0, 1e308]), np.array([1.0, 1e-5]))
 
 
 class TestNoPhaseArguments:

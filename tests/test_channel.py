@@ -150,6 +150,21 @@ class TestScenario:
         assert sc.n_elements == scenario.n_elements
         assert sc.sigma_g_sq == 1.0  # optional key defaults
 
+    @pytest.mark.parametrize("lq", [-40.0, 0.0, 37.5, 3000.0])
+    def test_link_quality_copy_equals_a_checked_scenario(self, scenario, lq):
+        # a sweep's link qualities skip __post_init__: they must be what it would build
+        derived, checked = scenario.at_link_quality(lq), replace(scenario, lq_db=lq)
+        for name in scenario.__dataclass_fields__:
+            assert np.asarray(getattr(derived, name)).tobytes() == (
+                np.asarray(getattr(checked, name)).tobytes()), name
+        assert derived.geometry_key == checked.geometry_key == scenario.geometry_key
+        assert derived.noise_sigma == checked.noise_sigma
+        assert scenario.lq_db == 100.0  # the loaded scenario is not changed
+
+    def test_geometry_key_holds_every_field_but_the_link_quality(self, scenario):
+        assert replace(scenario, tx_gain=999.0).geometry_key != scenario.geometry_key
+        assert replace(scenario, lq_db=1.0).geometry_key == scenario.geometry_key
+
 
 class TestIncidenceAngle:
     def test_normal_ray(self):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import TABLE1, table1_with
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rispla import auth
 from rispla.checks import CHECKS
@@ -254,13 +256,13 @@ class TestBaselines:
         counting(mc)
         counting(cli)
         seen = []
-        for grid in ("60", "50:10:100"):
+        for grid in ("60", "50:10:100", "0:1:100"):
             calls.clear()
             assert run_cli("sweep-pmd", "--scenario", SCENARIO, "--target-pfa", 0.05,
                            "--lq-grid", grid, "--trials", 2000, "--baseline", "both",
                            "--output", tmp_path / "pmd.csv") == EXIT_OK
             seen.append(sorted(calls))
-        assert seen == [["rispla.cli"] * 2 + ["rispla.mc"] * 2] * 2
+        assert seen == [["rispla.cli"] * 2 + ["rispla.mc"] * 2] * 3
 
     def test_both_pathloss_baselines_decode_each_chunk_once(self, tmp_path, monkeypatch):
         from rispla import mc
@@ -353,6 +355,144 @@ class TestBaselines:
                                 fspl(sc.alice_pos, sc.bob_pos, sc),
                                 fspl(sc.eve_pos, sc.bob_pos, sc))
         assert float(row[2]) == pytest.approx(expected, rel=1e-12)
+
+
+class TestPerCommandWork:
+    """A sweep pays once per command for what its link qualities share: the scenario file's
+    checks, the Newton solve for --target-pfa's quantile, a baseline's pathloss pair
+    (TestBaselines), and each closed-form column is one elementwise call that gives every
+    row the bits of the scalar closed form at that row's link quality."""
+
+    @pytest.mark.parametrize("command,feature,extra", [
+        ("sweep-pfa", "pathloss", []),
+        ("sweep-pmd", "pathloss", []),
+        ("sweep-pfa", "cir-magnitude", ["--freeze-alice"]),
+        ("sweep-pfa", "cir-magnitude", []),
+        ("sweep-pmd", "cir-magnitude", []),
+    ], ids=["pfa-pathloss", "pmd-pathloss", "pfa-magnitude-frozen", "pfa-magnitude-refading",
+            "pmd-magnitude"])
+    def test_101_points_check_the_file_once_and_match_the_scalar_forms(
+            self, tmp_path, monkeypatch, command, feature, extra):
+        from dataclasses import replace
+
+        from rispla import channel, specfun
+        from rispla.channel import load_scenario, pathloss_pair
+
+        loaded = load_scenario(TABLE1)  # before counting: the reference scenarios below
+        counted = {"__post_init__": 0, "q_inv": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                counted[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(channel.Scenario, "__post_init__")
+        counting(specfun, "q_inv")
+        monkeypatch.setattr(auth, "q_inv", specfun.q_inv)  # auth's own name for it
+        code = run_cli(command, "--scenario", SCENARIO, "--feature", feature, *extra,
+                       "--target-pfa", 0.05, "--lq-grid", "0:1:100", "--trials", 40,
+                       "--baseline", "both", "--output", tmp_path / "x.csv")
+        assert code == EXIT_OK
+        assert counted["__post_init__"] == 1  # the file's load
+        assert counted["q_inv"] == (feature == "pathloss")
+        monkeypatch.undo()
+        for tag, ris in (("_ris", True), ("_noris", False)):
+            rows = [line.split(",") for line in
+                    (tmp_path / f"x{tag}.csv").read_text().splitlines()[1:]
+                    if not line.startswith("#")]
+            assert len(rows) == 101
+            pl_a, pl_e = pathloss_pair(loaded, 0.0, ris)
+            for lq, threshold, analytical, *_ in rows:
+                sigma = replace(loaded, lq_db=float(lq)).noise_sigma
+                if feature == "pathloss":
+                    eps = auth.threshold_for_pfa(0.05, sigma)
+                    expected = (auth.pfa_pathloss(eps, sigma) if command == "sweep-pfa"
+                                else auth.pmd_pathloss(eps, sigma, pl_a, pl_e))
+                else:
+                    eps = auth.threshold_for_pfa_magnitude(0.05, sigma)
+                    expected = (auth.pfa_cir_magnitude(eps, auth.rayleigh_sigma(sigma))
+                                if extra else None)
+                assert float(threshold) == eps  # repr round-trips: equal floats, equal bits
+                assert analytical == ("" if expected is None else repr(expected))
+
+
+def reference_csv(header, rows, comments=()):
+    """CSV text as a join per cell and per row writes it."""
+    lines = [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
+    return "\n".join([header, *lines, *comments, ""])
+
+
+class TestCsvText:
+    @given(st.lists(st.tuples(st.integers(-10**30, 10**30) | st.none(),
+                              st.floats(allow_nan=True, allow_infinity=True),
+                              st.floats(width=32) | st.none()), max_size=30),
+           st.lists(st.sampled_from(["# low_confidence_rows: 1,2", "# x"]), max_size=2))
+    def test_equals_a_join_per_row(self, rows, comments):
+        from rispla.cli import _csv
+
+        assert _csv("a,b,c", rows, comments) == reference_csv("a,b,c", rows, comments)
+
+
+class TestSharedParser:
+    """main() parses with one parser built when rispla.cli is imported; no call leaves
+    anything in it that the next call reads."""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        from rispla import cli
+
+        def refused():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refused)
+        assert run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1e-5,
+                       "--lq-grid", "0", "--trials", 10, "--output", tmp_path / "x.csv") == EXIT_OK
+
+    def test_phases_of_one_run_do_not_reach_the_next(self, tmp_path, monkeypatch):
+        from rispla import mc
+
+        profiles = []
+        real = mc.sweep_trials
+
+        def recording(plans, *args, **kwargs):
+            profiles.append(plans[0].profile.phases)
+            return real(plans, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "sweep_trials", recording)
+        args = ["sweep-pmd", "--scenario", SCENARIO, "--feature", "cir-phase", "--epsilon", 0.5,
+                "--lq-grid", "20", "--trials", 20, "--output", tmp_path / "x.csv"]
+        assert run_cli(*args, "--phases", ",".join(["1.5"] * 256)) == EXIT_OK
+        assert run_cli(*args) == EXIT_OK
+        assert np.all(profiles[0] == 1.5)
+        assert profiles[1].tobytes() == np.zeros(256).tobytes()
+
+    def test_usage_error_then_a_run_writes_what_a_fresh_process_writes(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep-pfa", "--scenario", SCENARIO, "--target-pfa", 0.05,
+                    "--trials", 0, "--output", tmp_path / "bad.csv")
+        assert exc.value.code == EXIT_USAGE
+        args = ["sweep-pmd", "--scenario", SCENARIO, "--target-pfa", 0.05,
+                "--lq-grid", "50:10:100", "--trials", 3000, "--seed", 4, "--baseline", "both"]
+        assert run_cli(*args, "--output", tmp_path / "here.csv") == EXIT_OK
+        proc = run_fresh(*args, "--output", tmp_path / "fresh.csv")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for tag in ("_ris", "_noris"):
+            assert ((tmp_path / f"here{tag}.csv").read_bytes()
+                    == (tmp_path / f"fresh{tag}.csv").read_bytes())
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_default_lq_grid_is_a_new_list_per_parse(self):
+        from rispla import cli
+
+        argv = ["sweep-pfa", "--scenario", SCENARIO, "--epsilon", "1", "--output", "x.csv"]
+        first = cli._PARSER.parse_args(argv).lq_grid
+        first.append(1e9)  # a run that changed its list would change nothing of the next
+        second = cli._PARSER.parse_args(argv).lq_grid
+        assert second is not first
+        assert second == [float(lq) for lq in range(0, 41, 2)]
 
 
 class TestExitCodes:

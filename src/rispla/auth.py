@@ -44,6 +44,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# q_func is 0.0 at every argument above about 38.5 (libm's erfc underflows), so a ratio clamped
+# to this keeps every finite ratio's bits and gives 2 Q(inf) = 0 where epsilon / sigma overflows
+_Q_VANISHED = 40.0
+
 
 class Feature(Enum):
     PATHLOSS = "pathloss"
@@ -82,14 +86,15 @@ def check_threshold(epsilon):
     return epsilon
 
 
-def check_grid(thresholds) -> np.ndarray:
-    """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them.
+def check_grid(thresholds, rows: bool = False) -> np.ndarray:
+    """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them;
+    with rows, if each row of a 2-D array is one (grids of one length, checked in one pass).
     Every point of such a sequence lies between its ends, so checking them checks it all."""
     grid = np.asarray(thresholds, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not (grid[1:] > grid[:-1]).all():  # NaN fails
+    if (grid.ndim != 1 + rows or grid.shape[-1] == 0
+            or not (grid[..., 1:] > grid[..., :-1]).all()):  # NaN fails
         raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence")
-    check_threshold(grid[0])
-    check_threshold(grid[-1])
+    check_threshold(grid[..., [0, -1]])  # the least first and the greatest last end
     return grid
 
 
@@ -101,9 +106,11 @@ def check_target_pfa(target_pfa: float) -> float:
 
 
 def pfa_pathloss(epsilon, sigma):
-    """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test."""
-    with np.errstate(over="ignore"):  # as a float division: q_func refuses the inf
-        return 2.0 * q_func(check_threshold(epsilon) / check_sigma(sigma))
+    """False-alarm probability 2 Q(epsilon / sigma) of the pathloss test: 0.0 where the ratio
+    overflows, as 2 Q(inf) is."""
+    with np.errstate(over="ignore"):  # as a float division
+        ratio = check_threshold(epsilon) / check_sigma(sigma)
+    return 2.0 * q_func(np.minimum(ratio, _Q_VANISHED))
 
 
 def threshold_for_pfa(target_pfa: float, sigma):

@@ -5,7 +5,17 @@ Randomness is counter-based: trial i consumes a block of 4N + 4 uniforms
 advanced to a position that depends only on (master_seed, i). Normals come
 from Box-Muller on those uniforms, never a rejection sampler, so any
 partition of the trial range across chunks or threads reproduces the same
-trials bit for bit. Block 0 is reserved for fingerprint enrollment.
+trials bit for bit. Block 0 is reserved for fingerprint enrollment, decoded once per run.
+
+sweep_trials counts CIR trials decided by a bound, re-decoded exactly when undecided. Its
+chunks take cos and sin in single precision (all else in double), and each trial's
+statistic a carries a rigorous bound e on its distance from the exact decode's
+(_error_bound). Where no threshold of the plan's grid lies in [a - e, a + e], a falls on
+the exact statistic's side of every threshold; where one does (or, for the auto grid, where
+the trial could be the pilot's smallest positive or largest statistic), the trial is
+undecided and re-decoded exactly from its counter position (_redecode). So every count and
+auto grid is the exact decode's, bit for bit. decode, empirical_distribution and the phase
+search (attacker_draws) decode exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +52,12 @@ LOW_CONFIDENCE_TRIALS = 100
 # A plan's auto ROC grid: ROC_AUTO_POINTS thresholds, log-spaced from ROC_LO_SCALE x the smallest
 # positive to ROC_HI_SCALE x the largest forced-H0/H1 statistic of its first ROC_PILOT_TRIALS.
 ROC_PILOT_TRIALS, ROC_AUTO_POINTS, ROC_LO_SCALE, ROC_HI_SCALE = 10_000, 50, 0.5, 1.05
+
+# |cos - libm cos| and |sin - libm sin| of the single-precision decode's trig, which takes the
+# float32-rounded angle in [0, 2 pi), are taken to be at most _TRIG_ERROR: twice the largest
+# error that tests/test_mc.py allows over 10^7 angles (2.6e-7 is seen, against 4.8e-7)
+_TRIG_ERROR = 2.0**-20
+_ROUNDOFF = 2.0**-53  # of a double
 
 
 class Hypothesis(Enum):
@@ -165,16 +181,21 @@ def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rad, np.multiply(TWO_PI, v)
 
 
-def _polar_blocks(master_seed: int, stride: int, first_block: int, m: int, hypothesis=None):
-    """The transmitter draw (Alice below 0.5) and the Box-Muller radius and angle of the
-    uniform pairs after it, of m blocks from first_block, or of those of hypothesis's sender
-    only (H0: Alice's); the uniforms are freed on return."""
-    block = _uniform_blocks(master_seed, stride, first_block, m)
-    is_alice = block[:, 0] < 0.5
+def _polar_blocks(master_seed: int, stride: int, blocks, hypothesis=None):
+    """The rows kept (a mask, None for all), and their transmitter draw (Alice below 0.5) and
+    Box-Muller radius and angle of the uniform pairs after it, of blocks (a range, or an
+    array of block indices), or of those of hypothesis's sender only (H0: Alice's); the
+    uniforms are freed on return."""
+    if isinstance(blocks, range):
+        block = _uniform_blocks(master_seed, stride, blocks.start, len(blocks))
+    else:  # scattered blocks, each filled from its own counter position
+        block = np.concatenate([_uniform_blocks(master_seed, stride, b, 1)
+                                for b in blocks.tolist()])
+    is_alice, keep = block[:, 0] < 0.5, None
     if hypothesis is not None:  # whole rows, so _polar takes the same views of fewer rows
         keep = is_alice == (hypothesis is Hypothesis.H0)
         block, is_alice = np.compress(keep, block, axis=0), np.compress(keep, is_alice)
-    return (is_alice, *_polar(block[:, 1:-1:2], block[:, 2::2]))
+    return (keep, is_alice, *_polar(block[:, 1:-1:2], block[:, 2::2]))
 
 
 def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
@@ -185,17 +206,27 @@ def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, first_block: int, m: int,
-                 hypothesis=None):
-    """Decode m uniform blocks of n elements from first_block (those of hypothesis's sender
-    only, if given) into the transmitter draw and the (h, g, noise_unit) complex vectors.
+def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, blocks, hypothesis=None,
+                 enrolled=(None, None), exact: bool = True) -> Draws:
+    """Decode uniform blocks of n elements (a range, or an array of block indices; those of
+    hypothesis's sender only, if given) into Draws of the transmitter draw, the (h, g,
+    noise) complex vectors and the enrollment (h0, g0) given.
 
-    Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies
-    by (Smith's rule), so h and noise_unit keep the bits of that division.
+    exact=False takes cos and sin in single precision, of the angle rounded to float32, and
+    returns _Bounded draws: also each row's trial and squared Box-Muller radii, which
+    _error_bound reads. Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2)
+    multiplies by (Smith's rule), so h and noise keep the bits of that division.
     """
-    is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, first_block, m, hypothesis)
+    keep, is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, blocks, hypothesis)
     m = is_alice.size  # the rows kept
     z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
+    if not exact:  # cos and sin in float32, of the rounded angle
+        trials = np.arange(blocks.start - 1, blocks.stop - 1)  # trial i reads block i + 1
+        power = [np.einsum("ij,ij->i", r, r)  # the rows' summed squares, per part
+                 for r in (rad[:, :n], rad[:, n : 2 * n], rad[:, 2 * n :])]
+        bounds = dict(trials=trials if keep is None else trials[keep],
+                      power=np.stack(power, axis=1))
+        ang = ang.astype(np.float32)
     np.multiply(rad, np.cos(ang), out=z[:, :, 0])
     np.multiply(rad, np.sin(ang, out=ang), out=z[:, :, 1])
     del rad, ang  # freed before h and g are allocated, so the planes do not raise the peak
@@ -203,7 +234,10 @@ def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, first_block: int, 
     unit = 1.0 / math.sqrt(2.0)
     h = _scaled_complex(z[:, 0:n], z[:, n : 2 * n], unit)
     g = _scaled_complex(z[:, 2 * n : 3 * n], z[:, 3 * n : 4 * n], math.sqrt(sigma_g_sq / 2.0))
-    return is_alice, h, g, _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
+    noise = _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
+    if exact:
+        return Draws(is_alice, noise, h, g, *enrolled)
+    return _Bounded(is_alice, noise, h, g, *enrolled, **bounds)
 
 
 def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -346,6 +380,35 @@ class Draws:
     g0: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class _Bounded(Draws):
+    """Draws decoded with single-precision trig (_cir_vectors), with what _redecode and
+    _error_bound read: each row's trial, and its power, the summed squared Box-Muller radii
+    of the pairs that make h, of those that make g, and of the noise's pair."""
+
+    trials: np.ndarray | None = None
+    power: np.ndarray | None = None
+
+
+def _enrollment(plan: TrialPlan) -> tuple:
+    """(h0, g0): the fading of block 0, decoded exactly; (None, None) for pathloss."""
+    seed, _, n, g_scale = _stream(plan)
+    if n == 0:
+        return None, None
+    draws = _cir_vectors(seed, n, g_scale, range(1))
+    return draws.h[0], draws.g[0]
+
+
+def _decode(plan: TrialPlan, blocks, hypothesis, enrolled: tuple, exact: bool = True) -> Draws:
+    """decode() of blocks (a range, or an array of block indices) with the enrollment given;
+    exact=False decodes CIR blocks as _cir_vectors does with it."""
+    seed, _, n, g_scale = _stream(plan)
+    if n == 0:  # pathloss: stride 4
+        _, is_alice, rad, ang = _polar_blocks(seed, 4, blocks, hypothesis)
+        return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
+    return _cir_vectors(seed, n, g_scale, blocks, hypothesis, enrolled, exact)
+
+
 def decode(plan: TrialPlan, first_block: int, n_blocks: int,
            hypothesis: Hypothesis | None = None) -> Draws:
     """Decode uniform blocks [first_block, first_block + n_blocks), and block 0 for CIR.
@@ -354,22 +417,23 @@ def decode(plan: TrialPlan, first_block: int, n_blocks: int,
     uniform draws the transmitter: Alice below 0.5. Given a hypothesis, only the
     blocks whose transmitter is its sender are decoded past that draw.
     """
-    seed, _, n, g_scale = _stream(plan)
-    if n == 0:  # pathloss: stride 4
-        is_alice, rad, ang = _polar_blocks(seed, 4, first_block, n_blocks, hypothesis)
-        return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
-    is_alice, h, g, noise_unit = _cir_vectors(seed, n, g_scale, first_block, n_blocks, hypothesis)
-    _, h0, g0, _ = _cir_vectors(seed, n, g_scale, 0, 1)
-    return Draws(is_alice, noise_unit, h, g, h0[0], g0[0])
+    blocks = range(first_block, first_block + n_blocks)
+    return _decode(plan, blocks, hypothesis, _enrollment(plan))
+
+
+def _redecode(plan: TrialPlan, trials: np.ndarray, enrolled: tuple) -> Draws:
+    """The exact draws of the given trials of a CIR plan's stream, as decode() gives their
+    rows: one batch, each block read from its counter position."""
+    return _decode(plan, trials + 1, None, enrolled)
 
 
 def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws:
     """The first k draws (views; all by default) with the transmitter fixed: all a forced
     hypothesis changes."""
-    h, g = (None if a is None else a[:k] for a in (draws.h, draws.g))
-    noise = draws.noise[:k]
-    return replace(draws, is_alice=np.full(noise.size, hypothesis is Hypothesis.H0),
-                   noise=noise, h=h, g=g)
+    rows = {name: getattr(draws, name, None) for name in ("h", "g", "noise", "trials", "power")}
+    rows = {name: a[:k] for name, a in rows.items() if a is not None}
+    return replace(draws, is_alice=np.full(rows["noise"].size, hypothesis is Hypothesis.H0),
+                   **rows)
 
 
 def _pathloss_pair(plan: TrialPlan, pairs: dict) -> tuple[float, float]:
@@ -400,11 +464,17 @@ def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
     pathloss pair as _pathloss_pair does, so that plans and forced runs that share them
     compute them once. The first score of a CIR key must be of the full draws: a forced run
     of their first k trials slices the cascade."""
-    sigma_n = plan.scenario.noise_sigma
     if plan.feature is Feature.PATHLOSS:
         pl_a, pl_e = _pathloss_pair(plan, gains)
         pl_true = np.where(draws.is_alice, pl_a, pl_e)
-        return statistic(plan.feature, _observed(pl_true, sigma_n, draws.noise), pl_a)
+        return statistic(plan.feature, _observed(pl_true, plan.scenario.noise_sigma, draws.noise),
+                         pl_a)
+    return statistic(plan.feature, *_received(plan, draws, gains))
+
+
+def _received(plan: TrialPlan, draws: Draws, gains: dict) -> tuple[np.ndarray, complex]:
+    """A CIR plan's observed gains, the cascade (gt for a pinned Alice) plus sigma_n times
+    unit noise, and the enrolled gt; gains kept as _score keeps them."""
     key = plan.ris, plan.profile.phases.tobytes()
     if key not in gains and not plan.ris:
         gains[key] = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
@@ -414,7 +484,68 @@ def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
     cascade, gt = gains[key][0][:draws.noise.size], gains[key][1]
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
-    return statistic(plan.feature, cascade + sigma_n * draws.noise, gt)
+    return cascade + plan.scenario.noise_sigma * draws.noise, gt
+
+
+def _bounded_score(plan: TrialPlan, draws: _Bounded, gains: dict) -> tuple:
+    """(a, e): _score of single-precision draws and each trial's _error_bound."""
+    observed, gt = _received(plan, draws, gains)
+    approx = statistic(plan.feature, observed, gt)
+    return approx, _error_bound(plan, draws.power, observed, gt, approx)
+
+
+def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
+                 approx) -> np.ndarray:
+    """Per trial, e such that [a - e, a + e], each end rounded, holds the statistic that an
+    exact decode gives, where a = approx is the statistic of the single-precision decode that
+    gave observed; power holds each row's summed squared radii (_Bounded), and gt the
+    enrolled cascade, the same in both decodes.
+
+    A Box-Muller value r cos(theta) or r sin(theta) of the two decodes differs by at most
+    t r, with t = _TRIG_ERROR + 4u (u = _ROUNDOFF: the trig, each product's rounding and
+    each part's scaling). With A, B and v^2 the power of h's, g's and the noise's pairs and
+    s = sigma_g_sq, the decodes' values differ by at most D, and either's modulus (2-norm
+    over elements) is at most the bound:
+    - h: D_h = t sqrt(A), bound H = sqrt(A / 2); g: D_g = t sqrt(s B), bound G = sqrt(s B / 2);
+      the noise: t v, bound W = v / sqrt(2) + t v;
+    - the cascade, a sum over N elements of conj(h) f g with the decodes' common factors f
+      (Cauchy-Schwarz): Dc = D_h (G + D_g) + H D_g + 2 rho, bound C = P + rho, with
+      P = (H + D_h)(G + D_g) and rho = 2 (N + 4) u P bounding either decode's rounding (two
+      complex products per term, sqrt(2) gamma_N over any order of the sum). The direct
+      link's cascade is h itself: Dc = D_h, C = H + D_h. A pinned Alice's is gt in both;
+    - observed, cascade + sigma_n noise: Do = Dc + sigma_n (t v + 2u W) + 2u O, with
+      O = C + |gt| + sigma_n W;
+    - the magnitude |observed - gt|: Do + 8u (O + |gt|) (each decode's difference and hypot);
+    - the phase, the circular distance of the arguments: (pi / 2) Do / |observed|, the angle
+      that a disc of radius Do about observed subtends (pi if it holds the origin), plus
+      16 u pi (each decode's atan2, difference and fold).
+    Factors (1 + k u) of small k are dropped above: e is widened by 2^-30 of itself, far more
+    than they and the rounding of e's own monotone steps can add, and by 2u a, which covers
+    the rounding of a - e and a + e.
+    """
+    _, _, n, g_scale = _stream(plan)
+    u, sigma_n, size = _ROUNDOFF, plan.scenario.noise_sigma, abs(gt)
+    t = _TRIG_ERROR + 4.0 * u
+    a, b, v = np.sqrt(power).T
+    dh, h = t * a, math.sqrt(0.5) * a
+    if plan.ris:
+        dg, g = t * math.sqrt(g_scale) * b, math.sqrt(0.5 * g_scale) * b
+        terms = (h + dh) * (g + dg)
+        rho = 2.0 * (n + 4) * u * terms
+        dc, c = dh * (g + dg) + h * dg + 2.0 * rho, terms + rho
+    else:
+        dc, c = dh, h + dh
+    w = math.sqrt(0.5) * v + t * v
+    o = c + size + sigma_n * w
+    do = dc + sigma_n * (t * v + 2.0 * u * w) + 2.0 * u * o
+    if plan.feature is Feature.CIR_MAGNITUDE:
+        e = do + 8.0 * u * (o + size)
+    else:
+        modulus = np.abs(observed)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where the disc holds 0: pi
+            e = np.where(do < modulus, (0.5 * math.pi) * do / modulus, math.pi)
+        e += 16.0 * u * math.pi
+    return e * (1.0 + 2.0**-30) + 2.0 * u * approx
 
 
 def _default_chunk(plan: TrialPlan) -> int:
@@ -423,9 +554,11 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1, (1 << 19) // (4 * _stream(plan)[2] + 4))
 
 
-def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None) -> list:
+def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None,
+                exact: bool = True) -> list:
     """reduce(lo, decode(plan, lo + 1, hi - lo, hypothesis)) for each default chunk [lo, hi) of
-    trials [0, n).
+    trials [0, n), with the enrollment decoded once for them all; exact=False gives each
+    chunk _Bounded draws (_cir_vectors).
 
     The one place the trial range is split: serially, or on a thread pool of
     `workers` threads, at most one per chunk and one per CPU, so a one-chunk
@@ -434,9 +567,11 @@ def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None) 
     """
     chunk = _default_chunk(plan)
     starts = range(0, n, chunk)
+    enrolled = _enrollment(plan)
 
     def run(lo):
-        return reduce(lo, decode(plan, lo + 1, min(chunk, n - lo), hypothesis))
+        blocks = range(lo + 1, lo + 1 + min(chunk, n - lo))
+        return reduce(lo, _decode(plan, blocks, hypothesis, enrolled, exact))
 
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers < 2:
@@ -500,6 +635,117 @@ def attacker_draws(plan: TrialPlan) -> _RunningCascade:
     return held
 
 
+def _sorted_pairs(draws: Draws, values) -> list:
+    """Per value array, its (Alice's, Eve's) entries sorted, as _counts reads them."""
+    masks = draws.is_alice, ~draws.is_alice
+    # compress, not a boolean index, which takes 4x as long on a random mask
+    return [[np.sort(np.compress(mask, v)) for mask in masks] for v in values]
+
+
+def _auto_grid(samples: np.ndarray) -> np.ndarray:
+    """The auto grid that a plan's pilot samples pick (see ROC_PILOT_TRIALS)."""
+    positive = samples[samples > 0.0]
+    lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
+    hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
+    return np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS)
+
+
+def _count_pathloss(group: list, own: list, pilot: int, hypothesis, workers: int) -> tuple:
+    """(grids, summed _counts) of a pathloss stream's plans: each chunk sorts its shared unit
+    noise once and counts a given grid, or holds it (8 B per trial) until the pilot picks
+    the grid."""
+    pathloss = {}  # each distinct pathloss pair of the stream, computed once
+    points = [(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group]
+
+    def chunk(lo, draws):
+        pairs = _sorted_pairs(draws, [draws.noise])
+        if not pilot:
+            return _counts(pairs, own, points)
+        gains = dict(pathloss)
+        forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
+        return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
+
+    parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis)
+    if pilot:
+        own = [_auto_grid(samples) for samples in map(np.concatenate, zip(*(s for _, s in parts)))]
+        parts = [_counts(pairs, own, points) for pairs, _ in parts]
+    return own, sum(parts)
+
+
+def _settled_counts(group: list, draws: _Bounded, bounded: list, grids: list) -> np.ndarray:
+    """_counts of a CIR stream's trials from their bounded statistics (a, e) per plan: a trial
+    whose interval [a - e, a + e] holds a threshold of some plan's grid is undecided, and all
+    plans score it exactly (one _redecode for them all); elsewhere a is on the exact
+    statistic's side of every threshold, so the counts are the exact decode's."""
+    undecided = np.zeros(draws.is_alice.size, bool)
+    for (a, e), grid in zip(bounded, grids):
+        undecided |= np.searchsorted(grid, a - e) != np.searchsorted(grid, a + e, side="right")
+    values = [a for a, _ in bounded]
+    rows = np.flatnonzero(undecided)
+    if rows.size:
+        exact, gains = _redecode(group[0], draws.trials[rows], (draws.h0, draws.g0)), {}
+        for v, plan in zip(values, group):
+            v[rows] = _score(plan, exact, gains)
+    return _counts(_sorted_pairs(draws, values), grids, None)
+
+
+def _extremes_possible(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Which pilot samples, of bounded statistics (a, e), may be the least positive or the
+    greatest exact statistic: any other is above some sample that is surely positive, or
+    below some sample."""
+    lo, hi = a - e, a + e
+    surely_positive = lo > 0.0
+    least = hi[surely_positive].min() if surely_positive.any() else math.inf
+    return (lo <= least) | (hi >= lo.max())
+
+
+def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> tuple:
+    """(grids, summed _counts) of a CIR stream's plans, from single-precision chunks (see the
+    module docstring): each chunk scores each plan once, with its bound, and counts a given
+    grid, or holds its bounded statistics (16 B per trial and plan, and 9 B per trial) until
+    the pilot picks the grid. The pilot's extremes are scored exactly, and so is each
+    undecided trial."""
+
+    def chunk(lo, draws):
+        gains = {}  # shared by every score of the chunk (_received)
+        bounded = [_bounded_score(p, draws, gains) for p in group]
+        if not pilot:
+            return _settled_counts(group, draws, bounded, own)
+        forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
+        samples = [[_bounded_score(p, f, gains) for f in forced] for p in group]
+        rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
+        return rows, bounded, samples, forced[0].trials
+
+    parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis, exact=False)
+    if not pilot:
+        return own, sum(parts)
+    rows, bounded, samples, pilot_trials = zip(*parts)  # each per chunk
+    rows = replace(rows[0], **{name: np.concatenate([getattr(r, name) for r in rows])
+                               for name in ("is_alice", "trials")})
+    sampled = np.concatenate([t for t in pilot_trials for _ in Hypothesis])  # each sample's
+    candidates = np.zeros(pilot, bool)  # of the pilot's trials, [0, pilot)
+    for per_chunk in zip(*samples):  # a plan's [(a, e) forced H0, (a, e) forced H1] per chunk
+        a, e = map(np.concatenate, zip(*(s for chunk_samples in per_chunk for s in chunk_samples)))
+        candidates[sampled[_extremes_possible(a, e)]] = True
+    exact, gains = _redecode(group[0], np.flatnonzero(candidates), (rows.h0, rows.g0)), {}
+    # every trial that may give a plan's extreme, under both hypotheses: its exact extremes
+    own = [_auto_grid(np.concatenate([_score(p, _forced(exact, h), gains) for h in Hypothesis]))
+           for p in group]
+    bounded = [tuple(map(np.concatenate, zip(*per_chunk))) for per_chunk in zip(*bounded)]
+    return own, _settled_counts(group, rows, bounded, own)
+
+
+def _checked_grids(grids) -> list[np.ndarray]:
+    """Each grid as check_grid returns it; grids of one length are checked in one pass."""
+    try:
+        stacked = np.asarray(grids, dtype=float)
+    except ValueError:  # ragged, or not numbers: each grid on its own says which
+        stacked = None
+    if stacked is None or stacked.ndim != 2:
+        return [check_grid(grid) for grid in grids]
+    return list(check_grid(stacked, rows=True))
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -518,15 +764,14 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     partition, the worker count or the other plans of the call. A hypothesis decodes past the
     transmitter draw only its sender's trials (H0: Alice's); the auto grid's pilot reads both
     senders, so it takes none. A chunk sorts once per distinct statistic and counts a given
-    grid, or holds its sorted values (8 B per trial, shared by pathloss plans) until the
-    pilot picks the grid.
+    grid, or holds its values until the pilot picks the grid (_count_pathloss, _count_cir).
     """
     if not plans or grids is not None and len(grids) != len(plans):
         raise ValueError(f"need one grid per plan, got {len(plans)} plans and "
                          f"{'no' if grids is None else len(grids)} grids")
     if grids is None and hypothesis is not None:
         raise ValueError("the auto grid's pilot reads both senders: give grids with a hypothesis")
-    grids = [None] * len(plans) if grids is None else [check_grid(grid) for grid in grids]
+    grids = [None] * len(plans) if grids is None else _checked_grids(grids)
     results = [None] * len(plans)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
@@ -534,36 +779,15 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     for ks in streams.values():
         group, own = [plans[k] for k in ks], [grids[k] for k in ks]
         pilot = min(group[0].n_trials, ROC_PILOT_TRIALS) if own[0] is None else 0
-        pathloss, points = {}, None  # each distinct pathloss pair of the stream, computed once
-        if group[0].feature is Feature.PATHLOSS:  # a stream's plans are all CIR or all pathloss
-            points = [(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group]
-
-        def chunk(lo, draws):
-            gains = dict(pathloss)  # shared by every score of the chunk (_score)
-            values = [draws.noise] if draws.h is None else [_score(p, draws, gains) for p in group]
-            masks = draws.is_alice, ~draws.is_alice
-            # compress, not a boolean index, which takes 4x as long on a random mask
-            pairs = [[np.sort(np.compress(mask, v)) for mask in masks] for v in values]
-            if not pilot:
-                return _counts(pairs, own, points)
-            forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
-            return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
-
-        parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis)
-        if pilot:
-            own = []
-            for samples in map(np.concatenate, zip(*(s for _, s in parts))):
-                positive = samples[samples > 0.0]
-                lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
-                hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
-                own.append(np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS))
-            parts = [_counts(pairs, own, points) for pairs, _ in parts]
-        total = sum(parts)
+        # a stream's plans are all CIR or all pathloss
+        count = _count_pathloss if group[0].feature is Feature.PATHLOSS else _count_cir
+        own, total = count(group, own, pilot, hypothesis, workers)
         n_alice, n_eve = total[0].tolist()
-        accepted = np.split(total[1:], np.cumsum([len(grid) for grid in own[:-1]]))
-        for k, grid, acc in zip(ks, own, accepted):
-            results[k] = Counts(tuple(grid.tolist()), n_alice, n_eve,
-                                tuple(map(tuple, acc.tolist())))
+        thresholds, accepted = np.concatenate(own).tolist(), total[1:].tolist()
+        ends = np.cumsum([grid.size for grid in own]).tolist()
+        for k, lo, hi in zip(ks, [0, *ends], ends):  # each plan's slice of the stream's rows
+            results[k] = Counts(tuple(thresholds[lo:hi]), n_alice, n_eve,
+                                tuple(map(tuple, accepted[lo:hi])))
     return results
 
 

@@ -82,27 +82,35 @@ def q_inv(p: float) -> float:
     Safeguarded Newton iteration: full Newton steps on q_func(x) - p with
     a bisection fallback whenever a step leaves the current bracket.
     The root is bracketed in [-40, 40], which covers tail probabilities
-    far beyond double-precision resolution.
+    far beyond double-precision resolution. Where q_func(x) is far below 1, a step
+    on q_func(x) - p grows x by about 1 / x, so 200 steps reach only x ~ 20
+    (q_func ~ 1e-88); a target they do not reach (p below about 1e-65) is then
+    solved on log q_func(x) - log p, whose steps keep their full size there.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"q_inv requires p in (0, 1), got {p}")
     lo, hi = -40.0, 40.0  # q_func(lo) ~ 1, q_func(hi) ~ 0
     x = 0.0
-    for _ in range(200):
-        err = q_func(x) - p
-        if err == 0.0:
-            return x
-        if err > 0.0:
-            lo = max(lo, x)  # root is to the right (q decreasing)
-        else:
-            hi = min(hi, x)
-        step = err / _normal_pdf(x)  # -err / dQ/dx
-        x_new = x + step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
+    for log_scale in (False, True):
+        for _ in range(200):
+            q = q_func(x)
+            if log_scale and q == 0.0:  # past where q_func underflows: the root is below x
+                hi, x_new = x, 0.5 * (lo + x)
+            else:
+                err = math.log(q) - math.log(p) if log_scale else q - p
+                if err == 0.0:
+                    return x
+                if err > 0.0:
+                    lo = max(lo, x)  # root is to the right (q decreasing)
+                else:
+                    hi = min(hi, x)
+                pdf = _normal_pdf(x)  # -dQ/dx, and -d log Q/dx = pdf / q
+                x_new = x + (err * (q / pdf) if log_scale else err / pdf)
+                if not (lo < x_new < hi):
+                    x_new = 0.5 * (lo + hi)
+            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x_new)):
+                return x_new
+            x = x_new
     return x
 
 

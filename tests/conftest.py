@@ -33,6 +33,31 @@ def reference_box_muller(u, v):
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
+class RedecodeSpy:
+    """Wraps mc._redecode for a test: records each batch of trials that sweep_trials re-decodes
+    exactly, and whether a re-decode is running (for spies on what it calls)."""
+
+    def __init__(self, monkeypatch):
+        from rispla import mc
+
+        self.batches, self.running = [], False
+        real = mc._redecode
+
+        def spy(plan, trials, enrolled):
+            self.batches.append(trials.copy())
+            self.running = True
+            try:
+                return real(plan, trials, enrolled)
+            finally:
+                self.running = False
+
+        monkeypatch.setattr(mc, "_redecode", spy)
+
+    @property
+    def trials(self) -> list[int]:
+        return [t for batch in self.batches for t in batch.tolist()]
+
+
 @pytest.fixture(scope="session")
 def scenario():
     """Shipped default scenario (256 elements, 100 dB link quality)."""

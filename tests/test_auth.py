@@ -20,6 +20,7 @@ from rispla.auth import (
     threshold_for_pfa,
     threshold_for_pfa_magnitude,
 )
+from rispla.specfun import q_func
 
 
 def gaussian_tail_oracle(x: float) -> float:
@@ -303,13 +304,21 @@ class TestElementwiseClosedForms:
                 assert isinstance(array, np.ndarray) and array.shape == (len(sigma),)
                 assert _bits(array) == _bits(scalars)
 
-    def test_huge_threshold_refuses_as_the_scalar_call(self):
-        # 1e308 / 1e-5 overflows to inf, which q_func refuses, number or array
-        message = "q_func requires finite input, got inf"
-        with pytest.raises(ValueError, match=message):
-            pfa_pathloss(1e308, 1e-5)
-        with pytest.raises(ValueError, match=message):
-            pfa_pathloss(np.array([1.0, 1e308]), np.array([1.0, 1e-5]))
+    def test_huge_threshold_gives_zero_as_the_scalar_call(self):
+        # 1e308 / 1e-5 overflows to inf: the false alarm is 2 Q(inf) = 0.0, number or array,
+        # while q_func itself still refuses the inf
+        assert pfa_pathloss(1e308, 1e-5) == 0.0
+        assert type(pfa_pathloss(1e308, 1e-5)) is float
+        array = pfa_pathloss(np.array([1.0, 1e308]), np.array([1.0, 1e-5]))
+        assert _bits(array) == _bits([pfa_pathloss(1.0, 1.0), 0.0])
+        with pytest.raises(ValueError, match="q_func requires finite input, got inf"):
+            q_func(math.inf)
+
+    def test_clamped_ratio_keeps_the_bits_past_the_underflow(self):
+        # every ratio from 38 up gives q_func's own bits: 0.0 from where erfc underflows
+        ratios = np.linspace(38.0, 60.0, 4001)
+        assert q_func(40.0) == 0.0
+        assert _bits(pfa_pathloss(ratios, 1.0)) == _bits([2.0 * q_func(r) for r in ratios])
 
 
 class TestNoPhaseArguments:

@@ -320,7 +320,8 @@ class TestFspl:
 
 def cir_draws(n: int, trials: int, seed: int, sigma_g_sq: float = 1.0, first: int = 1):
     """(h, g, unit noise) of engine trials [first - 1, first - 1 + trials) on n elements."""
-    return _cir_vectors(seed, n, sigma_g_sq, first, trials)[1:]
+    draws = _cir_vectors(seed, n, sigma_g_sq, range(first, first + trials))
+    return draws.h, draws.g, draws.noise
 
 
 def cascade(h, g, phases) -> complex:

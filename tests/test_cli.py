@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TABLE1, table1_with
+from conftest import TABLE1, RedecodeSpy, table1_with
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -124,10 +124,15 @@ class TestRocSchema:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        redecodes = RedecodeSpy(monkeypatch)
         code = run_cli("roc", "--scenario", SCENARIO, "--feature", "cir-phase",
                        "--trials", 3000, "--output", tmp_path / "roc.csv")
         assert code == EXIT_OK
-        assert len(calls) == 4  # per chunk: its trials and the enrollment block
+        # each chunk's trials and the enrollment block once; and each trial that the bound
+        # leaves undecided, from its own block
+        assert [args for args in calls if args[2] == 0 or args[3] > 1] == [
+            (1, 1028, 0, 1), (1, 1028, 1, 1500), (1, 1028, 1501, 1500)]
+        assert len(calls) == 3 + len(redecodes.trials)
 
 
 class TestOptimizeOutputs:
@@ -154,6 +159,17 @@ class TestOptimizeOutputs:
         assert proc.stderr == ""
         summary = (tmp_path / "grad_summary.csv").read_text().splitlines()
         assert summary[1].split(",")[0] == "1.0"
+
+    @pytest.mark.parametrize("command,analytical", [("sweep-pfa", "0.0"), ("sweep-pmd", "1.0")])
+    def test_huge_threshold_sweep_writes_its_limit_quietly(self, tmp_path, command, analytical):
+        # epsilon / sigma overflows to inf: the false alarm is 2 Q(inf) = 0, the missed
+        # detection 1, each with exit 0 and no warning
+        out = tmp_path / "sweep.csv"
+        proc = run_fresh(command, "--scenario", SCENARIO, "--epsilon", 1e308, "--lq-grid", 100,
+                         "--trials", 30, "--output", out)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[1:3] == ["1e+308", analytical]
 
     def test_phase_trace_and_summary(self, tmp_path):
         out = tmp_path / "ph.csv"
@@ -290,13 +306,13 @@ class TestBaselines:
 
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1000)  # 3 chunks
         calls = []
-        real = mc.decode
+        real = mc._decode
 
-        def counting(plan, first_block, n_blocks, hypothesis=None):
-            calls.append((first_block, n_blocks))
-            return real(plan, first_block, n_blocks, hypothesis)
+        def counting(plan, blocks, *args):
+            calls.append((blocks.start, len(blocks)))
+            return real(plan, blocks, *args)
 
-        monkeypatch.setattr(mc, "decode", counting)
+        monkeypatch.setattr(mc, "_decode", counting)
         code = run_cli("roc", "--scenario", SCENARIO, "--trials", 3000, "--baseline", "both",
                        *grid, "--output", tmp_path / "roc.csv")
         assert code == EXIT_OK

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import TABLE1, reference_box_muller
+from conftest import TABLE1, RedecodeSpy, reference_box_muller
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -213,16 +213,16 @@ class TestRunTrials:
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 100)  # 8 chunks
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
         started = []
-        real = mc.decode
+        real = mc._decode
 
-        def failing(plan, first_block, n_blocks, hypothesis=None):
-            started.append(first_block)
-            if first_block == 1:
+        def failing(plan, blocks, *args):
+            started.append(blocks.start)
+            if blocks.start == 1:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.2)
-            return real(plan, first_block, n_blocks, hypothesis)
+            return real(plan, blocks, *args)
 
-        monkeypatch.setattr(mc, "decode", failing)
+        monkeypatch.setattr(mc, "_decode", failing)
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
             counts_at(pathloss_plan(scenario_small, n=800), 1e-5, workers=2)
         assert 1 in started and len(started) < 8
@@ -314,14 +314,18 @@ class TestSweepTrials:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        redecodes = RedecodeSpy(monkeypatch)
         assert sweep_trials(mixed, mixed_grids, workers=workers) == expected
-        # each stream's two chunks, once, in first-seen order; each with an enrollment.
+        # each stream's two chunks, once, in first-seen order, and its enrollment once.
         # A stream's chunks may decode concurrently, so each stream's pair is sorted.
-        chunk_calls = [args for args in calls if args[2] > 0]
+        chunk_calls = [args for args in calls if args[3] > 1]
         assert [sorted(chunk_calls[i:i + 2]) for i in range(0, 8, 2)] == [
             [(17, 36, 1, 1500), (17, 36, 1501, 1500)], [(18, 36, 1, 1500), (18, 36, 1501, 1500)],
             [(17, 36, 1, 1500), (17, 36, 1501, 1499)], [(17, 8, 1, 1500), (17, 8, 1501, 1500)]]
-        assert len(calls) == 4 * 2 * 2
+        assert [args for args in calls if args[2] == 0] == [
+            (17, 36, 0, 1), (18, 36, 0, 1), (17, 36, 0, 1), (17, 8, 0, 1)]
+        # and each trial that the bound leaves undecided, from its own block
+        assert len(calls) == 4 * 2 + 4 + len(redecodes.trials)
 
     @pytest.mark.parametrize("grid,kw", [
         (pathloss_grid, {}),
@@ -354,9 +358,11 @@ class TestSweepTrials:
         sender = is_alice if command == "sweep-pfa" else ~is_alice
         rows = []
         real = mc._polar
+        redecodes = RedecodeSpy(monkeypatch)
 
         def counting(u, v):
-            rows.append(u.shape[0])
+            if not redecodes.running:
+                rows.append(u.shape[0])
             return real(u, v)
 
         monkeypatch.setattr(mc, "_polar", counting)
@@ -364,9 +370,10 @@ class TestSweepTrials:
                      "1.0", "--lq-grid", "0,20", "--trials", "1000", "--seed", "5",
                      "--output", str(tmp_path / "out.csv")])
         assert code == EXIT_OK
-        # per chunk, its sender's rows; a CIR chunk also decodes the one enrollment block
+        # per chunk, its sender's rows; CIR also decodes the one enrollment block, first
         chunks = [int(np.count_nonzero(sender[:600])), int(np.count_nonzero(sender[600:]))]
-        assert rows == (chunks if feature == "pathloss" else [chunks[0], 1, chunks[1], 1])
+        assert rows == (chunks if feature == "pathloss" else [1, *chunks])
+        assert all(sender[redecodes.trials])  # a re-decoded trial is the sender's too
 
     def test_refuses_malformed_sweeps(self, scenario_small):
         plans, grids = cir_grid(scenario_small, [10.0, 20.0])
@@ -397,8 +404,11 @@ class TestSweepTrials:
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
+        redecodes = RedecodeSpy(monkeypatch)
         sweep_trials(plans, grids)
-        assert len(calls) == 4  # per chunk: its trials and the enrollment block
+        # each chunk's trials and the enrollment block once; and each trial that the bound
+        # leaves undecided, from its own block
+        assert len(calls) == 3 + len(redecodes.trials)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_element_panel_and_direct_link_share_a_stream(self, scenario_small, workers):
@@ -422,6 +432,7 @@ class TestSweepTrials:
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1500)  # 2 chunks
         rows = []
         real = mc._cascade
+        redecodes = RedecodeSpy(monkeypatch)
 
         def counting(h, g, phases):
             rows.append(h.shape[0])
@@ -432,7 +443,8 @@ class TestSweepTrials:
             sweep_trials([cir_plan(scenario_small, Feature.CIR_PHASE, n=3000)])
         else:
             sweep_trials(*cir_grid(scenario_small, [10.0, 20.0, 30.0]))
-        assert rows == [1500, 1500]
+        # one per chunk, and one per batch of trials that the bound leaves undecided
+        assert sorted(rows) == sorted([1500, 1500, *(batch.size for batch in redecodes.batches)])
 
 
 def reference_cir_vectors(block, n, sigma_g_sq):
@@ -461,7 +473,8 @@ class TestDecodeBytes:
     @pytest.mark.parametrize("n", [1, 8, 256])
     def test_cir_vectors_equal_complex_construction(self, n):
         block = mc._uniform_blocks(23, 4 * n + 4, 1, 300)
-        for got, want in zip(mc._cir_vectors(23, n, 0.37, 1, 300)[1:],
+        draws = mc._cir_vectors(23, n, 0.37, range(1, 301))
+        for got, want in zip([draws.h, draws.g, draws.noise],
                              reference_cir_vectors(block, n, 0.37)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -649,6 +662,131 @@ class TestRocSweep:
         a = sweep_trials([plan], [grid])
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)
         assert sweep_trials([plan], [grid]) == a
+
+
+def exact_counts(plan, grid, hypothesis=None) -> Counts:
+    """The counts as decode + score + count_accepted give them: one exact decode of every
+    trial (of the hypothesis's sender only, if given), each sender's statistics sorted."""
+    draws = decode(plan, 1, plan.n_trials, hypothesis)
+    ts = score(plan, draws)
+    alice, eve = (np.sort(ts[mask]) for mask in (draws.is_alice, ~draws.is_alice))
+    grid = np.asarray(grid, dtype=float)
+    return Counts(tuple(grid.tolist()), alice.size, eve.size, tuple(zip(
+        count_accepted(alice, grid).tolist(), count_accepted(eve, grid).tolist())))
+
+
+BOUNDED_CASES = {
+    "magnitude-refading": dict(feature=Feature.CIR_MAGNITUDE),
+    "magnitude-pinned": dict(feature=Feature.CIR_MAGNITUDE, refade_alice=False),
+    "magnitude-direct": dict(feature=Feature.CIR_MAGNITUDE, ris=False),
+    "phase-refading": dict(feature=Feature.CIR_PHASE),
+    "phase-pinned": dict(feature=Feature.CIR_PHASE, refade_alice=False),
+    "phase-direct": dict(feature=Feature.CIR_PHASE, ris=False),
+}
+
+
+def bounded_plan(scenario, case, seed, n):
+    kw = dict(BOUNDED_CASES[case])
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, scenario.n_elements)
+    return cir_plan(scenario, kw.pop("feature"), n=n, seed=seed, phases=phases, **kw)
+
+
+def adversarial_grid(ts, trials, quantiles=(0.1, 0.5, 0.9)):
+    """Thresholds at the exact statistics of the given trials and one ulp on either side of
+    each, among thresholds at quantiles of all the statistics."""
+    on = ts[trials]
+    points = [on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf), np.quantile(ts, quantiles)]
+    return np.unique(np.concatenate(points))
+
+
+class TestBoundedDecode:
+    """sweep_trials decides CIR trials from single-precision trig and a bound, and re-decodes
+    exactly those it cannot decide: its counts and auto grids are the exact decode's."""
+
+    @pytest.mark.parametrize("case", list(BOUNDED_CASES))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counts_equal_the_exact_reference(self, scenario_small, monkeypatch, case, seed):
+        workers = 1 + seed % 2
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 250)  # 3 chunks
+        plan = bounded_plan(scenario_small, case, seed, n=600)
+        # a second point on the stream: another link quality, so another noise scale
+        plans = [plan, replace(plan, scenario=replace(scenario_small, lq_db=10.0))]
+        draws = decode(plan, 1, plan.n_trials)
+        ts = score(plan, draws)
+        rng = np.random.default_rng(seed)
+        senders = {Hypothesis.H0: draws.is_alice, Hypothesis.H1: ~draws.is_alice}
+        chosen = {h: rng.choice(np.flatnonzero(rows), 2) for h, rows in senders.items()}
+        grid = adversarial_grid(ts, np.concatenate(list(chosen.values())))
+        for hypothesis in (None, *Hypothesis):
+            redecodes = RedecodeSpy(monkeypatch)
+            got = sweep_trials(plans, [grid] * 2, hypothesis=hypothesis, workers=workers)
+            assert got == [exact_counts(p, grid, hypothesis) for p in plans]
+            # a threshold on a trial's exact statistic lies in its interval: undecided
+            counted = list(Hypothesis) if hypothesis is None else [hypothesis]
+            assert set(np.concatenate([chosen[h] for h in counted]).tolist()) <= set(
+                redecodes.trials)
+        auto = sweep_trials(plans, workers=workers)
+        assert auto == [exact_counts(p, two_pilot_grid(p)) for p in plans]
+
+    @pytest.mark.parametrize("feature", [Feature.CIR_MAGNITUDE, Feature.CIR_PHASE])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_panel_equals_the_exact_reference(self, scenario, monkeypatch, feature, seed):
+        # the cir-panel shapes: a sweep of Eve's trials over link qualities, and a ROC on
+        # its auto grid, over three default chunks of 510 trials
+        plans = [cir_plan(replace(scenario, lq_db=lq), feature, n=1100, seed=seed)
+                 for lq in (0.0, 20.0, 40.0)]
+        grids = [[3.0 * rayleigh_sigma(p.scenario.noise_sigma)] for p in plans]
+        if feature is Feature.CIR_PHASE:
+            grids = [[0.05]] * 3
+        swept = sweep_trials(plans, grids, hypothesis=Hypothesis.H1)
+        assert swept == [exact_counts(p, g, Hypothesis.H1) for p, g in zip(plans, grids)]
+        redecodes = RedecodeSpy(monkeypatch)
+        (roc,) = sweep_trials(plans[1:2])
+        assert roc == exact_counts(plans[1], two_pilot_grid(plans[1]))
+        assert 0 < len(redecodes.trials) < 0.05 * plans[1].n_trials  # few are undecided
+
+    @pytest.mark.parametrize("case", list(BOUNDED_CASES))
+    @pytest.mark.parametrize("n_elements", [8, 256])
+    def test_bound_holds(self, scenario, case, n_elements):
+        plan = bounded_plan(replace(scenario, n_elements=n_elements, lq_db=20.0), case, 4,
+                            n=1000)
+        approx = mc._decode(plan, range(1, 1001), None, mc._enrollment(plan), exact=False)
+        a, e = mc._bounded_score(plan, approx, {})
+        exact = score(plan, decode(plan, 1, 1000))
+        assert np.all(np.abs(a - exact) <= e)
+        assert np.all(a - e <= exact) and np.all(exact <= a + e)  # the rounded ends too
+        assert np.all(a != exact)  # the approximation is not the exact decode itself
+
+    @pytest.mark.parametrize("case", ["magnitude-refading", "magnitude-direct"])
+    @pytest.mark.parametrize("n_elements", [8, 256])
+    def test_redecoded_rows_equal_the_chunk_rows(self, scenario, case, n_elements):
+        plan = bounded_plan(replace(scenario, n_elements=n_elements, lq_db=20.0), case, 6,
+                            n=600)
+        full = decode(plan, 1, 600)
+        whole = score(plan, full)
+        enrolled = mc._enrollment(plan)
+        for trials in ([0], [599], [5, 6], [400, 3, 17], list(range(100, 107))):
+            trials = np.array(trials)
+            rows = mc._redecode(plan, trials, enrolled)
+            for got, want in [(rows.is_alice, full.is_alice[trials]), (rows.h, full.h[trials]),
+                              (rows.g, full.g[trials]), (rows.noise, full.noise[trials]),
+                              (score(plan, rows), whole[trials])]:
+                assert got.tobytes() == want.tobytes()
+
+    def test_single_precision_trig_stays_within_half_the_assumed_error(self):
+        # the bound assumes the float32 cos and sin of the rounded angle lie within
+        # _TRIG_ERROR of libm's double-precision values; a platform whose single-precision
+        # trig errs by more than half of that fails here, loudly, not in a count
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for k in range(10):
+            ang = mc.TWO_PI * rng.random(10**6)
+            if k == 0:  # the ends of [0, 2 pi)
+                ang[:2] = 0.0, np.nextafter(mc.TWO_PI, 0.0)
+            single = ang.astype(np.float32)  # as _cir_vectors takes it
+            for trig in (np.cos, np.sin):
+                worst = max(worst, float(np.max(np.abs(trig(single) - trig(ang)))))
+        assert 0.0 < worst <= mc._TRIG_ERROR / 2
 
 
 class TestDecode:

@@ -354,7 +354,7 @@ class TestDecodeOnceObjective:
                                         budget_trials=evaluations * n, rng_seed=1,
                                         eval_trials=n)
             assert res.evaluations == evaluations
-            assert len(calls) == 2 * chunks  # per chunk: its trials and the enrollment block
+            assert len(calls) == chunks + 1  # each chunk's trials and the enrollment block
 
     def test_coordinate_pass_sums_element_terms(self, scenario, monkeypatch):
         # one pass at the C07 shape makes no einsum cascade: each candidate computes the

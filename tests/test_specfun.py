@@ -75,6 +75,20 @@ class TestQInv:
         for p in np.geomspace(1e-8, 1 - 1e-8, 60):
             assert q_func(q_inv(p)) == pytest.approx(p, rel=1e-9)
 
+    def test_round_trip_deep_tail(self):
+        # Newton steps on q_func(x) - p stall near x = 20 (1e-88); the log-scale steps
+        # that follow reach every target down to 1e-300
+        for p in np.geomspace(1e-300, 1e-8, 600).tolist() + [5e-301]:
+            assert q_func(q_inv(p)) == pytest.approx(p, rel=1e-9)
+        assert q_inv(1e-100) > q_inv(1e-88) > 19.93
+
+    @pytest.mark.parametrize("p,x", [(0.025, 1.9599639845400543), (1e-3, 3.0902323061678136),
+                                     (1e-10, 6.3613409024040575), (0.975, -1.9599639845400536),
+                                     (1e-85, 19.586900906252225)])
+    def test_bits_where_the_first_steps_converge(self, p, x):
+        # frozen: the values of the Newton steps on q_func(x) - p alone
+        assert q_inv(p) == x
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_domain(self, p):
         with pytest.raises(ValueError):

@@ -106,6 +106,8 @@ class Scenario:
         # reads, kept so that the scenarios of one sweep (at_link_quality) share one key
         object.__setattr__(self, "geometry_key", tuple(
             np.asarray(getattr(self, name)).tobytes() for name in _SCENARIO_GEOMETRY))
+        # computed once: a 10^4-point sweep reads each point's sigma three times
+        object.__setattr__(self, "noise_sigma", math.sqrt(self.noise_variance))
 
     def at_link_quality(self, lq_db: float) -> "Scenario":
         """This scenario at link quality lq_db, sharing every other field and geometry_key
@@ -114,6 +116,7 @@ class Scenario:
         only for a finite lq_db."""
         scenario = object.__new__(Scenario)
         scenario.__dict__.update(self.__dict__, lq_db=lq_db)
+        scenario.__dict__["noise_sigma"] = math.sqrt(scenario.noise_variance)  # not self's
         return scenario
 
     @property
@@ -122,12 +125,12 @@ class Scenario:
 
     @property
     def noise_variance(self) -> float:
-        """Noise power sigma^2 from the transmit-to-noise power ratio (lq_db)."""
-        return self.tx_power_w * 10.0 ** (-self.lq_db / 10.0)
-
-    @property
-    def noise_sigma(self) -> float:
-        return math.sqrt(self.noise_variance)
+        """Noise power sigma^2 from the transmit-to-noise power ratio (lq_db): inf where
+        10^(-lq_db/10) overflows a double."""
+        try:
+            return self.tx_power_w * 10.0 ** (-self.lq_db / 10.0)
+        except OverflowError:
+            return math.inf
 
 
 # a scenario file's keys are Scenario's fields; those with a default may be left out

@@ -88,11 +88,7 @@ def _scenarios(args, lq_dbs=(None,)) -> list[Scenario]:
     scenario = load_scenario(args.scenario)
     scenarios = [scenario if lq is None else scenario.at_link_quality(lq) for lq in lq_dbs]
     for sc in scenarios:
-        try:
-            ok = 0.0 < sc.noise_variance < math.inf
-        except OverflowError:
-            ok = False
-        if not ok:
+        if not 0.0 < sc.noise_sigma < math.inf:  # sqrt of the variance: the same test
             raise UsageError(f"link quality {sc.lq_db!r} dB gives a noise variance that is "
                              "not a positive finite number")
     return scenarios

@@ -15,7 +15,7 @@ the exact statistic's side of every threshold; where one does (or, for the auto 
 the trial could be the pilot's smallest positive or largest statistic), the trial is
 undecided and re-decoded exactly from its counter position (_redecode). So every count and
 auto grid is the exact decode's, bit for bit. decode, empirical_distribution and the phase
-search (attacker_draws) decode exactly.
+search (attacker_draws) decode exactly, and the search also counts by a bound (_HeldSearch).
 """
 
 from __future__ import annotations
@@ -254,110 +254,109 @@ def _fingerprint(draws: Draws, phases: np.ndarray) -> complex:
     return complex(np.sum(np.conj(draws.h0) * np.exp(1j * phases) * draws.g0))
 
 
-# einsum's iterator hands its inner loop at most 8192 elements of a row (numpy's default
-# buffer size, which np.setbufsize does not change); each inner loop sums its elements from
-# +0.0 and then adds that sum to the row's output
-_EINSUM_BLOCK = 8192
+class _HeldSearch:
+    """A phase search's attacker draws: misses(plan, epsilon) counts accepts(score(plan,
+    draws), epsilon) on the held h, g and noise (as decoded), with c_n = conj(h_n) g_n and an
+    approximate observed gain B per trial. A candidate that changes f_k = exp(j psi_k) to f'_k
+    adds c_k (f'_k - f_k) to B; after `limit` updates B restarts from sigma_n noise. A cone
+    test on B decides each trial that the exact statistic must reject or accept; score()
+    scores the rest (rows), a default chunk at a time, so each count is the engine's.
 
-
-def _element_term(planes: np.ndarray, factor: complex, out: np.ndarray) -> None:
-    """One element's cascade term (conj(h) * factor) * g of every trial, into out.
-
-    planes holds the element's conj(h) re/im and g re/im planes. Each complex product is
-    einsum's: two real products and their difference, two and their sum, each rounded on
-    its own. numpy's complex multiply may fuse a product into the sum (FMA), which would
-    change the last bits.
-    """
-    hr, hi, gr, gi = planes
-    re = hr * factor.real - hi * factor.imag
-    im = hr * factor.imag + hi * factor.real
-    np.subtract(re * gr, im * gi, out=out.real)
-    np.add(re * gi, im * gr, out=out.imag)
-
-
-class _RunningCascade:
-    """_cascade of a run of CIR draws for a sequence of phase vectors, bit for bit.
-
-    The cascade is summed as einsum sums it: each element's term in element order, from
-    +0.0 in blocks of _EINSUM_BLOCK elements, the block sums then added in order. Element
-    j's term is kept while its factor exp(j psi_j) is unchanged, and the running sums of the
-    longest prefix of elements that the vector shares with the previous one are kept and
-    reused; past that prefix the sum runs in place in one buffer, which numpy adds to about
-    three times as fast as it writes a new running sum per element. A vector that differs
-    from the last in element k alone costs one term and N - k adds, instead of a conj copy
-    and a sum over all N elements. Every sum is per trial, so its bits do not depend on how
-    many trials are held. The run's planes are allocated once and written a chunk at a time
-    (write); a chunk's h and g are dropped once written (see nbytes).
+    The bound. s folds arg(O) - phi, phi = arg(gt), O = fl(E + w), E the einsum cascade,
+    w = fl(sigma_n noise). Take u = _ROUNDOFF, P = sum_n |h_n||g_n| + |w|, T = sum_n c_n f_n
+    + w exactly, |f| <= 1 + 4u (libm cos and sin), and 4u bounding a complex product's error
+    relative to |a||b| (with or without FMA):
+    - |O - T| <= (1.5 N + 10) u P: two products per term, a sum in any order (sqrt(2)
+      gamma_{N-1} of sum |term|), and the add of w;
+    - B starts at w; an update's difference (u |f' - f|, |f' - f| <= 2 + 8u), product
+      (18.1 u |h_k||g_k|) and add (u |B + p| <= u (P + drift)) drift it by at most 20 u P, so
+      delta = |O - B| <= (1.5 N + 10 + 20 U) u P after U updates.
+    The cones. z = B exp(-j phi), folded into Im z >= 0. For 0 < gamma < pi, t(z) = Im z
+    cos(gamma) - Re z sin(gamma) is r sin(theta - gamma) at z = r exp(j theta), theta in
+    [0, pi]: positive outside the cone {|arg| <= gamma}, negative strictly inside, and in the
+    unfolded z 1-Lipschitz (the larger of two linear forms of unit gradient). Computing z
+    (cos, sin and the product: 5.5 u |B|) and t (4.5 u |B|) adds 11 u P at most, so margin =
+    (2 N + 32 + 20 limit) u P^, P^ the computed sum_n |c_n| + sigma_n |noise| (P <= P^ (1 +
+    (N + 8) u)), bounds delta plus the test's error. Where t > margin at gamma = epsilon +
+    2^-40, O exp(-j phi) is outside that cone and s > epsilon; where -t > margin at gamma =
+    epsilon - 2^-40, inside it and s < epsilon: 2^-40 exceeds the statistic's rounding
+    (16 u pi), the ulps between math.atan2 and np.angle, and gamma's rounding. A side with
+    gamma outside (0, pi) decides nothing; above pi all accept: s <= pi's double (Sterbenz).
     """
 
     @staticmethod
     def nbytes(n_trials: int, n: int) -> int:
-        """Bytes held for n_trials draws on n elements: per element and trial 32 of conj(h)
-        and g planes, 16 of kept term and 16 of running sum; per trial 16 of noise and 1 of
-        transmitter flag. While a chunk is written, its h and g stand in for the terms and
-        sums, which are written only once the search scores."""
-        return n_trials * (64 * n + 17)
+        """Bytes held for n_trials draws on n elements: 48 per element and trial (h, g, c), and
+        per trial 16 each of noise, B and z, 8 each of margin, tilt, spare and index, 2 of flags."""
+        return n_trials * (48 * n + 82)
 
-    def __init__(self, n_trials: int):
-        self.n_trials = n_trials
-        self.draws = None  # the run's draws but h and g, once a chunk is written
+    def __init__(self, plan: TrialPlan):
+        self.n_trials, self.sigma_n = plan.n_trials, plan.scenario.noise_sigma
+        self.batch, self.h = _default_chunk(plan), None  # h: allocated at the first write
 
     def write(self, lo: int, draws: Draws) -> None:
-        """Hold a chunk's draws as trials [lo, lo + m) of the run."""
-        if self.draws is None:  # allocated once the first chunk is decoded: the buffers that
-            # its decode freed are reused, where allocating first faults in fresh pages
-            n, n_trials = draws.h.shape[1], self.n_trials
-            self.planes = np.empty((n, 4, n_trials))  # element j: conj(h) re, im, g re, im
-            self.noise = np.empty(n_trials, complex)
-            self.is_alice = np.empty(n_trials, bool)
-            self.terms = np.empty((n, n_trials), complex)
-            self.sums = np.empty((n, n_trials), complex)  # each block's running sum to element j
-            self.factors = np.full(n, math.nan, complex)  # of the kept terms: none yet
-            self.summed = 0  # elements whose running sums are kept
-        rows = slice(lo, lo + draws.noise.size)
-        planes = self.planes[:, :, rows]
-        np.copyto(planes[:, 0], draws.h.real.T)
-        # negated on the way in: in numpy 2.4.6, negating a one-trial slice of planes in place
-        # reads the wrong elements
-        np.negative(draws.h.imag.T, out=planes[:, 1])
-        np.copyto(planes[:, 2], draws.g.real.T)
-        np.copyto(planes[:, 3], draws.g.imag.T)
-        self.noise[rows], self.is_alice[rows] = draws.noise, draws.is_alice
-        self.draws = replace(draws, is_alice=self.is_alice, noise=self.noise, h=None, g=None)
+        """Hold a chunk's draws as trials [lo, lo + m): a one-chunk run's h, g and noise as
+        decoded, else copies in arrays allocated at the first write (reusing freed buffers)."""
+        m, n, n_trials = draws.noise.size, draws.h.shape[1], self.n_trials
+        if self.h is None:
+            held = draws.h, draws.g, draws.noise
+            if m < n_trials:
+                held = [np.empty((n_trials, *a.shape[1:]), complex) for a in held]
+            self.h, self.g, self.noise = held
+            self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
+            self.cascade, self.turned = np.empty((2, n_trials), complex)
+            self.margin, self.tilt, self.spare = np.empty((3, n_trials))
+            self.flags = np.empty((2, n_trials), bool)  # rejected, accepted
+            self.h0, self.g0, self.limit = draws.h0, draws.g0, n + 4096  # h0, g0: _fingerprint
+            self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
+        rows = slice(lo, lo + m)
+        if m < n_trials:
+            self.h[rows], self.g[rows], self.noise[rows] = draws.h, draws.g, draws.noise
+        c, margin = self.c[:, rows], self.margin[rows]
+        np.conjugate(draws.h.T, out=c)
+        np.multiply(c, draws.g.T, out=c)
+        np.multiply(np.absolute(draws.noise, out=margin), self.sigma_n, out=margin)
+        for plane in c:
+            margin += np.absolute(plane)
+        margin *= (2 * n + 32 + 20 * self.limit) * _ROUNDOFF
 
-    def __call__(self, phases: np.ndarray) -> np.ndarray:
-        """The run's cascade under phases."""
-        factors = np.exp(1j * phases)  # as _cascade computes them
-        n = factors.size
-        # bits, not values: the kept term of a factor is valid for that factor's bits only
-        changed = (factors.view(np.uint64) != self.factors.view(np.uint64)).reshape(n, 2)
-        changed = changed.any(axis=1)
-        for j in np.flatnonzero(changed).tolist():
-            _element_term(self.planes[j], complex(factors[j]), self.terms[j])
-        self.factors = factors
-        shared = int(np.argmax(changed)) if changed.any() else n
-        for j in range(self.summed, shared):
-            np.add(self.terms[j], self.sums[j - 1] if j % _EINSUM_BLOCK else 0.0,
-                   out=self.sums[j])
-        self.summed = shared
-        cascade = 0.0  # einsum's output starts at +0.0 and adds each block's sum
-        for lo in range(0, n, _EINSUM_BLOCK):
-            end = min(lo + _EINSUM_BLOCK, n) - 1
-            if end < shared:
-                block = self.sums[end]
-            else:
-                start = max(lo, shared)
-                block = self.terms[start] + (self.sums[start - 1] if start > lo else 0.0)
-                for j in range(start + 1, end + 1):
-                    np.add(self.terms[j], block, out=block)
-            cascade = block + cascade
-        return cascade
+    def rows(self, trials: np.ndarray) -> Draws:
+        """The held draws of trials, as decode() gives their rows."""
+        return Draws(np.zeros(trials.size, bool), self.noise[trials], self.h[trials],
+                     self.g[trials], self.h0, self.g0)
 
-    def score(self, plan: TrialPlan) -> np.ndarray:
-        """score(plan, draws) on the held draws, for a reflected-link CIR plan."""
+    def misses(self, plan: TrialPlan, epsilon: float) -> int:
+        """Accepted trials under plan: the held run's plan with another profile."""
         phases = plan.profile.phases
-        gains = {(True, phases.tobytes()): (self(phases), _fingerprint(self.draws, phases))}
-        return _score(plan, self.draws, gains)
+        factors = np.exp(1j * phases)  # as _cascade computes them
+        changed = np.flatnonzero(factors != self.factors).tolist()
+        if self.updates + len(changed) > self.limit:  # restart B from the noise
+            np.multiply(self.noise, self.sigma_n, out=self.cascade)
+            self.factors[:], self.updates, changed = 0.0, 0, range(factors.size)
+        for k in changed:
+            np.multiply(self.c[k], factors[k] - self.factors[k], out=self.turned)
+            np.add(self.cascade, self.turned, out=self.cascade)
+        self.factors, self.updates = factors, self.updates + len(changed)
+        if epsilon > math.pi:
+            return self.n_trials
+        gt, z, flags = _fingerprint(self, phases), self.turned, self.flags
+        phi = math.atan2(gt.imag, gt.real)
+        np.multiply(self.cascade, complex(math.cos(phi), -math.sin(phi)), out=z)
+        np.absolute(z.imag, out=z.imag)
+        flags[:] = False
+        for side, gamma, sign in (0, epsilon + 2.0**-40, 1.0), (1, epsilon - 2.0**-40, -1.0):
+            if 0.0 < gamma < math.pi:  # flag sign t(z) > margin; a NaN never is
+                np.multiply(z.imag, sign * math.cos(gamma), out=self.tilt)
+                np.multiply(z.real, sign * math.sin(gamma), out=self.spare)
+                np.greater(np.subtract(self.tilt, self.spare, out=self.tilt), self.margin,
+                           out=flags[side])
+        count = int(np.count_nonzero(flags[1]))
+        np.logical_or(*flags, out=flags[0])  # decided
+        undecided = np.flatnonzero(np.logical_not(flags[0], out=flags[0]))
+        for lo in range(0, undecided.size, self.batch):
+            draws = self.rows(undecided[lo:lo + self.batch])
+            count += int(np.count_nonzero(accepts(score(plan, draws), epsilon)))
+        return count
 
 
 @dataclass(frozen=True)
@@ -624,12 +623,11 @@ def _counts(pairs, grids, points) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def attacker_draws(plan: TrialPlan) -> _RunningCascade:
-    """Decoded attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held as
-    one running cascade that each default chunk is written into once decoded (freeing its h
-    and g before the next decode); its scores are the statistics that
-    empirical_distribution(plan, H1) draws, unsorted."""
-    held = _RunningCascade(plan.n_trials)
+def attacker_draws(plan: TrialPlan) -> _HeldSearch:
+    """Decoded attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held for
+    a phase search (_HeldSearch), each default chunk written once decoded; its misses count
+    the statistics that empirical_distribution(plan, H1) draws."""
+    held = _HeldSearch(plan)
     _map_trials(lambda lo, draws: held.write(lo, _forced(draws, Hypothesis.H1)), plan,
                 plan.n_trials, 1)
     return held

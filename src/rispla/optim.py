@@ -6,14 +6,15 @@ phase-feature missed detection; candidates are compared under common random
 numbers (one fixed evaluation seed, decoded once per search) so the noisy
 objective is a deterministic function of the candidate.
 
-A candidate's cascade is not recomputed from scratch: the draws are held as
-one running cascade (`mc._RunningCascade`) that keeps every element's
-term while its phase is unchanged and reuses the running sums of the phase
-prefix the candidate shares with the one before. A coordinate candidate
-then costs one element term and the adds after it; an exhaustive one, which
-steps the last element fastest, mostly the same. The sum runs in einsum's
-order with einsum's rounding, so every statistic, and every trace row, has
-the bits of a fresh engine run.
+A candidate's missed detections are counted by a bound, scored exactly inside the
+acceptance cone: the draws are held once (`mc._HeldSearch`) with each element's
+product conj(h) g and an approximate observed gain per trial, which a
+candidate updates only at the elements it changes. A two-sided cone test
+about the fingerprint's direction, widened by a rigorous bound on that
+approximation, rejects every trial that the exact statistic cannot accept and
+accepts every trial that it cannot reject; the few trials left, near a cone's
+edge, are scored by the engine's own statistic. So every count, and every
+trace row, has the bits of a fresh engine run.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .auth import Feature, accepts, check_threshold, pmd_pathloss
+from .auth import Feature, check_threshold, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
-from .mc import TrialPlan, _RunningCascade, attacker_draws
+from .mc import TrialPlan, _HeldSearch, attacker_draws
 
 __all__ = [
     "Strategy",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 10**6
-EVAL_DRAWS_LIMIT = 2**30  # bytes one search may hold: its draws, kept terms and running sums
+EVAL_DRAWS_LIMIT = 2**30  # bytes one search may hold (mc._HeldSearch.nbytes)
 
 
 class Strategy(Enum):
@@ -139,14 +140,14 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties.
 
-    The attacker's trials are decoded once and held as one running cascade, which
-    sums each candidate's cascade in einsum's order from the element terms and
-    prefix sums that the previous candidate left; each candidate is scored
-    through the engine's statistic, bit for bit as a fresh engine run, and
-    spends eval_trials of the trial budget. What the search holds, eval_trials
-    * (64 * N + 17) bytes (conj(h) and g planes, terms and running sums; noise
-    and transmitter flag), is refused above EVAL_DRAWS_LIMIT before anything
-    is decoded.
+    The attacker's trials are decoded once and held (mc.attacker_draws). Each candidate
+    updates the held approximate cascade at the elements it changes; a cone test with a
+    rigorous margin decides each trial whose statistic cannot lie on the other side of
+    epsilon, and the rest are scored through the engine's statistic, so each count is a fresh
+    engine run's, bit for bit. Each candidate spends eval_trials of the trial budget. What
+    the search holds, eval_trials * (48 * N + 82) bytes (h, g and conj(h) g per element;
+    noise, approximate gain, margin, the cone test's scratch and an undecided trial's index
+    per trial), is refused above EVAL_DRAWS_LIMIT before anything is decoded.
     """
     check_threshold(epsilon)
     if levels < 2:
@@ -157,11 +158,11 @@ def optimize_phase_matrix(
             required=eval_trials,
         )
     n = scenario.n_elements
-    held = _RunningCascade.nbytes(eval_trials, n)
+    held = _HeldSearch.nbytes(eval_trials, n)
     if held > EVAL_DRAWS_LIMIT:
         raise SearchBudgetError(
             f"{eval_trials} evaluation trials on {n} elements need {held} bytes of draws, "
-            f"element terms and running sums (limit {EVAL_DRAWS_LIMIT}); "
+            f"their products conj(h) g and the cone test's arrays (limit {EVAL_DRAWS_LIMIT}); "
             "lower the evaluation trials",
             required=held,
         )
@@ -185,7 +186,7 @@ def optimize_phase_matrix(
 
     plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
                      scenario=scenario, profile=PerElement(np.zeros(n)))
-    cascade = attacker_draws(plan)
+    held_draws = attacker_draws(plan)
     cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
@@ -197,8 +198,7 @@ def optimize_phase_matrix(
             if required > budget_trials:
                 raise SearchBudgetError("trial budget exhausted", required=required)
             candidate = replace(plan, profile=PerElement(np.asarray(phases)))
-            misses = np.count_nonzero(accepts(cascade.score(candidate), epsilon))
-            cache[phases] = int(misses) / eval_trials
+            cache[phases] = held_draws.misses(candidate, epsilon) / eval_trials
         pmd = cache[phases]
         trace.append((coordinate, value, pmd))
         if pmd < best[0]:

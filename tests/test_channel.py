@@ -161,6 +161,17 @@ class TestScenario:
         assert derived.noise_sigma == checked.noise_sigma
         assert scenario.lq_db == 100.0  # the loaded scenario is not changed
 
+    def test_every_point_of_a_sweep_has_its_own_noise_sigma(self, scenario):
+        # noise_sigma is computed once per scenario: a copy at another link quality has its own
+        parent = replace(scenario, lq_db=30.0)
+        assert parent.noise_sigma == math.sqrt(parent.noise_variance)
+        lqs = [0.0, 30.0, 55.5, -12.25]
+        points = [parent.at_link_quality(lq) for lq in lqs]
+        assert [p.noise_sigma for p in points] == [
+            math.sqrt(1.0 * 10.0 ** (-lq / 10.0)) for lq in lqs]  # table1's 1 W
+        assert len({p.noise_sigma for p in points}) == len(lqs)
+        assert parent.noise_sigma == points[1].noise_sigma and parent.lq_db == 30.0
+
     def test_geometry_key_holds_every_field_but_the_link_quality(self, scenario):
         assert replace(scenario, tx_gain=999.0).geometry_key != scenario.geometry_key
         assert replace(scenario, lq_db=1.0).geometry_key == scenario.geometry_key

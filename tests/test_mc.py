@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import TABLE1, RedecodeSpy, reference_box_muller
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispla import mc
@@ -873,108 +873,202 @@ class TestEmpiricalDistribution:
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)
 
 
-def bits(a: np.ndarray) -> np.ndarray:
-    """The IEEE bits of a complex array, real and imaginary parts: -0.0 differs from +0.0."""
-    return np.ascontiguousarray(a).view(np.uint64)
+class HeldRowsSpy:
+    """Wraps mc._HeldSearch for a test: records, per count (misses), each batch of trials
+    that it scored exactly (rows)."""
+
+    def __init__(self, monkeypatch):
+        self.counts = []
+        rows, misses = mc._HeldSearch.rows, mc._HeldSearch.misses
+
+        def rows_spy(held, trials):
+            self.counts[-1].append(trials.copy())
+            return rows(held, trials)
+
+        def misses_spy(held, plan, epsilon):
+            self.counts.append([])
+            return misses(held, plan, epsilon)
+
+        monkeypatch.setattr(mc._HeldSearch, "rows", rows_spy)
+        monkeypatch.setattr(mc._HeldSearch, "misses", misses_spy)
+
+    def last(self) -> set[int]:
+        """The trials that the last count scored exactly."""
+        return {t for batch in self.counts[-1] for t in batch.tolist()}
 
 
-def fading(seed: int, m: int, n: int, zeros: int = 0) -> mc.Draws:
-    """m trials of n-element h and g, with `zeros` of their parts set to +0.0 or -0.0. With
-    any zeros, trial 0 has h = -0.0 + 0.0j and g = -1 - 1j: each of its terms is a zero,
-    at phase 0 one of real part -0.0, which only a sum from +0.0 turns into +0.0."""
-    rng = np.random.default_rng(seed)
-    h, g = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in "hg")
-    if zeros:
-        h[0], g[0] = complex(-0.0, 0.0), -1.0 - 1.0j
-    for part in (h.real, h.imag, g.real, g.imag):
-        flat = part.reshape(-1)
-        at = rng.integers(0, flat.size, zeros)
-        flat[at] = np.where(rng.random(zeros) < 0.5, 0.0, -0.0)
-    return mc.Draws(np.zeros(m, bool), np.zeros(m, complex), h, g, h[0], g[0])
+def attacker_statistics(plan: TrialPlan) -> np.ndarray:
+    """Each attacker trial's statistic under plan, from a fresh exact decode."""
+    return score(plan, mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1))
 
 
-def running_cascade(draws: mc.Draws, split: int = 0) -> mc._RunningCascade:
-    """draws held as a running cascade, written as the chunks [0, split) and [split, m)."""
-    m = draws.noise.size
-    running = mc._RunningCascade(m)
-    for lo, hi in ((0, split), (split, m)):
-        if hi > lo:
-            running.write(lo, replace(draws, is_alice=draws.is_alice[lo:hi],
-                                      noise=draws.noise[lo:hi], h=draws.h[lo:hi],
-                                      g=draws.g[lo:hi]))
-    return running
+def candidates(n: int, levels: int, order: str, limit: int = 60):
+    """Phase vectors in a search's order: coordinate sweeps from all zeros, each element
+    left at its level (levels - 1) - element % levels, or the exhaustive product."""
+    values = [2.0 * math.pi * k / levels for k in range(levels)]
+    if order == "exhaustive":
+        yield from itertools.islice(itertools.product(values, repeat=n), limit)
+        return
+    current = [0.0] * n
+    for elem in range(n):
+        for v in values:
+            yield tuple(current[:elem] + [v] + current[elem + 1:])
+        current[elem] = values[(levels - 1 - elem) % levels]
 
 
-# candidate steps: a new level at element 0, at the last element or at element k, a new
-# level at every element, or the previous vector again
-STEPS = st.one_of(st.tuples(st.sampled_from(["first", "last", "whole", "repeat"]),
-                            st.integers(0, 5)),
-                  st.tuples(st.integers(0, 39), st.integers(0, 5)))
-LEVELS = [0.0, 0.5, 1.0, math.pi, 4.0, 2.0 * math.pi - 1e-9]
+EPSILONS = [0.0, 1e-3, 0.05, 0.4, 1.2, math.pi / 2 - 1e-6, math.pi / 2, 2.0, math.pi, 7.0]
 
 
-class TestRunningCascade:
-    """The search's running cascade equals the einsum reference bit for bit."""
+class TestHeldSearch:
+    """The phase search's held draws count each candidate's accepted trials as a fresh exact
+    decode does: decided by the cone test, scored exactly inside it."""
 
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), n=st.integers(1, 40),
-           zeros=st.integers(0, 6), steps=st.lists(STEPS, min_size=1, max_size=12),
-           split=st.integers(0, 30))
-    def test_equals_einsum_over_candidate_sequences(self, seed, m, n, zeros, steps, split):
-        draws = fading(seed, m, n, zeros)
-        running = running_cascade(draws, min(split, m))
-        phases = np.zeros(n)
-        for kind, level in [("whole", 0), *steps]:
-            phases = phases.copy()
-            if kind == "whole":
-                phases[:] = np.roll(LEVELS, level)[np.arange(n) % len(LEVELS)]
-            elif kind != "repeat":
-                k = 0 if kind == "first" else n - 1 if kind == "last" else kind % n
-                phases[k] = LEVELS[level]
-            np.testing.assert_array_equal(bits(running(phases)),
-                                          bits(mc._cascade(draws.h, draws.g, phases)))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 8, 40]),
+           order=st.sampled_from(["coordinate", "exhaustive"]), chunked=st.booleans(),
+           m=st.sampled_from([543, 700]), lq=st.sampled_from([0.0, 20.0, 60.0]),
+           epsilons=st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=3))
+    @settings(max_examples=30)
+    def test_counts_equal_fresh_decode(self, scenario, seed, n, order, chunked, m, lq,
+                                       epsilons):
+        plan = cir_plan(replace(scenario, n_elements=n, lq_db=lq), Feature.CIR_PHASE, n=m,
+                        seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunked:  # three chunks, the last of 1 or 158 trials
+                patch.setattr(mc, "_default_chunk", lambda plan: 271)
+            held = mc.attacker_draws(plan)
+        for phases in candidates(n, 3, order, limit=40):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = attacker_statistics(candidate)
+            for eps in epsilons:
+                assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
 
-    @pytest.mark.parametrize("n,levels", [(1, 5), (2, 4), (3, 3), (5, 2)])
-    def test_equals_einsum_in_exhaustive_product_order(self, n, levels):
-        draws = fading(n, 50, n, zeros=4)
-        running = running_cascade(draws, split=17)
-        values = [2.0 * math.pi * k / levels for k in range(levels)]
-        for combo in itertools.product(values, repeat=n):
-            phases = np.array(combo)
-            np.testing.assert_array_equal(bits(running(phases)),
-                                          bits(mc._cascade(draws.h, draws.g, phases)))
+    @pytest.mark.parametrize("eps", [math.pi / 2, 2.0, 3.0, math.pi, 4.0, 1e300])
+    def test_wide_thresholds_are_decided_by_the_cone(self, scenario_small, monkeypatch, eps):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=2000, seed=3)
+        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        for phases in itertools.islice(candidates(8, 4, "coordinate"), 6):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = attacker_statistics(candidate)
+            assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+            # above pi nothing is scored; below it, the trials near the cone's edges
+            assert len(spy.last()) <= (0 if eps > math.pi else 10)
+        assert (held.misses(candidate, math.pi) == plan.n_trials
+                - np.count_nonzero(ts == math.pi))  # ties reject
 
-    @pytest.mark.parametrize("n", [8192, 8193, 16385])
-    def test_equals_einsum_past_one_inner_loop(self, n):
-        # einsum sums at most 8192 elements of a row from +0.0, then adds that block's sum
-        draws = fading(n, 2, n)
-        running = running_cascade(draws, split=1)
-        phases = np.linspace(0.0, 6.0, n)
-        for k in (None, 0, 8191, n - 1, 8192 % n, None):
-            if k is not None:
-                phases = phases.copy()
-                phases[k] = 1.5
-            np.testing.assert_array_equal(bits(running(phases)),
-                                          bits(mc._cascade(draws.h, draws.g, phases)))
+    @pytest.mark.parametrize("eps", [0.0, 0.1, math.pi / 2, math.pi])
+    def test_undecided_trials_are_scored_a_chunk_at_a_time(self, scenario_small, monkeypatch,
+                                                            eps):
+        # an infinite margin leaves every trial undecided: they are scored in batches of a
+        # default chunk, whose temporaries are bounded by the chunk, not by the run
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)
+        plan = cir_plan(replace(scenario_small, n_elements=40), Feature.CIR_PHASE, n=4000,
+                        seed=13)
+        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        held.margin[:] = np.inf
+        candidate = replace(plan, profile=PerElement(np.linspace(0.0, 6.0, 40)))
+        ts = attacker_statistics(candidate)
+        tracemalloc.start()
+        try:
+            assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [b.size for b in spy.counts[-1]] == [271] * 14 + [206]
+        assert spy.last() == set(range(4000))
+        # one batch's temporaries (rows, conj(h), einsum's and the statistic's: about 66 bytes
+        # per element and trial), and 8 bytes per trial of index and of the spy's copies;
+        # scoring all 4000 trials at once would take 10 MB
+        assert peak < 271 * 80 * 40 + 16 * 4000 + 2**16
 
-    def test_scores_as_score(self, scenario_small):
+    @pytest.mark.parametrize("signs", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+    def test_zero_fingerprint(self, scenario_small, monkeypatch, signs):
+        # h0 = 0, with either sign of each part, enrolls gt = 0, whose argument is 0
+        rng = np.random.default_rng(5)
+        m, n = 400, 3
+        h, g, noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
+                       rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
+                       rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        h0 = np.full(n, complex(0.0 * signs[0], 0.0 * signs[1]))
+        draws = mc.Draws(np.zeros(m, bool), noise, h, g, h0, np.ones(n, complex))
+        plan = cir_plan(replace(scenario_small, n_elements=n), Feature.CIR_PHASE, n=m)
+        held, spy = mc._HeldSearch(plan), HeldRowsSpy(monkeypatch)
+        held.write(0, draws)
+        for phases in candidates(n, 4, "exhaustive"):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            assert mc._fingerprint(draws, candidate.profile.phases) == 0.0
+            ts = score(candidate, draws)
+            for eps in (0.0, 1e-2, 0.5, 2.0):
+                assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+                if eps == 1e-2:  # the cone decides all but a few
+                    assert len(spy.last()) < 20
+
+    @pytest.mark.parametrize("chunk", [None, 271])
+    def test_threshold_on_a_statistic_and_one_ulp_either_side(self, scenario_small,
+                                                               monkeypatch, chunk):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=1500, seed=21)
+        if chunk:
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
+        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        for phases in itertools.islice(candidates(8, 4, "coordinate"), 0, 20, 3):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = attacker_statistics(candidate)
+            order = np.argsort(ts, kind="stable")
+            for trial in (order[0], order[7], order[400], order[np.searchsorted(ts[order], 1.4)]):
+                s = ts[trial]
+                for eps in (np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)):
+                    assert held.misses(candidate, float(eps)) == np.count_nonzero(ts < eps)
+                    assert trial in spy.last()
+            assert len(spy.last()) < plan.n_trials // 2  # the cone decided most
+
+    def test_cancelling_terms_are_scored_exactly(self, scenario_small, monkeypatch):
+        # terms of modulus 1e8 that cancel to about 1 where elements 0 and 1 share a phase:
+        # the cascade's rounding, about 1e-8, turns its argument by far more than 2^-40, and
+        # only the margin keeps a trial at the threshold out of the cone's rejections
+        rng = np.random.default_rng(11)
+        m, n = 300, 3
+        big = 1e8 * np.exp(2j * math.pi * rng.random(m))
+        small = rng.standard_normal((m, 2)) @ np.array([1.0, 1j])
+        g = np.stack([big, small - big, rng.standard_normal(m) + 1j], axis=1)
+        draws = mc.Draws(np.zeros(m, bool), rng.standard_normal(m) + 0j, np.ones((m, n), complex),
+                         g, np.ones(n, complex), np.ones(n, complex))
+        plan = cir_plan(replace(scenario_small, n_elements=n, lq_db=60.0), Feature.CIR_PHASE,
+                        n=m)
+        held, spy = mc._HeldSearch(plan), HeldRowsSpy(monkeypatch)
+        held.write(0, draws)
+        for phases in candidates(n, 3, "exhaustive"):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = score(candidate, draws)
+            for trial in np.flatnonzero(ts < 1.5)[:12]:
+                for eps in (np.nextafter(ts[trial], 0.0), ts[trial], np.nextafter(ts[trial], 4.0)):
+                    assert held.misses(candidate, float(eps)) == np.count_nonzero(ts < eps)
+                    assert trial in spy.last()
+
+    @pytest.mark.parametrize("chunk", [None, 271])
+    def test_holds_what_nbytes_counts(self, scenario_small, monkeypatch, chunk):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
-        draws = mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1)
-        running = mc.attacker_draws(plan)
-        for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8), np.linspace(0.0, 3.0, 8)):
-            candidate = replace(plan, profile=PerElement(phases))
-            np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))
+        if chunk:  # 12 chunks, the last short, written into arrays of the whole run
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
+        held = mc.attacker_draws(plan)
+        assert held.h.shape == held.g.shape == (3000, 8) and held.c.shape == (8, 3000)
+        arrays = [held.h, held.g, held.c, held.noise, held.cascade, held.turned, held.margin,
+                  held.tilt, held.spare, held.flags]
+        index = 8 * 3000  # of the undecided trials, at most all of them
+        assert sum(a.nbytes for a in arrays) + index == mc._HeldSearch.nbytes(3000, 8)
+        candidate = replace(plan, profile=PerElement(np.linspace(0.0, 3.0, 8)))
+        ts = attacker_statistics(candidate)
+        assert held.misses(candidate, 0.3) == np.count_nonzero(ts < 0.3)
 
-    def test_attacker_draws_hold_every_chunk_in_one_cascade(self, scenario_small, monkeypatch):
-        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
-        draws = mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1)
-        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)  # 12 chunks, the last short
-        running = mc.attacker_draws(plan)
-        assert isinstance(running, mc._RunningCascade)
-        assert running.draws.noise.shape == (plan.n_trials,)
-        assert running.planes.shape == (8, 4, plan.n_trials)
-        for phases in (np.zeros(8), np.linspace(0.0, 3.0, 8)):
-            candidate = replace(plan, profile=PerElement(phases))
-            np.testing.assert_array_equal(running.score(candidate), score(candidate, draws))
+    def test_restarts_after_its_update_limit(self, scenario_small, monkeypatch):
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=800, seed=9)
+        held = mc.attacker_draws(plan)
+        held.limit = 12  # a restart every few candidates; the margin was sized for 4096 + N
+        updates = []
+        for phases in itertools.islice(candidates(8, 4, "coordinate"), 25):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = attacker_statistics(candidate)
+            assert held.misses(candidate, 0.2) == np.count_nonzero(ts < 0.2)
+            updates.append(held.updates)
+        assert max(updates) <= 12 and updates.count(8) >= 3  # each restart adds all 8
 
 
 class TestPathlossPairs:

@@ -356,45 +356,45 @@ class TestDecodeOnceObjective:
             assert res.evaluations == evaluations
             assert len(calls) == chunks + 1  # each chunk's trials and the enrollment block
 
-    def test_coordinate_pass_sums_element_terms(self, scenario, monkeypatch):
-        # one pass at the C07 shape makes no einsum cascade: each candidate computes the
-        # terms of the elements it changes against the candidate evaluated before it
+    def test_coordinate_pass_scores_exactly_only_inside_the_cone(self, scenario, monkeypatch):
+        # one pass at the C07 shape: each candidate updates the held cascade by the elements
+        # it changes, and the einsum cascade is summed only for the trials that the cone test
+        # leaves undecided, at most once per candidate
         sc = replace(scenario, n_elements=8, lq_db=20.0)
-        levels, n = 16, 500
+        levels, n = 16, 2000
         evaluations = levels + 7 * (levels - 1)
+        rows, held = [], []
+        real_cascade, real_draws = mc._cascade, optim.attacker_draws
 
-        def einsum_cascade(*args):
-            raise AssertionError("the search summed a cascade with einsum")
+        def cascade(h, g, phases):
+            rows.append(h.shape[0])
+            return real_cascade(h, g, phases)
 
-        terms = []
-        real = mc._element_term
+        def holding(plan):
+            held.append(real_draws(plan))
+            return held[-1]
 
-        def counting(planes, factor, out):
-            terms.append(factor)
-            return real(planes, factor, out)
-
-        monkeypatch.setattr(mc, "_cascade", einsum_cascade)
-        monkeypatch.setattr(mc, "_element_term", counting)
+        monkeypatch.setattr(mc, "_cascade", cascade)
+        monkeypatch.setattr(optim, "attacker_draws", holding)
         res = optimize_phase_matrix(sc, epsilon=1e-3, levels=levels,
                                     budget_trials=evaluations * n, rng_seed=3, eval_trials=n)
         monkeypatch.undo()
-        assert res.evaluations == evaluations
+        assert res.evaluations == evaluations and len(rows) <= evaluations
+        assert sum(rows) <= 20  # of 121 * 2000 trial scores
         profiles = list(coordinate_profiles(res.trace, 8, levels))
         evaluated = list(dict.fromkeys(map(tuple, profiles)))  # in order, without cache hits
         assert len(evaluated) == evaluations
         changed = [sum(a != b for a, b in zip(p, q)) for p, q in zip(evaluated, evaluated[1:])]
-        # N terms, then one per candidate, and one more where a sweep's first candidate
-        # also moves the element before it from its last evaluated level to its chosen one
-        assert len(terms) == 8 + sum(changed) <= 8 + evaluations + 7
-        assert set(changed) <= {1, 2}
+        # N elements summed once, then one or two per candidate
+        assert held[0].updates == 8 + sum(changed) and set(changed) <= {1, 2}
         for row, phases in list(zip(res.trace, profiles))[::9]:
             assert row[2] == engine_pmd(sc, phases, 1e-3, 3, n), row
 
     def test_largest_search_under_the_limit_decodes(self, scenario, monkeypatch):
-        # 256 elements hold 64 * 256 + 17 bytes a trial: 65 468 trials fit in the limit
-        # (test_cli refuses 65 469); the decode is stubbed, as it would take 1 GiB
-        held = mc._RunningCascade.nbytes
-        assert held(65_468, 256) <= EVAL_DRAWS_LIMIT < held(65_469, 256)
+        # 256 elements hold 48 * 256 + 82 bytes a trial: 86 802 trials fit in the limit
+        # (test_cli refuses 86 803); the decode is stubbed, as it would take 1 GiB
+        held = mc._HeldSearch.nbytes
+        assert held(86_802, 256) <= EVAL_DRAWS_LIMIT < held(86_803, 256)
 
         class Decoding(Exception):
             pass
@@ -404,4 +404,4 @@ class TestDecodeOnceObjective:
 
         monkeypatch.setattr(optim, "attacker_draws", decoding)
         with pytest.raises(Decoding):
-            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=65_468)
+            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=86_802)

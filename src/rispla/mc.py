@@ -14,8 +14,9 @@ statistic a carries a rigorous bound e on its distance from the exact decode's
 the exact statistic's side of every threshold; where one does (or, for the auto grid, where
 the trial could be the pilot's smallest positive or largest statistic), the trial is
 undecided and re-decoded exactly from its counter position (_redecode). So every count and
-auto grid is the exact decode's, bit for bit. decode, empirical_distribution and the phase
-search (attacker_draws) decode exactly, and the search also counts by a bound (_HeldSearch).
+auto grid is the exact decode's, bit for bit. The phase search (attacker_draws) holds such
+chunks too, and re-decodes the trials that its cone test leaves undecided (_HeldSearch).
+decode and empirical_distribution decode exactly.
 """
 
 from __future__ import annotations
@@ -256,74 +257,69 @@ def _fingerprint(draws: Draws, phases: np.ndarray) -> complex:
 
 class _HeldSearch:
     """A phase search's attacker draws: misses(plan, epsilon) counts accepts(score(plan,
-    draws), epsilon) on the held h, g and noise (as decoded), with c_n = conj(h_n) g_n and an
-    approximate observed gain B per trial. A candidate that changes f_k = exp(j psi_k) to f'_k
-    adds c_k (f'_k - f_k) to B; after `limit` updates B restarts from sigma_n noise. A cone
-    test on B decides each trial that the exact statistic must reject or accept; score()
-    scores the rest (rows), a default chunk at a time, so each count is the engine's.
+    draws), epsilon) over the run's trials, holding from their single-precision decode
+    (_cir_vectors) c_n = conj(h_n) g_n, the noise and an approximate observed gain B per
+    trial. A candidate that changes f_k = exp(j psi_k) to f'_k adds c_k (f'_k - f_k) to B;
+    after `limit` updates B restarts from sigma_n noise. A cone test on B decides each trial
+    that the exact statistic must reject or accept; the rest (rows) are re-decoded exactly
+    and scored, a default chunk at a time, so each count is the engine's.
 
-    The bound. s folds arg(O) - phi, phi = arg(gt), O = fl(E + w), E the einsum cascade,
-    w = fl(sigma_n noise). Take u = _ROUNDOFF, P = sum_n |h_n||g_n| + |w|, T = sum_n c_n f_n
-    + w exactly, |f| <= 1 + 4u (libm cos and sin), and 4u bounding a complex product's error
-    relative to |a||b| (with or without FMA):
+    The bound. s folds arg(O) - phi, phi = arg(gt), O = fl(E + w) of the exact decode, E its
+    einsum cascade, w = fl(sigma_n noise). Take u = _ROUNDOFF, T = sum_n c_n f_n + w exactly
+    and P = sum_n |h_n||g_n| + |w| of the exact decode, T' and P' those of the single-precision
+    one, |f| <= 1 + 4u (libm cos and sin), and 4u bounding a complex product's error relative
+    to |a||b| (with or without FMA):
     - |O - T| <= (1.5 N + 10) u P: two products per term, a sum in any order (sqrt(2)
       gamma_{N-1} of sum |term|), and the add of w;
-    - B starts at w; an update's difference (u |f' - f|, |f' - f| <= 2 + 8u), product
-      (18.1 u |h_k||g_k|) and add (u |B + p| <= u (P + drift)) drift it by at most 20 u P, so
-      delta = |O - B| <= (1.5 N + 10 + 20 U) u P after U updates.
+    - |T - T'| <= D and P, P' <= S, the decodes' _observed_gap and its bound on either's
+      modulus (Cauchy-Schwarz on sum |c_n - c'_n|, and sigma_n |noise - noise'|);
+    - B starts at w'; an update's difference (u |f' - f|, |f' - f| <= 2 + 8u), product
+      (18.1 u |h'_k||g'_k|) and add (u |B + p| <= u (P' + drift)) drift it by at most 20 u P'
+      from T', so delta = |O - B| <= (1.5 N + 10 + 20 U) u S + D after U updates.
     The cones. z = B exp(-j phi), folded into Im z >= 0. For 0 < gamma < pi, t(z) = Im z
     cos(gamma) - Re z sin(gamma) is r sin(theta - gamma) at z = r exp(j theta), theta in
     [0, pi]: positive outside the cone {|arg| <= gamma}, negative strictly inside, and in the
-    unfolded z 1-Lipschitz (the larger of two linear forms of unit gradient). Computing z
-    (cos, sin and the product: 5.5 u |B|) and t (4.5 u |B|) adds 11 u P at most, so margin =
-    (2 N + 32 + 20 limit) u P^, P^ the computed sum_n |c_n| + sigma_n |noise| (P <= P^ (1 +
-    (N + 8) u)), bounds delta plus the test's error. Where t > margin at gamma = epsilon +
-    2^-40, O exp(-j phi) is outside that cone and s > epsilon; where -t > margin at gamma =
-    epsilon - 2^-40, inside it and s < epsilon: 2^-40 exceeds the statistic's rounding
-    (16 u pi), the ulps between math.atan2 and np.angle, and gamma's rounding. A side with
-    gamma outside (0, pi) decides nothing; above pi all accept: s <= pi's double (Sterbenz).
+    unfolded z 1-Lipschitz (the max or min of two linear forms of unit gradient). Computing z
+    (cos, sin and the product: 5.5 u |B|) and t = Im(z exp(-j gamma)) (4.5 u |B|) adds 11 u S
+    at most, so margin = (2 N + 32 + 20 limit) u S + (1 + 2^-30) D bounds delta plus the
+    test's error ((0.5 N + 11) u S and 2^-30 D cover the factors (1 + k u) that S, D drop).
+    Where t > margin at gamma = epsilon + 2^-40, O exp(-j phi) is outside that cone and
+    s > epsilon; where -t > margin at gamma = epsilon - 2^-40, inside it and s < epsilon:
+    2^-40 exceeds the statistic's rounding (16 u pi), the ulps between math.atan2 and
+    np.angle, and gamma's rounding. A side with gamma outside (0, pi) decides nothing; above
+    pi all accept: s <= pi's double (Sterbenz).
     """
 
     @staticmethod
     def nbytes(n_trials: int, n: int) -> int:
-        """Bytes held for n_trials draws on n elements: 48 per element and trial (h, g, c), and
-        per trial 16 each of noise, B and z, 8 each of margin, tilt, spare and index, 2 of flags."""
-        return n_trials * (48 * n + 82)
+        """Bytes held for n_trials draws on n elements: 16 per element and trial (c); per trial
+        16 each of noise, B, z and z turned, 8 each of margin and index, and 2 of flags."""
+        return n_trials * (16 * n + 82)
 
     def __init__(self, plan: TrialPlan):
-        self.n_trials, self.sigma_n = plan.n_trials, plan.scenario.noise_sigma
-        self.batch, self.h = _default_chunk(plan), None  # h: allocated at the first write
+        self.plan, self.sigma_n = plan, plan.scenario.noise_sigma
+        self.batch, self.c = _default_chunk(plan), None  # c: allocated at the first write
 
-    def write(self, lo: int, draws: Draws) -> None:
-        """Hold a chunk's draws as trials [lo, lo + m): a one-chunk run's h, g and noise as
-        decoded, else copies in arrays allocated at the first write (reusing freed buffers)."""
-        m, n, n_trials = draws.noise.size, draws.h.shape[1], self.n_trials
-        if self.h is None:
-            held = draws.h, draws.g, draws.noise
-            if m < n_trials:
-                held = [np.empty((n_trials, *a.shape[1:]), complex) for a in held]
-            self.h, self.g, self.noise = held
+    def write(self, lo: int, draws: _Bounded) -> None:
+        """Hold a chunk's single-precision draws as trials [lo, lo + m), in arrays allocated
+        at the first write."""
+        m, n, n_trials = draws.noise.size, draws.h.shape[1], self.plan.n_trials
+        if self.c is None:
             self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
-            self.cascade, self.turned = np.empty((2, n_trials), complex)
-            self.margin, self.tilt, self.spare = np.empty((3, n_trials))
-            self.flags = np.empty((2, n_trials), bool)  # rejected, accepted
+            self.noise, self.cascade, self.turned, self.tilted = np.empty((4, n_trials), complex)
+            self.margin, self.flags = np.empty(n_trials), np.empty((2, n_trials), bool)
             self.h0, self.g0, self.limit = draws.h0, draws.g0, n + 4096  # h0, g0: _fingerprint
             self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
         rows = slice(lo, lo + m)
-        if m < n_trials:
-            self.h[rows], self.g[rows], self.noise[rows] = draws.h, draws.g, draws.noise
-        c, margin = self.c[:, rows], self.margin[rows]
-        np.conjugate(draws.h.T, out=c)
-        np.multiply(c, draws.g.T, out=c)
-        np.multiply(np.absolute(draws.noise, out=margin), self.sigma_n, out=margin)
-        for plane in c:
-            margin += np.absolute(plane)
-        margin *= (2 * n + 32 + 20 * self.limit) * _ROUNDOFF
+        self.noise[rows], c = draws.noise, self.c[:, rows]
+        np.multiply(np.conjugate(draws.h.T, out=c), draws.g.T, out=c)
+        gap, size = _observed_gap(self.plan, draws.power, 0.0)  # D, S: no cascade is pinned
+        self.margin[rows] = (2 * n + 32 + 20 * self.limit) * _ROUNDOFF * size
+        self.margin[rows] += (1.0 + 2.0**-30) * gap
 
     def rows(self, trials: np.ndarray) -> Draws:
-        """The held draws of trials, as decode() gives their rows."""
-        return Draws(np.zeros(trials.size, bool), self.noise[trials], self.h[trials],
-                     self.g[trials], self.h0, self.g0)
+        """The exact draws of trials, as decode() gives their rows, forced H1 (_redecode)."""
+        return _forced(_redecode(self.plan, trials, (self.h0, self.g0)), Hypothesis.H1)
 
     def misses(self, plan: TrialPlan, epsilon: float) -> int:
         """Accepted trials under plan: the held run's plan with another profile."""
@@ -338,24 +334,22 @@ class _HeldSearch:
             np.add(self.cascade, self.turned, out=self.cascade)
         self.factors, self.updates = factors, self.updates + len(changed)
         if epsilon > math.pi:
-            return self.n_trials
+            return self.plan.n_trials
         gt, z, flags = _fingerprint(self, phases), self.turned, self.flags
         phi = math.atan2(gt.imag, gt.real)
         np.multiply(self.cascade, complex(math.cos(phi), -math.sin(phi)), out=z)
         np.absolute(z.imag, out=z.imag)
-        flags[:] = False
+        flags[:] = False  # rejected, accepted
         for side, gamma, sign in (0, epsilon + 2.0**-40, 1.0), (1, epsilon - 2.0**-40, -1.0):
             if 0.0 < gamma < math.pi:  # flag sign t(z) > margin; a NaN never is
-                np.multiply(z.imag, sign * math.cos(gamma), out=self.tilt)
-                np.multiply(z.real, sign * math.sin(gamma), out=self.spare)
-                np.greater(np.subtract(self.tilt, self.spare, out=self.tilt), self.margin,
+                turn = complex(sign * math.cos(gamma), -sign * math.sin(gamma))
+                np.greater(np.multiply(z, turn, out=self.tilted).imag, self.margin,
                            out=flags[side])
         count = int(np.count_nonzero(flags[1]))
-        np.logical_or(*flags, out=flags[0])  # decided
-        undecided = np.flatnonzero(np.logical_not(flags[0], out=flags[0]))
-        for lo in range(0, undecided.size, self.batch):
-            draws = self.rows(undecided[lo:lo + self.batch])
-            count += int(np.count_nonzero(accepts(score(plan, draws), epsilon)))
+        undecided = np.flatnonzero(~np.logical_or(*flags, out=flags[0]))
+        for lo in range(0, undecided.size, self.batch):  # a batch's draws freed before the next
+            ts = score(plan, self.rows(undecided[lo:lo + self.batch]))
+            count += int(np.count_nonzero(accepts(ts, epsilon)))
         return count
 
 
@@ -382,7 +376,7 @@ class Draws:
 @dataclass(frozen=True)
 class _Bounded(Draws):
     """Draws decoded with single-precision trig (_cir_vectors), with what _redecode and
-    _error_bound read: each row's trial, and its power, the summed squared Box-Muller radii
+    _observed_gap read: each row's trial, and its power, the summed squared Box-Muller radii
     of the pairs that make h, of those that make g, and of the noise's pair."""
 
     trials: np.ndarray | None = None
@@ -493,12 +487,10 @@ def _bounded_score(plan: TrialPlan, draws: _Bounded, gains: dict) -> tuple:
     return approx, _error_bound(plan, draws.power, observed, gt, approx)
 
 
-def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
-                 approx) -> np.ndarray:
-    """Per trial, e such that [a - e, a + e], each end rounded, holds the statistic that an
-    exact decode gives, where a = approx is the statistic of the single-precision decode that
-    gave observed; power holds each row's summed squared radii (_Bounded), and gt the
-    enrolled cascade, the same in both decodes.
+def _observed_gap(plan: TrialPlan, power: np.ndarray, size: float) -> tuple:
+    """(Do, O) per trial: bounds on the distance between the observed gains, cascade + sigma_n
+    noise, of the exact and the single-precision decode, and on either's modulus and its
+    sum_n |h_n||g_n| + sigma_n |noise|; power is _Bounded's, size bounds a pinned cascade (gt).
 
     A Box-Muller value r cos(theta) or r sin(theta) of the two decodes differs by at most
     t r, with t = _TRIG_ERROR + 4u (u = _ROUNDOFF: the trig, each product's rounding and
@@ -511,20 +503,12 @@ def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
       (Cauchy-Schwarz): Dc = D_h (G + D_g) + H D_g + 2 rho, bound C = P + rho, with
       P = (H + D_h)(G + D_g) and rho = 2 (N + 4) u P bounding either decode's rounding (two
       complex products per term, sqrt(2) gamma_N over any order of the sum). The direct
-      link's cascade is h itself: Dc = D_h, C = H + D_h. A pinned Alice's is gt in both;
-    - observed, cascade + sigma_n noise: Do = Dc + sigma_n (t v + 2u W) + 2u O, with
-      O = C + |gt| + sigma_n W;
-    - the magnitude |observed - gt|: Do + 8u (O + |gt|) (each decode's difference and hypot);
-    - the phase, the circular distance of the arguments: (pi / 2) Do / |observed|, the angle
-      that a disc of radius Do about observed subtends (pi if it holds the origin), plus
-      16 u pi (each decode's atan2, difference and fold).
-    Factors (1 + k u) of small k are dropped above: e is widened by 2^-30 of itself, far more
-    than they and the rounding of e's own monotone steps can add, and by 2u a, which covers
-    the rounding of a - e and a + e.
+      link's cascade is h itself: Dc = D_h, C = H + D_h;
+    - observed: Do = Dc + sigma_n (t v + 2u W) + 2u O, with O = C + size + sigma_n W.
+    Factors (1 + k u) of small k are dropped: each caller widens what it derives by 2^-30.
     """
     _, _, n, g_scale = _stream(plan)
-    u, sigma_n, size = _ROUNDOFF, plan.scenario.noise_sigma, abs(gt)
-    t = _TRIG_ERROR + 4.0 * u
+    u, sigma_n, t = _ROUNDOFF, plan.scenario.noise_sigma, _TRIG_ERROR + 4.0 * _ROUNDOFF
     a, b, v = np.sqrt(power).T
     dh, h = t * a, math.sqrt(0.5) * a
     if plan.ris:
@@ -536,7 +520,23 @@ def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
         dc, c = dh, h + dh
     w = math.sqrt(0.5) * v + t * v
     o = c + size + sigma_n * w
-    do = dc + sigma_n * (t * v + 2.0 * u * w) + 2.0 * u * o
+    return dc + sigma_n * (t * v + 2.0 * u * w) + 2.0 * u * o, o
+
+
+def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
+                 approx) -> np.ndarray:
+    """Per trial, e such that [a - e, a + e], each end rounded, holds the statistic that an
+    exact decode gives, where a = approx is the statistic of the single-precision decode that
+    gave observed, and gt the enrolled cascade, the same in both. With _observed_gap's Do, O:
+    - the magnitude |observed - gt|: Do + 8u (O + |gt|) (each decode's difference and hypot);
+    - the phase, the circular distance of the arguments: (pi / 2) Do / |observed|, the angle
+      that a disc of radius Do about observed subtends (pi if it holds the origin), plus
+      16 u pi (each decode's atan2, difference and fold).
+    e is widened by 2^-30 of itself, far more than the factors (1 + k u) dropped and the
+    rounding of e's own monotone steps can add, and by 2u a, for that of a - e and a + e.
+    """
+    u, size = _ROUNDOFF, abs(gt)
+    do, o = _observed_gap(plan, power, size)
     if plan.feature is Feature.CIR_MAGNITUDE:
         e = do + 8.0 * u * (o + size)
     else:
@@ -624,12 +624,12 @@ def _counts(pairs, grids, points) -> np.ndarray:
 
 
 def attacker_draws(plan: TrialPlan) -> _HeldSearch:
-    """Decoded attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held for
-    a phase search (_HeldSearch), each default chunk written once decoded; its misses count
-    the statistics that empirical_distribution(plan, H1) draws."""
+    """The attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held for a
+    phase search (_HeldSearch): each default chunk decoded with single-precision trig and
+    written once decoded; its misses count the statistics that empirical_distribution(plan,
+    H1) draws."""
     held = _HeldSearch(plan)
-    _map_trials(lambda lo, draws: held.write(lo, _forced(draws, Hypothesis.H1)), plan,
-                plan.n_trials, 1)
+    _map_trials(held.write, plan, plan.n_trials, 1, exact=False)
     return held
 
 

@@ -7,14 +7,14 @@ numbers (one fixed evaluation seed, decoded once per search) so the noisy
 objective is a deterministic function of the candidate.
 
 A candidate's missed detections are counted by a bound, scored exactly inside the
-acceptance cone: the draws are held once (`mc._HeldSearch`) with each element's
-product conj(h) g and an approximate observed gain per trial, which a
-candidate updates only at the elements it changes. A two-sided cone test
-about the fingerprint's direction, widened by a rigorous bound on that
-approximation, rejects every trial that the exact statistic cannot accept and
-accepts every trial that it cannot reject; the few trials left, near a cone's
-edge, are scored by the engine's own statistic. So every count, and every
-trace row, has the bits of a fresh engine run.
+acceptance cone: the draws are decoded once, in single precision, and held
+(`mc._HeldSearch`) as each element's product conj(h) g and an approximate observed gain
+per trial, which a candidate updates only at the elements it changes. A two-sided cone
+test about the fingerprint's direction, widened by a rigorous bound on that gain's
+distance from the exact decode's, rejects every trial that the exact statistic cannot
+accept and accepts every trial that it cannot reject; the few trials left, near a cone's
+edge, are re-decoded exactly and scored by the engine's own statistic. So every count,
+and every trace row, has the bits of a fresh engine run.
 """
 
 from __future__ import annotations
@@ -140,14 +140,14 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties.
 
-    The attacker's trials are decoded once and held (mc.attacker_draws). Each candidate
-    updates the held approximate cascade at the elements it changes; a cone test with a
-    rigorous margin decides each trial whose statistic cannot lie on the other side of
-    epsilon, and the rest are scored through the engine's statistic, so each count is a fresh
-    engine run's, bit for bit. Each candidate spends eval_trials of the trial budget. What
-    the search holds, eval_trials * (48 * N + 82) bytes (h, g and conj(h) g per element;
-    noise, approximate gain, margin, the cone test's scratch and an undecided trial's index
-    per trial), is refused above EVAL_DRAWS_LIMIT before anything is decoded.
+    The attacker's trials are decoded once, in single precision, and held (mc.attacker_draws).
+    Each candidate updates the held approximate cascade at the elements it changes; a cone
+    test with a rigorous margin decides each trial whose statistic cannot lie on the other
+    side of epsilon, and the rest are re-decoded exactly and scored through the engine's
+    statistic, so each count is a fresh engine run's, bit for bit. Each candidate spends
+    eval_trials of the trial budget. What the search holds, eval_trials * (16 * N + 82) bytes
+    (conj(h) g per element; noise, approximate gain, margin, the cone test's scratch and an
+    undecided trial's index per trial), is refused above EVAL_DRAWS_LIMIT before decoding.
     """
     check_threshold(epsilon)
     if levels < 2:
@@ -161,8 +161,8 @@ def optimize_phase_matrix(
     held = _HeldSearch.nbytes(eval_trials, n)
     if held > EVAL_DRAWS_LIMIT:
         raise SearchBudgetError(
-            f"{eval_trials} evaluation trials on {n} elements need {held} bytes of draws, "
-            f"their products conj(h) g and the cone test's arrays (limit {EVAL_DRAWS_LIMIT}); "
+            f"{eval_trials} evaluation trials on {n} elements need {held} bytes of the "
+            f"products conj(h) g, noise and the cone test's arrays (limit {EVAL_DRAWS_LIMIT}); "
             "lower the evaluation trials",
             required=held,
         )

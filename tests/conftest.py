@@ -34,8 +34,8 @@ def reference_box_muller(u, v):
 
 
 class RedecodeSpy:
-    """Wraps mc._redecode for a test: records each batch of trials that sweep_trials re-decodes
-    exactly, and whether a re-decode is running (for spies on what it calls)."""
+    """Wraps mc._redecode for a test: records each batch of trials that sweep_trials or a phase
+    search re-decodes exactly, and whether a re-decode is running (for spies on what it calls)."""
 
     def __init__(self, monkeypatch):
         from rispla import mc

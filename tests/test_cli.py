@@ -550,22 +550,23 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_draws_limit_is_runtime_error(self, tmp_path, capsys, monkeypatch):
-        # a search holds 48 * 256 + 82 bytes a trial on 256 elements (h, g, their products and
-        # the cone test's arrays), refused before decoding above 2^30: 86 803 is the first
+        # a search holds 16 * 256 + 82 bytes a trial on 256 elements (the products conj(h) g,
+        # noise and the cone test's arrays), refused before decoding above 2^30: 257 000 is
+        # the first
         from rispla import optim
 
         def decoding(plan):
             raise AssertionError("decoded past the limit")
 
         monkeypatch.setattr(optim, "attacker_draws", decoding)
-        for eval_trials in (10**7, 86_803):
+        for eval_trials in (10**7, 257_000):
             t0 = time.perf_counter()
             code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
                            "--eval-trials", eval_trials, "--budget", 10**7,
                            "--output", tmp_path / "x.csv")
             assert code == EXIT_RUNTIME
             assert time.perf_counter() - t0 < 5.0
-            assert f"need {eval_trials * (48 * 256 + 82)} bytes" in capsys.readouterr().err
+            assert f"need {eval_trials * (16 * 256 + 82)} bytes" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self):

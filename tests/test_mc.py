@@ -897,6 +897,22 @@ class HeldRowsSpy:
         return {t for batch in self.counts[-1] for t in batch.tolist()}
 
 
+def hold(plan: TrialPlan, draws: mc.Draws, monkeypatch) -> mc._HeldSearch:
+    """A _HeldSearch of synthetic draws, written as their own single-precision decode (with
+    the power of their Box-Muller radii, and no trig error), whose re-decoded rows are theirs."""
+    monkeypatch.setattr(mc, "_TRIG_ERROR", 0.0)
+    power = np.stack([2.0 * np.sum(np.abs(draws.h) ** 2, axis=1),
+                      2.0 * np.sum(np.abs(draws.g) ** 2, axis=1) / plan.scenario.sigma_g_sq,
+                      2.0 * np.abs(draws.noise) ** 2], axis=1)
+    monkeypatch.setattr(mc, "_redecode", lambda plan, trials, enrolled: mc.Draws(
+        draws.is_alice[trials], draws.noise[trials], draws.h[trials], draws.g[trials],
+        *enrolled))
+    held = mc._HeldSearch(plan)
+    held.write(0, mc._Bounded(*vars(draws).values(), trials=np.arange(draws.noise.size),
+                              power=power))
+    return held
+
+
 def attacker_statistics(plan: TrialPlan) -> np.ndarray:
     """Each attacker trial's statistic under plan, from a fresh exact decode."""
     return score(plan, mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1))
@@ -975,28 +991,23 @@ class TestHeldSearch:
             tracemalloc.stop()
         assert [b.size for b in spy.counts[-1]] == [271] * 14 + [206]
         assert spy.last() == set(range(4000))
-        # one batch's temporaries (rows, conj(h), einsum's and the statistic's: about 66 bytes
-        # per element and trial), and 8 bytes per trial of index and of the spy's copies;
-        # scoring all 4000 trials at once would take 10 MB
+        # one batch's temporaries (its exact re-decode, at most about 82 bytes per element and
+        # trial, then conj(h), einsum's and the statistic's), and 8 bytes per trial of index
+        # and of the spy's copies; scoring all 4000 trials at once would take 10 MB
         assert peak < 271 * 80 * 40 + 16 * 4000 + 2**16
 
     @pytest.mark.parametrize("signs", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
     def test_zero_fingerprint(self, scenario_small, monkeypatch, signs):
         # h0 = 0, with either sign of each part, enrolls gt = 0, whose argument is 0
-        rng = np.random.default_rng(5)
         m, n = 400, 3
-        h, g, noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
-                       rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
-                       rng.standard_normal(m) + 1j * rng.standard_normal(m))
         h0 = np.full(n, complex(0.0 * signs[0], 0.0 * signs[1]))
-        draws = mc.Draws(np.zeros(m, bool), noise, h, g, h0, np.ones(n, complex))
-        plan = cir_plan(replace(scenario_small, n_elements=n), Feature.CIR_PHASE, n=m)
-        held, spy = mc._HeldSearch(plan), HeldRowsSpy(monkeypatch)
-        held.write(0, draws)
+        monkeypatch.setattr(mc, "_enrollment", lambda plan: (h0, np.ones(n, complex)))
+        plan = cir_plan(replace(scenario_small, n_elements=n), Feature.CIR_PHASE, n=m, seed=5)
+        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
         for phases in candidates(n, 4, "exhaustive"):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
-            assert mc._fingerprint(draws, candidate.profile.phases) == 0.0
-            ts = score(candidate, draws)
+            assert mc._fingerprint(held, candidate.profile.phases) == 0.0
+            ts = attacker_statistics(candidate)
             for eps in (0.0, 1e-2, 0.5, 2.0):
                 assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
                 if eps == 1e-2:  # the cone decides all but a few
@@ -1022,8 +1033,9 @@ class TestHeldSearch:
 
     def test_cancelling_terms_are_scored_exactly(self, scenario_small, monkeypatch):
         # terms of modulus 1e8 that cancel to about 1 where elements 0 and 1 share a phase:
-        # the cascade's rounding, about 1e-8, turns its argument by far more than 2^-40, and
-        # only the margin keeps a trial at the threshold out of the cone's rejections
+        # the cascade's rounding, about 1e-8, and the decodes' distance, which scales with the
+        # terms too, turn its argument by far more than 2^-40, and only the margin keeps a
+        # trial at the threshold out of the cone's rejections
         rng = np.random.default_rng(11)
         m, n = 300, 3
         big = 1e8 * np.exp(2j * math.pi * rng.random(m))
@@ -1033,8 +1045,7 @@ class TestHeldSearch:
                          g, np.ones(n, complex), np.ones(n, complex))
         plan = cir_plan(replace(scenario_small, n_elements=n, lq_db=60.0), Feature.CIR_PHASE,
                         n=m)
-        held, spy = mc._HeldSearch(plan), HeldRowsSpy(monkeypatch)
-        held.write(0, draws)
+        held, spy = hold(plan, draws, monkeypatch), HeldRowsSpy(monkeypatch)
         for phases in candidates(n, 3, "exhaustive"):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             ts = score(candidate, draws)
@@ -1049,14 +1060,52 @@ class TestHeldSearch:
         if chunk:  # 12 chunks, the last short, written into arrays of the whole run
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
         held = mc.attacker_draws(plan)
-        assert held.h.shape == held.g.shape == (3000, 8) and held.c.shape == (8, 3000)
-        arrays = [held.h, held.g, held.c, held.noise, held.cascade, held.turned, held.margin,
-                  held.tilt, held.spare, held.flags]
+        assert held.c.shape == (8, 3000) and not {"h", "g"} & set(vars(held))
+        arrays = [held.c, held.noise, held.cascade, held.turned, held.tilted, held.margin,
+                  held.flags]
         index = 8 * 3000  # of the undecided trials, at most all of them
         assert sum(a.nbytes for a in arrays) + index == mc._HeldSearch.nbytes(3000, 8)
         candidate = replace(plan, profile=PerElement(np.linspace(0.0, 3.0, 8)))
         ts = attacker_statistics(candidate)
         assert held.misses(candidate, 0.3) == np.count_nonzero(ts < 0.3)
+
+    @pytest.mark.parametrize("chunk", [None, 271])
+    @pytest.mark.parametrize("lq", [0.0, 20.0, 40.0])
+    @pytest.mark.parametrize("n", [1, 3, 8, 40, 256])
+    def test_gain_lies_within_its_margin_of_the_exact_decode(self, scenario, monkeypatch, n,
+                                                            lq, chunk):
+        # B, summed and updated from the single-precision planes and restarted from the noise,
+        # against fl(einsum cascade + sigma_n noise) of a fresh exact decode
+        plan = cir_plan(replace(scenario, n_elements=n, lq_db=lq), Feature.CIR_PHASE, n=543,
+                        seed=n)
+        if chunk:  # two chunks, the second short
+            monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
+        held = mc.attacker_draws(plan)
+        held.limit = n + 6  # a restart every few candidates; the margin was sized for 4096 + N
+        exact, restarts, updates = mc._forced(decode(plan, 1, 543), Hypothesis.H1), 0, 0
+        for phases in itertools.islice(itertools.cycle(candidates(n, 3, "coordinate")), 30):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            held.misses(candidate, 7.0)  # above pi: B is updated, nothing is scored
+            restarts, updates = restarts + (held.updates <= updates), held.updates
+            observed = mc._received(candidate, exact, {})[0]
+            assert np.all(np.abs(held.cascade - observed) <= held.margin)
+        assert restarts >= 2
+
+    def test_undecided_trials_are_redecoded(self, scenario_small, monkeypatch):
+        # the search holds no h or g: each batch of trials that a count scores exactly is
+        # re-decoded from their counter positions
+        plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=1500, seed=21)
+        held = mc.attacker_draws(plan)
+        assert not {"h", "g"} & set(vars(held))
+        redecodes, spy = RedecodeSpy(monkeypatch), HeldRowsSpy(monkeypatch)
+        for phases in itertools.islice(candidates(8, 4, "coordinate"), 0, 20, 5):
+            candidate = replace(plan, profile=PerElement(np.array(phases)))
+            ts = attacker_statistics(candidate)
+            s = float(np.sort(ts)[400])
+            redecodes.batches.clear()
+            assert held.misses(candidate, s) == np.count_nonzero(ts < s)
+            assert np.flatnonzero(ts == s)[0] in spy.last()
+            assert [b.tolist() for b in redecodes.batches] == [b.tolist() for b in spy.counts[-1]]
 
     def test_restarts_after_its_update_limit(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=800, seed=9)

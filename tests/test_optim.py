@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import RedecodeSpy
 
 from rispla import mc, optim
 from rispla.auth import Feature, threshold_for_pfa
@@ -339,22 +340,26 @@ class TestDecodeOnceObjective:
                          scenario=scenario, profile=PerElement(np.zeros(scenario.n_elements)))
         chunks = -(-n // mc._default_chunk(plan))
         assert chunks >= 2  # the draws span several default chunks at 256 elements
-        calls = []
+        calls, redecodes = [], RedecodeSpy(monkeypatch)
         real = mc._uniform_blocks
 
         def counting(*args):
-            calls.append(args)
+            calls.append((redecodes.running, args))
             return real(*args)
 
         monkeypatch.setattr(mc, "_uniform_blocks", counting)
         for evaluations in (3, 6):  # twice the evaluations decode no more
             calls.clear()
+            redecodes.batches.clear()
             res = optimize_phase_matrix(scenario, epsilon=0.3, levels=4,
                                         strategy=Strategy.COORDINATE,
                                         budget_trials=evaluations * n, rng_seed=1,
                                         eval_trials=n)
             assert res.evaluations == evaluations
-            assert len(calls) == chunks + 1  # each chunk's trials and the enrollment block
+            # each chunk's trials and the enrollment block, and apart from them one block per
+            # undecided trial, re-decoded from its counter position
+            assert sum(not running for running, _ in calls) == chunks + 1
+            assert len(calls) == chunks + 1 + len(redecodes.trials)
 
     def test_coordinate_pass_scores_exactly_only_inside_the_cone(self, scenario, monkeypatch):
         # one pass at the C07 shape: each candidate updates the held cascade by the elements
@@ -391,10 +396,10 @@ class TestDecodeOnceObjective:
             assert row[2] == engine_pmd(sc, phases, 1e-3, 3, n), row
 
     def test_largest_search_under_the_limit_decodes(self, scenario, monkeypatch):
-        # 256 elements hold 48 * 256 + 82 bytes a trial: 86 802 trials fit in the limit
-        # (test_cli refuses 86 803); the decode is stubbed, as it would take 1 GiB
+        # 256 elements hold 16 * 256 + 82 bytes a trial: 256 999 trials fit in the limit
+        # (test_cli refuses 257 000); the decode is stubbed, as it would take 1 GiB
         held = mc._HeldSearch.nbytes
-        assert held(86_802, 256) <= EVAL_DRAWS_LIMIT < held(86_803, 256)
+        assert held(256_999, 256) <= EVAL_DRAWS_LIMIT < held(257_000, 256)
 
         class Decoding(Exception):
             pass
@@ -404,4 +409,4 @@ class TestDecodeOnceObjective:
 
         monkeypatch.setattr(optim, "attacker_draws", decoding)
         with pytest.raises(Decoding):
-            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=86_802)
+            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=256_999)

@@ -1,9 +1,11 @@
-"""Closed forms against the Monte-Carlo engine: acceptance criteria C01-C05.
+"""Acceptance criteria C01-C08: closed forms against the Monte-Carlo engine, and the
+optimizers' zero-miss optimum.
 
 CHECKS holds one (name, fn) entry per criterion, with fn(scenario, trials)
 returning (ok, detail). `rispla validate` runs every entry at --trials; the
 acceptance suite runs them at 1e6 trials and adds its own time limits.
-Grids, seeds and tolerances are fixed here, so both agree.
+Grids, seeds and tolerances are fixed here, so both agree. C01, C03, C04 and
+C05 read trials; C02 and C06-C08 run at fixed sizes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .auth import (
 )
 from .channel import PerElement, ScalarGradient, Scenario, pathloss_pair
 from .mc import Hypothesis, TrialPlan, empirical_distribution, sweep_trials
+from .optim import Strategy, default_gradient_grid, optimize_gradient, optimize_phase_matrix
 from .specfun import FoldedNormalParams, folded_normal_moments
 
 __all__ = ["CHECKS"]
@@ -159,10 +162,68 @@ def false_alarm_phase_invariance(scenario: Scenario, trials: int):
             f"a 10-point LQ grid")
 
 
+def zero_pmd_gradient(scenario: Scenario, trials: int):
+    """C06: the gradient grid reaches zero pmd, in evenly spaced interior basins."""
+    eps = threshold_for_pfa(0.05, scenario.noise_sigma)
+    res = optimize_gradient(scenario, eps, default_gradient_grid(scenario, 10_000))
+    _, grads, pmds = np.array(res.trace).T
+    # the runs of near-zero rows: their first and one-past-last rows alternate
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], pmds < 1e-6, [False]))))
+    first, last = edges[::2], edges[1::2] - 1
+    interior = (first > 0) & (last < pmds.size - 1)
+    spacings = np.diff(0.5 * (grads[first[interior]] + grads[last[interior]]))
+    uniform = (spacings.size >= 1
+               and (spacings.max() - spacings.min()) / spacings.mean() <= 0.05)
+    basins = np.count_nonzero(interior)
+    return (res.best_pmd < 1e-6 and basins >= 2 and uniform,
+            f"best pmd {res.best_pmd:.2e} over 1e4 grid points, {basins} interior near-zero "
+            f"basins, spacings {np.round(spacings, 3)} rad/m")
+
+
+def zero_pmd_phase(scenario: Scenario, trials: int):
+    """C07: the per-element search reaches zero misses; coordinate descent matches
+    exhaustive enumeration on a 2-element panel."""
+    res = optimize_phase_matrix(replace(scenario, n_elements=8, lq_db=20.0), epsilon=1e-3,
+                                levels=16, strategy=Strategy.COORDINATE, budget_trials=10**7,
+                                rng_seed=0, eval_trials=10**4)
+    misses = round(res.best_pmd * 10**4)
+    sc2 = replace(scenario, n_elements=2, lq_db=20.0)
+    kw = dict(epsilon=0.05, levels=4, budget_trials=10**6, rng_seed=2, eval_trials=5000)
+    ex, co = (optimize_phase_matrix(sc2, strategy=s, **kw)
+              for s in (Strategy.EXHAUSTIVE, Strategy.COORDINATE))
+    return (misses == 0 and co.best_pmd == ex.best_pmd,
+            f"N=8 L=16 coordinate descent: {misses} missed detections over 1e4 attacker "
+            f"trials; N=2 L=4 coordinate {co.best_pmd:.4f} == exhaustive {ex.best_pmd:.4f}")
+
+
+def perfect_roc_at_optimum(scenario: Scenario, trials: int):
+    """C08: at the 60 dB gradient optimum every threshold with false alarms detects every
+    attack, and the direct link's ROC lies strictly below."""
+    sc = replace(scenario, lq_db=60.0)
+    sigma = sc.noise_sigma
+    best = optimize_gradient(sc, threshold_for_pfa(0.05, sigma),
+                             default_gradient_grid(sc, 2000)).best_profile
+    grid = np.geomspace(sigma / 10, 20 * sigma, 40)
+    plan_ris = TrialPlan(n_trials=2 * 10**5, master_seed=11, feature=Feature.PATHLOSS,
+                         scenario=sc, profile=best)
+    (pfa_ris, pd_ris), (_, pd_no) = (counts.roc() for counts in sweep_trials(
+        [plan_ris, replace(plan_ris, ris=False)], [grid, grid]))
+    with_alarms = pfa_ris > 0
+    perfect = with_alarms.any() and np.all(pd_ris[with_alarms] == 1.0)
+    dominated = np.all(pd_no <= pd_ris) and np.any(pd_no < pd_ris)
+    return (bool(perfect and dominated),
+            f"detection = 1 at every threshold with false alarms (pfa up to "
+            f"{pfa_ris.max():.3f}); direct baseline strictly dominated "
+            f"(its detection drops to {pd_no.min():.3f})")
+
+
 CHECKS = (
     ("C01 pfa-closed-form", pfa_closed_form),
     ("C02 neyman-pearson-round-trip", neyman_pearson_round_trip),
     ("C03 pmd-closed-form", pmd_closed_form),
     ("C04 rayleigh-magnitude-false-alarm", rayleigh_magnitude_false_alarm),
     ("C05 false-alarm-phase-invariance", false_alarm_phase_invariance),
+    ("C06 zero-pmd-gradient", zero_pmd_gradient),
+    ("C07 zero-pmd-phase", zero_pmd_phase),
+    ("C08 perfect-roc-at-optimum", perfect_roc_at_optimum),
 )

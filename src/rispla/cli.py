@@ -252,7 +252,7 @@ def _cmd_optimize_phases(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Acceptance criteria C01-C05 (rispla.checks) at --trials."""
+    """Acceptance criteria C01-C08 (rispla.checks): C01, C03, C04 and C05 at --trials."""
     (scenario,) = _scenarios(args)
     failures = 0
     for name, check in CHECKS:
@@ -411,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_optimize_phases)
 
     p = sub.add_parser(
-        "validate", help="acceptance criteria C01-C05: closed forms vs Monte Carlo",
-        description="C01 and C03 each take the largest |z| of 20 independent points against 3 "
+        "validate", help="acceptance criteria C01-C08: closed forms vs Monte Carlo, and the "
+        "zero-pmd optima",
+        description="C01, C03, C04 and C05 read --trials; C02 and C06-C08 run at fixed sizes. "
+        "C01 and C03 each take the largest |z| of 20 independent points against 3 "
         "standard errors, so a correct engine fails each by chance at about 5% of trial "
         "counts: --trials 100000 is one (C01 reads 3.01 against 3.0).")
     p.add_argument("--scenario", required=True)

@@ -2,24 +2,28 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines; each test also fails pytest when its criterion fails.
+C01-C08 are the registry's (rispla.checks.CHECKS), which `rispla validate`
+also runs. C09 draws its cases with hypothesis, a test-only dependency, and
+C10 runs the CLI on temporary files, so both stay here.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispla import mc
-from rispla.auth import Feature, accepts, pfa_pathloss, pmd_pathloss, threshold_for_pfa
+from rispla.auth import Feature, accepts, pfa_pathloss, pmd_pathloss
 from rispla.channel import ScalarGradient, Scenario, ris_pathloss
 from rispla.checks import CHECKS
 from rispla.cli import main as cli_main
 from rispla.mc import TrialPlan, sweep_trials
-from rispla.optim import Strategy, default_gradient_grid, optimize_gradient, optimize_phase_matrix
 
 SCENARIO_FILE = "scenarios/table1.cfg"
+# a registry criterion's time limit in seconds, and the digits its run time is printed with
+TIME_LIMITS = {"C01": (60.0, 1), "C02": (1.0, 3), "C06": (10.0, 1)}
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -27,98 +31,16 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def run_check(index: int, scenario, max_s: float | None = None, digits: int = 1) -> None:
-    """Registry entry `index` at 1e6 trials; a time limit adds the run time to the line."""
-    name, check = CHECKS[index]
-    t0 = time.perf_counter()
-    ok, detail = check(scenario, 10**6)
-    dt = time.perf_counter() - t0
-    if max_s is not None:
-        ok = ok and dt < max_s
-        detail = f"{detail}, {dt:.{digits}f}s"
-    report(name, ok, detail)
-
-
 class TestAcceptance:
-    def test_c01_pfa_closed_form_agreement(self, scenario):
-        run_check(0, scenario, max_s=60.0)
-
-    def test_c02_neyman_pearson_round_trip(self, scenario):
-        run_check(1, scenario, max_s=1.0, digits=3)
-
-    def test_c03_pmd_closed_form_agreement(self, scenario):
-        run_check(2, scenario)
-
-    def test_c04_rayleigh_magnitude_false_alarm(self, scenario):
-        run_check(3, scenario)
-
-    def test_c05_false_alarm_phase_invariance(self, scenario):
-        run_check(4, scenario)
-
-    def test_c06_zero_pmd_gradient_optimization(self, scenario):
+    @pytest.mark.parametrize("name, check", CHECKS, ids=[name[:3] for name, _ in CHECKS])
+    def test_registry_criterion(self, scenario, name, check):
         t0 = time.perf_counter()
-        eps = threshold_for_pfa(0.05, scenario.noise_sigma)
-        res = optimize_gradient(scenario, eps, default_gradient_grid(scenario, 10_000))
+        ok, detail = check(scenario, 10**6)
         dt = time.perf_counter() - t0
-        pmds = np.array([row[2] for row in res.trace])
-        grads = np.array([row[1] for row in res.trace])
-        near_zero = pmds < 1e-6
-        runs = []
-        start = None
-        for i, flag in enumerate(near_zero):
-            if flag and start is None:
-                start = i
-            elif not flag and start is not None:
-                runs.append((start, i - 1))
-                start = None
-        if start is not None:
-            runs.append((start, len(near_zero) - 1))
-        interior = [(a, b) for a, b in runs if a > 0 and b < len(near_zero) - 1]
-        mids = [0.5 * (grads[a] + grads[b]) for a, b in interior]
-        spacings = np.diff(mids)
-        uniform = (spacings.size >= 1
-                   and (spacings.max() - spacings.min()) / spacings.mean() <= 0.05)
-        ok = res.best_pmd < 1e-6 and len(interior) >= 2 and uniform and dt < 10.0
-        report("C06 zero-pmd-gradient", ok,
-               f"best pmd {res.best_pmd:.2e} over 1e4 grid points, "
-               f"{len(interior)} interior near-zero basins, spacings {np.round(spacings, 3)} "
-               f"rad/m, {dt:.1f}s")
-
-    def test_c07_zero_pmd_phase_optimization(self, scenario):
-        sc8 = replace(scenario, n_elements=8, lq_db=20.0)
-        res = optimize_phase_matrix(sc8, epsilon=1e-3, levels=16,
-                                    strategy=Strategy.COORDINATE,
-                                    budget_trials=10**7, rng_seed=0, eval_trials=10**4)
-        misses = round(res.best_pmd * 10**4)
-        sc2 = replace(scenario, n_elements=2, lq_db=20.0)
-        kw = dict(epsilon=0.05, levels=4, budget_trials=10**6, rng_seed=2, eval_trials=5000)
-        ex = optimize_phase_matrix(sc2, strategy=Strategy.EXHAUSTIVE, **kw)
-        co = optimize_phase_matrix(sc2, strategy=Strategy.COORDINATE, **kw)
-        ok = misses == 0 and co.best_pmd == ex.best_pmd
-        report("C07 zero-pmd-phase", ok,
-               f"N=8 L=16 coordinate descent: {misses} missed detections over 1e4 "
-               f"attacker trials; N=2 L=4 coordinate {co.best_pmd:.4f} == "
-               f"exhaustive {ex.best_pmd:.4f}")
-
-    def test_c08_perfect_roc_at_optimum(self, scenario):
-        sc = replace(scenario, lq_db=60.0)
-        sigma = sc.noise_sigma
-        eps = threshold_for_pfa(0.05, sigma)
-        best = optimize_gradient(sc, eps, default_gradient_grid(sc, 2000)).best_profile
-        grid = np.geomspace(sigma / 10, 20 * sigma, 40)
-        plan_ris = TrialPlan(n_trials=2 * 10**5, master_seed=11, feature=Feature.PATHLOSS,
-                             scenario=sc, profile=best)
-        plan_no = replace(plan_ris, ris=False)
-        (pfa_ris, pd_ris), (_, pd_no) = (
-            counts.roc() for counts in sweep_trials([plan_ris, plan_no], [grid, grid]))
-        with_alarms = pfa_ris > 0
-        perfect = bool(np.all(pd_ris[with_alarms] == 1.0)) and bool(np.any(with_alarms))
-        dominated = bool(np.all(pd_no <= pd_ris) and np.any(pd_no < pd_ris))
-        ok = perfect and dominated
-        report("C08 perfect-roc-at-optimum", ok,
-               f"detection = 1 at every threshold with false alarms (pfa up to "
-               f"{pfa_ris.max():.3f}); direct baseline strictly dominated "
-               f"(its detection drops to {pd_no.min():.3f})")
+        if name[:3] in TIME_LIMITS:
+            max_s, digits = TIME_LIMITS[name[:3]]
+            ok, detail = ok and dt < max_s, f"{detail}, {dt:.{digits}f}s"
+        report(name, ok, detail)
 
     def test_c09_monotonicity_property_suite(self):
         t0 = time.perf_counter()

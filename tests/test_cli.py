@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +359,6 @@ class TestBaselines:
     def test_no_ris_pathloss_uses_friis(self, tmp_path, scenario):
         from rispla.auth import pmd_pathloss, threshold_for_pfa
         from rispla.channel import fspl
-        from dataclasses import replace
 
         out = tmp_path / "pmd.csv"
         run_cli("sweep-pmd", "--scenario", SCENARIO, "--target-pfa", 0.05,
@@ -389,8 +389,6 @@ class TestPerCommandWork:
             "pmd-magnitude"])
     def test_101_points_check_the_file_once_and_match_the_scalar_forms(
             self, tmp_path, monkeypatch, command, feature, extra):
-        from dataclasses import replace
-
         from rispla import channel, specfun
         from rispla.channel import load_scenario, pathloss_pair
 
@@ -587,6 +585,27 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == EXIT_VALIDATION
         assert out.count("PASS") + out.count("FAIL") == len(CHECKS)
+
+    def test_registry_holds_every_criterion_in_order(self):
+        assert [name for name, _ in CHECKS] == [
+            "C01 pfa-closed-form", "C02 neyman-pearson-round-trip", "C03 pmd-closed-form",
+            "C04 rayleigh-magnitude-false-alarm", "C05 false-alarm-phase-invariance",
+            "C06 zero-pmd-gradient", "C07 zero-pmd-phase", "C08 perfect-roc-at-optimum"]
+
+    @pytest.mark.parametrize("index, target, failing", [
+        (5, "optimize_gradient", lambda real: lambda *a: replace(real(*a), best_pmd=1e-4)),
+        (6, "optimize_phase_matrix",
+         lambda real: lambda *a, **kw: replace(real(*a, **kw), best_pmd=1e-4)),
+        # the direct link's counts where the panel's were: detection below 1 with alarms
+        (7, "sweep_trials", lambda real: lambda plans, grids: real(plans, grids)[::-1]),
+    ], ids=["C06", "C07", "C08"])
+    def test_optimum_criteria_fail_on_a_failing_result(self, scenario, monkeypatch, index,
+                                                        target, failing):
+        from rispla import checks
+
+        monkeypatch.setattr(checks, target, failing(getattr(checks, target)))
+        ok, detail = CHECKS[index][1](scenario, 1)
+        assert not ok, detail
 
     @pytest.mark.parametrize("args", [
         ["sweep-pfa", "--epsilon", 1.0, "--seed", -1],

@@ -256,13 +256,14 @@ def _fingerprint(draws: Draws, phases: np.ndarray) -> complex:
 
 
 class _HeldSearch:
-    """A phase search's attacker draws: misses(plan, epsilon) counts accepts(score(plan,
-    draws), epsilon) over the run's trials, holding from their single-precision decode
-    (_cir_vectors) c_n = conj(h_n) g_n, the noise and an approximate observed gain B per
-    trial. A candidate that changes f_k = exp(j psi_k) to f'_k adds c_k (f'_k - f_k) to B;
-    after `limit` updates B restarts from sigma_n noise. A cone test on B decides each trial
-    that the exact statistic must reject or accept; the rest (rows) are re-decoded exactly
-    and scored, a default chunk at a time, so each count is the engine's.
+    """A phase search's attacker draws: misses(phases, epsilon) counts accepts(score(plan,
+    draws), epsilon) over the run's trials, plan the held run's with the profile of phases,
+    holding from their single-precision decode (_cir_vectors) c_n = conj(h_n) g_n, the noise
+    and an approximate observed gain B per trial. A candidate that changes f_k = exp(j psi_k)
+    to f'_k adds c_k (f'_k - f_k) to B; after `limit` updates B restarts from sigma_n noise.
+    A cone test on B decides each trial that the exact statistic must reject or accept; the
+    rest (rows) are re-decoded exactly and scored, a default chunk at a time, so each count is
+    the engine's.
 
     The bound. s folds arg(O) - phi, phi = arg(gt), O = fl(E + w) of the exact decode, E its
     einsum cascade, w = fl(sigma_n noise). Take u = _ROUNDOFF, T = sum_n c_n f_n + w exactly
@@ -321,9 +322,9 @@ class _HeldSearch:
         """The exact draws of trials, as decode() gives their rows, forced H1 (_redecode)."""
         return _forced(_redecode(self.plan, trials, (self.h0, self.g0)), Hypothesis.H1)
 
-    def misses(self, plan: TrialPlan, epsilon: float) -> int:
-        """Accepted trials under plan: the held run's plan with another profile."""
-        phases = plan.profile.phases
+    def misses(self, phases: np.ndarray, epsilon: float) -> int:
+        """Accepted trials of the held run under the profile of phases, in [0, 2 pi) as
+        PerElement stores them."""
         factors = np.exp(1j * phases)  # as _cascade computes them
         changed = np.flatnonzero(factors != self.factors).tolist()
         if self.updates + len(changed) > self.limit:  # restart B from the noise
@@ -347,6 +348,8 @@ class _HeldSearch:
                            out=flags[side])
         count = int(np.count_nonzero(flags[1]))
         undecided = np.flatnonzero(~np.logical_or(*flags, out=flags[0]))
+        if undecided.size:
+            plan = replace(self.plan, profile=PerElement(phases))
         for lo in range(0, undecided.size, self.batch):  # a batch's draws freed before the next
             ts = score(plan, self.rows(undecided[lo:lo + self.batch]))
             count += int(np.count_nonzero(accepts(ts, epsilon)))
@@ -623,13 +626,17 @@ def _counts(pairs, grids, points) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def attacker_draws(plan: TrialPlan) -> _HeldSearch:
-    """The attacker (H1) trials [0, plan.n_trials) of a reflected-link CIR plan, held for a
-    phase search (_HeldSearch): each default chunk decoded with single-precision trig and
-    written once decoded; its misses count the statistics that empirical_distribution(plan,
-    H1) draws."""
+def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
+    """The attacker (H1) trials [0, n_trials) of seed's phase-feature run on scenario's
+    reflected link with a re-fading Alice, the one plan that the held draws serve, held for a
+    phase search: each default chunk decoded with single-precision trig and written once
+    decoded. misses(phases, epsilon) counts, bit for bit, the statistics that
+    empirical_distribution(plan, H1) draws under the profile of phases: a cone test on an
+    approximate gain decides most trials, and the rest are re-decoded exactly (_HeldSearch)."""
+    plan = TrialPlan(n_trials, seed, Feature.CIR_PHASE, scenario,
+                     PerElement(np.zeros(scenario.n_elements)))  # profile: a placeholder
     held = _HeldSearch(plan)
-    _map_trials(held.write, plan, plan.n_trials, 1, exact=False)
+    _map_trials(held.write, plan, n_trials, 1, exact=False)
     return held
 
 

@@ -3,32 +3,24 @@
 The scalar-gradient search evaluates the analytical pathloss missed
 detection on a grid. The per-element search minimizes the empirical
 phase-feature missed detection; candidates are compared under common random
-numbers (one fixed evaluation seed, decoded once per search) so the noisy
-objective is a deterministic function of the candidate.
-
-A candidate's missed detections are counted by a bound, scored exactly inside the
-acceptance cone: the draws are decoded once, in single precision, and held
-(`mc._HeldSearch`) as each element's product conj(h) g and an approximate observed gain
-per trial, which a candidate updates only at the elements it changes. A two-sided cone
-test about the fingerprint's direction, widened by a rigorous bound on that gain's
-distance from the exact decode's, rejects every trial that the exact statistic cannot
-accept and accepts every trial that it cannot reject; the few trials left, near a cone's
-edge, are re-decoded exactly and scored by the engine's own statistic. So every count,
-and every trace row, has the bits of a fresh engine run.
+numbers (one fixed evaluation seed, decoded once per search and held by
+mc.attacker_draws, which also describes how a candidate's misses are counted)
+so the noisy objective is a deterministic function of the candidate, and each
+count, and every trace row, has the bits of a fresh engine run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .auth import Feature, check_threshold, pmd_pathloss
+from .auth import check_threshold, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
-from .mc import TrialPlan, _HeldSearch, attacker_draws
+from .mc import _HeldSearch, attacker_draws
 
 __all__ = [
     "Strategy",
@@ -140,11 +132,8 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties.
 
-    The attacker's trials are decoded once, in single precision, and held (mc.attacker_draws).
-    Each candidate updates the held approximate cascade at the elements it changes; a cone
-    test with a rigorous margin decides each trial whose statistic cannot lie on the other
-    side of epsilon, and the rest are re-decoded exactly and scored through the engine's
-    statistic, so each count is a fresh engine run's, bit for bit. Each candidate spends
+    Each candidate's missed detections are counted on the attacker trials that
+    mc.attacker_draws holds, as a fresh engine run counts them. Each candidate spends
     eval_trials of the trial budget. What the search holds, eval_trials * (16 * N + 82) bytes
     (conj(h) g per element; noise, approximate gain, margin, the cone test's scratch and an
     undecided trial's index per trial), is refused above EVAL_DRAWS_LIMIT before decoding.
@@ -184,9 +173,7 @@ def optimize_phase_matrix(
     def phase(k: int) -> float:  # level k, computed per candidate: --levels has no upper bound
         return 2.0 * math.pi * k / levels
 
-    plan = TrialPlan(n_trials=eval_trials, master_seed=rng_seed, feature=Feature.CIR_PHASE,
-                     scenario=scenario, profile=PerElement(np.zeros(n)))
-    held_draws = attacker_draws(plan)
+    held_draws = attacker_draws(scenario, eval_trials, rng_seed)
     cache: dict[tuple, float] = {}  # pmd per evaluated candidate
     trace: list[tuple[int, float, float]] = []
     best = (math.inf, (0.0,) * n)  # (pmd, phases) of the first minimizer
@@ -197,8 +184,7 @@ def optimize_phase_matrix(
             required = (len(cache) + 1) * eval_trials
             if required > budget_trials:
                 raise SearchBudgetError("trial budget exhausted", required=required)
-            candidate = replace(plan, profile=PerElement(np.asarray(phases)))
-            cache[phases] = held_draws.misses(candidate, epsilon) / eval_trials
+            cache[phases] = held_draws.misses(np.asarray(phases), epsilon) / eval_trials
         pmd = cache[phases]
         trace.append((coordinate, value, pmd))
         if pmd < best[0]:

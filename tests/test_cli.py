@@ -553,7 +553,7 @@ class TestExitCodes:
         # the first
         from rispla import optim
 
-        def decoding(plan):
+        def decoding(*args):
             raise AssertionError("decoded past the limit")
 
         monkeypatch.setattr(optim, "attacker_draws", decoding)

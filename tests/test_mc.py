@@ -557,8 +557,8 @@ class TestRocSweep:
         lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n, refade_alice=False),
         lambda sc, n: cir_plan(sc, Feature.CIR_MAGNITUDE, n=n),
     ], ids=["pathloss", "cir-phase-refading", "cir-phase-frozen", "cir-magnitude"])
-    @pytest.mark.parametrize("n,chunk", [(3000, None), (12_000, 4000)],
-                             ids=["below-pilot-cap", "pilot-spans-3-chunks"])
+    @pytest.mark.parametrize("n,chunk", [(3000, None), (12_000, 4000), (16_000, 4000)],
+                             ids=["below-pilot-cap", "pilot-spans-3-chunks", "chunk-past-pilot"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_auto_grid_equals_two_pilot_reference(self, scenario_small, monkeypatch,
                                                   make_plan, n, chunk, workers):
@@ -887,9 +887,9 @@ class HeldRowsSpy:
             self.counts[-1].append(trials.copy())
             return rows(held, trials)
 
-        def misses_spy(held, plan, epsilon):
+        def misses_spy(held, phases, epsilon):
             self.counts.append([])
-            return misses(held, plan, epsilon)
+            return misses(held, phases, epsilon)
 
         monkeypatch.setattr(mc._HeldSearch, "rows", rows_spy)
         monkeypatch.setattr(mc._HeldSearch, "misses", misses_spy)
@@ -913,6 +913,11 @@ def hold(plan: TrialPlan, draws: mc.Draws, monkeypatch) -> mc._HeldSearch:
     held.write(0, mc._Bounded(*vars(draws).values(), trials=np.arange(draws.noise.size),
                               power=power))
     return held
+
+
+def held_for(plan: TrialPlan) -> mc._HeldSearch:
+    """The phase search's held draws of plan's run: its scenario, trials and seed."""
+    return mc.attacker_draws(plan.scenario, plan.n_trials, plan.master_seed)
 
 
 def attacker_statistics(plan: TrialPlan) -> np.ndarray:
@@ -953,24 +958,25 @@ class TestHeldSearch:
         with pytest.MonkeyPatch.context() as patch:
             if chunked:  # three chunks, the last of 1 or 158 trials
                 patch.setattr(mc, "_default_chunk", lambda plan: 271)
-            held = mc.attacker_draws(plan)
+            held = held_for(plan)
         for phases in candidates(n, 3, order, limit=40):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             ts = attacker_statistics(candidate)
             for eps in epsilons:
-                assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+                assert (held.misses(candidate.profile.phases, eps)
+                        == np.count_nonzero(accepts(ts, eps)))
 
     @pytest.mark.parametrize("eps", [math.pi / 2, 2.0, 3.0, math.pi, 4.0, 1e300])
     def test_wide_thresholds_are_decided_by_the_cone(self, scenario_small, monkeypatch, eps):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=2000, seed=3)
-        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        held, spy = held_for(plan), HeldRowsSpy(monkeypatch)
         for phases in itertools.islice(candidates(8, 4, "coordinate"), 6):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             ts = attacker_statistics(candidate)
-            assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+            assert held.misses(candidate.profile.phases, eps) == np.count_nonzero(accepts(ts, eps))
             # above pi nothing is scored; below it, the trials near the cone's edges
             assert len(spy.last()) <= (0 if eps > math.pi else 10)
-        assert (held.misses(candidate, math.pi) == plan.n_trials
+        assert (held.misses(candidate.profile.phases, math.pi) == plan.n_trials
                 - np.count_nonzero(ts == math.pi))  # ties reject
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, math.pi / 2, math.pi])
@@ -981,13 +987,13 @@ class TestHeldSearch:
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 271)
         plan = cir_plan(replace(scenario_small, n_elements=40), Feature.CIR_PHASE, n=4000,
                         seed=13)
-        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        held, spy = held_for(plan), HeldRowsSpy(monkeypatch)
         held.margin[:] = np.inf
         candidate = replace(plan, profile=PerElement(np.linspace(0.0, 6.0, 40)))
         ts = attacker_statistics(candidate)
         tracemalloc.start()
         try:
-            assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+            assert held.misses(candidate.profile.phases, eps) == np.count_nonzero(accepts(ts, eps))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1005,13 +1011,14 @@ class TestHeldSearch:
         h0 = np.full(n, complex(0.0 * signs[0], 0.0 * signs[1]))
         monkeypatch.setattr(mc, "_enrollment", lambda plan: (h0, np.ones(n, complex)))
         plan = cir_plan(replace(scenario_small, n_elements=n), Feature.CIR_PHASE, n=m, seed=5)
-        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        held, spy = held_for(plan), HeldRowsSpy(monkeypatch)
         for phases in candidates(n, 4, "exhaustive"):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             assert mc._fingerprint(held, candidate.profile.phases) == 0.0
             ts = attacker_statistics(candidate)
             for eps in (0.0, 1e-2, 0.5, 2.0):
-                assert held.misses(candidate, eps) == np.count_nonzero(accepts(ts, eps))
+                assert (held.misses(candidate.profile.phases, eps)
+                        == np.count_nonzero(accepts(ts, eps)))
                 if eps == 1e-2:  # the cone decides all but a few
                     assert len(spy.last()) < 20
 
@@ -1021,7 +1028,7 @@ class TestHeldSearch:
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=1500, seed=21)
         if chunk:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
-        held, spy = mc.attacker_draws(plan), HeldRowsSpy(monkeypatch)
+        held, spy = held_for(plan), HeldRowsSpy(monkeypatch)
         for phases in itertools.islice(candidates(8, 4, "coordinate"), 0, 20, 3):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             ts = attacker_statistics(candidate)
@@ -1029,7 +1036,8 @@ class TestHeldSearch:
             for trial in (order[0], order[7], order[400], order[np.searchsorted(ts[order], 1.4)]):
                 s = ts[trial]
                 for eps in (np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)):
-                    assert held.misses(candidate, float(eps)) == np.count_nonzero(ts < eps)
+                    assert (held.misses(candidate.profile.phases, float(eps))
+                            == np.count_nonzero(ts < eps))
                     assert trial in spy.last()
             assert len(spy.last()) < plan.n_trials // 2  # the cone decided most
 
@@ -1053,7 +1061,8 @@ class TestHeldSearch:
             ts = score(candidate, draws)
             for trial in np.flatnonzero(ts < 1.5)[:12]:
                 for eps in (np.nextafter(ts[trial], 0.0), ts[trial], np.nextafter(ts[trial], 4.0)):
-                    assert held.misses(candidate, float(eps)) == np.count_nonzero(ts < eps)
+                    assert (held.misses(candidate.profile.phases, float(eps))
+                            == np.count_nonzero(ts < eps))
                     assert trial in spy.last()
 
     @pytest.mark.parametrize("chunk", [None, 271])
@@ -1061,7 +1070,7 @@ class TestHeldSearch:
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=3000, seed=23)
         if chunk:  # 12 chunks, the last short, written into arrays of the whole run
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
-        held = mc.attacker_draws(plan)
+        held = held_for(plan)
         assert held.c.shape == (8, 3000) and not {"h", "g"} & set(vars(held))
         arrays = [held.c, held.noise, held.cascade, held.turned, held.tilted, held.margin,
                   held.flags]
@@ -1069,7 +1078,7 @@ class TestHeldSearch:
         assert sum(a.nbytes for a in arrays) + index == mc._HeldSearch.nbytes(3000, 8)
         candidate = replace(plan, profile=PerElement(np.linspace(0.0, 3.0, 8)))
         ts = attacker_statistics(candidate)
-        assert held.misses(candidate, 0.3) == np.count_nonzero(ts < 0.3)
+        assert held.misses(candidate.profile.phases, 0.3) == np.count_nonzero(ts < 0.3)
 
     @pytest.mark.parametrize("chunk", [None, 271])
     @pytest.mark.parametrize("lq", [0.0, 20.0, 40.0])
@@ -1082,12 +1091,12 @@ class TestHeldSearch:
                         seed=n)
         if chunk:  # two chunks, the second short
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
-        held = mc.attacker_draws(plan)
+        held = held_for(plan)
         held.limit = n + 6  # a restart every few candidates; the margin was sized for 4096 + N
         exact, restarts, updates = mc._forced(decode(plan, 1, 543), Hypothesis.H1), 0, 0
         for phases in itertools.islice(itertools.cycle(candidates(n, 3, "coordinate")), 30):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
-            held.misses(candidate, 7.0)  # above pi: B is updated, nothing is scored
+            held.misses(candidate.profile.phases, 7.0)  # above pi: B updated, nothing scored
             restarts, updates = restarts + (held.updates <= updates), held.updates
             observed = mc._received(candidate, exact, {})[0]
             assert np.all(np.abs(held.cascade - observed) <= held.margin)
@@ -1103,7 +1112,7 @@ class TestHeldSearch:
         held, rng = hold(plan, exact, monkeypatch), np.random.default_rng(17)
         for _ in range(4096):  # one update each, within the default limit of N + 4096
             candidate = replace(plan, profile=PerElement(rng.uniform(0.0, 2.0 * math.pi, 1)))
-            held.misses(candidate, 7.0)  # above pi: B is updated, nothing is scored
+            held.misses(candidate.profile.phases, 7.0)  # above pi: B updated, nothing scored
             observed = mc._received(candidate, exact, {})[0]
             assert np.all(np.abs(held.cascade - observed) <= held.margin)
         assert held.updates == 4096
@@ -1112,7 +1121,7 @@ class TestHeldSearch:
         # the search holds no h or g: each batch of trials that a count scores exactly is
         # re-decoded from their counter positions
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=1500, seed=21)
-        held = mc.attacker_draws(plan)
+        held = held_for(plan)
         assert not {"h", "g"} & set(vars(held))
         redecodes, spy = RedecodeSpy(monkeypatch), HeldRowsSpy(monkeypatch)
         for phases in itertools.islice(candidates(8, 4, "coordinate"), 0, 20, 5):
@@ -1120,19 +1129,19 @@ class TestHeldSearch:
             ts = attacker_statistics(candidate)
             s = float(np.sort(ts)[400])
             redecodes.batches.clear()
-            assert held.misses(candidate, s) == np.count_nonzero(ts < s)
+            assert held.misses(candidate.profile.phases, s) == np.count_nonzero(ts < s)
             assert np.flatnonzero(ts == s)[0] in spy.last()
             assert [b.tolist() for b in redecodes.batches] == [b.tolist() for b in spy.counts[-1]]
 
     def test_restarts_after_its_update_limit(self, scenario_small, monkeypatch):
         plan = cir_plan(scenario_small, Feature.CIR_PHASE, n=800, seed=9)
-        held = mc.attacker_draws(plan)
+        held = held_for(plan)
         held.limit = 12  # a restart every few candidates; the margin was sized for 4096 + N
         updates = []
         for phases in itertools.islice(candidates(8, 4, "coordinate"), 25):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             ts = attacker_statistics(candidate)
-            assert held.misses(candidate, 0.2) == np.count_nonzero(ts < 0.2)
+            assert held.misses(candidate.profile.phases, 0.2) == np.count_nonzero(ts < 0.2)
             updates.append(held.updates)
         assert max(updates) <= 12 and updates.count(8) >= 3  # each restart adds all 8
 

@@ -375,8 +375,8 @@ class TestDecodeOnceObjective:
             rows.append(h.shape[0])
             return real_cascade(h, g, phases)
 
-        def holding(plan):
-            held.append(real_draws(plan))
+        def holding(*args):
+            held.append(real_draws(*args))
             return held[-1]
 
         monkeypatch.setattr(mc, "_cascade", cascade)
@@ -404,9 +404,29 @@ class TestDecodeOnceObjective:
         class Decoding(Exception):
             pass
 
-        def decoding(plan):
+        def decoding(*args):
             raise Decoding
 
         monkeypatch.setattr(optim, "attacker_draws", decoding)
         with pytest.raises(Decoding):
             optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=256_999)
+
+
+class TestPhaseObjectiveIsFlat:
+    """Under the current model the attacker's observed phase is uniform about the fingerprint's
+    whatever the profile, so every profile's phase missed detection is eps / pi: the phase
+    search ranks candidates by sampling noise alone."""
+
+    def test_missed_detection_is_eps_over_pi_for_every_profile(self, scenario):
+        sc = replace(scenario, n_elements=8, lq_db=20.0)
+        profiles = [np.zeros(8), np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 8)]
+        epsilons = [0.1, 1.0, 3.0]
+        for seed in (3, 4):
+            plans = [TrialPlan(n_trials=200_000, master_seed=seed, feature=Feature.CIR_PHASE,
+                               scenario=sc, profile=PerElement(phases)) for phases in profiles]
+            for counts in mc.sweep_trials(plans, [epsilons] * len(plans),
+                                          hypothesis=Hypothesis.H1):
+                for k, eps in enumerate(epsilons):
+                    pmd, p = counts.missed_detection(k), eps / math.pi
+                    se = math.sqrt(p * (1.0 - p) / pmd.n_conditioning)
+                    assert abs(pmd.value - p) <= 4.0 * se, (seed, eps, pmd.value, p)

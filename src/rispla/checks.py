@@ -29,7 +29,7 @@ from .auth import (
 from .channel import PerElement, ScalarGradient, Scenario, pathloss_pair
 from .mc import Hypothesis, TrialPlan, empirical_distribution, sweep_trials
 from .optim import Strategy, default_gradient_grid, optimize_gradient, optimize_phase_matrix
-from .specfun import FoldedNormalParams, folded_normal_moments
+from .specfun import FoldedNormalParams, folded_normal_moments, q_func
 
 __all__ = ["CHECKS"]
 
@@ -46,6 +46,11 @@ def _deviation(est, p: float) -> float:
         return math.inf
     se = math.sqrt(p * (1 - p) / est.n_conditioning)
     return abs(est.value - p) / se
+
+
+def _family(size: int) -> str:
+    """A max-|z| <= 3 gate's family size, and the chance that a correct engine fails it."""
+    return f"; family of {size}, false-failure rate {1.0 - (1.0 - 2.0 * q_func(3.0)) ** size:.1%}"
 
 
 def pfa_closed_form(scenario: Scenario, trials: int):
@@ -66,7 +71,7 @@ def pfa_closed_form(scenario: Scenario, trials: int):
     n_pairs = len(counts)
     return (worst <= 3.0 and n_pairs == 20,
             f"{n_pairs} (eps,sigma) pairs, {_count(trials)} trials each, max deviation "
-            f"{worst:.2f} std errors")
+            f"{worst:.2f} std errors{_family(n_pairs)}")
 
 
 def neyman_pearson_round_trip(scenario: Scenario, trials: int):
@@ -103,8 +108,8 @@ def pmd_closed_form(scenario: Scenario, trials: int):
     mean, var = folded_normal_moments(FoldedNormalParams(2.0, 1.0))
     moment_err = max(abs(draws.mean() - mean) / mean, abs(draws.var() - var) / var)
     return (worst <= 3.0 and n_triples == 20 and moment_err <= 0.01,
-            f"{n_triples} (eps,sigma,dPL) triples, max deviation {worst:.2f} std errors; "
-            f"moments within {moment_err:.3%} of 1e6-draw sample")
+            f"{n_triples} (eps,sigma,dPL) triples, max deviation {worst:.2f} std errors"
+            f"{_family(n_triples)}; moments within {moment_err:.3%} of 1e6-draw sample")
 
 
 def rayleigh_magnitude_false_alarm(scenario: Scenario, trials: int):

@@ -5,7 +5,8 @@ Randomness is counter-based: trial i consumes a block of 4N + 4 uniforms
 advanced to a position that depends only on (master_seed, i). Normals come
 from Box-Muller on those uniforms, never a rejection sampler, so any
 partition of the trial range across chunks or threads reproduces the same
-trials bit for bit. Block 0 is reserved for fingerprint enrollment, decoded once per run.
+trials bit for bit. Every decode takes trial indices; the fingerprint enrollment is trial -1,
+decoded once per run, and _polar_blocks alone maps trial i to block i + 1.
 
 sweep_trials counts CIR trials decided by a bound, re-decoded exactly when undecided. Its
 chunks take cos and sin in single precision (all else in double), and each trial's
@@ -13,10 +14,10 @@ statistic a carries a rigorous bound e on its distance from the exact decode's
 (_error_bound). Where no threshold of the plan's grid lies in [a - e, a + e], a falls on
 the exact statistic's side of every threshold; where one does (or, for the auto grid, where
 the trial could be the pilot's smallest positive or largest statistic), the trial is
-undecided and re-decoded exactly from its counter position (_redecode). So every count and
-auto grid is the exact decode's, bit for bit. The phase search (attacker_draws) holds such
-chunks too, and re-decodes the trials that its cone test leaves undecided (_HeldSearch).
-decode and empirical_distribution decode exactly.
+undecided, and _decode of the undecided trials' indices decodes them exactly. So every count
+and auto grid is the exact decode's, bit for bit. The phase search (attacker_draws) holds
+such chunks too, and re-decodes the trials that its cone test leaves undecided
+(_HeldSearch). decode and empirical_distribution decode exactly.
 """
 
 from __future__ import annotations
@@ -182,16 +183,16 @@ def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rad, np.multiply(TWO_PI, v)
 
 
-def _polar_blocks(master_seed: int, stride: int, blocks, hypothesis=None):
+def _polar_blocks(master_seed: int, stride: int, trials, hypothesis=None):
     """The rows kept (a mask, None for all), and their transmitter draw (Alice below 0.5) and
-    Box-Muller radius and angle of the uniform pairs after it, of blocks (a range, or an
-    array of block indices), or of those of hypothesis's sender only (H0: Alice's); the
-    uniforms are freed on return."""
-    if isinstance(blocks, range):
-        block = _uniform_blocks(master_seed, stride, blocks.start, len(blocks))
-    else:  # scattered blocks, each filled from its own counter position
-        block = np.concatenate([_uniform_blocks(master_seed, stride, b, 1)
-                                for b in blocks.tolist()])
+    Box-Muller radius and angle of the uniform pairs after it, of trials (a range, or an array
+    of trial indices; trial i reads block i + 1, so the enrollment, trial -1, reads block 0),
+    or of those of hypothesis's sender only (H0: Alice's); the uniforms are freed on return."""
+    if isinstance(trials, range):
+        block = _uniform_blocks(master_seed, stride, trials.start + 1, len(trials))
+    else:  # scattered trials, each block filled from its own counter position
+        block = np.concatenate([_uniform_blocks(master_seed, stride, t + 1, 1)
+                                for t in trials.tolist()])
     is_alice, keep = block[:, 0] < 0.5, None
     if hypothesis is not None:  # whole rows, so _polar takes the same views of fewer rows
         keep = is_alice == (hypothesis is Hypothesis.H0)
@@ -207,22 +208,22 @@ def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, blocks, hypothesis=None,
+def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, trials, hypothesis=None,
                  enrolled=(None, None), exact: bool = True) -> Draws:
-    """Decode uniform blocks of n elements (a range, or an array of block indices; those of
+    """Decode trials of n elements (a range, or an array of trial indices; those of
     hypothesis's sender only, if given) into Draws of the transmitter draw, the (h, g,
     noise) complex vectors and the enrollment (h0, g0) given.
 
     exact=False takes cos and sin in single precision, of the angle rounded to float32, and
-    returns _Bounded draws: also each row's trial and squared Box-Muller radii, which
-    _error_bound reads. Scaling by 1 / sqrt(2) is what numpy's complex division by sqrt(2)
-    multiplies by (Smith's rule), so h and noise keep the bits of that division.
+    also sets each row's trial and power (Draws), which _error_bound reads. Scaling by
+    1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies by (Smith's rule), so
+    h and noise keep the bits of that division.
     """
-    keep, is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, blocks, hypothesis)
-    m = is_alice.size  # the rows kept
+    keep, is_alice, rad, ang = _polar_blocks(master_seed, 4 * n + 4, trials, hypothesis)
+    m, bounds = is_alice.size, {}  # m: the rows kept
     z = np.empty((m, 2 * n + 1, 2))  # Box-Muller pair k fills columns 2k and 2k + 1
     if not exact:  # cos and sin in float32, of the rounded angle
-        trials = np.arange(blocks.start - 1, blocks.stop - 1)  # trial i reads block i + 1
+        trials = np.arange(trials.start, trials.stop) if isinstance(trials, range) else trials
         power = [np.einsum("ij,ij->i", r, r)  # the rows' summed squares, per part
                  for r in (rad[:, :n], rad[:, n : 2 * n], rad[:, 2 * n :])]
         bounds = dict(trials=trials if keep is None else trials[keep],
@@ -236,9 +237,7 @@ def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, blocks, hypothesis
     h = _scaled_complex(z[:, 0:n], z[:, n : 2 * n], unit)
     g = _scaled_complex(z[:, 2 * n : 3 * n], z[:, 3 * n : 4 * n], math.sqrt(sigma_g_sq / 2.0))
     noise = _scaled_complex(z[:, 4 * n], z[:, 4 * n + 1], unit)
-    if exact:
-        return Draws(is_alice, noise, h, g, *enrolled)
-    return _Bounded(is_alice, noise, h, g, *enrolled, **bounds)
+    return Draws(is_alice, noise, h, g, *enrolled, **bounds)
 
 
 def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -246,13 +245,13 @@ def _cascade(h: np.ndarray, g: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j,ij->i", np.conj(h), np.exp(1j * phases), g)
 
 
-def _fingerprint(draws: Draws, phases: np.ndarray) -> complex:
-    """The enrolled cascade gt of block 0 under phases.
+def _fingerprint(enrolled: tuple, phases: np.ndarray) -> complex:
+    """The cascade gt of the enrollment (h0, g0) under phases.
 
     By np.sum, not _cascade: einsum sums in another order, which changes the last bits of
     the fingerprint and with them the committed outputs.
     """
-    return complex(np.sum(np.conj(draws.h0) * np.exp(1j * phases) * draws.g0))
+    return complex(np.sum(np.conj(enrolled[0]) * np.exp(1j * phases) * enrolled[1]))
 
 
 class _HeldSearch:
@@ -262,8 +261,8 @@ class _HeldSearch:
     and an approximate observed gain B per trial. A candidate that changes f_k = exp(j psi_k)
     to f'_k adds c_k (f'_k - f_k) to B; after `limit` updates B restarts from sigma_n noise.
     A cone test on B decides each trial that the exact statistic must reject or accept; the
-    rest (rows) are re-decoded exactly and scored, a default chunk at a time, so each count is
-    the engine's.
+    rest are re-decoded exactly (_decode of their indices) and scored, a default chunk at a
+    time, so each count is the engine's.
 
     The bound. s folds arg(O) - phi, phi = arg(gt), O = fl(E + w) of the exact decode, E its
     einsum cascade, w = fl(sigma_n noise). Take u = _ROUNDOFF, T = sum_n c_n f_n + w exactly
@@ -297,30 +296,23 @@ class _HeldSearch:
         16 each of noise, B, z and z turned, 8 each of margin and index, and 2 of flags."""
         return n_trials * (16 * n + 82)
 
-    def __init__(self, plan: TrialPlan):
-        self.plan, self.sigma_n = plan, plan.scenario.noise_sigma
-        self.batch, self.c = _default_chunk(plan), None  # c: allocated at the first write
+    def __init__(self, plan: TrialPlan, enrolled: tuple):
+        n, n_trials = plan.scenario.n_elements, plan.n_trials
+        self.plan, self.enrolled, self.sigma_n = plan, enrolled, plan.scenario.noise_sigma
+        self.batch, self.limit = _default_chunk(plan), n + 4096
+        self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
+        self.noise, self.cascade, self.turned, self.tilted = np.empty((4, n_trials), complex)
+        self.margin, self.flags = np.empty(n_trials), np.empty((2, n_trials), bool)
+        self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
 
-    def write(self, lo: int, draws: _Bounded) -> None:
-        """Hold a chunk's single-precision draws as trials [lo, lo + m), in arrays allocated
-        at the first write."""
-        m, n, n_trials = draws.noise.size, draws.h.shape[1], self.plan.n_trials
-        if self.c is None:
-            self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
-            self.noise, self.cascade, self.turned, self.tilted = np.empty((4, n_trials), complex)
-            self.margin, self.flags = np.empty(n_trials), np.empty((2, n_trials), bool)
-            self.h0, self.g0, self.limit = draws.h0, draws.g0, n + 4096  # h0, g0: _fingerprint
-            self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
-        rows = slice(lo, lo + m)
+    def write(self, lo: int, draws: Draws) -> None:
+        """Hold a chunk's single-precision draws as trials [lo, lo + m)."""
+        rows, n = slice(lo, lo + draws.noise.size), len(self.c)
         self.noise[rows], c = draws.noise, self.c[:, rows]
         np.multiply(np.conjugate(draws.h.T, out=c), draws.g.T, out=c)
         gap, size = _observed_gap(self.plan, draws.power, 0.0)  # D, S: no cascade is pinned
         self.margin[rows] = (2 * n + 32 + 20 * self.limit) * _ROUNDOFF * size
         self.margin[rows] += (1.0 + 2.0**-30) * gap
-
-    def rows(self, trials: np.ndarray) -> Draws:
-        """The exact draws of trials, as decode() gives their rows, forced H1 (_redecode)."""
-        return _forced(_redecode(self.plan, trials, (self.h0, self.g0)), Hypothesis.H1)
 
     def misses(self, phases: np.ndarray, epsilon: float) -> int:
         """Accepted trials of the held run under the profile of phases, in [0, 2 pi) as
@@ -336,7 +328,7 @@ class _HeldSearch:
         self.factors, self.updates = factors, self.updates + len(changed)
         if epsilon > math.pi:
             return self.plan.n_trials
-        gt, z, flags = _fingerprint(self, phases), self.turned, self.flags
+        gt, z, flags = _fingerprint(self.enrolled, phases), self.turned, self.flags
         phi = math.atan2(gt.imag, gt.real)
         np.multiply(self.cascade, complex(math.cos(phi), -math.sin(phi)), out=z)
         np.absolute(z.imag, out=z.imag)
@@ -351,21 +343,24 @@ class _HeldSearch:
         if undecided.size:
             plan = replace(self.plan, profile=PerElement(phases))
         for lo in range(0, undecided.size, self.batch):  # a batch's draws freed before the next
-            ts = score(plan, self.rows(undecided[lo:lo + self.batch]))
+            trials = undecided[lo:lo + self.batch]
+            ts = score(plan, _forced(_decode(plan, trials, None, self.enrolled), Hypothesis.H1))
             count += int(np.count_nonzero(accepts(ts, epsilon)))
         return count
 
 
 @dataclass(frozen=True)
 class Draws:
-    """Decoded draws of a run of trial blocks, for any phase profile.
+    """Decoded draws of a run of trials, for any phase profile.
 
     noise has unit variance: real for the pathloss feature, CN(0, 1) for the
-    CIR features, which also carry the fading h and g (blocks x decoded
-    elements) and the enrollment's h0 and g0 (block 0, one row each). Nothing
+    CIR features, which also carry the fading h and g (trials x decoded
+    elements) and the enrollment's h0 and g0 (trial -1, one row each). Nothing
     here depends on the profile, so one decode serves every candidate of a
     search under common random numbers. A decode for one hypothesis holds the
-    rows of that sender's trials only, in trial order.
+    rows of that sender's trials only, in trial order. A single-precision decode
+    (_cir_vectors) also holds each row's trial, and its power: the summed squared
+    Box-Muller radii of h's, g's and the noise's pairs (_observed_gap).
     """
 
     is_alice: np.ndarray
@@ -374,59 +369,41 @@ class Draws:
     g: np.ndarray | None = None
     h0: np.ndarray | None = None
     g0: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class _Bounded(Draws):
-    """Draws decoded with single-precision trig (_cir_vectors), with what _redecode and
-    _observed_gap read: each row's trial, and its power, the summed squared Box-Muller radii
-    of the pairs that make h, of those that make g, and of the noise's pair."""
-
     trials: np.ndarray | None = None
     power: np.ndarray | None = None
 
 
 def _enrollment(plan: TrialPlan) -> tuple:
-    """(h0, g0): the fading of block 0, decoded exactly; (None, None) for pathloss."""
+    """(h0, g0): the fading of trial -1, decoded exactly; (None, None) for pathloss."""
     seed, _, n, g_scale = _stream(plan)
     if n == 0:
         return None, None
-    draws = _cir_vectors(seed, n, g_scale, range(1))
+    draws = _cir_vectors(seed, n, g_scale, range(-1, 0))
     return draws.h[0], draws.g[0]
 
 
-def _decode(plan: TrialPlan, blocks, hypothesis, enrolled: tuple, exact: bool = True) -> Draws:
-    """decode() of blocks (a range, or an array of block indices) with the enrollment given;
-    exact=False decodes CIR blocks as _cir_vectors does with it."""
+def _decode(plan: TrialPlan, trials, hypothesis, enrolled: tuple, exact: bool = True) -> Draws:
+    """decode() of trials with the enrollment given; exact=False decodes CIR trials as
+    _cir_vectors does with it."""
     seed, _, n, g_scale = _stream(plan)
     if n == 0:  # pathloss: stride 4
-        _, is_alice, rad, ang = _polar_blocks(seed, 4, blocks, hypothesis)
+        _, is_alice, rad, ang = _polar_blocks(seed, 4, trials, hypothesis)
         return Draws(is_alice, (rad * np.cos(ang))[:, 0])  # the cosine half of Box-Muller only
-    return _cir_vectors(seed, n, g_scale, blocks, hypothesis, enrolled, exact)
+    return _cir_vectors(seed, n, g_scale, trials, hypothesis, enrolled, exact)
 
 
-def decode(plan: TrialPlan, first_block: int, n_blocks: int,
-           hypothesis: Hypothesis | None = None) -> Draws:
-    """Decode uniform blocks [first_block, first_block + n_blocks), and block 0 for CIR.
-
-    Trial i reads block i + 1; block 0 is the enrollment. Each block's first
-    uniform draws the transmitter: Alice below 0.5. Given a hypothesis, only the
-    blocks whose transmitter is its sender are decoded past that draw.
-    """
-    blocks = range(first_block, first_block + n_blocks)
-    return _decode(plan, blocks, hypothesis, _enrollment(plan))
-
-
-def _redecode(plan: TrialPlan, trials: np.ndarray, enrolled: tuple) -> Draws:
-    """The exact draws of the given trials of a CIR plan's stream, as decode() gives their
-    rows: one batch, each block read from its counter position."""
-    return _decode(plan, trials + 1, None, enrolled)
+def decode(plan: TrialPlan, trials, hypothesis: Hypothesis | None = None) -> Draws:
+    """Decode trials (a range, or an array of trial indices, each read from its own counter
+    position), and the enrollment for CIR. Each trial's first uniform draws the transmitter:
+    Alice below 0.5. Given a hypothesis, only the trials whose transmitter is its sender are
+    decoded past that draw."""
+    return _decode(plan, trials, hypothesis, _enrollment(plan))
 
 
 def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws:
     """The first k draws (views; all by default) with the transmitter fixed: all a forced
     hypothesis changes."""
-    rows = {name: getattr(draws, name, None) for name in ("h", "g", "noise", "trials", "power")}
+    rows = {name: getattr(draws, name) for name in ("h", "g", "noise", "trials", "power")}
     rows = {name: a[:k] for name, a in rows.items() if a is not None}
     return replace(draws, is_alice=np.full(rows["noise"].size, hypothesis is Hypothesis.H0),
                    **rows)
@@ -449,8 +426,8 @@ def _observed(pl_true, sigma_n, noise):
 def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
     """Test statistic of each decoded trial under plan's profile.
 
-    The CIR features compare with the fingerprint gt enrolled from the draws'
-    block 0; the pathloss feature's enrolled value is the closed-form pathloss.
+    The CIR features compare with the fingerprint gt of the draws' enrollment
+    (h0, g0); the pathloss feature's enrolled value is the closed-form pathloss.
     """
     return _score(plan, draws, {})
 
@@ -476,14 +453,14 @@ def _received(plan: TrialPlan, draws: Draws, gains: dict) -> tuple[np.ndarray, c
         gains[key] = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
     elif key not in gains:
         phases = plan.profile.phases
-        gains[key] = _cascade(draws.h, draws.g, phases), _fingerprint(draws, phases)
+        gains[key] = _cascade(draws.h, draws.g, phases), _fingerprint((draws.h0, draws.g0), phases)
     cascade, gt = gains[key][0][:draws.noise.size], gains[key][1]
     if not plan.refade_alice:
         cascade = np.where(draws.is_alice, gt, cascade)
     return cascade + plan.scenario.noise_sigma * draws.noise, gt
 
 
-def _bounded_score(plan: TrialPlan, draws: _Bounded, gains: dict) -> tuple:
+def _bounded_score(plan: TrialPlan, draws: Draws, gains: dict) -> tuple:
     """(a, e): _score of single-precision draws and each trial's _error_bound."""
     observed, gt = _received(plan, draws, gains)
     approx = statistic(plan.feature, observed, gt)
@@ -493,7 +470,7 @@ def _bounded_score(plan: TrialPlan, draws: _Bounded, gains: dict) -> tuple:
 def _observed_gap(plan: TrialPlan, power: np.ndarray, size: float) -> tuple:
     """(Do, O) per trial: bounds on the distance between the observed gains, cascade + sigma_n
     noise, of the exact and the single-precision decode, and on either's modulus and its
-    sum_n |h_n||g_n| + sigma_n |noise|; power is _Bounded's, size bounds a pinned cascade (gt).
+    sum_n |h_n||g_n| + sigma_n |noise|; power is Draws.power, size bounds a pinned cascade (gt).
 
     A Box-Muller value r cos(theta) or r sin(theta) of the two decodes differs by at most
     t r, with t = _TRIG_ERROR + 4u (u = _ROUNDOFF: the trig, each product's rounding and
@@ -556,24 +533,23 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1, (1 << 19) // (4 * _stream(plan)[2] + 4))
 
 
-def _map_trials(reduce, plan: TrialPlan, n: int, workers: int, hypothesis=None,
-                exact: bool = True) -> list:
-    """reduce(lo, decode(plan, lo + 1, hi - lo, hypothesis)) for each default chunk [lo, hi) of
-    trials [0, n), with the enrollment decoded once for them all; exact=False gives each
-    chunk _Bounded draws (_cir_vectors).
+def _map_trials(reduce, plan: TrialPlan, workers: int, hypothesis=None, exact: bool = True,
+                enrolled: tuple | None = None) -> list:
+    """reduce(lo, decode(plan, range(lo, hi), hypothesis)) for each default chunk [lo, hi) of
+    the plan's trials, with the enrollment (if not given) decoded once for them all;
+    exact=False decodes each chunk in single precision (_cir_vectors).
 
     The one place the trial range is split: serially, or on a thread pool of
     `workers` threads, at most one per chunk and one per CPU, so a one-chunk
     call starts no pool. A chunk that raises cancels the chunks not yet
     started. Chunk results are returned in trial order.
     """
-    chunk = _default_chunk(plan)
-    starts = range(0, n, chunk)
-    enrolled = _enrollment(plan)
+    chunk, n = _default_chunk(plan), plan.n_trials
+    starts, enrolled = range(0, n, chunk), enrolled or _enrollment(plan)
 
     def run(lo):
-        blocks = range(lo + 1, lo + 1 + min(chunk, n - lo))
-        return reduce(lo, _decode(plan, blocks, hypothesis, enrolled, exact))
+        trials = range(lo, min(lo + chunk, n))
+        return reduce(lo, _decode(plan, trials, hypothesis, enrolled, exact))
 
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers < 2:
@@ -629,14 +605,15 @@ def _counts(pairs, grids, points) -> np.ndarray:
 def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
     """The attacker (H1) trials [0, n_trials) of seed's phase-feature run on scenario's
     reflected link with a re-fading Alice, the one plan that the held draws serve, held for a
-    phase search: each default chunk decoded with single-precision trig and written once
-    decoded. misses(phases, epsilon) counts, bit for bit, the statistics that
-    empirical_distribution(plan, H1) draws under the profile of phases: a cone test on an
-    approximate gain decides most trials, and the rest are re-decoded exactly (_HeldSearch)."""
+    phase search: the enrollment decoded exactly once, then each default chunk decoded with
+    single-precision trig and written once decoded. misses(phases, epsilon) counts, bit for
+    bit, the statistics that empirical_distribution(plan, H1) draws under the profile of
+    phases: a cone test on an approximate gain decides most trials, and _decode of the rest's
+    trial indices re-decodes them exactly (_HeldSearch)."""
     plan = TrialPlan(n_trials, seed, Feature.CIR_PHASE, scenario,
                      PerElement(np.zeros(scenario.n_elements)))  # profile: a placeholder
-    held = _HeldSearch(plan)
-    _map_trials(held.write, plan, n_trials, 1, exact=False)
+    held = _HeldSearch(plan, _enrollment(plan))
+    _map_trials(held.write, plan, 1, exact=False, enrolled=held.enrolled)
     return held
 
 
@@ -670,25 +647,26 @@ def _count_pathloss(group: list, own: list, pilot: int, hypothesis, workers: int
         forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
         return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
 
-    parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis)
+    parts = _map_trials(chunk, group[0], workers, hypothesis)
     if pilot:
         own = [_auto_grid(samples) for samples in map(np.concatenate, zip(*(s for _, s in parts)))]
         parts = [_counts(pairs, own, points) for pairs, _ in parts]
     return own, sum(parts)
 
 
-def _settled_counts(group: list, draws: _Bounded, bounded: list, grids: list) -> np.ndarray:
+def _settled_counts(group: list, draws: Draws, bounded: list, grids: list) -> np.ndarray:
     """_counts of a CIR stream's trials from their bounded statistics (a, e) per plan: a trial
     whose interval [a - e, a + e] holds a threshold of some plan's grid is undecided, and all
-    plans score it exactly (one _redecode for them all); elsewhere a is on the exact
-    statistic's side of every threshold, so the counts are the exact decode's."""
+    plans score it exactly (one _decode of the undecided trials' indices, draws.trials, for
+    them all); elsewhere a is on the exact statistic's side of every threshold, so the
+    counts are the exact decode's."""
     undecided = np.zeros(draws.is_alice.size, bool)
     for (a, e), grid in zip(bounded, grids):
         undecided |= np.searchsorted(grid, a - e) != np.searchsorted(grid, a + e, side="right")
     values = [a for a, _ in bounded]
     rows = np.flatnonzero(undecided)
     if rows.size:
-        exact, gains = _redecode(group[0], draws.trials[rows], (draws.h0, draws.g0)), {}
+        exact, gains = _decode(group[0], draws.trials[rows], None, (draws.h0, draws.g0)), {}
         for v, plan in zip(values, group):
             v[rows] = _score(plan, exact, gains)
     return _counts(_sorted_pairs(draws, values), grids, None)
@@ -721,7 +699,7 @@ def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> 
         rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
         return rows, bounded, samples, forced[0].trials
 
-    parts = _map_trials(chunk, group[0], group[0].n_trials, workers, hypothesis, exact=False)
+    parts = _map_trials(chunk, group[0], workers, hypothesis, exact=False)
     if not pilot:
         return own, sum(parts)
     rows, bounded, samples, pilot_trials = zip(*parts)  # each per chunk
@@ -732,7 +710,7 @@ def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> 
     for per_chunk in zip(*samples):  # a plan's [(a, e) forced H0, (a, e) forced H1] per chunk
         a, e = map(np.concatenate, zip(*(s for chunk_samples in per_chunk for s in chunk_samples)))
         candidates[sampled[_extremes_possible(a, e)]] = True
-    exact, gains = _redecode(group[0], np.flatnonzero(candidates), (rows.h0, rows.g0)), {}
+    exact, gains = _decode(group[0], np.flatnonzero(candidates), None, (rows.h0, rows.g0)), {}
     # every trial that may give a plan's extreme, under both hypotheses: its exact extremes
     own = [_auto_grid(np.concatenate([_score(p, _forced(exact, h), gains) for h in Hypothesis]))
            for p in group]
@@ -802,6 +780,5 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis) -> np.ndarra
     A CDF lookup on the result at the threshold gives the missed detection
     (H1) or one minus the false alarm (H0).
     """
-    parts = _map_trials(lambda lo, draws: score(plan, _forced(draws, hypothesis)), plan,
-                        plan.n_trials, workers=1)
+    parts = _map_trials(lambda lo, draws: score(plan, _forced(draws, hypothesis)), plan, 1)
     return np.sort(np.concatenate(parts))

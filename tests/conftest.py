@@ -34,24 +34,27 @@ def reference_box_muller(u, v):
 
 
 class RedecodeSpy:
-    """Wraps mc._redecode for a test: records each batch of trials that sweep_trials or a phase
-    search re-decodes exactly, and whether a re-decode is running (for spies on what it calls)."""
+    """Wraps the index-array calls of mc._decode for a test: records each batch of trials that
+    sweep_trials or a phase search re-decodes exactly, and whether a re-decode is running (for
+    spies on what it calls). Calls on a range of trials, the engine's chunks, pass through."""
 
     def __init__(self, monkeypatch):
         from rispla import mc
 
         self.batches, self.running = [], False
-        real = mc._redecode
+        real = mc._decode
 
-        def spy(plan, trials, enrolled):
+        def spy(plan, trials, *args):
+            if isinstance(trials, range):
+                return real(plan, trials, *args)
             self.batches.append(trials.copy())
             self.running = True
             try:
-                return real(plan, trials, enrolled)
+                return real(plan, trials, *args)
             finally:
                 self.running = False
 
-        monkeypatch.setattr(mc, "_redecode", spy)
+        monkeypatch.setattr(mc, "_decode", spy)
 
     @property
     def trials(self) -> list[int]:

@@ -329,8 +329,8 @@ class TestFspl:
             fspl((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), scenario)
 
 
-def cir_draws(n: int, trials: int, seed: int, sigma_g_sq: float = 1.0, first: int = 1):
-    """(h, g, unit noise) of engine trials [first - 1, first - 1 + trials) on n elements."""
+def cir_draws(n: int, trials: int, seed: int, sigma_g_sq: float = 1.0, first: int = 0):
+    """(h, g, unit noise) of engine trials [first, first + trials) on n elements."""
     draws = _cir_vectors(seed, n, sigma_g_sq, range(first, first + trials))
     return draws.h, draws.g, draws.noise
 
@@ -356,7 +356,7 @@ class TestSampleCir:
     def test_stream_contract(self):
         # a trial's draws depend only on (seed, trial), alone or inside a batch
         h3, g3, _ = cir_draws(8, 3, seed=5)
-        h1, g1, _ = cir_draws(8, 1, seed=5, first=2)
+        h1, g1, _ = cir_draws(8, 1, seed=5, first=1)
         np.testing.assert_array_equal(h1[0], h3[1])
         np.testing.assert_array_equal(g1[0], g3[1])
         assert not np.array_equal(h3[0], h3[1])

@@ -309,9 +309,9 @@ class TestBaselines:
         calls = []
         real = mc._decode
 
-        def counting(plan, blocks, *args):
-            calls.append((blocks.start, len(blocks)))
-            return real(plan, blocks, *args)
+        def counting(plan, trials, *args):
+            calls.append((trials.start + 1, len(trials)))  # the chunk's first block and size
+            return real(plan, trials, *args)
 
         monkeypatch.setattr(mc, "_decode", counting)
         code = run_cli("roc", "--scenario", SCENARIO, "--trials", 3000, "--baseline", "both",

@@ -215,12 +215,12 @@ class TestRunTrials:
         started = []
         real = mc._decode
 
-        def failing(plan, blocks, *args):
-            started.append(blocks.start)
-            if blocks.start == 1:
+        def failing(plan, trials, *args):
+            started.append(trials.start + 1)  # the chunk's first block
+            if trials.start == 0:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.2)
-            return real(plan, blocks, *args)
+            return real(plan, trials, *args)
 
         monkeypatch.setattr(mc, "_decode", failing)
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
@@ -277,7 +277,7 @@ class TestSweepTrials:
         plans = [pathloss_plan(replace(scenario_small, lq_db=lq), n=3000, seed=seed,
                                gradient=gradient, ris=ris)
                  for lq in lqs for ris in (True, False)]
-        draws = decode(plans[0], 1, 3000)
+        draws = decode(plans[0], range(3000))
         is_alice = draws.is_alice
         expected = []
         for plan in plans:
@@ -354,7 +354,7 @@ class TestSweepTrials:
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 600)  # 2 chunks
         plan = (pathloss_plan(scenario, n=1000, seed=5) if feature == "pathloss"
                 else cir_plan(scenario, Feature.CIR_MAGNITUDE, n=1000, seed=5))
-        is_alice = decode(plan, 1, 1000).is_alice
+        is_alice = decode(plan, range(1000)).is_alice
         sender = is_alice if command == "sweep-pfa" else ~is_alice
         rows = []
         real = mc._polar
@@ -465,7 +465,7 @@ class TestDecodeBytes:
 
     def test_pathloss_noise_is_box_muller_cosine(self, scenario_small):
         plan = pathloss_plan(scenario_small, n=5000, seed=31)
-        draws = decode(plan, 1, 5000)
+        draws = decode(plan, range(5000))
         block = mc._uniform_blocks(31, 4, 1, 5000)
         expected = reference_box_muller(block[:, 1], block[:, 2])[0]
         assert draws.noise.tobytes() == expected.tobytes()
@@ -473,7 +473,7 @@ class TestDecodeBytes:
     @pytest.mark.parametrize("n", [1, 8, 256])
     def test_cir_vectors_equal_complex_construction(self, n):
         block = mc._uniform_blocks(23, 4 * n + 4, 1, 300)
-        draws = mc._cir_vectors(23, n, 0.37, range(1, 301))
+        draws = mc._cir_vectors(23, n, 0.37, range(300))
         for got, want in zip([draws.h, draws.g, draws.noise],
                              reference_cir_vectors(block, n, 0.37)):
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -490,8 +490,8 @@ class TestOneSenderDecode:
         plan = (pathloss_plan(scenario, seed=29) if case == "pathloss"
                 else cir_plan(scenario, Feature.CIR_MAGNITUDE, seed=29,
                               ris=case == "cir-panel"))
-        full = decode(plan, 7, n_blocks)
-        one = decode(plan, 7, n_blocks, hypothesis)
+        full = decode(plan, range(6, 6 + n_blocks))
+        one = decode(plan, range(6, 6 + n_blocks), hypothesis)
         keep = full.is_alice == (hypothesis is Hypothesis.H0)
         assert 0 < np.count_nonzero(keep) < n_blocks  # each sender has rows
         assert one.is_alice.tobytes() == full.is_alice[keep].tobytes()
@@ -524,7 +524,7 @@ def full_count_curve(plan, grid, piece=4100):
     split by sender with a boolean index, sorted and counted with count_accepted."""
     ts, is_alice = [], []
     for lo in range(0, plan.n_trials, piece):  # decoded in pieces, to bound the memory
-        draws = decode(plan, lo + 1, min(piece, plan.n_trials - lo))
+        draws = decode(plan, range(lo, min(lo + piece, plan.n_trials)))
         ts.append(score(plan, draws))
         is_alice.append(draws.is_alice)
     ts, is_alice = np.concatenate(ts), np.concatenate(is_alice)
@@ -556,7 +556,10 @@ class TestRocSweep:
         lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n),
         lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n, refade_alice=False),
         lambda sc, n: cir_plan(sc, Feature.CIR_MAGNITUDE, n=n),
-    ], ids=["pathloss", "cir-phase-refading", "cir-phase-frozen", "cir-magnitude"])
+        lambda sc, n: cir_plan(sc, Feature.CIR_MAGNITUDE, n=n, refade_alice=False),
+        lambda sc, n: cir_plan(sc, Feature.CIR_PHASE, n=n, ris=False),
+    ], ids=["pathloss", "cir-phase-refading", "cir-phase-frozen", "cir-magnitude",
+            "cir-magnitude-frozen", "cir-phase-direct"])
     @pytest.mark.parametrize("n,chunk", [(3000, None), (12_000, 4000), (16_000, 4000)],
                              ids=["below-pilot-cap", "pilot-spans-3-chunks", "chunk-past-pilot"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -587,7 +590,7 @@ class TestRocSweep:
         (counts,) = sweep_trials([plan], [grid], workers=workers)
         assert len(results) == 3
         assert all(isinstance(r, np.ndarray) and r.size == 2 * (grid.size + 1) for r in results)
-        draws = decode(plan, 1, plan.n_trials)
+        draws = decode(plan, range(plan.n_trials))
         ts = score(plan, draws)
         curve = counts.roc()
         for got, part in zip(curve, [ts[draws.is_alice], ts[~draws.is_alice]]):
@@ -667,7 +670,7 @@ class TestRocSweep:
 def exact_counts(plan, grid, hypothesis=None) -> Counts:
     """The counts as decode + score + count_accepted give them: one exact decode of every
     trial (of the hypothesis's sender only, if given), each sender's statistics sorted."""
-    draws = decode(plan, 1, plan.n_trials, hypothesis)
+    draws = decode(plan, range(plan.n_trials), hypothesis)
     ts = score(plan, draws)
     alice, eve = (np.sort(ts[mask]) for mask in (draws.is_alice, ~draws.is_alice))
     grid = np.asarray(grid, dtype=float)
@@ -711,7 +714,7 @@ class TestBoundedDecode:
         plan = bounded_plan(scenario_small, case, seed, n=600)
         # a second point on the stream: another link quality, so another noise scale
         plans = [plan, replace(plan, scenario=replace(scenario_small, lq_db=10.0))]
-        draws = decode(plan, 1, plan.n_trials)
+        draws = decode(plan, range(plan.n_trials))
         ts = score(plan, draws)
         rng = np.random.default_rng(seed)
         senders = {Hypothesis.H0: draws.is_alice, Hypothesis.H1: ~draws.is_alice}
@@ -750,9 +753,9 @@ class TestBoundedDecode:
     def test_bound_holds(self, scenario, case, n_elements):
         plan = bounded_plan(replace(scenario, n_elements=n_elements, lq_db=20.0), case, 4,
                             n=1000)
-        approx = mc._decode(plan, range(1, 1001), None, mc._enrollment(plan), exact=False)
+        approx = mc._decode(plan, range(1000), None, mc._enrollment(plan), exact=False)
         a, e = mc._bounded_score(plan, approx, {})
-        exact = score(plan, decode(plan, 1, 1000))
+        exact = score(plan, decode(plan, range(1000)))
         assert np.all(np.abs(a - exact) <= e)
         assert np.all(a - e <= exact) and np.all(exact <= a + e)  # the rounded ends too
         assert np.all(a != exact)  # the approximation is not the exact decode itself
@@ -762,12 +765,12 @@ class TestBoundedDecode:
     def test_redecoded_rows_equal_the_chunk_rows(self, scenario, case, n_elements):
         plan = bounded_plan(replace(scenario, n_elements=n_elements, lq_db=20.0), case, 6,
                             n=600)
-        full = decode(plan, 1, 600)
+        full = decode(plan, range(600))
         whole = score(plan, full)
         enrolled = mc._enrollment(plan)
         for trials in ([0], [599], [5, 6], [400, 3, 17], list(range(100, 107))):
             trials = np.array(trials)
-            rows = mc._redecode(plan, trials, enrolled)
+            rows = mc._decode(plan, trials, None, enrolled)
             for got, want in [(rows.is_alice, full.is_alice[trials]), (rows.h, full.h[trials]),
                               (rows.g, full.g[trials]), (rows.noise, full.noise[trials]),
                               (score(plan, rows), whole[trials])]:
@@ -800,9 +803,9 @@ class TestDecode:
         # a chunk's draws carry the enrollment block, whatever block the chunk starts at
         plan = cir_plan(scenario_small, feature, n=900, seed=13,
                         phases=np.linspace(0.0, 3.0, scenario_small.n_elements), **kw)
-        whole = score(plan, decode(plan, 1, plan.n_trials))
+        whole = score(plan, decode(plan, range(plan.n_trials)))
         for lo, k in [(1, 1), (300, 250), (550, 350)]:
-            np.testing.assert_array_equal(score(plan, decode(plan, lo + 1, k)),
+            np.testing.assert_array_equal(score(plan, decode(plan, range(lo, lo + k))),
                                           whole[lo:lo + k])
 
     def test_peak_memory_of_one_decode(self, scenario):
@@ -811,11 +814,11 @@ class TestDecode:
         plan = cir_plan(scenario, Feature.CIR_PHASE, n=1024)
         tracemalloc.start()
         try:
-            draws = decode(plan, 1, plan.n_trials)
+            draws = decode(plan, range(plan.n_trials))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = sum(a.nbytes for a in vars(draws).values())
+        returned = sum(a.nbytes for a in vars(draws).values() if a is not None)
         assert peak <= 2.6 * returned
 
 
@@ -869,29 +872,30 @@ class TestEmpiricalDistribution:
     def test_direct_baseline_magnitude_scale(self, scenario_small):
         # direct link: zeta - gt = c' - gt + n, conditioned on the enrolled gt
         plan = cir_plan(scenario_small, Feature.CIR_MAGNITUDE, ris=False, n=10**5, seed=11)
-        gt = complex(decode(plan, 0, 1).h0[0])  # the enrolled gain: the single decoded h
+        gt = complex(decode(plan, range(1)).h0[0])  # the enrolled gain: the single decoded h
         ts = empirical_distribution(plan, Hypothesis.H0)
         expected_power = 1.0 + abs(gt) ** 2 + scenario_small.noise_variance
         assert np.mean(ts**2) == pytest.approx(expected_power, rel=0.05)
 
 
 class HeldRowsSpy:
-    """Wraps mc._HeldSearch for a test: records, per count (misses), each batch of trials
-    that it scored exactly (rows)."""
+    """Wraps mc._HeldSearch.misses and the index-array calls of mc._decode for a test:
+    records, per count (misses), each batch of trials that it re-decoded and scored exactly."""
 
     def __init__(self, monkeypatch):
         self.counts = []
-        rows, misses = mc._HeldSearch.rows, mc._HeldSearch.misses
+        decode, misses = mc._decode, mc._HeldSearch.misses
 
-        def rows_spy(held, trials):
-            self.counts[-1].append(trials.copy())
-            return rows(held, trials)
+        def decode_spy(plan, trials, *args):
+            if not isinstance(trials, range):
+                self.counts[-1].append(trials.copy())
+            return decode(plan, trials, *args)
 
         def misses_spy(held, phases, epsilon):
             self.counts.append([])
             return misses(held, phases, epsilon)
 
-        monkeypatch.setattr(mc._HeldSearch, "rows", rows_spy)
+        monkeypatch.setattr(mc, "_decode", decode_spy)
         monkeypatch.setattr(mc._HeldSearch, "misses", misses_spy)
 
     def last(self) -> set[int]:
@@ -906,12 +910,11 @@ def hold(plan: TrialPlan, draws: mc.Draws, monkeypatch) -> mc._HeldSearch:
     power = np.stack([2.0 * np.sum(np.abs(draws.h) ** 2, axis=1),
                       2.0 * np.sum(np.abs(draws.g) ** 2, axis=1) / plan.scenario.sigma_g_sq,
                       2.0 * np.abs(draws.noise) ** 2], axis=1)
-    monkeypatch.setattr(mc, "_redecode", lambda plan, trials, enrolled: mc.Draws(
+    monkeypatch.setattr(mc, "_decode", lambda plan, trials, hypothesis, enrolled: mc.Draws(
         draws.is_alice[trials], draws.noise[trials], draws.h[trials], draws.g[trials],
         *enrolled))
-    held = mc._HeldSearch(plan)
-    held.write(0, mc._Bounded(*vars(draws).values(), trials=np.arange(draws.noise.size),
-                              power=power))
+    held = mc._HeldSearch(plan, (draws.h0, draws.g0))
+    held.write(0, replace(draws, trials=np.arange(draws.noise.size), power=power))
     return held
 
 
@@ -922,7 +925,7 @@ def held_for(plan: TrialPlan) -> mc._HeldSearch:
 
 def attacker_statistics(plan: TrialPlan) -> np.ndarray:
     """Each attacker trial's statistic under plan, from a fresh exact decode."""
-    return score(plan, mc._forced(decode(plan, 1, plan.n_trials), Hypothesis.H1))
+    return score(plan, mc._forced(decode(plan, range(plan.n_trials)), Hypothesis.H1))
 
 
 def candidates(n: int, levels: int, order: str, limit: int = 60):
@@ -1014,7 +1017,7 @@ class TestHeldSearch:
         held, spy = held_for(plan), HeldRowsSpy(monkeypatch)
         for phases in candidates(n, 4, "exhaustive"):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
-            assert mc._fingerprint(held, candidate.profile.phases) == 0.0
+            assert mc._fingerprint(held.enrolled, candidate.profile.phases) == 0.0
             ts = attacker_statistics(candidate)
             for eps in (0.0, 1e-2, 0.5, 2.0):
                 assert (held.misses(candidate.profile.phases, eps)
@@ -1093,7 +1096,7 @@ class TestHeldSearch:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
         held = held_for(plan)
         held.limit = n + 6  # a restart every few candidates; the margin was sized for 4096 + N
-        exact, restarts, updates = mc._forced(decode(plan, 1, 543), Hypothesis.H1), 0, 0
+        exact, restarts, updates = mc._forced(decode(plan, range(543)), Hypothesis.H1), 0, 0
         for phases in itertools.islice(itertools.cycle(candidates(n, 3, "coordinate")), 30):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             held.misses(candidate.profile.phases, 7.0)  # above pi: B updated, nothing scored
@@ -1108,7 +1111,7 @@ class TestHeldSearch:
         # exactly decoded planes and no trig error leave the decode-error term rounding only,
         # so it is the rounding-and-drift term that covers B after 4096 rank-1 updates
         plan = cir_plan(replace(scenario, n_elements=1, lq_db=lq), Feature.CIR_PHASE, n=2000)
-        exact = mc._forced(decode(plan, 1, 2000), Hypothesis.H1)
+        exact = mc._forced(decode(plan, range(2000)), Hypothesis.H1)
         held, rng = hold(plan, exact, monkeypatch), np.random.default_rng(17)
         for _ in range(4096):  # one update each, within the default limit of N + 4096
             candidate = replace(plan, profile=PerElement(rng.uniform(0.0, 2.0 * math.pi, 1)))

@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import (FoldedNormalParams, check_sigma, extremes, folded_normal_cdf, libm, q_func,
-                      q_inv)
+from .specfun import check_sigma, extremes, folded_normal_cdf, libm, q_func, q_inv
 
 __all__ = [
     "Feature",
@@ -88,12 +87,16 @@ def check_threshold(epsilon):
 
 def check_grid(thresholds, rows: bool = False) -> np.ndarray:
     """thresholds as a float array, if a nonempty, strictly increasing 1-D sequence of them;
-    with rows, if each row of a 2-D array is one (grids of one length, checked in one pass).
+    with rows, if they are a rectangular table whose every row is one (checked in one pass).
     Every point of such a sequence lies between its ends, so checking them checks it all."""
-    grid = np.asarray(thresholds, dtype=float)
+    try:
+        grid = np.asarray(thresholds, dtype=float)
+    except ValueError:  # a ragged table
+        grid = np.empty(0)
     if (grid.ndim != 1 + rows or grid.shape[-1] == 0
             or not (grid[..., 1:] > grid[..., :-1]).all()):  # NaN fails
-        raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence")
+        raise ValueError("each grid must be a nonempty, strictly increasing 1-D sequence, "
+                         "and a table's grids all of one length")
     check_threshold(grid[..., [0, -1]])  # the least first and the greatest last end
     return grid
 
@@ -124,7 +127,7 @@ def pmd_pathloss(epsilon, sigma, pl_a, pl_e):
 
     pl_a and pl_e may be arrays of pathloss pairs (one per gradient of a grid).
     """
-    return folded_normal_cdf(check_threshold(epsilon), FoldedNormalParams(pl_e - pl_a, sigma))
+    return folded_normal_cdf(check_threshold(epsilon), pl_e - pl_a, sigma)
 
 
 def pfa_cir_magnitude(epsilon, sigma):

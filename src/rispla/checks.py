@@ -29,7 +29,7 @@ from .auth import (
 from .channel import PerElement, ScalarGradient, Scenario, pathloss_pair
 from .mc import Hypothesis, TrialPlan, empirical_distribution, sweep_trials
 from .optim import Strategy, default_gradient_grid, optimize_gradient, optimize_phase_matrix
-from .specfun import FoldedNormalParams, folded_normal_moments, q_func
+from .specfun import folded_normal_moments, q_func
 
 __all__ = ["CHECKS"]
 
@@ -105,7 +105,7 @@ def pmd_closed_form(scenario: Scenario, trials: int):
     n_triples = len(counts)
     rng = np.random.default_rng(31)
     draws = np.abs(2.0 + rng.standard_normal(10**6))
-    mean, var = folded_normal_moments(FoldedNormalParams(2.0, 1.0))
+    mean, var = folded_normal_moments(2.0, 1.0)
     moment_err = max(abs(draws.mean() - mean) / mean, abs(draws.var() - var) / var)
     return (worst <= 3.0 and n_triples == 20 and moment_err <= 0.01,
             f"{n_triples} (eps,sigma,dPL) triples, max deviation {worst:.2f} std errors"

@@ -182,7 +182,7 @@ def _cmd_sweep(args) -> int:
     hypothesis = mc.Hypothesis.H0 if command == "sweep-pfa" else mc.Hypothesis.H1
     thresholds = epsilons.tolist()
     counts = mc.sweep_trials([p for _, plans in baselines for p in plans],
-                             [[epsilon] for epsilon in thresholds] * len(baselines),
+                             np.tile(epsilons, len(baselines))[:, None],  # a one-column table
                              hypothesis=hypothesis, workers=args.workers)
     outputs = {}  # every baseline is computed before any file is written
     for b, (path, plans) in enumerate(baselines):

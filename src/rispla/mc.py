@@ -296,9 +296,9 @@ class _HeldSearch:
         16 each of noise, B, z and z turned, 8 each of margin and index, and 2 of flags."""
         return n_trials * (16 * n + 82)
 
-    def __init__(self, plan: TrialPlan, enrolled: tuple):
+    def __init__(self, plan: TrialPlan):
         n, n_trials = plan.scenario.n_elements, plan.n_trials
-        self.plan, self.enrolled, self.sigma_n = plan, enrolled, plan.scenario.noise_sigma
+        self.plan, self.sigma_n = plan, plan.scenario.noise_sigma
         self.batch, self.limit = _default_chunk(plan), n + 4096
         self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
         self.noise, self.cascade, self.turned, self.tilted = np.empty((4, n_trials), complex)
@@ -306,9 +306,9 @@ class _HeldSearch:
         self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
 
     def write(self, lo: int, draws: Draws) -> None:
-        """Hold a chunk's single-precision draws as trials [lo, lo + m)."""
+        """Hold a chunk's single-precision draws as trials [lo, lo + m), and their enrollment."""
         rows, n = slice(lo, lo + draws.noise.size), len(self.c)
-        self.noise[rows], c = draws.noise, self.c[:, rows]
+        self.noise[rows], c, self.enrolled = draws.noise, self.c[:, rows], (draws.h0, draws.g0)
         np.multiply(np.conjugate(draws.h.T, out=c), draws.g.T, out=c)
         gap, size = _observed_gap(self.plan, draws.power, 0.0)  # D, S: no cascade is pinned
         self.margin[rows] = (2 * n + 32 + 20 * self.limit) * _ROUNDOFF * size
@@ -533,11 +533,10 @@ def _default_chunk(plan: TrialPlan) -> int:
     return max(1, (1 << 19) // (4 * _stream(plan)[2] + 4))
 
 
-def _map_trials(reduce, plan: TrialPlan, workers: int, hypothesis=None, exact: bool = True,
-                enrolled: tuple | None = None) -> list:
+def _map_trials(reduce, plan: TrialPlan, workers: int, hypothesis=None, exact: bool = True) -> list:
     """reduce(lo, decode(plan, range(lo, hi), hypothesis)) for each default chunk [lo, hi) of
-    the plan's trials, with the enrollment (if not given) decoded once for them all;
-    exact=False decodes each chunk in single precision (_cir_vectors).
+    the plan's trials, with the enrollment decoded once for them all; exact=False decodes
+    each chunk in single precision (_cir_vectors).
 
     The one place the trial range is split: serially, or on a thread pool of
     `workers` threads, at most one per chunk and one per CPU, so a one-chunk
@@ -545,7 +544,7 @@ def _map_trials(reduce, plan: TrialPlan, workers: int, hypothesis=None, exact: b
     started. Chunk results are returned in trial order.
     """
     chunk, n = _default_chunk(plan), plan.n_trials
-    starts, enrolled = range(0, n, chunk), enrolled or _enrollment(plan)
+    starts, enrolled = range(0, n, chunk), _enrollment(plan)
 
     def run(lo):
         trials = range(lo, min(lo + chunk, n))
@@ -586,22 +585,6 @@ def _accepted_run(noise, pl_true, pl_a, sigma_n, eps) -> np.ndarray:
     return first(fold, noise.size, lambda n: ~accepted(n)) - first(0, fold, accepted)
 
 
-def _counts(pairs, grids, points) -> np.ndarray:
-    """Rows (n_alice, n_eve), then (Alice's, Eve's) accepted count per threshold of each plan's
-    grid, from a chunk's sorted pairs: CIR statistics, or pathloss plans' shared unit noise
-    with each plan's point (Alice's pathloss, Eve's pathloss, noise sigma)."""
-    rows = [tuple(part.size for part in pairs[0])]
-    if points is None:
-        for eps, (alice, eve) in zip(grids, pairs):
-            rows.extend(zip(count_accepted(alice, eps), count_accepted(eve, eps)))
-    else:
-        pl_a, pl_e, sigma_n = np.repeat(points, [len(eps) for eps in grids], axis=0).T
-        eps, ((alice, eve),) = np.concatenate(grids), pairs
-        rows.extend(zip(_accepted_run(alice, pl_a, pl_a, sigma_n, eps),
-                        _accepted_run(eve, pl_e, pl_a, sigma_n, eps)))
-    return np.array(rows, dtype=np.int64)
-
-
 def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
     """The attacker (H1) trials [0, n_trials) of seed's phase-feature run on scenario's
     reflected link with a re-fading Alice, the one plan that the held draws serve, held for a
@@ -612,54 +595,63 @@ def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
     trial indices re-decodes them exactly (_HeldSearch)."""
     plan = TrialPlan(n_trials, seed, Feature.CIR_PHASE, scenario,
                      PerElement(np.zeros(scenario.n_elements)))  # profile: a placeholder
-    held = _HeldSearch(plan, _enrollment(plan))
-    _map_trials(held.write, plan, 1, exact=False, enrolled=held.enrolled)
+    held = _HeldSearch(plan)
+    _map_trials(held.write, plan, 1, exact=False)
     return held
 
 
 def _sorted_pairs(draws: Draws, values) -> list:
-    """Per value array, its (Alice's, Eve's) entries sorted, as _counts reads them."""
+    """Per value array, its (Alice's, Eve's) entries sorted, as the counts read them."""
     masks = draws.is_alice, ~draws.is_alice
     # compress, not a boolean index, which takes 4x as long on a random mask
     return [[np.sort(np.compress(mask, v)) for mask in masks] for v in values]
 
 
 def _auto_grid(samples: np.ndarray) -> np.ndarray:
-    """The auto grid that a plan's pilot samples pick (see ROC_PILOT_TRIALS)."""
+    """The auto grid that a plan's pilot samples pick (see ROC_PILOT_TRIALS); its ends
+    increase, as 1.05 x the greatest sample exceeds 0.5 x the least positive one."""
     positive = samples[samples > 0.0]
     lo = ROC_LO_SCALE * float(positive.min()) if positive.size else 1e-12
-    hi = ROC_HI_SCALE * float(samples.max()) if samples.max() > 0 else 1.0
-    return np.geomspace(lo, hi if hi > lo else 10.0 * lo, ROC_AUTO_POINTS)
+    hi = ROC_HI_SCALE * float(samples.max()) if positive.size else 1.0
+    return np.geomspace(lo, hi, ROC_AUTO_POINTS)
 
 
-def _count_pathloss(group: list, own: list, pilot: int, hypothesis, workers: int) -> tuple:
-    """(grids, summed _counts) of a pathloss stream's plans: each chunk sorts its shared unit
-    noise once and counts a given grid, or holds it (8 B per trial) until the pilot picks
-    the grid."""
+def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
+    """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them: each chunk
+    sorts its shared unit noise once and counts a given grid by bisection at each plan's
+    point (Alice's pathloss, Eve's pathloss, noise sigma), or holds it (8 B per trial) until
+    the pilot, each plan's statistic of its share forced H0 and H1, picks the grid."""
     pathloss = {}  # each distinct pathloss pair of the stream, computed once
-    points = [(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group]
+    points = np.array([(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group])
+
+    def counts(alice, eve, grids):  # rows (n_alice, n_eve), then each threshold's accepts
+        pl_a, pl_e, sigma_n = np.repeat(points, grids.shape[1], axis=0).T
+        eps = grids.ravel()
+        return np.vstack([(alice.size, eve.size), np.stack(
+            [_accepted_run(alice, pl_a, pl_a, sigma_n, eps),
+             _accepted_run(eve, pl_e, pl_a, sigma_n, eps)], axis=1)])
 
     def chunk(lo, draws):
-        pairs = _sorted_pairs(draws, [draws.noise])
+        (pairs,) = _sorted_pairs(draws, [draws.noise])
         if not pilot:
-            return _counts(pairs, own, points)
-        gains = dict(pathloss)
-        forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
-        return pairs, [np.concatenate([_score(p, f, gains) for f in forced]) for p in group]
+            return counts(*pairs, grids)
+        noise = draws.noise[:max(pilot - lo, 0)]  # the pilot's share
+        return pairs, [np.concatenate([statistic(Feature.PATHLOSS, _observed(pl, s, noise), pl_a)
+                                       for pl in (pl_a, pl_e)]) for pl_a, pl_e, s in points]
 
     parts = _map_trials(chunk, group[0], workers, hypothesis)
     if pilot:
-        own = [_auto_grid(samples) for samples in map(np.concatenate, zip(*(s for _, s in parts)))]
-        parts = [_counts(pairs, own, points) for pairs, _ in parts]
-    return own, sum(parts)
+        grids = np.array([_auto_grid(np.concatenate(s)) for s in zip(*(s for _, s in parts))])
+        parts = [counts(*pairs, grids) for pairs, _ in parts]
+    return grids, sum(parts)
 
 
-def _settled_counts(group: list, draws: Draws, bounded: list, grids: list) -> np.ndarray:
-    """_counts of a CIR stream's trials from their bounded statistics (a, e) per plan: a trial
-    whose interval [a - e, a + e] holds a threshold of some plan's grid is undecided, and all
-    plans score it exactly (one _decode of the undecided trials' indices, draws.trials, for
-    them all); elsewhere a is on the exact statistic's side of every threshold, so the
-    counts are the exact decode's."""
+def _settled_counts(group: list, draws: Draws, bounded: list, grids) -> np.ndarray:
+    """The counts, as sweep_trials reads them, of a CIR stream's trials from their bounded
+    statistics (a, e) per plan: a trial whose interval [a - e, a + e] holds a threshold of
+    some plan's grid is undecided, and all plans score it exactly (one _decode of the
+    undecided trials' indices, draws.trials, for them all); elsewhere a is on the exact
+    statistic's side of every threshold, so the counts are the exact decode's."""
     undecided = np.zeros(draws.is_alice.size, bool)
     for (a, e), grid in zip(bounded, grids):
         undecided |= np.searchsorted(grid, a - e) != np.searchsorted(grid, a + e, side="right")
@@ -669,7 +661,10 @@ def _settled_counts(group: list, draws: Draws, bounded: list, grids: list) -> np
         exact, gains = _decode(group[0], draws.trials[rows], None, (draws.h0, draws.g0)), {}
         for v, plan in zip(values, group):
             v[rows] = _score(plan, exact, gains)
-    return _counts(_sorted_pairs(draws, values), grids, None)
+    pairs = _sorted_pairs(draws, values)
+    return np.vstack([[part.size for part in pairs[0]], *(
+        np.stack([count_accepted(alice, eps), count_accepted(eve, eps)], axis=1)
+        for eps, (alice, eve) in zip(grids, pairs))])
 
 
 def _extremes_possible(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -682,8 +677,8 @@ def _extremes_possible(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (lo <= least) | (hi >= lo.max())
 
 
-def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> tuple:
-    """(grids, summed _counts) of a CIR stream's plans, from single-precision chunks (see the
+def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
+    """(grids, counts) of a CIR stream's plans, from single-precision chunks (see the
     module docstring): each chunk scores each plan once, with its bound, and counts a given
     grid, or holds its bounded statistics (16 B per trial and plan, and 9 B per trial) until
     the pilot picks the grid. The pilot's extremes are scored exactly, and so is each
@@ -693,7 +688,7 @@ def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> 
         gains = {}  # shared by every score of the chunk (_received)
         bounded = [_bounded_score(p, draws, gains) for p in group]
         if not pilot:
-            return _settled_counts(group, draws, bounded, own)
+            return _settled_counts(group, draws, bounded, grids)
         forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
         samples = [[_bounded_score(p, f, gains) for f in forced] for p in group]
         rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
@@ -701,7 +696,7 @@ def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> 
 
     parts = _map_trials(chunk, group[0], workers, hypothesis, exact=False)
     if not pilot:
-        return own, sum(parts)
+        return grids, sum(parts)
     rows, bounded, samples, pilot_trials = zip(*parts)  # each per chunk
     rows = replace(rows[0], **{name: np.concatenate([getattr(r, name) for r in rows])
                                for name in ("is_alice", "trials")})
@@ -712,21 +707,10 @@ def _count_cir(group: list, own: list, pilot: int, hypothesis, workers: int) -> 
         candidates[sampled[_extremes_possible(a, e)]] = True
     exact, gains = _decode(group[0], np.flatnonzero(candidates), None, (rows.h0, rows.g0)), {}
     # every trial that may give a plan's extreme, under both hypotheses: its exact extremes
-    own = [_auto_grid(np.concatenate([_score(p, _forced(exact, h), gains) for h in Hypothesis]))
-           for p in group]
+    grids = np.array([_auto_grid(np.concatenate([_score(p, _forced(exact, h), gains)
+                                                 for h in Hypothesis])) for p in group])
     bounded = [tuple(map(np.concatenate, zip(*per_chunk))) for per_chunk in zip(*bounded)]
-    return own, _settled_counts(group, rows, bounded, own)
-
-
-def _checked_grids(grids) -> list[np.ndarray]:
-    """Each grid as check_grid returns it; grids of one length are checked in one pass."""
-    try:
-        stacked = np.asarray(grids, dtype=float)
-    except ValueError:  # ragged, or not numbers: each grid on its own says which
-        stacked = None
-    if stacked is None or stacked.ndim != 2:
-        return [check_grid(grid) for grid in grids]
-    return list(check_grid(stacked, rows=True))
+    return grids, _settled_counts(group, rows, bounded, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -738,39 +722,39 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
                  workers: int = 1) -> list[Counts]:
     """The Counts of each plan at each threshold of its grid, from one decode per random stream.
 
-    grids holds one strictly increasing threshold sequence per plan; None gives every plan
-    the auto grid (see ROC_PILOT_TRIALS), picked from the same decode. Plans that share a
-    random stream (see _stream) decode the same draws, so they may differ in all that
-    decode() does not read: link quality, profile, statistic, refade_alice, and for pathloss
-    the baseline. Streams go in first-seen order, each on one thread pool when workers > 1
-    (_map_trials). The counts are integer sums over chunks, so they do not depend on the
-    partition, the worker count or the other plans of the call. A hypothesis decodes past the
-    transmitter draw only its sender's trials (H0: Alice's); the auto grid's pilot reads both
-    senders, so it takes none. A chunk sorts once per distinct statistic and counts a given
-    grid, or holds its values until the pilot picks the grid (_count_pathloss, _count_cir).
+    grids is one rectangular table of thresholds with a row per plan, each row strictly
+    increasing (auth.check_grid with rows); None gives every plan the auto grid (see
+    ROC_PILOT_TRIALS), picked from the same decode. Plans that share a random stream (see
+    _stream) decode the same draws, so they may differ in all that decode() does not read: link
+    quality, profile, statistic, refade_alice, and for pathloss the baseline. Streams go in
+    first-seen order, each on one thread pool when workers > 1 (_map_trials). The counts are
+    integer sums over chunks, so they do not depend on the partition, the worker count or the
+    other plans of the call. A hypothesis decodes past the transmitter draw only its sender's
+    trials (H0: Alice's); the auto grid's pilot reads both senders, so it takes none. A chunk
+    sorts once per distinct statistic and counts a given grid, or holds its values until the
+    pilot picks the grid (_count_pathloss, _count_cir).
     """
     if not plans or grids is not None and len(grids) != len(plans):
         raise ValueError(f"need one grid per plan, got {len(plans)} plans and "
                          f"{'no' if grids is None else len(grids)} grids")
     if grids is None and hypothesis is not None:
         raise ValueError("the auto grid's pilot reads both senders: give grids with a hypothesis")
-    grids = [None] * len(plans) if grids is None else _checked_grids(grids)
+    grids = None if grids is None else check_grid(grids, rows=True)
     results = [None] * len(plans)
     streams: dict[tuple, list[int]] = {}  # dicts keep first-seen order
     for k, plan in enumerate(plans):
         streams.setdefault(_stream(plan), []).append(k)
     for ks in streams.values():
-        group, own = [plans[k] for k in ks], [grids[k] for k in ks]
-        pilot = min(group[0].n_trials, ROC_PILOT_TRIALS) if own[0] is None else 0
+        group = [plans[k] for k in ks]
+        pilot = min(group[0].n_trials, ROC_PILOT_TRIALS) if grids is None else 0
         # a stream's plans are all CIR or all pathloss
         count = _count_pathloss if group[0].feature is Feature.PATHLOSS else _count_cir
-        own, total = count(group, own, pilot, hypothesis, workers)
+        own, total = count(group, None if grids is None else grids[ks], pilot, hypothesis, workers)
+        # rows (n_alice, n_eve), then (Alice's, Eve's) accepts at each plan's thresholds
         n_alice, n_eve = total[0].tolist()
-        thresholds, accepted = np.concatenate(own).tolist(), total[1:].tolist()
-        ends = np.cumsum([grid.size for grid in own]).tolist()
-        for k, lo, hi in zip(ks, [0, *ends], ends):  # each plan's slice of the stream's rows
-            results[k] = Counts(tuple(thresholds[lo:hi]), n_alice, n_eve,
-                                tuple(map(tuple, accepted[lo:hi])))
+        accepted = total[1:].reshape(len(ks), -1, 2).tolist()
+        for k, grid, plan_accepted in zip(ks, own.tolist(), accepted):
+            results[k] = Counts(tuple(grid), n_alice, n_eve, tuple(map(tuple, plan_accepted)))
     return results
 
 

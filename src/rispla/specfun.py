@@ -3,20 +3,22 @@
 `q_func`, `check_sigma` and the folded-normal CDF work elementwise on arrays
 (a sweep's link qualities, a gradient grid) as well as on numbers, with
 libm's `erf`/`erfc` per element (`libm`); `q_inv` and the folded-normal
-moments are scalar. The Monte-Carlo engine does its own vectorized math and
-only meets these functions when cross-checking against closed forms. The
-Rayleigh tail is one line in `auth.pfa_cir_magnitude`.
+moments are scalar. The folded normal |N(delta, sigma^2)| takes plain
+numbers like every other closed form, `folded_normal_cdf(x, delta, sigma)`
+and `folded_normal_moments(delta, sigma)`, and each refuses a non-finite
+delta and a sigma that `check_sigma` refuses. The Monte-Carlo engine does
+its own vectorized math and only meets these functions when cross-checking
+against closed forms. The Rayleigh tail is one line in
+`auth.pfa_cir_magnitude`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FoldedNormalParams",
     "check_sigma",
     "q_func",
     "q_inv",
@@ -51,17 +53,11 @@ def check_sigma(sigma):
     return sigma
 
 
-@dataclass(frozen=True)
-class FoldedNormalParams:
-    """Parameters of |X| for X ~ N(delta, sigma^2); delta and sigma may be arrays."""
-
-    delta: float | np.ndarray
-    sigma: float | np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.delta)):
-            raise ValueError("folded normal delta must be finite")
-        check_sigma(self.sigma)
+def _check_folded(delta, sigma) -> None:
+    """Refuse |N(delta, sigma^2)| with a non-finite delta or a sigma that is no noise scale."""
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("folded normal delta must be finite")
+    check_sigma(sigma)
 
 
 def q_func(x):
@@ -114,23 +110,23 @@ def q_inv(p: float) -> float:
     return x
 
 
-def folded_normal_cdf(x, params: FoldedNormalParams):
-    """CDF of the folded normal at x, 0 below the fold point x = 0; elementwise over arrays
+def folded_normal_cdf(x, delta, sigma):
+    """CDF of |N(delta, sigma^2)| at x, 0 below the fold point x = 0; elementwise over arrays
     x, delta and sigma, with libm's erf per element."""
-    delta = np.asarray(params.delta, dtype=float)
+    _check_folded(delta, sigma)
+    delta = np.asarray(delta, dtype=float)
     with np.errstate(over="ignore"):  # a huge x gives +-inf, whose erf is +-1 exactly
-        a = (x + delta) / (params.sigma * _SQRT2)
-        b = (x - delta) / (params.sigma * _SQRT2)
+        a = (x + delta) / (sigma * _SQRT2)
+        b = (x - delta) / (sigma * _SQRT2)
     val = np.where(x < 0.0, 0.0, np.clip(0.5 * (libm(math.erf, a) + libm(math.erf, b)), 0.0, 1.0))
     return float(val) if val.ndim == 0 else val
 
 
-def folded_normal_moments(params: FoldedNormalParams) -> tuple[float, float]:
+def folded_normal_moments(delta: float, sigma: float) -> tuple[float, float]:
     """Mean and variance of |N(delta, sigma^2)|."""
-    d, s = params.delta, params.sigma
-    phi_neg = 0.5 * math.erfc((d / s) / _SQRT2)  # standard normal CDF at -d/s
-    mean = math.exp(-d * d / (2.0 * s * s)) * s * math.sqrt(2.0 / math.pi) + d * (
-        1.0 - 2.0 * phi_neg
-    )
-    variance = d * d + s * s - mean * mean
+    _check_folded(delta, sigma)
+    phi_neg = 0.5 * math.erfc((delta / sigma) / _SQRT2)  # standard normal CDF at -delta/sigma
+    mean = (math.exp(-delta * delta / (2.0 * sigma * sigma)) * sigma * math.sqrt(2.0 / math.pi)
+            + delta * (1.0 - 2.0 * phi_neg))
+    variance = delta * delta + sigma * sigma - mean * mean
     return mean, max(0.0, variance)

@@ -1,6 +1,7 @@
 """Geometry, pathloss, and channel-generation tests against hand-derived values."""
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="distinct"):
             make_scenario(alice_pos=(90.0, 90.0, 1.0))
 
+    @pytest.mark.parametrize("point", [(90.0, 80.0), (90.0, 80.0, 1.0, 0.0), 90.0])
+    def test_position_must_be_a_3_vector(self, point):
+        with pytest.raises(ValueError, match="bob_pos must be a 3-vector"):
+            make_scenario(bob_pos=point)
+
     def test_parse_error_names_line(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("alice_pos = 1, 2, 3\nnot a line\n")
@@ -124,6 +130,25 @@ class TestScenario:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(table1_with(**{key: value}))
         with pytest.raises(ScenarioFormatError, match=f"{key} must be finite"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("element_a", "0", "element dimensions must be positive"),
+        ("element_b", "-0.5", "element dimensions must be positive"),
+        ("n_elements", "0", "n_elements must be a positive integer, got 0"),
+        ("n_elements", "-4", "n_elements must be a positive integer, got -4"),
+        ("frequency_hz", "0", "frequency_hz must be positive"),
+        ("frequency_hz", "-28e9", "frequency_hz must be positive"),
+        ("alice_pos", "100, north, 1", "non-numeric component in alice_pos"),
+        ("lq_db", "loud", "non-numeric value for lq_db"),
+        ("n_elements", "2.5", "non-numeric value for n_elements"),
+    ], ids=["zero-element-a", "negative-element-b", "zero-elements", "negative-elements",
+            "zero-frequency", "negative-frequency", "word-in-position", "word-for-lq",
+            "fractional-elements"])
+    def test_out_of_domain_value_refused(self, tmp_path, key, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(table1_with(**{key: value}))
+        with pytest.raises(ScenarioFormatError, match=re.escape(message)):
             load_scenario(cfg)
 
     def test_comments_and_blanks_ignored(self, tmp_path, scenario):
@@ -200,6 +225,11 @@ class TestIncidenceAngle:
         sc = make_scenario()
         with pytest.raises(GeometryError):
             incidence_angle((90.0, 85.0, 1.0), sc)
+
+    def test_at_the_panel_is_degenerate(self):
+        sc = make_scenario()
+        with pytest.raises(GeometryError, match="coincides with the panel position"):
+            incidence_angle(sc.ris_pos, sc)
 
 
 def specular_gain(sc, tx_pos) -> float:

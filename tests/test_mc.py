@@ -283,8 +283,9 @@ class TestSweepTrials:
         for plan in plans:
             ts = score(plan, draws)
             pfa_threshold = threshold_for_pfa(0.05, plan.scenario.noise_sigma)
-            # ts[tie] as a threshold: that trial ties, and ties reject
-            grid = sorted({0.0, float(ts[tie]), float(pfa_threshold)})
+            # ts[tie] as a threshold: that trial ties, and ties reject. The grids are one
+            # table, so where ts[tie] is 0.0 or the threshold, 1e300 is the third point
+            grid = sorted({0.0, float(ts[tie]), float(pfa_threshold), 1e300})[:3]
             expected.append(Counts(tuple(grid), int(np.count_nonzero(is_alice)),
                                    int(np.count_nonzero(~is_alice)), tuple(
                 (int(np.count_nonzero(is_alice & accepts(ts, e))),
@@ -392,6 +393,10 @@ class TestSweepTrials:
         for hypothesis in Hypothesis:  # the auto grid's pilot scores both senders' trials
             with pytest.raises(ValueError, match="both senders"):
                 sweep_trials(plans, hypothesis=hypothesis)
+        # the grids are one table, a row per plan: rows of two lengths are refused
+        for ragged in ([[0.1], [0.1, 0.2]], [np.array([0.1, 0.2]), np.array([0.3])]):
+            with pytest.raises(ValueError, match="a table's grids all of one length"):
+                sweep_trials(plans, ragged)
 
     def test_sweep_decodes_each_chunk_once(self, scenario_small, monkeypatch):
         plans, grids = cir_grid(scenario_small, [10.0, 20.0, 30.0])
@@ -517,6 +522,26 @@ def two_pilot_grid(plan):
     if hi <= lo:
         hi = 10.0 * lo
     return np.geomspace(lo, hi, 50)
+
+
+class TestAutoGrid:
+    @given(st.lists(st.floats(0.0, 1e300, allow_subnormal=False), min_size=1, max_size=40),
+           st.floats(1e-300, 1e300))
+    def test_ends_from_the_samples(self, samples, positive):
+        # at least one positive sample: the grid runs from 0.5 x the least positive to
+        # 1.05 x the greatest, and 1.05 x the greatest exceeds 0.5 x the least positive
+        samples = np.array([*samples, positive])
+        grid = mc._auto_grid(samples)
+        assert grid.size == mc.ROC_AUTO_POINTS
+        assert grid[0] == 0.5 * samples[samples > 0.0].min()
+        assert grid[-1] == 1.05 * samples.max()
+        assert np.all(np.diff(grid) > 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 10_000])
+    def test_all_zero_samples(self, n):
+        grid = mc._auto_grid(np.zeros(n))
+        assert (grid[0], grid[-1], grid.size) == (1e-12, 1.0, mc.ROC_AUTO_POINTS)
+        assert np.all(np.diff(grid) > 0.0)
 
 
 def full_count_curve(plan, grid, piece=4100):
@@ -913,7 +938,7 @@ def hold(plan: TrialPlan, draws: mc.Draws, monkeypatch) -> mc._HeldSearch:
     monkeypatch.setattr(mc, "_decode", lambda plan, trials, hypothesis, enrolled: mc.Draws(
         draws.is_alice[trials], draws.noise[trials], draws.h[trials], draws.g[trials],
         *enrolled))
-    held = mc._HeldSearch(plan, (draws.h0, draws.g0))
+    held = mc._HeldSearch(plan)
     held.write(0, replace(draws, trials=np.arange(draws.noise.size), power=power))
     return held
 

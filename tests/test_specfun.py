@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from rispla.specfun import (
-    FoldedNormalParams,
     check_sigma,
     folded_normal_cdf,
     folded_normal_moments,
@@ -102,16 +101,16 @@ class TestQInv:
 class TestFoldedNormalCdf:
     def test_zero_at_fold_point(self):
         for delta in (-3.0, 0.0, 0.5, 10.0):
-            assert folded_normal_cdf(0.0, FoldedNormalParams(delta, 1.0)) == 0.0
+            assert folded_normal_cdf(0.0, delta, 1.0) == 0.0
 
     def test_half_normal_case(self):
         expected = math.erf(1.0 / math.sqrt(2.0))  # 0.6826894921370859
-        assert folded_normal_cdf(1.0, FoldedNormalParams(0.0, 1.0)) == pytest.approx(
+        assert folded_normal_cdf(1.0, 0.0, 1.0) == pytest.approx(
             expected, abs=1e-10)
 
     def test_frozen_value_and_mc_oracle(self):
         # frozen: P(|2 + n| <= 1) = 0.157305 (1e7-draw MC oracle gave 0.1572736)
-        val = folded_normal_cdf(1.0, FoldedNormalParams(2.0, 1.0))
+        val = folded_normal_cdf(1.0, 2.0, 1.0)
         assert val == pytest.approx(0.1573, abs=1e-4)
         rng = np.random.default_rng(20250811)
         draws = np.abs(2.0 + rng.standard_normal(10**6))
@@ -120,19 +119,18 @@ class TestFoldedNormalCdf:
         assert abs(emp - val) < 3 * se
 
     def test_negative_x_returns_zero(self):
-        assert folded_normal_cdf(-0.5, FoldedNormalParams(1.0, 1.0)) == 0.0
+        assert folded_normal_cdf(-0.5, 1.0, 1.0) == 0.0
 
     @given(st.floats(min_value=-20, max_value=20), st.floats(min_value=0.01, max_value=10),
            st.floats(min_value=0, max_value=50))
     def test_fold_symmetry(self, delta, sigma, x):
-        a = folded_normal_cdf(x, FoldedNormalParams(delta, sigma))
-        b = folded_normal_cdf(x, FoldedNormalParams(-delta, sigma))
+        a = folded_normal_cdf(x, delta, sigma)
+        b = folded_normal_cdf(x, -delta, sigma)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_nondecreasing_and_limits(self):
-        params = FoldedNormalParams(1.5, 0.7)
         xs = np.linspace(0, 20, 400)
-        vals = [folded_normal_cdf(x, params) for x in xs]
+        vals = [folded_normal_cdf(x, 1.5, 0.7) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -142,24 +140,33 @@ class TestFoldedNormalCdf:
         rng = np.random.default_rng(99)
         n = 10**6
         draws = np.sort(np.abs(delta + sigma * rng.standard_normal(n)))
-        p = FoldedNormalParams(delta, sigma)
-        cdf = 0.5 * (np.vectorize(math.erf)((draws + delta) / (sigma * math.sqrt(2)))
-                     + np.vectorize(math.erf)((draws - delta) / (sigma * math.sqrt(2))))
+        cdf = folded_normal_cdf(draws, delta, sigma)
         ks = np.max(np.abs(cdf - (np.arange(1, n + 1) - 0.5) / n))
         assert ks < 0.005
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
-            FoldedNormalParams(0.0, 0.0)
+            folded_normal_cdf(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            FoldedNormalParams(0.0, -1.0)
+            folded_normal_moments(0.0, -1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf,
+                                       np.array([0.0, math.nan])])
+    def test_non_finite_delta_refused(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            folded_normal_cdf(1.0, delta, 1.0)
+        if not isinstance(delta, np.ndarray):  # the moments are scalar
+            with pytest.raises(ValueError, match="delta must be finite"):
+                folded_normal_moments(delta, 1.0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
     def test_sigma_domain_has_one_owner(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             check_sigma(sigma)
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            FoldedNormalParams(0.0, sigma)
+        for folded in (lambda: folded_normal_cdf(1.0, 0.0, sigma),
+                       lambda: folded_normal_moments(0.0, sigma)):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                folded()
 
     def test_check_sigma_passes_a_scale_through(self):
         assert check_sigma(5e-324) == 5e-324
@@ -168,18 +175,18 @@ class TestFoldedNormalCdf:
 
 class TestFoldedNormalMoments:
     def test_half_normal(self):
-        mean, var = folded_normal_moments(FoldedNormalParams(0.0, 1.0))
+        mean, var = folded_normal_moments(0.0, 1.0)
         assert mean == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
         assert var == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
 
     def test_far_fold_asymptote(self):
-        mean, var = folded_normal_moments(FoldedNormalParams(100.0, 1.0))
+        mean, var = folded_normal_moments(100.0, 1.0)
         assert mean == pytest.approx(100.0, abs=1e-6)
         assert var == pytest.approx(1.0, abs=1e-6)
 
     def test_frozen_values(self):
         # frozen from a 1e7-draw MC oracle: mean 2.0175, var 0.9325
-        mean, var = folded_normal_moments(FoldedNormalParams(2.0, 1.0))
+        mean, var = folded_normal_moments(2.0, 1.0)
         assert mean == pytest.approx(2.0170, rel=5e-3)
         assert var == pytest.approx(0.9318, rel=5e-3)
 
@@ -188,7 +195,7 @@ class TestFoldedNormalMoments:
         n = 10**6
         for delta, sigma in ((2.0, 1.0), (0.3, 2.0), (-1.5, 0.4)):
             draws = np.abs(delta + sigma * rng.standard_normal(n))
-            mean, var = folded_normal_moments(FoldedNormalParams(delta, sigma))
+            mean, var = folded_normal_moments(delta, sigma)
             se_mean = math.sqrt(var / n)
             assert abs(draws.mean() - mean) < 3 * se_mean
             se_var = var * math.sqrt(2.0 / (n - 1))  # normal-theory approximation
@@ -196,7 +203,7 @@ class TestFoldedNormalMoments:
 
     @given(st.floats(min_value=-10, max_value=10), st.floats(min_value=0.05, max_value=5))
     def test_mean_lower_bound(self, delta, sigma):
-        mean, var = folded_normal_moments(FoldedNormalParams(delta, sigma))
+        mean, var = folded_normal_moments(delta, sigma)
         phi_neg = 0.5 * math.erfc((abs(delta) / sigma) / math.sqrt(2))
         assert mean >= abs(delta) * (1 - 2 * phi_neg) - 1e-12
         assert var >= 0.0

@@ -9,15 +9,15 @@ trials bit for bit. Every decode takes trial indices; the fingerprint enrollment
 decoded once per run, and _polar_blocks alone maps trial i to block i + 1.
 
 sweep_trials counts CIR trials decided by a bound, re-decoded exactly when undecided. Its
-chunks take cos and sin in single precision (all else in double), and each trial's
-statistic a carries a rigorous bound e on its distance from the exact decode's
-(_error_bound). Where no threshold of the plan's grid lies in [a - e, a + e], a falls on
-the exact statistic's side of every threshold; where one does (or, for the auto grid, where
-the trial could be the pilot's smallest positive or largest statistic), the trial is
-undecided, and _decode of the undecided trials' indices decodes them exactly. So every count
-and auto grid is the exact decode's, bit for bit. The phase search (attacker_draws) holds
-such chunks too, and re-decodes the trials that its cone test leaves undecided
-(_HeldSearch). decode and empirical_distribution decode exactly.
+chunks take cos and sin in single precision (all else in double), and each trial's statistic a
+carries a rigorous bound e on its distance from the exact decode's (_bounded_score, from the
+two-term bound of _observed_gap). Where no threshold of the plan's grid lies in [a - e, a + e],
+a falls on the exact statistic's side of every threshold; where one does (or, for the auto
+grid, where the trial could give the smallest positive or largest statistic of the pilot, whose
+rows are scored as each sender's), the trial is undecided, and _decode of the undecided trials'
+indices decodes them exactly. So every count and auto grid is the exact decode's, bit for bit.
+The phase search (attacker_draws) holds such chunks too, and re-decodes the trials that its cone
+test leaves undecided (_HeldSearch). decode and empirical_distribution decode exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ TWO_PI = 2.0 * math.pi
 LOW_CONFIDENCE_TRIALS = 100
 
 # A plan's auto ROC grid: ROC_AUTO_POINTS thresholds, log-spaced from ROC_LO_SCALE x the smallest
-# positive to ROC_HI_SCALE x the largest forced-H0/H1 statistic of its first ROC_PILOT_TRIALS.
+# positive to ROC_HI_SCALE x the largest statistic of its first ROC_PILOT_TRIALS as each sender's.
 ROC_PILOT_TRIALS, ROC_AUTO_POINTS, ROC_LO_SCALE, ROC_HI_SCALE = 10_000, 50, 0.5, 1.05
 
 # |cos - libm cos| and |sin - libm sin| of the single-precision decode's trig, which takes the
@@ -215,7 +215,7 @@ def _cir_vectors(master_seed: int, n: int, sigma_g_sq: float, trials, hypothesis
     noise) complex vectors and the enrollment (h0, g0) given.
 
     exact=False takes cos and sin in single precision, of the angle rounded to float32, and
-    also sets each row's trial and power (Draws), which _error_bound reads. Scaling by
+    also sets each row's trial and power (Draws), which _bounded_score reads. Scaling by
     1 / sqrt(2) is what numpy's complex division by sqrt(2) multiplies by (Smith's rule), so
     h and noise keep the bits of that division.
     """
@@ -271,8 +271,7 @@ class _HeldSearch:
     to |a||b| (with or without FMA):
     - |O - T| <= (1.5 N + 10) u P: two products per term, a sum in any order (sqrt(2)
       gamma_{N-1} of sum |term|), and the add of w;
-    - |T - T'| <= D and P, P' <= S, the decodes' _observed_gap and its bound on either's
-      modulus (Cauchy-Schwarz on sum |c_n - c'_n|, and sigma_n |noise - noise'|);
+    - |T - T'| <= D and P, P' <= S: _observed_gap's (Do, O) at size 0;
     - B starts at w'; an update's difference (u |f' - f|, |f' - f| <= 2 + 8u), product
       (18.1 u |h'_k||g'_k|) and add (u |B + p| <= u (P' + drift)) drift it by at most 20 u P'
       from T', so delta = |O - B| <= (1.5 N + 10 + 20 U) u S + D after U updates.
@@ -344,7 +343,7 @@ class _HeldSearch:
             plan = replace(self.plan, profile=PerElement(phases))
         for lo in range(0, undecided.size, self.batch):  # a batch's draws freed before the next
             trials = undecided[lo:lo + self.batch]
-            ts = score(plan, _forced(_decode(plan, trials, None, self.enrolled), Hypothesis.H1))
+            ts = score(plan, _decode(plan, trials, None, self.enrolled))  # Alice re-fades
             count += int(np.count_nonzero(accepts(ts, epsilon)))
         return count
 
@@ -400,15 +399,6 @@ def decode(plan: TrialPlan, trials, hypothesis: Hypothesis | None = None) -> Dra
     return _decode(plan, trials, hypothesis, _enrollment(plan))
 
 
-def _forced(draws: Draws, hypothesis: Hypothesis, k: int | None = None) -> Draws:
-    """The first k draws (views; all by default) with the transmitter fixed: all a forced
-    hypothesis changes."""
-    rows = {name: getattr(draws, name) for name in ("h", "g", "noise", "trials", "power")}
-    rows = {name: a[:k] for name, a in rows.items() if a is not None}
-    return replace(draws, is_alice=np.full(rows["noise"].size, hypothesis is Hypothesis.H0),
-                   **rows)
-
-
 def _pathloss_pair(plan: TrialPlan, pairs: dict) -> tuple[float, float]:
     """plan's (Alice's, Eve's) pathloss, kept in pairs by all that it depends on: the
     scenario but its link quality, the gradient and the baseline."""
@@ -432,39 +422,33 @@ def score(plan: TrialPlan, draws: Draws) -> np.ndarray:
     return _score(plan, draws, {})
 
 
-def _score(plan: TrialPlan, draws: Draws, gains: dict) -> np.ndarray:
+def _score(plan: TrialPlan, draws: Draws, gains: dict, sender=None) -> np.ndarray:
     """score(), keeping each CIR gain (cascade, gt) in gains by (baseline, phases), and each
-    pathloss pair as _pathloss_pair does, so that plans and forced runs that share them
-    compute them once. The first score of a CIR key must be of the full draws: a forced run
-    of their first k trials slices the cascade."""
+    pathloss pair as _pathloss_pair does, so that plans and senders that share them compute
+    them once. A sender (a Hypothesis) scores every row as that sender's."""
     if plan.feature is Feature.PATHLOSS:
         pl_a, pl_e = _pathloss_pair(plan, gains)
-        pl_true = np.where(draws.is_alice, pl_a, pl_e)
+        pl_true = np.where(draws.is_alice if sender is None else sender is Hypothesis.H0, pl_a,
+                           pl_e)
         return statistic(plan.feature, _observed(pl_true, plan.scenario.noise_sigma, draws.noise),
                          pl_a)
-    return statistic(plan.feature, *_received(plan, draws, gains))
+    return statistic(plan.feature, *_received(plan, draws, gains, sender))
 
 
-def _received(plan: TrialPlan, draws: Draws, gains: dict) -> tuple[np.ndarray, complex]:
+def _received(plan: TrialPlan, draws: Draws, gains: dict, sender=None) -> tuple:
     """A CIR plan's observed gains, the cascade (gt for a pinned Alice) plus sigma_n times
-    unit noise, and the enrolled gt; gains kept as _score keeps them."""
+    unit noise, and the enrolled gt; gains and sender as _score reads them."""
     key = plan.ris, plan.profile.phases.tobytes()
     if key not in gains and not plan.ris:
         gains[key] = draws.h[:, 0], complex(draws.h0[0])  # direct link: one CN(0, 1) gain
     elif key not in gains:
         phases = plan.profile.phases
         gains[key] = _cascade(draws.h, draws.g, phases), _fingerprint((draws.h0, draws.g0), phases)
-    cascade, gt = gains[key][0][:draws.noise.size], gains[key][1]
+    cascade, gt = gains[key]
     if not plan.refade_alice:
-        cascade = np.where(draws.is_alice, gt, cascade)
+        cascade = np.where(draws.is_alice if sender is None else sender is Hypothesis.H0, gt,
+                           cascade)
     return cascade + plan.scenario.noise_sigma * draws.noise, gt
-
-
-def _bounded_score(plan: TrialPlan, draws: Draws, gains: dict) -> tuple:
-    """(a, e): _score of single-precision draws and each trial's _error_bound."""
-    observed, gt = _received(plan, draws, gains)
-    approx = statistic(plan.feature, observed, gt)
-    return approx, _error_bound(plan, draws.power, observed, gt, approx)
 
 
 def _observed_gap(plan: TrialPlan, power: np.ndarray, size: float) -> tuple:
@@ -472,42 +456,37 @@ def _observed_gap(plan: TrialPlan, power: np.ndarray, size: float) -> tuple:
     noise, of the exact and the single-precision decode, and on either's modulus and its
     sum_n |h_n||g_n| + sigma_n |noise|; power is Draws.power, size bounds a pinned cascade (gt).
 
-    A Box-Muller value r cos(theta) or r sin(theta) of the two decodes differs by at most
-    t r, with t = _TRIG_ERROR + 4u (u = _ROUNDOFF: the trig, each product's rounding and
-    each part's scaling). With A, B and v^2 the power of h's, g's and the noise's pairs and
-    s = sigma_g_sq, the decodes' values differ by at most D, and either's modulus (2-norm
-    over elements) is at most the bound:
-    - h: D_h = t sqrt(A), bound H = sqrt(A / 2); g: D_g = t sqrt(s B), bound G = sqrt(s B / 2);
-      the noise: t v, bound W = v / sqrt(2) + t v;
-    - the cascade, a sum over N elements of conj(h) f g with the decodes' common factors f
-      (Cauchy-Schwarz): Dc = D_h (G + D_g) + H D_g + 2 rho, bound C = P + rho, with
-      P = (H + D_h)(G + D_g) and rho = 2 (N + 4) u P bounding either decode's rounding (two
-      complex products per term, sqrt(2) gamma_N over any order of the sum). The direct
-      link's cascade is h itself: Dc = D_h, C = H + D_h;
-    - observed: Do = Dc + sigma_n (t v + 2u W) + 2u O, with O = C + size + sigma_n W.
+    With A, B and v^2 the power of h's, g's and the noise's pairs, s = sigma_g_sq,
+    u = _ROUNDOFF, t = _TRIG_ERROR + 4u, X = sqrt(A s B) (sqrt(A) on the direct link) and
+    Y = sigma_n v: O = X + Y + size and Do = 1.5 t (X + Y) + (2N + 20) u O.
+
+    Box-Muller values of the two decodes differ by at most t r (the trig, each product's
+    rounding and each part's scaling), so over elements h's 2-norm is at most sqrt(A / 2) and
+    the decodes' h differ by at most t sqrt(A), and likewise g's with s B and the noise's with
+    v^2. With q = 1 / sqrt(2) + t, Cauchy-Schwarz over conj(h) f g (f the common factors) and
+    rho = 2 (N + 4) u q^2 X for either cascade's rounding (two complex products per term,
+    sqrt(2) gamma_N in any order) give O' = q^2 X + rho + size + q Y on the moduli and
+    Do' = t (sqrt(2) + t) X + 2 rho + t Y + 2u q Y + 2u O' on the distance (q X and t X for
+    q^2 X + rho and t (sqrt(2) + t) X + 2 rho on the direct link, whose cascade is h). O >= O'
+    and Do >= Do' term by term for every s, t <= 10^-3 and N <= 10^14 (3.2 PB of uniforms a
+    trial): q^2 (1 + 2 (N + 4) u) <= 1 and q <= 1; 2 rho - (2N + 8) u X, which is
+    (2N + 8)(2 sqrt(2) + 2t) t u X, is at most the X term's slack (1.5 - sqrt(2) - t) t X
+    (> 0.08 t X); and (2N + 8) u X + 2u q Y + 2u O' <= (2N + 20) u O.
     Factors (1 + k u) of small k are dropped: each caller widens what it derives by 2^-30.
     """
     _, _, n, g_scale = _stream(plan)
-    u, sigma_n, t = _ROUNDOFF, plan.scenario.noise_sigma, _TRIG_ERROR + 4.0 * _ROUNDOFF
-    a, b, v = np.sqrt(power).T
-    dh, h = t * a, math.sqrt(0.5) * a
-    if plan.ris:
-        dg, g = t * math.sqrt(g_scale) * b, math.sqrt(0.5 * g_scale) * b
-        terms = (h + dh) * (g + dg)
-        rho = 2.0 * (n + 4) * u * terms
-        dc, c = dh * (g + dg) + h * dg + 2.0 * rho, terms + rho
-    else:
-        dc, c = dh, h + dh
-    w = math.sqrt(0.5) * v + t * v
-    o = c + size + sigma_n * w
-    return dc + sigma_n * (t * v + 2.0 * u * w) + 2.0 * u * o, o
+    u, t = _ROUNDOFF, _TRIG_ERROR + 4.0 * _ROUNDOFF
+    a, b, v = power.T
+    x = np.sqrt(a * g_scale * b if plan.ris else a)
+    y = plan.scenario.noise_sigma * np.sqrt(v)
+    o = x + y + size
+    return 1.5 * t * (x + y) + (2 * n + 20) * u * o, o
 
 
-def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
-                 approx) -> np.ndarray:
-    """Per trial, e such that [a - e, a + e], each end rounded, holds the statistic that an
-    exact decode gives, where a = approx is the statistic of the single-precision decode that
-    gave observed, and gt the enrolled cascade, the same in both. With _observed_gap's Do, O:
+def _bounded_score(plan: TrialPlan, draws: Draws, gains: dict, sender=None) -> tuple:
+    """(a, e) per trial: a = _score of single-precision draws (gains and sender as it reads
+    them), and e such that [a - e, a + e], each end rounded, holds the statistic that an exact
+    decode gives; gt, the enrolled cascade, is the same in both. With _observed_gap's Do, O:
     - the magnitude |observed - gt|: Do + 8u (O + |gt|) (each decode's difference and hypot);
     - the phase, the circular distance of the arguments: (pi / 2) Do / |observed|, the angle
       that a disc of radius Do about observed subtends (pi if it holds the origin), plus
@@ -515,8 +494,9 @@ def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
     e is widened by 2^-30 of itself, far more than the factors (1 + k u) dropped and the
     rounding of e's own monotone steps can add, and by 2u a, for that of a - e and a + e.
     """
-    u, size = _ROUNDOFF, abs(gt)
-    do, o = _observed_gap(plan, power, size)
+    observed, gt = _received(plan, draws, gains, sender)
+    a, u, size = statistic(plan.feature, observed, gt), _ROUNDOFF, abs(gt)
+    do, o = _observed_gap(plan, draws.power, size)
     if plan.feature is Feature.CIR_MAGNITUDE:
         e = do + 8.0 * u * (o + size)
     else:
@@ -524,7 +504,7 @@ def _error_bound(plan: TrialPlan, power: np.ndarray, observed, gt: complex,
         with np.errstate(divide="ignore", invalid="ignore"):  # where the disc holds 0: pi
             e = np.where(do < modulus, (0.5 * math.pi) * do / modulus, math.pi)
         e += 16.0 * u * math.pi
-    return e * (1.0 + 2.0**-30) + 2.0 * u * approx
+    return a, e * (1.0 + 2.0**-30) + 2.0 * u * a
 
 
 def _default_chunk(plan: TrialPlan) -> int:
@@ -620,7 +600,7 @@ def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) ->
     """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them: each chunk
     sorts its shared unit noise once and counts a given grid by bisection at each plan's
     point (Alice's pathloss, Eve's pathloss, noise sigma), or holds it (8 B per trial) until
-    the pilot, each plan's statistic of its share forced H0 and H1, picks the grid."""
+    the pilot, each plan's statistic of its share scored as each sender's, picks the grid."""
     pathloss = {}  # each distinct pathloss pair of the stream, computed once
     points = np.array([(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group])
 
@@ -689,26 +669,26 @@ def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tupl
         bounded = [_bounded_score(p, draws, gains) for p in group]
         if not pilot:
             return _settled_counts(group, draws, bounded, grids)
-        forced = [_forced(draws, h, max(pilot - lo, 0)) for h in Hypothesis]  # pilot's share
-        samples = [[_bounded_score(p, f, gains) for f in forced] for p in group]
+        k = max(pilot - lo, 0)  # the pilot's share: per plan, (a, e) x sender x trial
+        samples = [np.stack([_bounded_score(p, draws, gains, h) for h in Hypothesis], axis=1)
+                   [..., :k] for p in group] if k else []
         rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
-        return rows, bounded, samples, forced[0].trials
+        return rows, bounded, samples
 
     parts = _map_trials(chunk, group[0], workers, hypothesis, exact=False)
     if not pilot:
         return grids, sum(parts)
-    rows, bounded, samples, pilot_trials = zip(*parts)  # each per chunk
+    rows, bounded, samples = zip(*parts)  # each per chunk
     rows = replace(rows[0], **{name: np.concatenate([getattr(r, name) for r in rows])
                                for name in ("is_alice", "trials")})
-    sampled = np.concatenate([t for t in pilot_trials for _ in Hypothesis])  # each sample's
     candidates = np.zeros(pilot, bool)  # of the pilot's trials, [0, pilot)
-    for per_chunk in zip(*samples):  # a plan's [(a, e) forced H0, (a, e) forced H1] per chunk
-        a, e = map(np.concatenate, zip(*(s for chunk_samples in per_chunk for s in chunk_samples)))
-        candidates[sampled[_extremes_possible(a, e)]] = True
+    for per_chunk in zip(*filter(None, samples)):  # a plan's samples, chunk by chunk
+        a, e = np.concatenate(per_chunk, axis=-1)  # each sender x trial
+        candidates |= _extremes_possible(a, e).any(axis=0)
     exact, gains = _decode(group[0], np.flatnonzero(candidates), None, (rows.h0, rows.g0)), {}
     # every trial that may give a plan's extreme, under both hypotheses: its exact extremes
-    grids = np.array([_auto_grid(np.concatenate([_score(p, _forced(exact, h), gains)
-                                                 for h in Hypothesis])) for p in group])
+    grids = np.array([_auto_grid(np.concatenate([_score(p, exact, gains, h) for h in Hypothesis]))
+                      for p in group])
     bounded = [tuple(map(np.concatenate, zip(*per_chunk))) for per_chunk in zip(*bounded)]
     return grids, _settled_counts(group, rows, bounded, grids)
 
@@ -764,5 +744,5 @@ def empirical_distribution(plan: TrialPlan, hypothesis: Hypothesis) -> np.ndarra
     A CDF lookup on the result at the threshold gives the missed detection
     (H1) or one minus the false alarm (H0).
     """
-    parts = _map_trials(lambda lo, draws: score(plan, _forced(draws, hypothesis)), plan, 1)
+    parts = _map_trials(lambda lo, draws: _score(plan, draws, {}, hypothesis), plan, 1)
     return np.sort(np.concatenate(parts))

@@ -186,6 +186,21 @@ class TestOptimizeOutputs:
         assert len(phases) == 256
 
 
+    @pytest.mark.parametrize("epsilon,closed", [(0.3, "0.0955"), (3.0, "0.955"), (5.0, "1")])
+    def test_phase_line_reports_the_closed_form(self, tmp_path, capsys, epsilon, closed):
+        # the phase missed detection is min(eps, pi) / pi for every profile: the line puts it
+        # next to the in-sample best, and the CSVs do not carry it
+        out = tmp_path / "ph.csv"
+        code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", epsilon,
+                       "--levels", 2, "--budget", 3000, "--eval-trials", 1000, "--seed", 4,
+                       "--output", out)
+        assert code == EXIT_OK
+        best = float((tmp_path / "ph_summary.csv").read_text().splitlines()[1].split(",")[0])
+        assert capsys.readouterr().out == (
+            f"best pmd {best:.3g} in sample, closed form min(eps, pi)/pi {closed}, "
+            "after 3 evaluations (3000 trials)\n")
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

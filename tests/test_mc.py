@@ -727,6 +727,25 @@ def adversarial_grid(ts, trials, quantiles=(0.1, 0.5, 0.9)):
     return np.unique(np.concatenate(points))
 
 
+def term_by_term_gap(plan, power, size):
+    """mc._observed_gap's (Do, O) as derived term by term through h, g, the cascade and the
+    noise, with their rounding: the pair that the two-term bound must dominate."""
+    _, _, n, g_scale = mc._stream(plan)
+    u, sigma_n, t = mc._ROUNDOFF, plan.scenario.noise_sigma, mc._TRIG_ERROR + 4.0 * mc._ROUNDOFF
+    a, b, v = np.sqrt(power).T
+    dh, h = t * a, math.sqrt(0.5) * a
+    if plan.ris:
+        dg, g = t * math.sqrt(g_scale) * b, math.sqrt(0.5 * g_scale) * b
+        terms = (h + dh) * (g + dg)
+        rho = 2.0 * (n + 4) * u * terms
+        dc, c = dh * (g + dg) + h * dg + 2.0 * rho, terms + rho
+    else:
+        dc, c = dh, h + dh
+    w = math.sqrt(0.5) * v + t * v
+    o = c + size + sigma_n * w
+    return dc + sigma_n * (t * v + 2.0 * u * w) + 2.0 * u * o, o
+
+
 class TestBoundedDecode:
     """sweep_trials decides CIR trials from single-precision trig and a bound, and re-decodes
     exactly those it cannot decide: its counts and auto grids are the exact decode's."""
@@ -785,6 +804,27 @@ class TestBoundedDecode:
         assert np.all(a - e <= exact) and np.all(exact <= a + e)  # the rounded ends too
         assert np.all(a != exact)  # the approximation is not the exact decode itself
 
+    @pytest.mark.parametrize("feature", [Feature.CIR_PHASE, Feature.CIR_MAGNITUDE])
+    def test_bound_holds_where_the_gain_cancels(self, scenario_small, feature):
+        # direct-link gains h that sigma_n noise cancels to within the decodes' distance of 0:
+        # the exact and the single-precision observed gains point opposite ways, so their
+        # phases differ by pi, which only the bound's pi where the disc holds the origin covers
+        plan = cir_plan(scenario_small, feature, n=4, ris=False)
+        c = 1e-3 * np.exp(1j * np.array([0.3, 1.9, 3.5, 5.1]))
+        unit, sigma_n = c / np.abs(c), plan.scenario.noise_sigma
+        noise = -(c + 1e-12 * unit) / sigma_n  # the exact gain is -1e-12 along unit
+        ones = np.ones((4, 1), complex)
+        exact = mc.Draws(np.zeros(4, bool), noise, c[:, None], ones, unit[:1], ones[0])
+        # single precision: h off by 4e-7 of itself, within t r of each Box-Muller value
+        power = np.stack([2.0 * np.abs(c) ** 2, np.full(4, 2.0 / plan.scenario.sigma_g_sq),
+                          2.0 * np.abs(noise) ** 2], axis=1)
+        approx = replace(exact, h=exact.h * (1.0 + 4e-7), trials=np.arange(4), power=power)
+        a, e = mc._bounded_score(plan, approx, {})
+        want = score(plan, exact)
+        assert np.all(a - e <= want) and np.all(want <= a + e)
+        if feature is Feature.CIR_PHASE:  # gt = unit[0]: the two gains straddle the origin
+            assert np.max(np.abs(a - want)) > 3.0
+
     @pytest.mark.parametrize("case", ["magnitude-refading", "magnitude-direct"])
     @pytest.mark.parametrize("n_elements", [8, 256])
     def test_redecoded_rows_equal_the_chunk_rows(self, scenario, case, n_elements):
@@ -800,6 +840,26 @@ class TestBoundedDecode:
                               (rows.g, full.g[trials]), (rows.noise, full.noise[trials]),
                               (score(plan, rows), whole[trials])]:
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trig_error", [mc._TRIG_ERROR, 0.0])
+    @pytest.mark.parametrize("n_elements,ris", [(1, True), (8, True), (256, True),
+                                                (5000, True), (8, False)])
+    def test_two_term_bound_dominates_the_term_by_term_one(self, scenario, monkeypatch,
+                                                           trig_error, n_elements, ris):
+        monkeypatch.setattr(mc, "_TRIG_ERROR", trig_error)
+        rng = np.random.default_rng(n_elements)
+        ends = [1e-10, 1.0, 1e6]  # each power column at both ends and between
+        power = np.concatenate([10.0 ** rng.uniform(-10.0, 6.0, (3000, 3)),
+                                np.array(list(itertools.product(ends, repeat=3)))])
+        for sigma_n, sigma_g_sq in itertools.product([1e-8, 1e-3, 1.0, 1e4], [1e-3, 1.0, 1e3]):
+            base = replace(scenario, n_elements=n_elements, sigma_g_sq=sigma_g_sq)
+            lq = -10.0 * math.log10(sigma_n**2 / base.tx_power_w)
+            plan = cir_plan(base.at_link_quality(lq), Feature.CIR_PHASE, n=1, ris=ris)
+            assert plan.scenario.noise_sigma == pytest.approx(sigma_n)
+            for size in (0.0, 1e-9, 1e3):  # no pinned cascade, and a small and a large |gt|
+                do, o = mc._observed_gap(plan, power, size)
+                want_do, want_o = term_by_term_gap(plan, power, size)
+                assert np.all(do >= want_do) and np.all(o >= want_o)
 
     def test_single_precision_trig_stays_within_half_the_assumed_error(self):
         # the bound assumes the float32 cos and sin of the rounded angle lie within
@@ -817,6 +877,34 @@ class TestBoundedDecode:
         # the SIMD target that numpy dispatched float32 cos and sin to on this machine
         tier = np.lib.introspect.opt_func_info(func_name="^(cos|sin)$", signature="float32.*")
         assert 0.0 < worst <= mc._TRIG_ERROR / 2, f"{worst:.3e} on {tier}"
+
+
+class TestSenderScoring:
+    """A sender argument scores every row as that sender's, with the bits that a copy of the
+    draws whose transmitter draw is filled with that sender gives."""
+
+    @pytest.mark.parametrize("sender", list(Hypothesis))
+    @pytest.mark.parametrize("case", ["pathloss", *BOUNDED_CASES])
+    def test_equals_a_filled_copy(self, scenario_small, case, sender):
+        if case == "pathloss":
+            plan = pathloss_plan(scenario_small, n=700, seed=5)
+        else:
+            plan = bounded_plan(scenario_small, case, 5, n=700)
+        draws = decode(plan, range(700))
+        assert 0 < np.count_nonzero(draws.is_alice) < 700  # both senders drawn
+        fill = np.full(700, sender is Hypothesis.H0)
+        want = score(plan, replace(draws, is_alice=fill))
+        assert mc._score(plan, draws, {}, sender).tobytes() == want.tobytes()
+        # every trial of a run scored as the sender's, as empirical_distribution gives them
+        assert empirical_distribution(plan, sender).tobytes() == np.sort(want).tobytes()
+        if case == "pathloss":
+            return
+        approx = mc._decode(plan, range(700), None, mc._enrollment(plan), exact=False)
+        gains = {}
+        mc._bounded_score(plan, approx, gains)  # the chunk's own score, as _count_cir runs it
+        got = mc._bounded_score(plan, approx, gains, sender)
+        want = mc._bounded_score(plan, replace(approx, is_alice=fill), {})
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 class TestDecode:
@@ -950,7 +1038,7 @@ def held_for(plan: TrialPlan) -> mc._HeldSearch:
 
 def attacker_statistics(plan: TrialPlan) -> np.ndarray:
     """Each attacker trial's statistic under plan, from a fresh exact decode."""
-    return score(plan, mc._forced(decode(plan, range(plan.n_trials)), Hypothesis.H1))
+    return mc._score(plan, decode(plan, range(plan.n_trials)), {}, Hypothesis.H1)
 
 
 def candidates(n: int, levels: int, order: str, limit: int = 60):
@@ -1121,12 +1209,12 @@ class TestHeldSearch:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
         held = held_for(plan)
         held.limit = n + 6  # a restart every few candidates; the margin was sized for 4096 + N
-        exact, restarts, updates = mc._forced(decode(plan, range(543)), Hypothesis.H1), 0, 0
+        exact, restarts, updates = decode(plan, range(543)), 0, 0
         for phases in itertools.islice(itertools.cycle(candidates(n, 3, "coordinate")), 30):
             candidate = replace(plan, profile=PerElement(np.array(phases)))
             held.misses(candidate.profile.phases, 7.0)  # above pi: B updated, nothing scored
             restarts, updates = restarts + (held.updates <= updates), held.updates
-            observed = mc._received(candidate, exact, {})[0]
+            observed = mc._received(candidate, exact, {}, Hypothesis.H1)[0]
             assert np.all(np.abs(held.cascade - observed) <= held.margin)
         assert restarts >= 2
 
@@ -1136,12 +1224,12 @@ class TestHeldSearch:
         # exactly decoded planes and no trig error leave the decode-error term rounding only,
         # so it is the rounding-and-drift term that covers B after 4096 rank-1 updates
         plan = cir_plan(replace(scenario, n_elements=1, lq_db=lq), Feature.CIR_PHASE, n=2000)
-        exact = mc._forced(decode(plan, range(2000)), Hypothesis.H1)
+        exact = decode(plan, range(2000))
         held, rng = hold(plan, exact, monkeypatch), np.random.default_rng(17)
         for _ in range(4096):  # one update each, within the default limit of N + 4096
             candidate = replace(plan, profile=PerElement(rng.uniform(0.0, 2.0 * math.pi, 1)))
             held.misses(candidate.profile.phases, 7.0)  # above pi: B updated, nothing scored
-            observed = mc._received(candidate, exact, {})[0]
+            observed = mc._received(candidate, exact, {}, Hypothesis.H1)[0]
             assert np.all(np.abs(held.cascade - observed) <= held.margin)
         assert held.updates == 4096
 

@@ -13,8 +13,8 @@ chunks take cos and sin in single precision (all else in double), and each trial
 carries a rigorous bound e on its distance from the exact decode's (_bounded_score, from the
 two-term bound of _observed_gap). Where no threshold of the plan's grid lies in [a - e, a + e],
 a falls on the exact statistic's side of every threshold; where one does (or, for the auto
-grid, where the trial could give the smallest positive or largest statistic of the pilot, whose
-rows are scored as each sender's), the trial is undecided, and _decode of the undecided trials'
+grid, where the trial could give the smallest positive or largest statistic of the pilot, as
+each sender's if Alice is pinned), the trial is undecided, and _decode of the undecided trials'
 indices decodes them exactly. So every count and auto grid is the exact decode's, bit for bit.
 The phase search (attacker_draws) holds such chunks too, and re-decodes the trials that its cone
 test leaves undecided (_HeldSearch). decode and empirical_distribution decode exactly.
@@ -661,8 +661,8 @@ def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tupl
     """(grids, counts) of a CIR stream's plans, from single-precision chunks (see the
     module docstring): each chunk scores each plan once, with its bound, and counts a given
     grid, or holds its bounded statistics (16 B per trial and plan, and 9 B per trial) until
-    the pilot picks the grid. The pilot's extremes are scored exactly, and so is each
-    undecided trial."""
+    the pilot, scored as each sender's only where the plan pins Alice (_received), picks the
+    grid. The pilot's extremes are scored exactly, and so is each undecided trial."""
 
     def chunk(lo, draws):
         gains = {}  # shared by every score of the chunk (_received)
@@ -670,8 +670,9 @@ def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tupl
         if not pilot:
             return _settled_counts(group, draws, bounded, grids)
         k = max(pilot - lo, 0)  # the pilot's share: per plan, (a, e) x sender x trial
-        samples = [np.stack([_bounded_score(p, draws, gains, h) for h in Hypothesis], axis=1)
-                   [..., :k] for p in group] if k else []
+        samples = [np.stack([own] if p.refade_alice else  # a re-fading plan: its own (a, e)
+                            [_bounded_score(p, draws, gains, h) for h in Hypothesis], axis=1)
+                   [..., :k] for p, own in zip(group, bounded)] if k else []
         rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
         return rows, bounded, samples
 
@@ -686,9 +687,9 @@ def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tupl
         a, e = np.concatenate(per_chunk, axis=-1)  # each sender x trial
         candidates |= _extremes_possible(a, e).any(axis=0)
     exact, gains = _decode(group[0], np.flatnonzero(candidates), None, (rows.h0, rows.g0)), {}
-    # every trial that may give a plan's extreme, under both hypotheses: its exact extremes
-    grids = np.array([_auto_grid(np.concatenate([_score(p, exact, gains, h) for h in Hypothesis]))
-                      for p in group])
+    # every trial that may give a plan's extreme, as each sender's if Alice is pinned
+    grids = np.array([_auto_grid(np.concatenate([_score(p, exact, gains, h) for h in (
+        [None] if p.refade_alice else Hypothesis)])) for p in group])
     bounded = [tuple(map(np.concatenate, zip(*per_chunk))) for per_chunk in zip(*bounded)]
     return grids, _settled_counts(group, rows, bounded, grids)
 
@@ -712,7 +713,8 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     other plans of the call. A hypothesis decodes past the transmitter draw only its sender's
     trials (H0: Alice's); the auto grid's pilot reads both senders, so it takes none. A chunk
     sorts once per distinct statistic and counts a given grid, or holds its values until the
-    pilot picks the grid (_count_pathloss, _count_cir).
+    pilot picks the grid (_count_pathloss, _count_cir). The pilot scores a pathloss plan, or one
+    that pins Alice, as each sender's; a re-fading CIR plan's score does not read the sender.
     """
     if not plans or grids is not None and len(grids) != len(plans):
         raise ValueError(f"need one grid per plan, got {len(plans)} plans and "

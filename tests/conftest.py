@@ -33,6 +33,22 @@ def reference_box_muller(u, v):
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
+def single_precision_trig_error() -> tuple[float, dict]:
+    """The largest |cos - libm cos| and |sin - libm sin| of the float32-rounded angle, as the
+    engine's single-precision decode takes it, over 10^7 angles in [0, 2 pi) with both ends;
+    and the SIMD target that numpy dispatched float32 cos and sin to (opt_func_info)."""
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for k in range(10):
+        ang = 2.0 * math.pi * rng.random(10**6)
+        if k == 0:  # the ends of [0, 2 pi)
+            ang[:2] = 0.0, np.nextafter(2.0 * math.pi, 0.0)
+        single = ang.astype(np.float32)
+        for trig in (np.cos, np.sin):
+            worst = max(worst, float(np.max(np.abs(trig(single) - trig(ang)))))
+    return worst, np.lib.introspect.opt_func_info(func_name="^(cos|sin)$", signature="float32.*")
+
+
 class RedecodeSpy:
     """Wraps the index-array calls of mc._decode for a test: records each batch of trials that
     sweep_trials or a phase search re-decodes exactly, and whether a re-decode is running (for

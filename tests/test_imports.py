@@ -1,6 +1,10 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the test-only extras stay out of
+run time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,12 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_name():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "line 1: math", "line 2: path"]
+
+
+def test_run_time_imports_no_test_extra():
+    # scipy and mpmath are test oracles (pyproject's `test` extras), never run-time dependencies
+    code = ("import sys, rispla.cli, rispla.checks; "
+            "print(sorted(m for m in ('mpmath', 'scipy', 'hypothesis') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,11 @@
 """Monte-Carlo engine: determinism, closed-form agreement, distribution checks."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import TABLE1, RedecodeSpy, reference_box_muller
+from conftest import TABLE1, RedecodeSpy, reference_box_muller, single_precision_trig_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -598,6 +602,34 @@ class TestRocSweep:
         assert counts == sweep_trials([plan], [grid])[0]
         assert len(set(counts.roc()[1].tolist())) > 1  # the grid spans the statistics
 
+    @pytest.mark.parametrize("refade", [True, False], ids=["refading", "pinned"])
+    @pytest.mark.parametrize("feature", [Feature.CIR_PHASE, Feature.CIR_MAGNITUDE],
+                             ids=["phase", "magnitude"])
+    def test_pilot_scores_as_each_sender_only_a_pinned_plan(self, scenario_small, monkeypatch,
+                                                             feature, refade):
+        # a sender changes only a pinned Alice's cascade (_received): the pilot scores a
+        # re-fading plan once per chunk, and a pinned one again as each sender's in the pilot's
+        # chunks only; the third chunk, [10000, 15000), lies past the 10^4-trial pilot
+        plan = cir_plan(scenario_small, feature, n=15_000, refade_alice=refade)
+        monkeypatch.setattr(mc, "_default_chunk", lambda plan: 5000)
+        calls = []  # (function, sender, the draws' first trial: None for an exact decode)
+        for name in ("_bounded_score", "_score"):
+            def spy(plan, draws, gains, sender=None, real=getattr(mc, name), name=name):
+                first = None if draws.trials is None else int(draws.trials[0])
+                calls.append((name, sender, first))
+                return real(plan, draws, gains, sender)
+
+            monkeypatch.setattr(mc, name, spy)
+        sweep_trials([plan])
+        senders = [] if refade else list(Hypothesis)
+        bounded = [(sender, first) for name, sender, first in calls if name == "_bounded_score"]
+        assert bounded == [(sender, lo) for lo in (0, 5000, 10_000)
+                           for sender in [None, *(senders if lo < 10_000 else [])]]
+        exact = [(sender, first) for name, sender, first in calls if name == "_score"]
+        extremes = [(sender, None) for sender in senders or [None]]  # the pilot's, exactly
+        assert exact[:len(extremes)] == extremes
+        assert exact[len(extremes):] in ([], [(None, None)])  # the undecided trials, if any
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_given_grid_counted_per_chunk(self, scenario_small, monkeypatch, workers):
         # each chunk returns its counts per threshold, never its trials' statistics
@@ -865,18 +897,28 @@ class TestBoundedDecode:
         # the bound assumes the float32 cos and sin of the rounded angle lie within
         # _TRIG_ERROR of libm's double-precision values; a platform whose single-precision
         # trig errs by more than half of that fails here, loudly, not in a count
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for k in range(10):
-            ang = mc.TWO_PI * rng.random(10**6)
-            if k == 0:  # the ends of [0, 2 pi)
-                ang[:2] = 0.0, np.nextafter(mc.TWO_PI, 0.0)
-            single = ang.astype(np.float32)  # as _cir_vectors takes it
-            for trig in (np.cos, np.sin):
-                worst = max(worst, float(np.max(np.abs(trig(single) - trig(ang)))))
-        # the SIMD target that numpy dispatched float32 cos and sin to on this machine
-        tier = np.lib.introspect.opt_func_info(func_name="^(cos|sin)$", signature="float32.*")
+        worst, tier = single_precision_trig_error()
         assert 0.0 < worst <= mc._TRIG_ERROR / 2, f"{worst:.3e} on {tier}"
+
+    def test_single_precision_trig_at_each_lower_simd_tier(self):
+        # numpy picks a SIMD target for float32 cos and sin at run time, so a CPU with fewer
+        # features runs other trig: each lower target that this CPU supports is forced in a
+        # subprocess, by NPY_DISABLE_CPU_FEATURES naming the targets above it, and checked
+        info = np.lib.introspect.opt_func_info(func_name="^cos$", signature="float32.*")
+        targets = info["cos"]["ff"]["available"].split()  # highest first, "baseline(...)" last
+        top = targets.index(info["cos"]["ff"]["current"])
+        if top == len(targets) - 1:
+            pytest.skip(f"float32 cos already runs its lowest target, {targets[top]}")
+        code = "import json, conftest; print(json.dumps(conftest.single_precision_trig_error()))"
+        path = os.pathsep.join(str(TABLE1.parents[1] / d) for d in ("src", "tests"))
+        for k in range(top + 1, len(targets)):
+            env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[top:k]),
+                   "PYTHONPATH": path}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            worst, tier = json.loads(out.stdout)
+            assert [tier[f]["ff"]["current"] for f in ("cos", "sin")] == [targets[k]] * 2
+            assert 0.0 < worst <= mc._TRIG_ERROR / 2, f"{worst:.3e} on {targets[k]}"
 
 
 class TestSenderScoring:

@@ -22,6 +22,7 @@ import numpy as np
 from . import auth, mc, optim
 from .auth import Feature
 from .channel import (
+    EvanescentError,
     GeometryError,
     PerElement,
     ScalarGradient,
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioFormatError, UsageError, GeometryError) as exc:
+    except (ScenarioFormatError, UsageError, GeometryError, EvanescentError) as exc:
         print(f"rispla: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -544,25 +544,31 @@ def _accepted_run(noise, pl_true, pl_a, sigma_n, eps) -> np.ndarray:
     """#accepts(statistic) over one sender's pathloss trials, from their ascending unit noise,
     at each point of the 1-D arrays pl_true, pl_a, sigma_n and eps.
 
-    Each rounded step of pl_true + sigma_n * n - pl_a (a multiply by sigma_n >= 0, an add, a
-    subtract) is monotone in n, so over ascending n the statistic falls up to the fold (the
-    first n observed at or above pl_a) and rises after it: the accepted trials are one run
-    around the fold. The fold and both ends are bisected for all points at once, each probe
-    through score's IEEE operations, so the counts are score's exactly.
+    Each of score's rounded steps of d = pl_true + sigma_n * n - pl_a (a multiply by
+    sigma_n >= 0, an add, a subtract) is monotone in n, and its statistic |d| is below eps
+    exactly when -eps < d < eps: the accepted trials run from the first with d > -eps to the
+    first with d >= eps (none if eps is 0). Each end is searched for all points at once,
+    starting at the index of its real-arithmetic cut (pl_a - pl_true -+ eps) / sigma_n: a
+    bracket doubles from there until the test changes in it, then is bisected. Every probe
+    takes score's IEEE steps, so the counts are score's exactly; a cut that rounding moves
+    far (sigma_n * n near pl_a's ulp) costs probes, not bits.
     """
-    def first(lo, hi, key):  # per point, the first index in [lo, hi) whose noise has key, or hi
-        lo, hi = np.broadcast_to(lo, eps.shape), np.broadcast_to(hi, eps.shape)
-        while np.any(lo < hi):
-            mid, active = (lo + hi) // 2, lo < hi
-            true = key(noise[np.minimum(mid, noise.size - 1)])  # a settled point's mid may be hi
-            lo, hi = np.where(active & ~true, mid + 1, lo), np.where(active & true, mid, hi)
+    last = max(noise.size - 1, 0)
+
+    def first(cut, key):  # per point, the first index whose d has key, or noise.size
+        with np.errstate(all="ignore"):  # sigma_n = 0: an infinite or NaN cut, sorted last
+            at = np.minimum(np.searchsorted(noise, cut / sigma_n), last)
+        lo, hi, step = np.zeros_like(at), np.full_like(at, noise.size), 0
+        while np.any(lo < hi):  # the first index with key is in [lo, hi]
+            target = np.where(hi <= at, at - step, at + step)  # at, then doubling away from it
+            mid = np.where((lo <= target) & (target < hi), target, (lo + hi) // 2)  # or bisect
+            true = key(_observed(pl_true, sigma_n, noise[np.minimum(mid, last)]) - pl_a)
+            lo, hi = np.where((lo < hi) & ~true, mid + 1, lo), np.where((lo < hi) & true, mid, hi)
+            step = max(2 * step, 1)
         return lo
 
-    def accepted(n):
-        return accepts(statistic(Feature.PATHLOSS, _observed(pl_true, sigma_n, n), pl_a), eps)
-
-    fold = first(0, noise.size, lambda n: _observed(pl_true, sigma_n, n) >= pl_a)
-    return first(fold, noise.size, lambda n: ~accepted(n)) - first(0, fold, accepted)
+    start = first(pl_a - pl_true - eps, lambda d: d > -eps)
+    return np.maximum(first(pl_a - pl_true + eps, lambda d: d >= eps) - start, 0)
 
 
 def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
@@ -598,9 +604,10 @@ def _auto_grid(samples: np.ndarray) -> np.ndarray:
 
 def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
     """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them: each chunk
-    sorts its shared unit noise once and counts a given grid by bisection at each plan's
-    point (Alice's pathloss, Eve's pathloss, noise sigma), or holds it (8 B per trial) until
-    the pilot, each plan's statistic of its share scored as each sender's, picks the grid."""
+    sorts its shared unit noise once and counts a given grid at each plan's point (Alice's
+    pathloss, Eve's pathloss, noise sigma) by _accepted_run's searches from the cuts, or
+    holds it (8 B per trial) until the pilot, each plan's statistic of its share scored as
+    each sender's, picks the grid."""
     pathloss = {}  # each distinct pathloss pair of the stream, computed once
     points = np.array([(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group])
 

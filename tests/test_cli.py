@@ -670,6 +670,10 @@ class TestExitCodes:
         ["roc", "--feature", "cir-magnitude", "--gradient", 3],
         ["sweep-pfa", "--epsilon", 1e-5, "--freeze-alice"],
         ["roc", "--freeze-alice", "--baseline", "both"],
+        # a --gradient with no propagating reflection in the scenario's geometry
+        ["sweep-pmd", "--target-pfa", 0.05, "--gradient", 1e6, "--trials", 100],
+        ["sweep-pfa", "--target-pfa", 0.05, "--gradient", 1e6, "--trials", 100],
+        ["roc", "--gradient", 1e6, "--trials", 100],
     ], ids=["negative-seed", "zero-trials", "nan-epsilon", "nan-gradient", "infinite-lq",
             "zero-workers", "negative-workers",
             "phase-count", "decreasing-epsilons", "nan-epsilons", "negative-epsilons",
@@ -686,7 +690,8 @@ class TestExitCodes:
             "overflowing-grid",  # finite ends whose linspace step overflows: NaN points
             "bad-seed-text", "fractional-trials",
             "phases-pathloss-sweep", "phases-pathloss-roc", "gradient-cir-sweep",
-            "gradient-cir-roc", "freeze-alice-pathloss-sweep", "freeze-alice-pathloss-roc"])
+            "gradient-cir-roc", "freeze-alice-pathloss-sweep", "freeze-alice-pathloss-roc",
+            "evanescent-gradient-pmd", "evanescent-gradient-pfa", "evanescent-gradient-roc"])
     def test_input_errors_exit_usage(self, tmp_path, args):
         out = tmp_path / "x.csv"
         argv = [args[0], "--scenario", SCENARIO, *args[1:], "--output", out]

@@ -272,12 +272,13 @@ class TestSweepTrials:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @given(seed=st.integers(0, 2**64 - 1),
-           lqs=st.lists(st.floats(-20.0, 300.0), min_size=1, max_size=3),
+           lqs=st.lists(st.floats(-20.0, 360.0), min_size=1, max_size=3),
            gradient=st.floats(0.0, 40.0), tie=st.integers(0, 2999))
     def test_pathloss_counts_equal_the_rule(self, scenario_small, workers, seed, lqs, gradient,
                                             tie):
-        # the pathloss counts come from bisection on sorted noise, not from score():
-        # check them against accepts(score(...)) over the whole decoded range
+        # the pathloss counts come from searches on sorted noise, not from score(): check
+        # them against accepts(score(...)) over the whole decoded range. Above about 300 dB,
+        # sigma_n * n nears pl_a's ulp and the searches' starting cuts are far off
         plans = [pathloss_plan(replace(scenario_small, lq_db=lq), n=3000, seed=seed,
                                gradient=gradient, ris=ris)
                  for lq in lqs for ris in (True, False)]
@@ -298,6 +299,32 @@ class TestSweepTrials:
             patch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
             got = sweep_trials(plans, [c.grid for c in expected], workers=workers)
             assert got == expected
+
+    def test_pathloss_counts_probe_near_the_cut(self, scenario, monkeypatch):
+        # each end of a count's accepted run is searched from its real-arithmetic cut, so at
+        # table1's link qualities a count takes a few probes (one _observed call each), not
+        # a bisection of the whole chunk (43-49)
+        scenarios = [replace(scenario, lq_db=lq) for lq in range(50, 101, 5)]
+        plans = [pathloss_plan(sc, n=20000, ris=ris) for sc in scenarios for ris in (True, False)]
+        grids = [[threshold_for_pfa(p, plan.scenario.noise_sigma) for p in (0.5, 0.05)]
+                 for plan in plans]
+        calls, observed, accepted_run = [], mc._observed, mc._accepted_run
+
+        def counting_observed(*args):
+            calls[-1][1] += 1
+            return observed(*args)
+
+        def counting_run(noise, pl_true, pl_a, *args):
+            calls.append([bool(np.all(pl_true == pl_a)), 0, noise.size])
+            return accepted_run(noise, pl_true, pl_a, *args)
+
+        monkeypatch.setattr(mc, "_observed", counting_observed)
+        monkeypatch.setattr(mc, "_accepted_run", counting_run)
+        sweep_trials(plans, grids)
+        assert sorted(alice for alice, _, _ in calls) == [False, True]  # one stream, one chunk
+        for _, probes, size in calls:
+            assert size > 0
+            assert probes <= 6
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_streams_equal_run_trials_per_point(self, scenario_small, monkeypatch,

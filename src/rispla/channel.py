@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .specfun import libm
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "GeometryError",
@@ -226,9 +228,8 @@ def ris_pathloss_grid(scenario: Scenario, tx_pos, gradients) -> tuple[np.ndarray
     from tx via the panel to Bob at each phase gradient, and whether it has a reflected ray.
 
     A gradient propagates unless |sin(theta_i) + lambda*gradient/(2 pi n1)| > 1 (principal
-    arcsine branch); its pathloss is NaN otherwise. The geometry is computed once. asin
-    and sin are libm's, one element at a time: numpy's SIMD arcsin can differ from libm in
-    the last bit, and the committed outputs hold libm's bits.
+    arcsine branch); its pathloss is NaN otherwise. The geometry is computed once; asin and
+    sin are libm's (specfun.libm).
     """
     tx = np.asarray(tx_pos, dtype=float)
     d_i = float(np.linalg.norm(tx - scenario.ris_pos))
@@ -238,11 +239,11 @@ def ris_pathloss_grid(scenario: Scenario, tx_pos, gradients) -> tuple[np.ndarray
     s = (math.sin(theta_i)
          + lam * np.asarray(gradients, dtype=float) / (TWO_PI * scenario.refractive_index))
     propagating = ~(np.abs(s) > 1.0)
-    sin_r = [math.sin(math.asin(v)) for v in np.where(propagating, s, 0.0).tolist()]
-    u = (math.pi * scenario.element_b / lam) * (math.sin(theta_i) - np.array(sin_r))
+    sin_r = libm(lambda v: math.sin(math.asin(v)), np.where(propagating, s, 0.0))
+    u = (math.pi * scenario.element_b / lam) * (math.sin(theta_i) - sin_r)
     # removable singularity at u = 0: (sin u / u)^2 = 1 - u^2/3 + O(u^4)
     small = np.abs(u) < 1e-8
-    sinc = np.array([math.sin(v) for v in u.tolist()]) / np.where(small, 1.0, u)
+    sinc = libm(math.sin, u) / np.where(small, 1.0, u)
     ab = scenario.element_a * scenario.element_b
     gain = (scenario.tx_gain * scenario.rx_gain / (4.0 * math.pi) ** 2
             * (ab / (d_i * r)) ** 2

@@ -14,8 +14,8 @@ carries a rigorous bound e on its distance from the exact decode's (_bounded_sco
 two-term bound of _observed_gap). Where no threshold of the plan's grid lies in [a - e, a + e],
 a falls on the exact statistic's side of every threshold; where one does (or, for the auto
 grid, where the trial could give the smallest positive or largest statistic of the pilot, as
-each sender's if Alice is pinned), the trial is undecided, and _decode of the undecided trials'
-indices decodes them exactly. So every count and auto grid is the exact decode's, bit for bit.
+each sender's if Alice is pinned), the trial is undecided, and _decode of a chunk's undecided
+trials re-decodes them exactly. So every count and auto grid is the exact decode's, bit for bit.
 The phase search (attacker_draws) holds such chunks too, and re-decodes the trials that its cone
 test leaves undecided (_HeldSearch). decode and empirical_distribution decode exactly.
 """
@@ -604,10 +604,10 @@ def _auto_grid(samples: np.ndarray) -> np.ndarray:
 
 def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
     """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them: each chunk
-    sorts its shared unit noise once and counts a given grid at each plan's point (Alice's
-    pathloss, Eve's pathloss, noise sigma) by _accepted_run's searches from the cuts, or
-    holds it (8 B per trial) until the pilot, each plan's statistic of its share scored as
-    each sender's, picks the grid."""
+    sorts its shared unit noise once and counts a grid at each plan's point (Alice's
+    pathloss, Eve's pathloss, noise sigma) by _accepted_run's searches from the cuts: a given
+    grid at once, or the auto grid, holding the sorted noise (8 B per trial) until the pilot,
+    each plan's _score of its share as each sender's, picks it."""
     pathloss = {}  # each distinct pathloss pair of the stream, computed once
     points = np.array([(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group])
 
@@ -622,9 +622,10 @@ def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) ->
         (pairs,) = _sorted_pairs(draws, [draws.noise])
         if not pilot:
             return counts(*pairs, grids)
-        noise = draws.noise[:max(pilot - lo, 0)]  # the pilot's share
-        return pairs, [np.concatenate([statistic(Feature.PATHLOSS, _observed(pl, s, noise), pl_a)
-                                       for pl in (pl_a, pl_e)]) for pl_a, pl_e, s in points]
+        k = max(pilot - lo, 0)  # the pilot's share, scored as each sender's
+        share = replace(draws, is_alice=draws.is_alice[:k], noise=draws.noise[:k])
+        return pairs, [np.concatenate([_score(p, share, pathloss, h) for h in Hypothesis])
+                       for p in group]
 
     parts = _map_trials(chunk, group[0], workers, hypothesis)
     if pilot:
@@ -634,11 +635,11 @@ def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) ->
 
 
 def _settled_counts(group: list, draws: Draws, bounded: list, grids) -> np.ndarray:
-    """The counts, as sweep_trials reads them, of a CIR stream's trials from their bounded
+    """The counts, as sweep_trials reads them, of a CIR chunk's trials from their bounded
     statistics (a, e) per plan: a trial whose interval [a - e, a + e] holds a threshold of
     some plan's grid is undecided, and all plans score it exactly (one _decode of the
-    undecided trials' indices, draws.trials, for them all); elsewhere a is on the exact
-    statistic's side of every threshold, so the counts are the exact decode's."""
+    chunk's undecided trials' indices, draws.trials, for them all); elsewhere a is on the
+    exact statistic's side of every threshold, so the counts are the exact decode's."""
     undecided = np.zeros(draws.is_alice.size, bool)
     for (a, e), grid in zip(bounded, grids):
         undecided |= np.searchsorted(grid, a - e) != np.searchsorted(grid, a + e, side="right")
@@ -665,11 +666,11 @@ def _extremes_possible(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
-    """(grids, counts) of a CIR stream's plans, from single-precision chunks (see the
-    module docstring): each chunk scores each plan once, with its bound, and counts a given
-    grid, or holds its bounded statistics (16 B per trial and plan, and 9 B per trial) until
-    the pilot, scored as each sender's only where the plan pins Alice (_received), picks the
-    grid. The pilot's extremes are scored exactly, and so is each undecided trial."""
+    """(grids, counts) of a CIR stream's plans, from single-precision chunks (see the module
+    docstring): each chunk scores each plan once, with its bound, and counts a given grid
+    (_settled_counts), or holds its bounded statistics (16 B per trial and plan, 9 B per trial)
+    until the pilot picks the grid, then is counted so and freed, in trial order. The pilot's
+    possible extremes are scored exactly, as each sender's only where the plan pins Alice."""
 
     def chunk(lo, draws):
         gains = {}  # shared by every score of the chunk (_received)
@@ -680,25 +681,21 @@ def _count_cir(group: list, grids, pilot: int, hypothesis, workers: int) -> tupl
         samples = [np.stack([own] if p.refade_alice else  # a re-fading plan: its own (a, e)
                             [_bounded_score(p, draws, gains, h) for h in Hypothesis], axis=1)
                    [..., :k] for p, own in zip(group, bounded)] if k else []
-        rows = replace(draws, h=None, g=None, noise=None, power=None)  # not the fading
-        return rows, bounded, samples
+        return replace(draws, h=None, g=None, noise=None, power=None), bounded, samples
 
     parts = _map_trials(chunk, group[0], workers, hypothesis, exact=False)
     if not pilot:
         return grids, sum(parts)
-    rows, bounded, samples = zip(*parts)  # each per chunk
-    rows = replace(rows[0], **{name: np.concatenate([getattr(r, name) for r in rows])
-                               for name in ("is_alice", "trials")})
     candidates = np.zeros(pilot, bool)  # of the pilot's trials, [0, pilot)
-    for per_chunk in zip(*filter(None, samples)):  # a plan's samples, chunk by chunk
+    for per_chunk in zip(*(s for _, _, s in parts if s)):  # a plan's samples, chunk by chunk
         a, e = np.concatenate(per_chunk, axis=-1)  # each sender x trial
         candidates |= _extremes_possible(a, e).any(axis=0)
-    exact, gains = _decode(group[0], np.flatnonzero(candidates), None, (rows.h0, rows.g0)), {}
+    enrolled = parts[0][0].h0, parts[0][0].g0
+    exact, gains = _decode(group[0], np.flatnonzero(candidates), None, enrolled), {}
     # every trial that may give a plan's extreme, as each sender's if Alice is pinned
     grids = np.array([_auto_grid(np.concatenate([_score(p, exact, gains, h) for h in (
         [None] if p.refade_alice else Hypothesis)])) for p in group])
-    bounded = [tuple(map(np.concatenate, zip(*per_chunk))) for per_chunk in zip(*bounded)]
-    return grids, _settled_counts(group, rows, bounded, grids)
+    return grids, sum(_settled_counts(group, *parts.pop(0)[:2], grids) for _ in range(len(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +716,9 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     integer sums over chunks, so they do not depend on the partition, the worker count or the
     other plans of the call. A hypothesis decodes past the transmitter draw only its sender's
     trials (H0: Alice's); the auto grid's pilot reads both senders, so it takes none. A chunk
-    sorts once per distinct statistic and counts a given grid, or holds its values until the
-    pilot picks the grid (_count_pathloss, _count_cir). The pilot scores a pathloss plan, or one
-    that pins Alice, as each sender's; a re-fading CIR plan's score does not read the sender.
+    sorts once per distinct statistic and counts a grid: a given one, or the auto grid once the
+    pilot picks it, holding its values until then (_count_pathloss, _count_cir). The pilot only
+    picks the grid, scoring a pathloss plan, or one that pins Alice, as each sender's.
     """
     if not plans or grids is not None and len(grids) != len(plans):
         raise ValueError(f"need one grid per plan, got {len(plans)} plans and "

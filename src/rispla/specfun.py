@@ -39,10 +39,10 @@ def extremes(values) -> tuple:
 
 def libm(fn, x):
     """fn, a libm function of one float, at x or at each element of an array x: numpy's SIMD
-    exp, erf and erfc may differ from libm's in the last bit, and the outputs hold libm's."""
+    exp, erf, erfc, arcsin and sin may differ from libm's in the last bit; outputs hold libm's."""
     if not isinstance(x, np.ndarray):
         return fn(x)
-    return np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def check_sigma(sigma):

@@ -655,7 +655,22 @@ class TestRocSweep:
         exact = [(sender, first) for name, sender, first in calls if name == "_score"]
         extremes = [(sender, None) for sender in senders or [None]]  # the pilot's, exactly
         assert exact[:len(extremes)] == extremes
-        assert exact[len(extremes):] in ([], [(None, None)])  # the undecided trials, if any
+        undecided = exact[len(extremes):]  # an exact batch of undecided trials, if any, a chunk
+        assert set(undecided) <= {(None, None)} and len(undecided) <= 3
+
+    def test_auto_grid_holds_no_stream_wide_copy(self, scenario_small):
+        # once the pilot picks the grid, each held chunk is counted on its own: the peak grows
+        # by the held state, 25 bytes a trial ((a, e), flag and index), not by a copy of it
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sweep_trials([cir_plan(scenario_small, Feature.CIR_PHASE, n=n)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep_trials([cir_plan(scenario_small, Feature.CIR_PHASE, n=20_000)])  # warm up
+        assert peak(300_000) - peak(100_000) <= 35 * 200_000
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_given_grid_counted_per_chunk(self, scenario_small, monkeypatch, workers):

@@ -603,35 +603,27 @@ def _auto_grid(samples: np.ndarray) -> np.ndarray:
 
 
 def _count_pathloss(group: list, grids, pilot: int, hypothesis, workers: int) -> tuple:
-    """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them: each chunk
-    sorts its shared unit noise once and counts a grid at each plan's point (Alice's
-    pathloss, Eve's pathloss, noise sigma) by _accepted_run's searches from the cuts: a given
-    grid at once, or the auto grid, holding the sorted noise (8 B per trial) until the pilot,
-    each plan's _score of its share as each sender's, picks it."""
+    """(grids, counts) of a pathloss stream's plans, as sweep_trials reads them. The auto grid
+    is picked first: the pilot's trials are decoded once, and each plan's _score of them as each
+    sender's picks its grid. Then each chunk sorts its shared unit noise once and counts the
+    grid at each plan's point (Alice's pathloss, Eve's pathloss, noise sigma) by
+    _accepted_run's searches from the cuts, holding nothing past its own counts."""
     pathloss = {}  # each distinct pathloss pair of the stream, computed once
+    if pilot:
+        share = _decode(group[0], range(pilot), None, (None, None))
+        grids = np.array([_auto_grid(np.concatenate([_score(p, share, pathloss, h)
+                                                     for h in Hypothesis])) for p in group])
     points = np.array([(*_pathloss_pair(p, pathloss), p.scenario.noise_sigma) for p in group])
+    pl_a, pl_e, sigma_n = np.repeat(points, grids.shape[1], axis=0).T
+    eps = grids.ravel()
 
-    def counts(alice, eve, grids):  # rows (n_alice, n_eve), then each threshold's accepts
-        pl_a, pl_e, sigma_n = np.repeat(points, grids.shape[1], axis=0).T
-        eps = grids.ravel()
+    def counts(lo, draws):  # rows (n_alice, n_eve), then each threshold's accepts
+        ((alice, eve),) = _sorted_pairs(draws, [draws.noise])
         return np.vstack([(alice.size, eve.size), np.stack(
             [_accepted_run(alice, pl_a, pl_a, sigma_n, eps),
              _accepted_run(eve, pl_e, pl_a, sigma_n, eps)], axis=1)])
 
-    def chunk(lo, draws):
-        (pairs,) = _sorted_pairs(draws, [draws.noise])
-        if not pilot:
-            return counts(*pairs, grids)
-        k = max(pilot - lo, 0)  # the pilot's share, scored as each sender's
-        share = replace(draws, is_alice=draws.is_alice[:k], noise=draws.noise[:k])
-        return pairs, [np.concatenate([_score(p, share, pathloss, h) for h in Hypothesis])
-                       for p in group]
-
-    parts = _map_trials(chunk, group[0], workers, hypothesis)
-    if pilot:
-        grids = np.array([_auto_grid(np.concatenate(s)) for s in zip(*(s for _, s in parts))])
-        parts = [counts(*pairs, grids) for pairs, _ in parts]
-    return grids, sum(parts)
+    return grids, sum(_map_trials(counts, group[0], workers, hypothesis))
 
 
 def _settled_counts(group: list, draws: Draws, bounded: list, grids) -> np.ndarray:
@@ -716,9 +708,10 @@ def sweep_trials(plans, grids=None, *, hypothesis: Hypothesis | None = None,
     integer sums over chunks, so they do not depend on the partition, the worker count or the
     other plans of the call. A hypothesis decodes past the transmitter draw only its sender's
     trials (H0: Alice's); the auto grid's pilot reads both senders, so it takes none. A chunk
-    sorts once per distinct statistic and counts a grid: a given one, or the auto grid once the
-    pilot picks it, holding its values until then (_count_pathloss, _count_cir). The pilot only
-    picks the grid, scoring a pathloss plan, or one that pins Alice, as each sender's.
+    sorts once per distinct statistic and counts a grid: a given one, or the auto grid. A
+    pathloss stream picks it from its pilot's decode before any chunk (_count_pathloss); a CIR
+    chunk holds its values until the pilot picks it (_count_cir). The pilot only picks the
+    grid, scoring a pathloss plan, or one that pins Alice, as each sender's.
     """
     if not plans or grids is not None and len(grids) != len(plans):
         raise ValueError(f"need one grid per plan, got {len(plans)} plans and "

@@ -332,8 +332,10 @@ class TestBaselines:
         code = run_cli("roc", "--scenario", SCENARIO, "--trials", 3000, "--baseline", "both",
                        *grid, "--output", tmp_path / "roc.csv")
         assert code == EXIT_OK
-        # RIS and no-RIS share the pathloss stream: each chunk is decoded once for both
-        assert calls == [(1, 1000), (1001, 1000), (2001, 1000)]
+        # RIS and no-RIS share the pathloss stream: each chunk is decoded once for both, and
+        # so is the auto grid's pilot, decoded first
+        pilot = [(1, 3000)] if not grid else []
+        assert calls == [*pilot, (1, 1000), (1001, 1000), (2001, 1000)]
 
     @pytest.mark.parametrize("feature,trials,lq", [("pathloss", 20000, 60), ("cir-phase", 1000, 20)])
     @pytest.mark.parametrize("grid", [["--epsilons", "log:1e-9:3:40"], []],

@@ -672,6 +672,20 @@ class TestRocSweep:
         sweep_trials([cir_plan(scenario_small, Feature.CIR_PHASE, n=20_000)])  # warm up
         assert peak(300_000) - peak(100_000) <= 35 * 200_000
 
+    def test_pathloss_auto_grid_holds_nothing_per_trial(self, scenario):
+        # the pilot picks the grid before any chunk is counted, so no chunk holds its noise
+        def peak(n):
+            plans = [pathloss_plan(scenario, n=n, ris=ris) for ris in (True, False)]
+            tracemalloc.start()
+            try:
+                sweep_trials(plans)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)  # warm up
+        assert peak(1_200_000) - peak(400_000) <= 1 * (1_200_000 - 400_000)  # bytes a trial
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_given_grid_counted_per_chunk(self, scenario_small, monkeypatch, workers):
         # each chunk returns its counts per threshold, never its trials' statistics

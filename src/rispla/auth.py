@@ -8,7 +8,8 @@ it on whole chunks of trials. `accepts` is the decision rule (ties reject);
 false-alarm target for every closed form, engine entry, optimizer and CLI
 option, as `specfun.check_sigma` owns the noise scale's. Every probability
 here is a pure function of linear-unit quantities; dB conversion belongs to
-the CLI layer. CIR missed detections have no closed form; `mc` estimates them.
+the CLI layer. The magnitude missed detection has no closed form; `mc`
+estimates it.
 
 The closed forms and thresholds work elementwise: a threshold or noise scale
 may be an array (one per link quality of a sweep), and each element takes the
@@ -36,6 +37,7 @@ __all__ = [
     "pfa_pathloss",
     "threshold_for_pfa",
     "pmd_pathloss",
+    "pmd_cir_phase",
     "pfa_cir_magnitude",
     "threshold_for_pfa_magnitude",
     "rayleigh_sigma",
@@ -128,6 +130,15 @@ def pmd_pathloss(epsilon, sigma, pl_a, pl_e):
     pl_a and pl_e may be arrays of pathloss pairs (one per gradient of a grid).
     """
     return folded_normal_cdf(check_threshold(epsilon), pl_e - pl_a, sigma)
+
+
+def pmd_cir_phase(epsilon):
+    """Missed detection of the phase test, min(epsilon, pi) / pi: Eve's gain (cascade or
+    direct) is redrawn each trial and circularly symmetric, as is the noise, so her statistic
+    is uniform on [0, pi] whatever the profile, the baseline or Alice's fading."""
+    if isinstance(check_threshold(epsilon), np.ndarray):
+        return np.minimum(epsilon, math.pi) / math.pi
+    return min(epsilon, math.pi) / math.pi
 
 
 def pfa_cir_magnitude(epsilon, sigma):

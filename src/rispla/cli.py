@@ -131,7 +131,8 @@ def _closed_form(command: str, plan: TrialPlan):
     and its pathloss pair is computed once.
 
     The Rayleigh magnitude false alarm holds only with Alice's channel pinned
-    to its enrollment (--freeze-alice); a re-fading Alice has no closed form.
+    to its enrollment (--freeze-alice); a re-fading Alice has no closed form. The phase
+    missed detection holds for every plan; the magnitude one has no closed form.
     """
     if command == "sweep-pfa":
         if plan.feature is Feature.PATHLOSS:
@@ -143,6 +144,8 @@ def _closed_form(command: str, plan: TrialPlan):
     if plan.feature is Feature.PATHLOSS:
         pl_a, pl_e = pathloss_pair(plan.scenario, plan.profile.gradient, plan.ris)
         return lambda epsilon, sigma_n: auth.pmd_pathloss(epsilon, sigma_n, pl_a, pl_e)
+    if plan.feature is Feature.CIR_PHASE:
+        return lambda epsilon, sigma_n: auth.pmd_cir_phase(epsilon)
     return None
 
 
@@ -247,10 +250,9 @@ def _cmd_optimize_phases(args) -> int:
         eval_trials=args.eval_trials,
     )
     _write_outputs(_opt_outputs(args.output, result))
-    closed = min(args.epsilon, math.pi) / math.pi  # every profile's, under the current model
-    print(f"best pmd {result.best_pmd:.3g} in sample, closed form min(eps, pi)/pi {closed:.3g}, "
-          f"after {result.evaluations} evaluations ({result.evaluations * args.eval_trials} "
-          f"trials)")
+    print(f"best pmd {result.best_pmd:.3g} in sample, closed form min(eps, pi)/pi "
+          f"{auth.pmd_cir_phase(args.epsilon):.3g}, after {result.evaluations} evaluations "
+          f"({result.evaluations * args.eval_trials} trials)")
     return EXIT_OK
 
 

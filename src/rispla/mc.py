@@ -60,6 +60,7 @@ ROC_PILOT_TRIALS, ROC_AUTO_POINTS, ROC_LO_SCALE, ROC_HI_SCALE = 10_000, 50, 0.5,
 # error that tests/test_mc.py allows over 10^7 angles (2.6e-7 is seen, against 4.8e-7)
 _TRIG_ERROR = 2.0**-20
 _ROUNDOFF = 2.0**-53  # of a double
+_HELD_LIMIT = 2**30  # bytes that a phase search's held draws may take (_HeldSearch.nbytes)
 
 
 class Hypothesis(Enum):
@@ -578,9 +579,17 @@ def attacker_draws(scenario: Scenario, n_trials: int, seed: int) -> _HeldSearch:
     single-precision trig and written once decoded. misses(phases, epsilon) counts, bit for
     bit, the statistics that empirical_distribution(plan, H1) draws under the profile of
     phases: a cone test on an approximate gain decides most trials, and _decode of the rest's
-    trial indices re-decodes them exactly (_HeldSearch)."""
+    trial indices re-decodes them exactly (_HeldSearch). A run whose held draws
+    (_HeldSearch.nbytes) exceed _HELD_LIMIT bytes is refused before anything is held or decoded."""
+    n = scenario.n_elements
+    size = _HeldSearch.nbytes(n_trials, n)
+    if size > _HELD_LIMIT:
+        raise ValueError(
+            f"{n_trials} evaluation trials on {n} elements need {size} bytes of the products "
+            f"conj(h) g, noise and the cone test's arrays (limit {_HELD_LIMIT}); "
+            "lower the evaluation trials")
     plan = TrialPlan(n_trials, seed, Feature.CIR_PHASE, scenario,
-                     PerElement(np.zeros(scenario.n_elements)))  # profile: a placeholder
+                     PerElement(np.zeros(n)))  # profile: a placeholder
     held = _HeldSearch(plan)
     _map_trials(held.write, plan, 1, exact=False)
     return held

@@ -20,7 +20,7 @@ import numpy as np
 
 from .auth import check_threshold, pmd_pathloss
 from .channel import PerElement, PhaseProfile, ScalarGradient, Scenario, ris_pathloss_grid
-from .mc import _HeldSearch, attacker_draws
+from .mc import attacker_draws
 
 __all__ = [
     "Strategy",
@@ -31,11 +31,9 @@ __all__ = [
     "optimize_gradient",
     "optimize_phase_matrix",
     "EXHAUSTIVE_CANDIDATE_LIMIT",
-    "EVAL_DRAWS_LIMIT",
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 10**6
-EVAL_DRAWS_LIMIT = 2**30  # bytes one search may hold (mc._HeldSearch.nbytes)
 
 
 class Strategy(Enum):
@@ -49,10 +47,6 @@ class InfeasibleGridError(ValueError):
 
 class SearchBudgetError(ValueError):
     """Requested search exceeds the candidate or trial budget."""
-
-    def __init__(self, message: str, required: int):
-        super().__init__(message)
-        self.required = required
 
 
 @dataclass(frozen=True)
@@ -132,43 +126,27 @@ def optimize_phase_matrix(
     given the others, and repeats passes until no element changes or the
     budget runs out. Lowest-index candidate wins ties.
 
-    Each candidate's missed detections are counted on the attacker trials that
-    mc.attacker_draws holds, as a fresh engine run counts them. Each candidate spends
-    eval_trials of the trial budget. What the search holds, eval_trials * (16 * N + 82) bytes
-    (conj(h) g per element; noise, approximate gain, margin, the cone test's scratch and an
-    undecided trial's index per trial), is refused above EVAL_DRAWS_LIMIT before decoding.
+    Each candidate's missed detections are counted, as a fresh engine run counts them, on
+    the attacker trials that mc.attacker_draws holds; it also refuses a search too large to
+    hold before decoding. Each candidate spends eval_trials of the trial budget.
     """
     check_threshold(epsilon)
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     if eval_trials < 1 or budget_trials < eval_trials:
         raise SearchBudgetError(
-            f"budget_trials must cover at least one evaluation of {eval_trials} trials",
-            required=eval_trials,
-        )
+            f"budget_trials must cover at least one evaluation of {eval_trials} trials")
     n = scenario.n_elements
-    held = _HeldSearch.nbytes(eval_trials, n)
-    if held > EVAL_DRAWS_LIMIT:
-        raise SearchBudgetError(
-            f"{eval_trials} evaluation trials on {n} elements need {held} bytes of the "
-            f"products conj(h) g, noise and the cone test's arrays (limit {EVAL_DRAWS_LIMIT}); "
-            "lower the evaluation trials",
-            required=held,
-        )
     if strategy is Strategy.EXHAUSTIVE:
         n_candidates = levels**n
         if n_candidates > EXHAUSTIVE_CANDIDATE_LIMIT:
             raise SearchBudgetError(
                 f"exhaustive search needs {levels}^{n} candidate evaluations "
-                f"(limit {EXHAUSTIVE_CANDIDATE_LIMIT}); use the coordinate strategy",
-                required=n_candidates,
-            )
+                f"(limit {EXHAUSTIVE_CANDIDATE_LIMIT}); use the coordinate strategy")
         if n_candidates * eval_trials > budget_trials:
             raise SearchBudgetError(
                 f"exhaustive search needs {n_candidates * eval_trials} trials, "
-                f"budget is {budget_trials}",
-                required=n_candidates * eval_trials,
-            )
+                f"budget is {budget_trials}")
 
     def phase(k: int) -> float:  # level k, computed per candidate: --levels has no upper bound
         return 2.0 * math.pi * k / levels
@@ -181,9 +159,8 @@ def optimize_phase_matrix(
     def evaluate(coordinate: int, value: float, phases: tuple) -> float:
         nonlocal best
         if phases not in cache:
-            required = (len(cache) + 1) * eval_trials
-            if required > budget_trials:
-                raise SearchBudgetError("trial budget exhausted", required=required)
+            if (len(cache) + 1) * eval_trials > budget_trials:
+                raise SearchBudgetError("trial budget exhausted")
             cache[phases] = held_draws.misses(np.asarray(phases), epsilon) / eval_trials
         pmd = cache[phases]
         trace.append((coordinate, value, pmd))

@@ -3,17 +3,18 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
 
 from rispla.auth import (
     Feature,
     accepts,
     pfa_cir_magnitude,
     pfa_pathloss,
+    pmd_cir_phase,
     pmd_pathloss,
     rayleigh_sigma,
     statistic,
@@ -24,9 +25,7 @@ from rispla.specfun import q_func
 
 
 def gaussian_tail_oracle(x: float) -> float:
-    val, _ = integrate.quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-                            x, math.inf)
-    return val
+    return float(mpmath.ncdf(-x))
 
 
 def magnitude(zeta, gt):
@@ -73,7 +72,7 @@ class TestStatistics:
         assert phase(c * zeta, gt) == pytest.approx(phase(zeta, gt), abs=1e-9)
 
 
-class TestDecide:
+class TestAccepts:
     def test_accept(self):
         assert accepts(0.5, 1.0)
 
@@ -93,7 +92,7 @@ class TestPfaPathloss:
         assert pfa_pathloss(1.95996, 1.0) == pytest.approx(0.0500, abs=1e-4)
 
     def test_three_sigma(self):
-        # frozen: 2 * gaussian_tail_oracle(3) = 2.6997960632601926e-3
+        # frozen: 2 * gaussian_tail_oracle(3) = 2.699796063260189e-3
         assert pfa_pathloss(3.0, 1.0) == pytest.approx(2.6998e-3, abs=1e-6)
         assert pfa_pathloss(3.0, 1.0) == pytest.approx(2 * gaussian_tail_oracle(3.0), rel=1e-9)
 
@@ -295,6 +294,7 @@ class TestElementwiseClosedForms:
             (pfa_pathloss, [eps, sigma]),
             (pmd_pathloss, [eps, sigma, pl_a, pl_e]),
             (lambda e, s: pfa_cir_magnitude(e, rayleigh_sigma(s)), [eps, sigma]),
+            (lambda e, s: pmd_cir_phase(e), [eps, sigma]),
         ]:
             scalars, refused = _scalar_calls(fn, *columns)
             array, array_refused = _array_call(fn, *columns)
@@ -319,6 +319,20 @@ class TestElementwiseClosedForms:
         ratios = np.linspace(38.0, 60.0, 4001)
         assert q_func(40.0) == 0.0
         assert _bits(pfa_pathloss(ratios, 1.0)) == _bits([2.0 * q_func(r) for r in ratios])
+
+
+class TestPmdCirPhase:
+    def test_values(self):
+        assert pmd_cir_phase(0.0) == 0.0
+        assert pmd_cir_phase(1.0) == 1.0 / math.pi
+        assert pmd_cir_phase(math.pi) == 1.0 and pmd_cir_phase(4.0) == 1.0
+        assert type(pmd_cir_phase(1.0)) is float
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            pmd_cir_phase(-0.1)
+        with pytest.raises(ValueError):
+            pmd_cir_phase(np.array([0.1, math.nan]))
 
 
 class TestNoPhaseArguments:

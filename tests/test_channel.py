@@ -370,7 +370,7 @@ def cascade(h, g, phases) -> complex:
     return complex(_cascade(np.atleast_2d(h), np.atleast_2d(g), np.asarray(phases, float))[0])
 
 
-class TestSampleCir:
+class TestCirVectors:
     """Fading draws as the engine decodes them from its uniform blocks."""
 
     def test_moments(self, scenario_small):
@@ -392,7 +392,7 @@ class TestSampleCir:
         assert not np.array_equal(h3[0], h3[1])
 
 
-class TestCascadedGain:
+class TestCascade:
     def test_identity(self):
         assert cascade([1.0 + 0j], [1.0 + 0j], [0.0]) == pytest.approx(1.0 + 0j)
 
@@ -422,7 +422,7 @@ class TestCascadedGain:
         assert abs(cascade(h, g, psi)) <= np.sum(np.abs(h) * np.abs(g)) + 1e-9
 
 
-class TestAddNoise:
+class TestReceiverNoise:
     """Receiver noise as the engine adds it."""
 
     def test_zero_sigma_identity(self, scenario_small):

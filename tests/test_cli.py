@@ -77,6 +77,25 @@ class TestSweepSchema:
             else:
                 assert abs(float(cell) - analytical) < 1e-9
 
+    @pytest.mark.parametrize("frozen", [[], ["--freeze-alice"]], ids=["refading", "frozen"])
+    @pytest.mark.parametrize("epsilon", [0.3, math.pi, 4.0])
+    def test_phase_pmd_analytical_column(self, tmp_path, frozen, epsilon):
+        # Eve's gain is redrawn each trial and circularly symmetric on both baselines, whatever
+        # Alice's fading: the phase missed detection is min(eps, pi) / pi at every link quality
+        code = run_cli("sweep-pmd", "--scenario", SCENARIO, "--feature", "cir-phase",
+                       "--epsilon", epsilon, "--lq-grid", "0,20", "--trials", 2000, "--seed", 3,
+                       "--baseline", "both", *frozen, "--output", tmp_path / "x.csv")
+        assert code == EXIT_OK
+        closed = min(epsilon, math.pi) / math.pi
+        for tag in ("_ris", "_noris"):
+            rows = [line.split(",") for line in
+                    (tmp_path / f"x{tag}.csv").read_text().splitlines()[1:]
+                    if not line.startswith("#")]
+            assert len(rows) == 2
+            for _, _, analytical, empirical, half_width, _ in rows:
+                assert analytical == repr(closed)
+                assert abs(float(empirical) - closed) <= 2.0 * float(half_width), (tag, rows)
+
     def test_low_confidence_flagged(self, tmp_path):
         out = tmp_path / "pfa.csv"
         run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1e-7,
@@ -567,13 +586,14 @@ class TestExitCodes:
     def test_draws_limit_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         # a search holds 16 * 256 + 82 bytes a trial on 256 elements (the products conj(h) g,
         # noise and the cone test's arrays), refused before decoding above 2^30: 257 000 is
-        # the first
-        from rispla import optim
+        # the first; nothing is held or decoded
+        from rispla import mc
 
-        def decoding(*args):
-            raise AssertionError("decoded past the limit")
+        def decoding(*args, **kwargs):
+            raise AssertionError("held or decoded past the limit")
 
-        monkeypatch.setattr(optim, "attacker_draws", decoding)
+        monkeypatch.setattr(mc._HeldSearch, "__init__", decoding)
+        monkeypatch.setattr(mc, "_map_trials", decoding)
         for eval_trials in (10**7, 257_000):
             t0 = time.perf_counter()
             code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,

@@ -38,7 +38,8 @@ def test_scan_flags_an_unused_name():
 
 
 def test_run_time_imports_no_test_extra():
-    # scipy and mpmath are test oracles (pyproject's `test` extras), never run-time dependencies
+    # mpmath and hypothesis are test extras (pyproject's `test`) and scipy no dependency at all:
+    # none of them may load at run time
     code = ("import sys, rispla.cli, rispla.checks; "
             "print(sorted(m for m in ('mpmath', 'scipy', 'hypothesis') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

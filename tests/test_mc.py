@@ -134,7 +134,7 @@ class TestCounts:
         assert math.isnan(pfa[0]) and pd[0] == 0.0
 
 
-class TestRunTrials:
+class TestSweepTrialsOnePoint:
     def test_huge_threshold_always_accepts(self, scenario_small):
         pfa, pmd = errors_at(pathloss_plan(scenario_small, n=2000), 1e12)
         assert pfa.value == 0.0
@@ -262,8 +262,8 @@ class TestSweepTrials:
         (cir_grid, {"refade_alice": False}),
     ], ids=["pathloss-ris", "pathloss-noris", "cir-refading", "cir-pinned"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_run_trials_per_point(self, scenario_small, monkeypatch, grid, kw,
-                                         workers):
+    def test_equals_one_sweep_per_point(self, scenario_small, monkeypatch, grid, kw,
+                                        workers):
         plans, grids = grid(scenario_small, [5.0, 20.0, 35.0, 50.0], **kw)
         monkeypatch.setattr(mc, "_default_chunk", lambda plan: 1100)  # 3 chunks
         swept = sweep_trials(plans, grids, workers=workers)
@@ -327,8 +327,8 @@ class TestSweepTrials:
             assert probes <= 6
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_mixed_streams_equal_run_trials_per_point(self, scenario_small, monkeypatch,
-                                                      workers):
+    def test_mixed_streams_equal_one_sweep_per_point(self, scenario_small, monkeypatch,
+                                                     workers):
         plans, grids = cir_grid(scenario_small, [10.0, 20.0])
         other_seed = replace(plans[1], master_seed=18)
         other_trials = replace(plans[1], n_trials=2999)
@@ -588,7 +588,7 @@ def full_count_curve(plan, grid, piece=4100):
             for mask in (is_alice, ~is_alice)]
 
 
-class TestRocSweep:
+class TestSweepTrialsRoc:
     @pytest.mark.parametrize("case", ["cir-n256-8200", "pathloss-small-chunks"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pilot_across_chunks_equals_full_count(self, scenario, scenario_small, monkeypatch,
@@ -711,7 +711,7 @@ class TestRocSweep:
             np.testing.assert_array_equal(got, want)
         assert all(len(set(column.tolist())) > 1 for column in curve)
 
-    def test_single_point_matches_run_trials(self, scenario_small):
+    def test_single_point_matches_its_errors(self, scenario_small):
         eps = 1.5e-5
         plan = pathloss_plan(scenario_small, n=20000)
         counts = counts_at(plan, eps)
@@ -750,7 +750,7 @@ class TestRocSweep:
     @pytest.mark.parametrize("grid", [[math.nan], [0.1, math.inf], [-1.0, 0.5]],
                              ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("entry", [
-        "roc_sweep", "sweep_trials", "optimize_gradient", "optimize_phase_matrix",
+        "sweep_trials_grid", "sweep_trials", "optimize_gradient", "optimize_phase_matrix",
         "pfa_pathloss", "pmd_pathloss", "pfa_cir_magnitude"])
     def test_refuses_bad_thresholds(self, scenario_small, grid, entry):
         # one check for every entry point that takes a threshold: finite and nonnegative,
@@ -758,7 +758,7 @@ class TestRocSweep:
         plan = pathloss_plan(scenario_small, n=100)
         bad = next(e for e in grid if not 0.0 <= e < math.inf)
         call = {
-            "roc_sweep": lambda: sweep_trials([plan], [grid]),  # one grid of many thresholds
+            "sweep_trials_grid": lambda: sweep_trials([plan], [grid]),  # one grid, many thresholds
             "sweep_trials": lambda: sweep_trials([plan] * len(grid), [[e] for e in grid]),
             "optimize_gradient": lambda: optimize_gradient(
                 scenario_small, bad, default_gradient_grid(scenario_small, 100)),

@@ -9,11 +9,10 @@ import pytest
 from conftest import RedecodeSpy
 
 from rispla import mc, optim
-from rispla.auth import Feature, threshold_for_pfa
+from rispla.auth import Feature, pmd_cir_phase, threshold_for_pfa
 from rispla.channel import PerElement, incidence_angle
 from rispla.mc import Hypothesis, TrialPlan, empirical_distribution
 from rispla.optim import (
-    EVAL_DRAWS_LIMIT,
     EXHAUSTIVE_CANDIDATE_LIMIT,
     InfeasibleGridError,
     SearchBudgetError,
@@ -209,15 +208,15 @@ class TestOptimizePhaseMatrix:
         with pytest.raises(SearchBudgetError) as err:
             optimize_phase_matrix(scenario, epsilon=0.1, levels=4,
                                   strategy=Strategy.EXHAUSTIVE, budget_trials=10**9)
-        assert err.value.required == 4**scenario.n_elements
-        assert err.value.required > EXHAUSTIVE_CANDIDATE_LIMIT
+        assert f"needs 4^{scenario.n_elements} candidate evaluations" in str(err.value)
+        assert 4**scenario.n_elements > EXHAUSTIVE_CANDIDATE_LIMIT
 
     def test_exhaustive_trial_budget_guard(self, scenario):
         sc = replace(scenario, n_elements=2, lq_db=20.0)
         with pytest.raises(SearchBudgetError) as err:
             optimize_phase_matrix(sc, epsilon=0.1, levels=4, strategy=Strategy.EXHAUSTIVE,
                                   budget_trials=20_000, eval_trials=5000)
-        assert err.value.required == 16 * 5000
+        assert f"needs {16 * 5000} trials, budget is 20000" in str(err.value)
 
     def test_budget_must_cover_one_evaluation(self, scenario):
         with pytest.raises(SearchBudgetError):
@@ -397,9 +396,9 @@ class TestDecodeOnceObjective:
 
     def test_largest_search_under_the_limit_decodes(self, scenario, monkeypatch):
         # 256 elements hold 16 * 256 + 82 bytes a trial: 256 999 trials fit in the limit
-        # (test_cli refuses 257 000); the decode is stubbed, as it would take 1 GiB
+        # (test_cli refuses 257 000); the hold is stubbed, as it would take 1 GiB
         held = mc._HeldSearch.nbytes
-        assert held(256_999, 256) <= EVAL_DRAWS_LIMIT < held(257_000, 256)
+        assert held(256_999, 256) <= mc._HELD_LIMIT < held(257_000, 256)
 
         class Decoding(Exception):
             pass
@@ -407,7 +406,7 @@ class TestDecodeOnceObjective:
         def decoding(*args):
             raise Decoding
 
-        monkeypatch.setattr(optim, "attacker_draws", decoding)
+        monkeypatch.setattr(mc._HeldSearch, "__init__", decoding)
         with pytest.raises(Decoding):
             optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=256_999)
 
@@ -427,6 +426,6 @@ class TestPhaseObjectiveIsFlat:
             for counts in mc.sweep_trials(plans, [epsilons] * len(plans),
                                           hypothesis=Hypothesis.H1):
                 for k, eps in enumerate(epsilons):
-                    pmd, p = counts.missed_detection(k), eps / math.pi
+                    pmd, p = counts.missed_detection(k), pmd_cir_phase(eps)
                     se = math.sqrt(p * (1.0 - p) / pmd.n_conditioning)
                     assert abs(pmd.value - p) <= 4.0 * se, (seed, eps, pmd.value, p)

@@ -444,6 +444,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"rispla: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"rispla: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"rispla: i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -276,33 +276,32 @@ class _HeldSearch:
     - B starts at w'; an update's difference (u |f' - f|, |f' - f| <= 2 + 8u), product
       (18.1 u |h'_k||g'_k|) and add (u |B + p| <= u (P' + drift)) drift it by at most 20 u P'
       from T', so delta = |O - B| <= (1.5 N + 10 + 20 U) u S + D after U updates.
-    The cones. z = B exp(-j phi), folded into Im z >= 0. For 0 < gamma < pi, t(z) = Im z
+    The cone. z = B exp(-j phi), folded into Im z >= 0. For gamma in [0, pi], t(z) = Im z
     cos(gamma) - Re z sin(gamma) is r sin(theta - gamma) at z = r exp(j theta), theta in
-    [0, pi]: positive outside the cone {|arg| <= gamma}, negative strictly inside, and in the
-    unfolded z 1-Lipschitz (the max or min of two linear forms of unit gradient). Computing z
-    (cos, sin and the product: 5.5 u |B|) and t = Im(z exp(-j gamma)) (4.5 u |B|) adds 11 u S
-    at most, so margin = (2 N + 32 + 20 limit) u S + (1 + 2^-30) D bounds delta plus the
-    test's error ((0.5 N + 11) u S and 2^-30 D cover the factors (1 + k u) that S, D drop).
-    Where t > margin at gamma = epsilon + 2^-40, O exp(-j phi) is outside that cone and
-    s > epsilon; where -t > margin at gamma = epsilon - 2^-40, inside it and s < epsilon:
-    2^-40 exceeds the statistic's rounding (16 u pi), the ulps between math.atan2 and
-    np.angle, and gamma's rounding. A side with gamma outside (0, pi) decides nothing; above
-    pi all accept: s <= pi's double (Sterbenz).
+    [0, pi], and 1-Lipschitz in the unfolded z (a max or min of linear forms of unit gradient).
+    Computing z (cos, sin and the product: 5.5 u |B|) and t (4.5 u |B|) adds 11 u S at most.
+    At gamma = epsilon, margin = (2 N + 33 + 20 limit) u S + 2^-40 S + (1 + 2^-30) D bounds
+    delta, the test's error and 2^-40 |O|: (0.5 N + 11) u S and 2^-30 D cover the factors
+    (1 + k u) that S, D drop, and u S covers 2^-40 (|O| - S) <= 2^-40 (1.5 N + 10) u S for
+    N < 2^39. Where t > margin, t(O exp(-j phi)) > 2^-40 |O|: its theta - epsilon is in
+    (2^-40, pi) and s > epsilon; where -t > margin, it is in (-pi, -2^-40) and s < epsilon:
+    2^-40 exceeds the statistic's rounding (16 u pi) and the ulps between math.atan2 and
+    np.angle. Above pi all accept: s <= pi's double (Sterbenz).
     """
 
     @staticmethod
     def nbytes(n_trials: int, n: int) -> int:
         """Bytes held for n_trials draws on n elements: 16 per element and trial (c); per trial
-        16 each of noise, B, z and z turned, 8 each of margin and index, and 2 of flags."""
-        return n_trials * (16 * n + 82)
+        16 each of noise, B and z, 8 each of margin and index, and 1 of flags."""
+        return n_trials * (16 * n + 65)
 
     def __init__(self, plan: TrialPlan):
         n, n_trials = plan.scenario.n_elements, plan.n_trials
         self.plan, self.sigma_n = plan, plan.scenario.noise_sigma
         self.batch, self.limit = _default_chunk(plan), n + 4096
         self.c = np.empty((n, n_trials), complex)  # element-major: c[k] is contiguous
-        self.noise, self.cascade, self.turned, self.tilted = np.empty((4, n_trials), complex)
-        self.margin, self.flags = np.empty(n_trials), np.empty((2, n_trials), bool)
+        self.noise, self.cascade, self.turned = np.empty((3, n_trials), complex)
+        self.margin, self.flags = np.empty(n_trials), np.empty(n_trials, bool)
         self.factors, self.updates = np.zeros(n, complex), math.inf  # B not yet summed
 
     def write(self, lo: int, draws: Draws) -> None:
@@ -311,7 +310,7 @@ class _HeldSearch:
         self.noise[rows], c, self.enrolled = draws.noise, self.c[:, rows], (draws.h0, draws.g0)
         np.multiply(np.conjugate(draws.h.T, out=c), draws.g.T, out=c)
         gap, size = _observed_gap(self.plan, draws.power, 0.0)  # D, S: no cascade is pinned
-        self.margin[rows] = (2 * n + 32 + 20 * self.limit) * _ROUNDOFF * size
+        self.margin[rows] = ((2 * n + 33 + 20 * self.limit) * _ROUNDOFF + 2.0**-40) * size
         self.margin[rows] += (1.0 + 2.0**-30) * gap
 
     def misses(self, phases: np.ndarray, epsilon: float) -> int:
@@ -332,14 +331,11 @@ class _HeldSearch:
         phi = math.atan2(gt.imag, gt.real)
         np.multiply(self.cascade, complex(math.cos(phi), -math.sin(phi)), out=z)
         np.absolute(z.imag, out=z.imag)
-        flags[:] = False  # rejected, accepted
-        for side, gamma, sign in (0, epsilon + 2.0**-40, 1.0), (1, epsilon - 2.0**-40, -1.0):
-            if 0.0 < gamma < math.pi:  # flag sign t(z) > margin; a NaN never is
-                turn = complex(sign * math.cos(gamma), -sign * math.sin(gamma))
-                np.greater(np.multiply(z, turn, out=self.tilted).imag, self.margin,
-                           out=flags[side])
-        count = int(np.count_nonzero(flags[1]))
-        undecided = np.flatnonzero(~np.logical_or(*flags, out=flags[0]))
+        t = np.multiply(z, complex(math.cos(epsilon), -math.sin(epsilon)), out=z).imag  # t(z)
+        np.greater(np.absolute(t, out=z.real), self.margin, out=flags)  # a NaN never is
+        undecided = np.flatnonzero(np.logical_not(flags, out=flags))
+        # accepted, -t > margin: the trials whose t is negative, less the undecided ones
+        count = int(np.count_nonzero(np.signbit(t, out=flags)) - np.signbit(t[undecided]).sum())
         if undecided.size:
             plan = replace(self.plan, profile=PerElement(phases))
         for lo in range(0, undecided.size, self.batch):  # a batch's draws freed before the next

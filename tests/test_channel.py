@@ -1,5 +1,6 @@
 """Geometry, pathloss, and channel-generation tests against hand-derived values."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ from conftest import reference_box_muller, table1_with
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rispla.auth import Feature
+from rispla.auth import Feature, pfa_pathloss, pmd_pathloss, threshold_for_pfa
 from rispla.channel import (
     EvanescentError,
     GeometryError,
@@ -34,6 +35,7 @@ from rispla.mc import (
     _uniform_blocks,
     empirical_distribution,
 )
+from rispla.optim import default_gradient_grid
 
 # hand evaluation of the reflection pathloss, zero gradient, shipped geometry:
 #   lambda = 299792458 / 28e9 = 0.0107068735 m
@@ -336,6 +338,48 @@ class TestRisPathloss:
         huge = 2.0 * 2 * math.pi / scenario.wavelength
         with pytest.raises(EvanescentError):
             ris_pathloss(scenario, scenario.alice_pos, huge)
+
+
+class TestSpecularInvariances:
+    """As coded, the lobe term u = (pi b / lambda)(sin theta_i - sin theta_r) with sin theta_r =
+    sin theta_i + lambda grad / (2 pi n1) is -b grad / (2 n1) for every transmitter: the gradient
+    scales both pathlosses by one factor sinc^2(u), and Bob's distance r enters both alike. So
+    pl_E / pl_A is set by the transmitters' distances and incidence angles alone."""
+
+    def test_ratio_does_not_depend_on_the_gradient(self, scenario):
+        grid = default_gradient_grid(scenario)
+        pl_a, alice_ok = ris_pathloss_grid(scenario, scenario.alice_pos, grid)
+        pl_e, eve_ok = ris_pathloss_grid(scenario, scenario.eve_pos, grid)
+        assert grid[0] == 0.0 and alice_ok.all() and eve_ok.all()
+        # the grid ends at the sinc null u = 4 pi, where pl_A is 3e-31 of its peak and each
+        # transmitter's rounding of u, next to sin's zero, sets the ratio; all else is kept
+        kept = pl_a > 1e-12 * pl_a.max()
+        assert np.flatnonzero(~kept).tolist() == [grid.size - 1]
+        ratio = pl_e[kept] / pl_a[kept]
+        np.testing.assert_allclose(ratio, pl_e[0] / pl_a[0], rtol=1e-9, atol=0.0)
+
+    def test_ratio_does_not_depend_on_bobs_position(self, scenario):
+        # Alice: d_i^2 = 200, cos^2 theta_i = 1/2; Eve: d_i^2 = 100, cos^2 = 1; so 4
+        for x, y in itertools.product(np.linspace(41.0, 141.0, 7), repeat=2):
+            pl_a, pl_e = pathloss_pair(replace(scenario, bob_pos=(x, y, 1.0)), 0.0)
+            assert pl_e / pl_a == pytest.approx(4.0, rel=1e-12, abs=0.0), (x, y)
+
+    @pytest.mark.parametrize("gradient", [0.0, 5.0, 20.0])
+    def test_eve_at_alices_mirror_image_spoofs_the_panel(self, scenario, gradient):
+        # the mirror image of Alice about the panel normal has her range and incidence angle:
+        # (80, 100, 1) on table1, where Eve's pathloss is Alice's and her missed detection is
+        # 1 - pfa whatever the gradient
+        v, normal = scenario.alice_pos - scenario.ris_pos, scenario.ris_normal
+        mirror = scenario.ris_pos + 2.0 * np.dot(v, normal) * normal - v
+        assert mirror.tolist() == [80.0, 100.0, 1.0]
+        sc = replace(scenario, eve_pos=mirror, lq_db=60.0)
+        pl_a, pl_e = pathloss_pair(sc, gradient)
+        assert pl_e / pl_a == 1.0
+        sigma = sc.noise_sigma
+        epsilon = threshold_for_pfa(0.05, sigma)
+        assert pfa_pathloss(epsilon, sigma) == pytest.approx(0.05, rel=1e-12)
+        assert pmd_pathloss(epsilon, sigma, pl_a, pl_e) == pytest.approx(
+            1.0 - pfa_pathloss(epsilon, sigma), rel=1e-12)
 
 
 class TestFspl:

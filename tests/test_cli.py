@@ -584,8 +584,8 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_draws_limit_is_runtime_error(self, tmp_path, capsys, monkeypatch):
-        # a search holds 16 * 256 + 82 bytes a trial on 256 elements (the products conj(h) g,
-        # noise and the cone test's arrays), refused before decoding above 2^30: 257 000 is
+        # a search holds 16 * 256 + 65 bytes a trial on 256 elements (the products conj(h) g,
+        # noise and the cone test's arrays), refused before decoding above 2^30: 258 049 is
         # the first; nothing is held or decoded
         from rispla import mc
 
@@ -594,15 +594,37 @@ class TestExitCodes:
 
         monkeypatch.setattr(mc._HeldSearch, "__init__", decoding)
         monkeypatch.setattr(mc, "_map_trials", decoding)
-        for eval_trials in (10**7, 257_000):
+        for eval_trials in (10**7, 258_049):
             t0 = time.perf_counter()
             code = run_cli("optimize-phases", "--scenario", SCENARIO, "--epsilon", 0.1,
                            "--eval-trials", eval_trials, "--budget", 10**7,
                            "--output", tmp_path / "x.csv")
             assert code == EXIT_RUNTIME
             assert time.perf_counter() - t0 < 5.0
-            assert f"need {eval_trials * (16 * 256 + 82)} bytes" in capsys.readouterr().err
+            assert f"need {eval_trials * (16 * 256 + 65)} bytes" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.45 GiB for an array with shape (1000000000,)",
+         "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+        ("", "out of memory"),
+    ])
+    def test_allocation_failure_is_runtime_error(self, tmp_path, capsys, monkeypatch, message,
+                                                 shown):
+        # numpy's allocation failure is a MemoryError that names the array; a bare one names
+        # nothing; either exits 3 with one line, not a traceback, and writes no file
+        from rispla import mc
+
+        def allocating(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(mc, "sweep_trials", allocating)
+        code = run_cli("sweep-pmd", "--scenario", SCENARIO, "--feature", "cir-phase",
+                       "--epsilon", 0.1, "--lq-grid", 20, "--trials", 10,
+                       "--output", tmp_path / "x.csv")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"rispla: error: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self):
         code = run_cli("sweep-pfa", "--scenario", SCENARIO, "--epsilon", 1.0,

@@ -1153,7 +1153,10 @@ def candidates(n: int, levels: int, order: str, limit: int = 60):
         current[elem] = values[(levels - 1 - elem) % levels]
 
 
-EPSILONS = [0.0, 1e-3, 0.05, 0.4, 1.2, math.pi / 2 - 1e-6, math.pi / 2, 2.0, math.pi, 7.0]
+# at 2^-40, pi - 2^-40 and the double above pi, epsilon - 2^-40 or epsilon + 2^-40 leaves
+# (0, pi); the cone at epsilon decides them as it does every other threshold
+EPSILONS = [0.0, 2.0**-40, 1e-3, 0.05, 0.4, 1.2, math.pi / 2 - 1e-6, math.pi / 2, 2.0,
+            math.pi - 2.0**-40, math.pi, math.nextafter(math.pi, 4.0), 7.0]
 
 
 class TestHeldSearch:
@@ -1286,8 +1289,7 @@ class TestHeldSearch:
             monkeypatch.setattr(mc, "_default_chunk", lambda plan: chunk)
         held = held_for(plan)
         assert held.c.shape == (8, 3000) and not {"h", "g"} & set(vars(held))
-        arrays = [held.c, held.noise, held.cascade, held.turned, held.tilted, held.margin,
-                  held.flags]
+        arrays = [held.c, held.noise, held.cascade, held.turned, held.margin, held.flags]
         index = 8 * 3000  # of the undecided trials, at most all of them
         assert sum(a.nbytes for a in arrays) + index == mc._HeldSearch.nbytes(3000, 8)
         candidate = replace(plan, profile=PerElement(np.linspace(0.0, 3.0, 8)))

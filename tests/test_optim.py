@@ -395,10 +395,10 @@ class TestDecodeOnceObjective:
             assert row[2] == engine_pmd(sc, phases, 1e-3, 3, n), row
 
     def test_largest_search_under_the_limit_decodes(self, scenario, monkeypatch):
-        # 256 elements hold 16 * 256 + 82 bytes a trial: 256 999 trials fit in the limit
-        # (test_cli refuses 257 000); the hold is stubbed, as it would take 1 GiB
+        # 256 elements hold 16 * 256 + 65 bytes a trial: 258 048 trials fit in the limit
+        # (test_cli refuses 258 049); the hold is stubbed, as it would take 1 GiB
         held = mc._HeldSearch.nbytes
-        assert held(256_999, 256) <= mc._HELD_LIMIT < held(257_000, 256)
+        assert held(258_048, 256) <= mc._HELD_LIMIT < held(258_049, 256)
 
         class Decoding(Exception):
             pass
@@ -408,7 +408,7 @@ class TestDecodeOnceObjective:
 
         monkeypatch.setattr(mc._HeldSearch, "__init__", decoding)
         with pytest.raises(Decoding):
-            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=256_999)
+            optimize_phase_matrix(scenario, epsilon=0.1, budget_trials=10**6, eval_trials=258_048)
 
 
 class TestPhaseObjectiveIsFlat:
